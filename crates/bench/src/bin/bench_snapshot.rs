@@ -299,26 +299,6 @@ fn run_all(reps: u32) -> Vec<BenchResult> {
         }),
     });
 
-    // Same scheme as `single_core_discontinuity_100k` but hosted in a
-    // zoo of one: the gap between the two entries is the cost of the
-    // trait indirection plus shadow attribution.
-    let zoo_plan = ipsim_prefetch::ZooPlan::parse("disc").unwrap();
-    results.push(BenchResult {
-        name: "system/single_core_zoo_disc_100k",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
-            let mut system = SystemBuilder::single_core()
-                .zoo(zoo_plan.clone())
-                .install_policy(InstallPolicy::BypassL2UntilUseful)
-                .build()
-                .unwrap();
-            let mut walker = TraceWalker::new(&prog, profile.clone(), 0, 5);
-            let mut sources: Vec<&mut dyn OpSource> = vec![&mut walker];
-            system.run(&mut sources, INSTRS);
-            assert!(system.metrics().instructions() == INSTRS);
-        }),
-    });
-
     results.push(BenchResult {
         name: "system/cmp4_baseline_100k_per_core",
         ops: INSTRS,

@@ -14,6 +14,10 @@ pub struct MshrEntry {
     /// A demand access arrived while the fill was in flight. For a prefetch
     /// this means the prefetch was *late but useful*.
     pub demand_merged: bool,
+    /// Zoo slot of the prefetch scheme that issued the fill (`0` for
+    /// fills registered through [`Mshr::insert`]), carried to retirement
+    /// so the fill can be credited without an attribution lookup.
+    pub scheme: u8,
 }
 
 /// A bounded set of outstanding fills.
@@ -79,16 +83,33 @@ impl Mshr {
     /// Registers a new in-flight fill. Returns `false` (and does nothing)
     /// when the file is full or the line already has an entry.
     pub fn insert(&mut self, line: LineAddr, ready_at: Cycle, prefetch: bool) -> bool {
-        if self.entries.len() >= self.capacity || self.lookup(line).is_some() {
-            return false;
-        }
-        self.entries.push(MshrEntry {
+        self.push(MshrEntry {
             line,
             ready_at,
             prefetch,
             demand_merged: !prefetch,
-        });
-        self.next_ready = self.next_ready.min(ready_at);
+            scheme: 0,
+        })
+    }
+
+    /// Registers an in-flight prefetch fill issued by zoo slot `scheme`;
+    /// otherwise exactly [`Mshr::insert`] with `prefetch = true`.
+    pub fn insert_prefetch(&mut self, line: LineAddr, ready_at: Cycle, scheme: u8) -> bool {
+        self.push(MshrEntry {
+            line,
+            ready_at,
+            prefetch: true,
+            demand_merged: false,
+            scheme,
+        })
+    }
+
+    fn push(&mut self, entry: MshrEntry) -> bool {
+        if self.entries.len() >= self.capacity || self.lookup(entry.line).is_some() {
+            return false;
+        }
+        self.next_ready = self.next_ready.min(entry.ready_at);
+        self.entries.push(entry);
         true
     }
 
@@ -189,6 +210,16 @@ mod tests {
         assert_eq!(m.merge_demand(LineAddr(5)), Some(100));
         assert!(m.lookup(LineAddr(5)).unwrap().demand_merged);
         assert_eq!(m.merge_demand(LineAddr(9)), None);
+    }
+
+    #[test]
+    fn prefetch_insert_carries_its_scheme_to_retirement() {
+        let mut m = Mshr::new(2);
+        assert!(m.insert_prefetch(LineAddr(6), 50, 3));
+        assert!(!m.insert_prefetch(LineAddr(6), 60, 1), "duplicate line");
+        let done = m.retire_ready(50);
+        assert_eq!((done[0].prefetch, done[0].demand_merged), (true, false));
+        assert_eq!(done[0].scheme, 3);
     }
 
     #[test]

@@ -186,14 +186,14 @@ impl PrefetchEngine for DiscontinuityPrefetcher {
         }
     }
 
-    fn on_prefetch_useful(&mut self, _line: LineAddr, source: PrefetchSource) {
+    fn on_useful(&mut self, _line: LineAddr, source: PrefetchSource, _late: bool) {
         if let PrefetchSource::Discontinuity { table_index } = source {
             self.table.reinforce(table_index);
         }
     }
 
-    fn on_prefetch_useless(&mut self, _line: LineAddr, source: PrefetchSource) {
-        if self.min_confidence > 0 {
+    fn on_evict(&mut self, _line: LineAddr, source: PrefetchSource, used: bool) {
+        if !used && self.min_confidence > 0 {
             if let PrefetchSource::Discontinuity { table_index } = source {
                 self.table.weaken(table_index);
             }
@@ -312,13 +312,15 @@ mod tests {
         fetch(&mut pf, FetchEvent::miss(LineAddr(700), Some(LineAddr(17))));
         // Reinforce through the feedback path.
         let (_, idx) = pf.table().lookup(LineAddr(1)).unwrap();
-        pf.on_prefetch_useful(
+        pf.on_useful(
             LineAddr(900),
             PrefetchSource::Discontinuity { table_index: idx },
+            false,
         );
-        pf.on_prefetch_useful(
+        pf.on_useful(
             LineAddr(900),
             PrefetchSource::Discontinuity { table_index: idx },
+            false,
         );
         // Entry survives three more conflicts (counter back at 3).
         for _ in 0..3 {
@@ -339,6 +341,6 @@ mod tests {
     fn sequential_feedback_is_ignored() {
         let mut pf = DiscontinuityPrefetcher::new(DiscontinuityConfig::default());
         // Must not panic or corrupt anything.
-        pf.on_prefetch_useful(LineAddr(5), PrefetchSource::Sequential);
+        pf.on_useful(LineAddr(5), PrefetchSource::Sequential, false);
     }
 }

@@ -79,10 +79,10 @@ pub struct PrefetchRequest {
     pub line: LineAddr,
     /// The mechanism that generated it.
     pub source: PrefetchSource,
-    /// Zoo slot of the issuing scheme when the engine multiplexes several
-    /// prefetchers (`ipsim-prefetch`); `0` for plain engines. Carried
-    /// through the queue so shadow attribution stays exact even when a
-    /// request lingers queued across many fetch events.
+    /// Zoo slot of the issuing engine, stamped by the zoo hosting it
+    /// (`ipsim-prefetch`); engines emit `0`. Carried through the queue so
+    /// attribution stays exact even when a request lingers queued across
+    /// many fetch events.
     pub scheme: u8,
 }
 
@@ -100,85 +100,20 @@ impl PrefetchRequest {
     pub fn sequential(line: LineAddr) -> PrefetchRequest {
         PrefetchRequest::new(line, PrefetchSource::Sequential)
     }
-
-    /// The same request re-tagged with a zoo scheme slot.
-    pub fn with_scheme(mut self, scheme: u8) -> PrefetchRequest {
-        self.scheme = scheme;
-        self
-    }
 }
 
-/// A hardware instruction-prefetch policy.
+/// A hardware instruction-prefetch policy — the one scheme interface.
 ///
-/// Engines are deterministic state machines: they observe demand-fetch
-/// events and usefulness feedback, and emit prefetch requests. They never
-/// see timing, caches or bandwidth — the CPU model owns those.
+/// Engines are deterministic state machines with a line lifecycle: they
+/// observe demand-fetch events, emit prefetch requests, and receive
+/// usefulness and eviction feedback for the lines they prefetched. They
+/// never see timing, caches or bandwidth — the CPU model owns those. The
+/// core hosts every engine in an `ipsim_prefetch::Zoo`, which tags each
+/// request with the engine's slot and routes the feedback back to it.
 pub trait PrefetchEngine: std::fmt::Debug {
     /// Observes one demand line fetch and appends any generated prefetch
     /// requests to `out` (in issue-priority order, most important first).
     fn on_fetch(&mut self, ev: &FetchEvent, out: &mut Vec<PrefetchRequest>);
-
-    /// Feedback: a prefetch this engine generated (with `source`) was
-    /// demand-referenced — it proved useful.
-    fn on_prefetch_useful(&mut self, line: LineAddr, source: PrefetchSource) {
-        let _ = (line, source);
-    }
-
-    /// Feedback: a prefetch this engine generated was evicted from the
-    /// instruction cache without ever being demand-referenced.
-    fn on_prefetch_useless(&mut self, line: LineAddr, source: PrefetchSource) {
-        let _ = (line, source);
-    }
-
-    /// `true` when the engine consumes the lifecycle hooks below. The core
-    /// caches this at construction and skips the calls (and the attribution
-    /// lookups feeding them) entirely when `false`, so plain engines pay
-    /// one never-taken branch per site — the same discipline as the
-    /// telemetry hooks.
-    fn wants_lifecycle_hooks(&self) -> bool {
-        false
-    }
-
-    /// Lifecycle: one of this engine's requests was accepted by the memory
-    /// system (MSHR allocated, request in flight). `req` is the exact
-    /// request popped from the prefetch queue, scheme tag included.
-    fn on_prefetch_issued(&mut self, req: &PrefetchRequest) {
-        let _ = req;
-    }
-
-    /// Lifecycle: an in-flight prefetch completed and its line was
-    /// installed in the instruction cache.
-    fn on_prefetch_fill(&mut self, line: LineAddr, source: PrefetchSource) {
-        let _ = (line, source);
-    }
-
-    /// Lifecycle: a prefetched line was demand-referenced for the first
-    /// time. `late` is `true` when the demand fetch arrived while the
-    /// prefetch was still in flight (the fetch merged with the MSHR and
-    /// stalled), `false` when the line was already resident.
-    fn on_prefetch_first_use(&mut self, line: LineAddr, source: PrefetchSource, late: bool) {
-        let _ = (line, source, late);
-    }
-
-    /// Lifecycle: a line with live prefetch attribution left the
-    /// instruction cache. `used` is `false` only for the pure waste case —
-    /// a prefetched line evicted without ever being demand-referenced.
-    fn on_prefetch_evicted(&mut self, line: LineAddr, source: PrefetchSource, used: bool) {
-        let _ = (line, source, used);
-    }
-
-    /// Resets any *windowed* statistics this engine keeps (e.g. per-scheme
-    /// attribution counters) at a measurement-window boundary. Predictor
-    /// state and line attributions must survive — only counters reset,
-    /// mirroring how the core resets `pf_stats` but not `pf_sources`.
-    fn reset_window_stats(&mut self) {}
-
-    /// Downcast escape hatch so owners can reach engine-specific state
-    /// (the prefetcher zoo exposes per-scheme counters this way). Plain
-    /// engines return `None`.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 
     /// Observes a conditional branch passing through the front end:
     /// `alternate` is the line of the path *not* taken this time (the
@@ -187,6 +122,23 @@ pub trait PrefetchEngine: std::fmt::Debug {
     /// most engines ignore it.
     fn on_cond_branch(&mut self, alternate: LineAddr, out: &mut Vec<PrefetchRequest>) {
         let _ = (alternate, out);
+    }
+
+    /// Feedback: a prefetch this engine generated (with `source`) was
+    /// demand-referenced for the first time — it proved useful. `late` is
+    /// `true` when the demand fetch arrived while the prefetch was still
+    /// in flight (the fetch merged with the MSHR and stalled), `false`
+    /// when the line was already resident.
+    fn on_useful(&mut self, line: LineAddr, source: PrefetchSource, late: bool) {
+        let _ = (line, source, late);
+    }
+
+    /// Feedback: a line this engine prefetched left the instruction cache.
+    /// `used` is `false` only for the pure waste case — a prefetched line
+    /// evicted without ever being demand-referenced — which table-based
+    /// schemes use to weaken the responsible entry.
+    fn on_evict(&mut self, line: LineAddr, source: PrefetchSource, used: bool) {
+        let _ = (line, source, used);
     }
 
     /// Short scheme name for reports (e.g. `"next-4-line (tagged)"`).

@@ -3,9 +3,11 @@
 //!
 //! The crate provides:
 //!
-//! * [`PrefetchEngine`] — the policy interface: the core's front end feeds
-//!   the engine one [`FetchEvent`] per demand-fetched cache line, and the
-//!   engine emits [`PrefetchRequest`]s;
+//! * [`PrefetchEngine`] — the one scheme interface, shaped by the line
+//!   lifecycle: the core's front end feeds the engine one [`FetchEvent`]
+//!   per demand-fetched cache line, the engine emits [`PrefetchRequest`]s,
+//!   and usefulness and eviction feedback flow back to it. The paper's
+//!   schemes and the zoo's rivals (`ipsim-prefetch`) all implement it;
 //! * the paper's **discontinuity prefetcher** ([`DiscontinuityPrefetcher`])
 //!   — a direct-mapped table of non-sequential fetch-stream transitions with
 //!   2-bit saturating *eviction counters*, probed ahead of the demand stream
@@ -21,7 +23,9 @@
 //!
 //! The prefetchers are *pure policy*: they own no caches and model no
 //! timing. The CPU crate (`ipsim-cpu`) owns the caches, the issue path and
-//! the selective L2-install policy, and drives these engines.
+//! the selective L2-install policy, and drives these engines, each core
+//! through one `ipsim_prefetch::Zoo` (a directly configured scheme is a
+//! zoo of one).
 //!
 //! # Examples
 //!

@@ -6,6 +6,7 @@ use ipsim_core::{
     FetchEvent, PrefetchEngine, PrefetchQueue, PrefetchRequest, PrefetchStats, PrefetcherKind,
     RecentFetchFilter,
 };
+use ipsim_prefetch::Zoo;
 use ipsim_telemetry::{CoreTracer, PfEventKind};
 use ipsim_types::addr::LineSize;
 use ipsim_types::instr::OpKind;
@@ -57,14 +58,12 @@ pub struct Core {
     itlb: Option<Tlb>,
     dtlb: Option<Tlb>,
 
-    engine: Box<dyn PrefetchEngine>,
-    /// Cached `engine.wants_lifecycle_hooks()`: lifecycle dispatch (and
-    /// the attribution lookups feeding it) collapses to one never-taken
-    /// branch per site for engines that don't consume it.
-    engine_hooks: bool,
-    /// Cached `!engine.generates_requests()`: with an engine that never
-    /// emits a request the prefetch queue and filter are provably empty
-    /// forever, so the per-fetch hook block is skipped wholesale.
+    /// The prefetch schemes this core drives (a zoo of one for a scheme
+    /// configured directly).
+    zoo: Zoo,
+    /// Cached `!zoo.generates_requests()`: with schemes that never emit a
+    /// request the prefetch queue and filter are provably empty forever,
+    /// so the per-fetch hook block is skipped wholesale.
     engine_inert: bool,
     queue: PrefetchQueue,
     filter: RecentFetchFilter,
@@ -109,17 +108,26 @@ impl Core {
         Core::with_engine(id, config, prefetcher.build(), limit)
     }
 
-    /// Creates a core with a caller-provided prefetch engine — the hook for
-    /// plugging in custom [`PrefetchEngine`] implementations (see the
-    /// `custom_prefetcher` example).
+    /// Creates a core with a caller-provided prefetch engine, hosted in a
+    /// zoo of one — the hook for plugging in custom [`PrefetchEngine`]
+    /// implementations (see the `custom_prefetcher` example).
     pub fn with_engine(
         id: u32,
         config: &CoreConfig,
         engine: Box<dyn PrefetchEngine>,
         limit: Option<LimitSpec>,
     ) -> Core {
-        let engine_hooks = engine.wants_lifecycle_hooks();
-        let engine_inert = !engine.generates_requests();
+        Core::with_zoo(id, config, Zoo::single(engine), limit)
+    }
+
+    /// Creates a core driving `zoo`.
+    pub(crate) fn with_zoo(
+        id: u32,
+        config: &CoreConfig,
+        zoo: Zoo,
+        limit: Option<LimitSpec>,
+    ) -> Core {
+        let engine_inert = !zoo.generates_requests();
         Core {
             id,
             issue_width: config.issue_width,
@@ -136,8 +144,7 @@ impl Core {
             branch: BranchUnit::new(&config.branch, config.pipeline_depth),
             itlb: config.tlb.enabled.then(|| Tlb::new(&config.tlb)),
             dtlb: config.tlb.enabled.then(|| Tlb::new(&config.tlb)),
-            engine,
-            engine_hooks,
+            zoo,
             engine_inert,
             queue: PrefetchQueue::new(PREFETCH_QUEUE_ENTRIES),
             filter: RecentFetchFilter::new(RECENT_FILTER_ENTRIES),
@@ -180,16 +187,15 @@ impl Core {
         self.idx
     }
 
-    /// The prefetch engine's display name.
+    /// The prefetch engine's display name (see [`Zoo::name`]).
     pub fn prefetcher_name(&self) -> &'static str {
-        self.engine.name()
+        self.zoo.name()
     }
 
-    /// Downcast access to engine-specific state — how the system layer
-    /// reaches the prefetcher zoo's per-scheme counters. Plain engines
-    /// return `None`.
-    pub fn engine_any(&self) -> Option<&dyn std::any::Any> {
-        self.engine.as_any()
+    /// The prefetch schemes this core drives, with their per-scheme
+    /// counters.
+    pub(crate) fn zoo(&self) -> &Zoo {
+        &self.zoo
     }
 
     /// Live prefetch attributions and the table's fixed slot count —
@@ -259,7 +265,7 @@ impl Core {
                 }
                 .line(self.line_size);
                 self.req_buf.clear();
-                self.engine.on_cond_branch(alternate, &mut self.req_buf);
+                self.zoo.on_cond_branch(alternate, &mut self.req_buf);
                 if !self.req_buf.is_empty() {
                     self.enqueue_generated();
                     self.issue_prefetches(self.clock, 2, mem);
@@ -440,7 +446,7 @@ impl Core {
                     self.i_mshr.merge_demand(line);
                     if let Some(t) = &mut self.tracer {
                         if entry.prefetch {
-                            if let Some(source) = self.pf_sources.get(line) {
+                            if let Some((source, _)) = self.pf_sources.get(line) {
                                 t.emit(self.clock, line, source, PfEventKind::DemandWait);
                             }
                         }
@@ -478,7 +484,7 @@ impl Core {
             self.queue.on_demand_fetch(line);
             self.filter.record(line);
             self.req_buf.clear();
-            self.engine.on_fetch(&ev, &mut self.req_buf);
+            self.zoo.on_fetch(&ev, &mut self.req_buf);
             self.enqueue_generated();
 
             // Issue prefetches with the *pre-stall* timestamp: during a
@@ -549,11 +555,9 @@ impl Core {
                 continue;
             }
             let ready = mem.prefetch_instr_line(req.line, now);
-            self.i_mshr.insert(req.line, ready, true);
-            self.pf_sources.insert(req.line, req.source);
-            if self.engine_hooks {
-                self.engine.on_prefetch_issued(&req);
-            }
+            self.i_mshr.insert_prefetch(req.line, ready, req.scheme);
+            self.pf_sources.insert(req.line, (req.source, req.scheme));
+            self.zoo.on_issued(req.scheme);
             self.pf_stats.issued += 1;
             if let Some(t) = &mut self.tracer {
                 t.emit(now, req.line, req.source, PfEventKind::Issued);
@@ -575,12 +579,12 @@ impl Core {
             } else {
                 FillKind::Demand
             };
-            if entry.prefetch && (self.engine_hooks || self.tracer.is_some()) {
-                if let Some(source) = self.pf_sources.get(entry.line) {
-                    if self.engine_hooks {
-                        self.engine.on_prefetch_fill(entry.line, source);
-                    }
-                    if let Some(t) = &mut self.tracer {
+            if entry.prefetch {
+                // The MSHR entry carries the issuing slot, so crediting the
+                // fill needs no attribution lookup.
+                self.zoo.on_fill(entry.scheme);
+                if let Some(t) = &mut self.tracer {
+                    if let Some((source, _)) = self.pf_sources.get(entry.line) {
                         // Stamped with the fill's ready time, not the
                         // (possibly later) cycle the core noticed it.
                         t.emit(entry.ready_at, entry.line, source, PfEventKind::Fill);
@@ -594,7 +598,7 @@ impl Core {
                 // (it behaves like the demand miss it absorbed).
                 mem.install_useful_instr_line(entry.line);
                 if let Some(t) = &mut self.tracer {
-                    if let Some(source) = self.pf_sources.get(entry.line) {
+                    if let Some((source, _)) = self.pf_sources.get(entry.line) {
                         t.emit(entry.ready_at, entry.line, source, PfEventKind::L2Install);
                     }
                 }
@@ -613,7 +617,7 @@ impl Core {
                 // being used; install it in the L2 when the L1I evicts it.
                 mem.install_useful_instr_line(victim.line);
                 if let Some(t) = &mut self.tracer {
-                    if let Some(source) = self.pf_sources.get(victim.line) {
+                    if let Some((source, _)) = self.pf_sources.get(victim.line) {
                         t.emit(self.clock, victim.line, source, PfEventKind::L2Install);
                     }
                 }
@@ -621,7 +625,7 @@ impl Core {
             // The attribution lives exactly as long as the line does (in
             // the MSHR or the L1I), so eviction is where it is reclaimed
             // — and where the prefetch is finally classified used/unused.
-            if let Some(source) = self.pf_sources.remove(victim.line) {
+            if let Some((source, scheme)) = self.pf_sources.remove(victim.line) {
                 // An attributed victim without the prefetch flag is a
                 // demand-merged fill — demand-referenced by definition,
                 // so it evicts as used.
@@ -634,12 +638,7 @@ impl Core {
                     };
                     t.emit(self.clock, victim.line, source, kind);
                 }
-                if self.engine_hooks {
-                    self.engine.on_prefetch_evicted(victim.line, source, used);
-                }
-                if victim.prefetched && !victim.used {
-                    self.engine.on_prefetch_useless(victim.line, source);
-                }
+                self.zoo.on_evict(scheme, victim.line, source, used);
             }
         }
     }
@@ -654,11 +653,8 @@ impl Core {
         // leaves the L1I so its eviction can still be classified per
         // component (the engine callback fires once either way, because a
         // cache line's first-use flag fires once).
-        if let Some(source) = self.pf_sources.get(line) {
-            self.engine.on_prefetch_useful(line, source);
-            if self.engine_hooks {
-                self.engine.on_prefetch_first_use(line, source, late);
-            }
+        if let Some((source, scheme)) = self.pf_sources.get(line) {
+            self.zoo.on_useful(scheme, line, source, late);
             if let Some(t) = &mut self.tracer {
                 let kind = if late {
                     PfEventKind::FirstUseLate
@@ -748,7 +744,7 @@ impl Core {
         self.l1d_accesses = 0;
         self.l1d_misses = 0;
         self.pf_stats = PrefetchStats::default();
-        self.engine.reset_window_stats();
+        self.zoo.reset_stats();
         if let Some(t) = &mut self.tracer {
             // Warm-up events are not part of the measurement window.
             t.clear();
@@ -767,13 +763,13 @@ impl Core {
     /// Restores the state of a freshly built core, reusing every
     /// allocation: caches, MSHRs, predictors, prefetch machinery, clocks
     /// and counters all return to their post-construction values. The
-    /// prefetch engine is stateful and trait-boxed, so the caller supplies
-    /// a freshly built one (the system layer keeps the build recipe).
+    /// prefetch schemes are stateful and trait-boxed, so the caller
+    /// supplies a freshly built zoo (the system layer keeps the recipe).
     ///
     /// Equivalence with a fresh core is load-bearing — the harness reuses
     /// one system across sweep runs — and is enforced by a reuse-vs-fresh
     /// test at the system level.
-    pub fn reset_cold(&mut self, engine: Box<dyn PrefetchEngine>) {
+    pub fn reset_cold(&mut self, zoo: Zoo) {
         self.clock = 0;
         self.frac = 0;
         self.idx = 0;
@@ -789,9 +785,8 @@ impl Core {
         if let Some(t) = &mut self.dtlb {
             t.reset_cold();
         }
-        self.engine_hooks = engine.wants_lifecycle_hooks();
-        self.engine_inert = !engine.generates_requests();
-        self.engine = engine;
+        self.engine_inert = !zoo.generates_requests();
+        self.zoo = zoo;
         self.queue.clear();
         self.filter.clear();
         self.pf_sources.clear();

@@ -171,7 +171,7 @@ impl SystemBuilder {
     }
 
     /// Runs a prefetcher zoo (every scheme in `plan`, side by side with
-    /// shadow attribution) on each core instead of a single
+    /// per-scheme attribution) on each core instead of a single
     /// [`PrefetcherKind`]. Takes precedence over [`SystemBuilder::prefetcher`].
     pub fn zoo(mut self, plan: ZooPlan) -> SystemBuilder {
         self.zoo = Some(plan);
@@ -217,20 +217,9 @@ impl SystemBuilder {
     pub fn build(self) -> Result<System, ConfigError> {
         self.config.validate()?;
         let cores = (0..self.config.n_cores)
-            .map(|id| match &self.zoo {
-                Some(plan) => {
-                    // Zoo attributions live exactly as long as the core's
-                    // own line→source attributions, so share its bound.
-                    let bound =
-                        self.config.core.l1i.lines() as usize + self.config.core.mshrs as usize;
-                    Core::with_engine(
-                        id,
-                        &self.config.core,
-                        Box::new(plan.build(bound)),
-                        self.limit,
-                    )
-                }
-                None => Core::new(id, &self.config.core, self.prefetcher, self.limit),
+            .map(|id| {
+                let zoo = build_zoo(self.prefetcher, self.zoo.as_ref());
+                Core::with_zoo(id, &self.config.core, zoo, self.limit)
             })
             .collect();
         Ok(System {
@@ -243,6 +232,15 @@ impl SystemBuilder {
             config: self.config,
             telemetry: None,
         })
+    }
+}
+
+/// One core's prefetch schemes: the plan's zoo, or `prefetcher` as a zoo
+/// of one.
+fn build_zoo(prefetcher: PrefetcherKind, plan: Option<&ZooPlan>) -> Zoo {
+    match plan {
+        Some(plan) => plan.build(),
+        None => Zoo::single(prefetcher.build()),
     }
 }
 
@@ -334,38 +332,29 @@ impl System {
     }
 
     /// Per-scheme zoo counters for every core, `(core, label, counters)`
-    /// in (core, slot) order; empty when the system runs a plain
-    /// prefetcher instead of a zoo.
+    /// in (core, slot) order; empty unless the system was built from a
+    /// [`ZooPlan`] (a directly configured scheme runs as a zoo of one, but
+    /// reports no rows, so its artifacts carry no zoo table).
     pub fn zoo_scheme_stats(&self) -> Vec<(u32, String, SchemeCounters)> {
+        if self.zoo.is_none() {
+            return Vec::new();
+        }
         let mut rows = Vec::new();
         for (i, core) in self.cores.iter().enumerate() {
-            let Some(zoo) = core.engine_any().and_then(|a| a.downcast_ref::<Zoo>()) else {
-                continue;
-            };
-            for (label, counters) in zoo.scheme_stats() {
+            for (label, counters) in core.zoo().scheme_stats() {
                 rows.push((i as u32, label, counters));
             }
         }
         rows
     }
 
-    /// Lines currently attributed to a zoo scheme, summed across cores
-    /// (0 for non-zoo systems). Test hook for the attribution invariant.
-    pub fn zoo_live_attributions(&self) -> usize {
-        self.cores
-            .iter()
-            .filter_map(|c| c.engine_any().and_then(|a| a.downcast_ref::<Zoo>()))
-            .map(Zoo::live_attributions)
-            .sum()
-    }
-
     fn zoo_scheme_rows(&self) -> Vec<ZooSchemeRow> {
+        if self.zoo.is_none() {
+            return Vec::new();
+        }
         let mut rows = Vec::new();
         for (i, core) in self.cores.iter().enumerate() {
-            let Some(zoo) = core.engine_any().and_then(|a| a.downcast_ref::<Zoo>()) else {
-                continue;
-            };
-            for (slot, (label, c)) in zoo.scheme_stats().into_iter().enumerate() {
+            for (slot, (label, c)) in core.zoo().scheme_stats().into_iter().enumerate() {
                 rows.push(ZooSchemeRow {
                     core: i as u32,
                     slot: slot as u32,
@@ -546,15 +535,7 @@ impl System {
     /// on it, and a reuse-vs-fresh test enforces it.
     pub fn reset_cold(&mut self) {
         for core in &mut self.cores {
-            let engine = match &self.zoo {
-                Some(plan) => {
-                    let bound =
-                        self.config.core.l1i.lines() as usize + self.config.core.mshrs as usize;
-                    Box::new(plan.build(bound)) as Box<dyn ipsim_core::PrefetchEngine>
-                }
-                None => self.prefetcher.build(),
-            };
-            core.reset_cold(engine);
+            core.reset_cold(build_zoo(self.prefetcher, self.zoo.as_ref()));
         }
         self.mem.reset_cold();
         self.telemetry = None;

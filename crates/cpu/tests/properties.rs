@@ -4,6 +4,7 @@
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{SystemBuilder, WorkloadSet};
+use ipsim_prefetch::ZooPlan;
 use ipsim_trace::Workload;
 use ipsim_types::SystemConfig;
 use proptest::prelude::*;
@@ -30,6 +31,16 @@ fn any_prefetcher() -> impl Strategy<Value = PrefetcherKind> {
             table_entries: 1024,
             ahead: 4
         }),
+    ]
+}
+
+/// No plan (the drawn `PrefetcherKind` runs as a zoo of one), a zoo of
+/// one built from a plan, and the bake-off's seven-scheme zoo.
+fn any_zoo_plan() -> impl Strategy<Value = Option<&'static str>> {
+    prop_oneof![
+        Just(None),
+        Just(Some("disc")),
+        Just(Some("nl+nnl+disc+target+stream+mana+pmap")),
     ]
 }
 
@@ -97,12 +108,13 @@ proptest! {
     /// optimisation: any configuration run with the fast path forced off
     /// produces bit-identical metrics — per-core cycles, every counter,
     /// every breakdown — and bit-identical telemetry. Exercised across
-    /// workloads, prefetchers, policies, seeds and scheduler quanta (the
-    /// quantum bounds how many ops a batch can cover).
+    /// workloads, prefetchers, zoo plans, policies, seeds and scheduler
+    /// quanta (the quantum bounds how many ops a batch can cover).
     #[test]
     fn fast_path_is_bit_identical_to_per_op_stepping(
         w in any_workload(),
         kind in any_prefetcher(),
+        plan in any_zoo_plan(),
         policy in any_policy(),
         seed in 0u64..1000,
         quantum in prop_oneof![Just(1u64), Just(3), Just(16), Just(64)],
@@ -113,11 +125,13 @@ proptest! {
             ws.walker_seed = seed;
             let mut config = SystemConfig::cmp4();
             config.sched_quantum = quantum;
-            let mut system = SystemBuilder::new(config)
+            let mut builder = SystemBuilder::new(config)
                 .prefetcher(kind)
-                .install_policy(policy)
-                .build()
-                .expect("valid config");
+                .install_policy(policy);
+            if let Some(plan) = plan {
+                builder = builder.zoo(ZooPlan::parse(plan).expect("plan parses"));
+            }
+            let mut system = builder.build().expect("valid config");
             system.set_force_slow_path(force_slow);
             if telemetry {
                 system.enable_telemetry(ipsim_telemetry::TelemetryConfig {
@@ -127,12 +141,17 @@ proptest! {
             }
             let mut m = system.run_workload(&ws, 20_000, 60_000);
             m.sim_wall_seconds = 0.0; // host timing, not simulation state
-            (format!("{m:?}"), format!("{:?}", system.take_telemetry()))
+            (
+                format!("{m:?}"),
+                format!("{:?}", system.take_telemetry()),
+                system.zoo_scheme_stats(),
+            )
         };
         let fast = run(false);
         let slow = run(true);
         prop_assert_eq!(&fast.0, &slow.0, "metrics diverged");
         prop_assert_eq!(&fast.1, &slow.1, "telemetry diverged");
+        prop_assert_eq!(&fast.2, &slow.2, "per-scheme counters diverged");
     }
 
     /// Prefetching never makes the L1I miss *stall* situation absurd: the

@@ -1,10 +1,10 @@
 //! Zoo equivalence and bake-off pipeline tests.
 //!
-//! The equivalence half pins the tentpole's porting guarantee: a paper
-//! mechanism hosted in the zoo (via the registry + `LegacyScheme`
-//! adapter) simulates *byte-identically* to the same mechanism wired
-//! directly as a `PrefetcherKind` — the zoo's shadow attribution observes
-//! the pipeline, it never steers it. The bake-off half drives the full
+//! The equivalence half pins the registry's porting guarantee: every
+//! paper mechanism built from a registry spec simulates *byte-identically*
+//! to the same mechanism configured directly as a `PrefetcherKind` — the
+//! registry spelling and the enum spelling name the same engine, and the
+//! per-scheme attribution observes the pipeline, it never steers it. The bake-off half drives the full
 //! artifact → `render_bakeoff` pipeline on tiny windows and checks the
 //! table is complete and deterministic.
 
@@ -38,12 +38,45 @@ fn run_with_artifacts(spec: &RunSpec, sink: &TelemetrySink) -> Summary {
 
 #[test]
 fn zoo_hosted_paper_schemes_match_their_direct_engines() {
-    // Registry defaults must equal the paper-default kinds for this to be
-    // a true port, not a reimplementation drifting apart.
+    // Every registry entry backed by a `PrefetcherKind`, at its defaults
+    // and at each non-default mode, must build the kind it names.
     for (zoo_spec, kind) in [
         ("nl", PrefetcherKind::NextLineTagged),
+        ("nl:mode=0", PrefetcherKind::NextLineAlways),
+        ("nl:mode=1", PrefetcherKind::NextLineOnMiss),
+        ("nl:mode=2", PrefetcherKind::NextLineTagged),
         ("nnl", PrefetcherKind::NextNLineTagged { n: 4 }),
+        ("lookahead", PrefetcherKind::Lookahead { n: 4 }),
         ("disc", PrefetcherKind::discontinuity_default()),
+        (
+            "disc:min_confidence=2",
+            PrefetcherKind::DiscontinuityGated {
+                table_entries: 8192,
+                ahead: 4,
+                min_confidence: 2,
+            },
+        ),
+        (
+            "target",
+            PrefetcherKind::Target {
+                table_entries: 4096,
+            },
+        ),
+        (
+            "wrong_path:next_line=0",
+            PrefetcherKind::WrongPath { next_line: false },
+        ),
+        (
+            "wrong_path:next_line=1",
+            PrefetcherKind::WrongPath { next_line: true },
+        ),
+        (
+            "markov",
+            PrefetcherKind::Markov {
+                table_entries: 8192,
+                ahead: 4,
+            },
+        ),
     ] {
         for policy in [
             InstallPolicy::InstallBoth,

@@ -45,7 +45,7 @@
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{LimitSpec, WorkloadSet};
-use ipsim_prefetch::ZooPlan;
+use ipsim_prefetch::{find_scheme, ZooPlan};
 use ipsim_telemetry::json::{self, Json};
 use ipsim_trace::Workload;
 use ipsim_types::SystemConfig;
@@ -482,7 +482,10 @@ pub fn prefetcher_to_wire(kind: PrefetcherKind) -> String {
     }
 }
 
-/// Parses the compact prefetcher form (see [`prefetcher_to_wire`]).
+/// Parses the compact prefetcher form (see [`prefetcher_to_wire`]). Each
+/// numeric argument must lie in the range of the registry knob it sets
+/// (`disc:T:A` ↔ `disc:table_entries=T,ahead=A`, …), so every accepted
+/// form builds.
 pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
     let mut parts = text.split(':');
     let head = parts.next().unwrap_or("");
@@ -497,12 +500,20 @@ pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
             ))
         }
     };
-    let num = |i: usize, what: &str| -> Result<u64, String> {
-        args[i]
+    let num = |i: usize, scheme: &str, knob: &str| -> Result<u64, String> {
+        let value = args[i]
             .parse::<u64>()
             .ok()
             .filter(|v| *v >= 1)
-            .ok_or_else(|| format!("prefetcher `{head}`: {what} must be a positive integer"))
+            .ok_or_else(|| format!("prefetcher `{head}`: {knob} must be a positive integer"))?;
+        find_scheme(scheme)
+            .and_then(|def| def.knob(knob))
+            .expect("compact forms map onto registered knobs")
+            .check(value)
+            .map_err(|expected| {
+                format!("prefetcher `{head}`: {knob} must be {expected}, got {value}")
+            })?;
+        Ok(value)
     };
     match head {
         "none" => {
@@ -524,34 +535,34 @@ pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
         "nnl" => {
             arity(1)?;
             Ok(PrefetcherKind::NextNLineTagged {
-                n: num(0, "distance")? as u32,
+                n: num(0, "nnl", "n")? as u32,
             })
         }
         "lookahead" => {
             arity(1)?;
             Ok(PrefetcherKind::Lookahead {
-                n: num(0, "distance")? as u32,
+                n: num(0, "lookahead", "n")? as u32,
             })
         }
         "disc" => {
             arity(2)?;
             Ok(PrefetcherKind::Discontinuity {
-                table_entries: num(0, "table entries")? as usize,
-                ahead: num(1, "ahead")? as u32,
+                table_entries: num(0, "disc", "table_entries")? as usize,
+                ahead: num(1, "disc", "ahead")? as u32,
             })
         }
         "disc_gated" => {
             arity(3)?;
             Ok(PrefetcherKind::DiscontinuityGated {
-                table_entries: num(0, "table entries")? as usize,
-                ahead: num(1, "ahead")? as u32,
-                min_confidence: num(2, "confidence")?.min(255) as u8,
+                table_entries: num(0, "disc", "table_entries")? as usize,
+                ahead: num(1, "disc", "ahead")? as u32,
+                min_confidence: num(2, "disc", "min_confidence")? as u8,
             })
         }
         "target" => {
             arity(1)?;
             Ok(PrefetcherKind::Target {
-                table_entries: num(0, "table entries")? as usize,
+                table_entries: num(0, "target", "table_entries")? as usize,
             })
         }
         "wrong_path" => {
@@ -565,8 +576,8 @@ pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
         "markov" => {
             arity(2)?;
             Ok(PrefetcherKind::Markov {
-                table_entries: num(0, "table entries")? as usize,
-                ahead: num(1, "ahead")? as u32,
+                table_entries: num(0, "markov", "table_entries")? as usize,
+                ahead: num(1, "markov", "ahead")? as u32,
             })
         }
         _ => Err(format!("unknown prefetcher `{text}`")),
@@ -869,6 +880,20 @@ mod tests {
         assert!(JobSpec::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t2\n").is_err());
         assert!(prefetcher_from_wire("disc:8192").is_err());
         assert!(prefetcher_from_wire("warp").is_err());
+        // Compact forms are held to the registry's knob ranges: these used
+        // to decode and then panic when the engine was built.
+        for bad in [
+            "disc:100:4",
+            "target:100",
+            "markov:100:4",
+            "disc_gated:8192:4:200",
+            "nnl:65",
+            "disc:8192:0",
+        ] {
+            assert!(prefetcher_from_wire(bad).is_err(), "{bad}");
+            let tsv = format!("cmp4\tdb\t{bad}\tinstall_both\t-\t10\t20");
+            assert!(WireRun::from_tsv(&tsv).is_err(), "{bad}");
+        }
         assert!(policy_from_wire("both").is_err());
         assert!(limit_from_wire("seq+wat").is_err());
     }

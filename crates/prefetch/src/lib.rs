@@ -1,40 +1,36 @@
-//! The pluggable prefetcher zoo: a scheme registry, a multi-prefetcher
-//! engine with exact shadow attribution, and rival schemes evaluated
-//! head-to-head against the paper's mechanisms.
+//! The prefetcher zoo: the scheme host every core drives, a string-keyed
+//! scheme registry, and rival schemes evaluated head-to-head against the
+//! paper's mechanisms.
 //!
-//! The crate sits between `ipsim-core` (pure prefetch policies and the
-//! [`PrefetchEngine`](ipsim_core::PrefetchEngine) interface the CPU
-//! drives) and `ipsim-cpu` (timing): it adds
+//! Every scheme, paper mechanism and rival alike, implements the one
+//! scheme trait, [`PrefetchEngine`](ipsim_core::PrefetchEngine): fetch in,
+//! requests out, then usefulness and eviction feedback. The crate adds
 //!
-//! * [`Prefetcher`] — the zoo-facing scheme trait: full line lifecycle
-//!   (fetch / fill / first use / evict) in, degree-capped prioritised
-//!   requests out through a [`RequestSink`];
-//! * [`Zoo`] — a `PrefetchEngine` multiplexing up to
-//!   [`MAX_SCHEMES`] schemes side by side in one core, with a bounded
-//!   [`ShadowTable`] attributing every in-flight and resident line to the
-//!   issuing scheme so accuracy / coverage / timeliness are tracked per
-//!   scheme ([`SchemeCounters`]) even when several run at once;
+//! * [`Zoo`] — the host each core drives: up to [`MAX_SCHEMES`] engines
+//!   side by side, each request stamped with its engine's slot, and
+//!   per-scheme lifecycle counters ([`SchemeCounters`]) credited through
+//!   the slot the core keeps beside each line's attribution. A scheme
+//!   configured directly is a zoo of one;
 //! * the string-keyed [`registry`]: every scheme is constructed from a
 //!   validated `name[:knob=value,…]` spec ([`PrefetcherSpec`]), and a
 //!   `+`-joined [`ZooPlan`] configures a whole zoo — the canonical forms
-//!   are stable and live in run cache keys and the serve wire codec;
-//! * [`LegacyScheme`] — the adapter that lifts the paper's engines onto
-//!   the trait with byte-identical behavior (pinned by equivalence
-//!   tests), plus three rival schemes implemented natively:
-//!   [`StreamPrefetcher`], [`ManaPrefetcher`] (arXiv 2102.01764) and
-//!   [`ProgramMapPrefetcher`] (arXiv 2406.06738).
+//!   are stable and live in run cache keys and the serve wire codec. The
+//!   paper's mechanisms are built through
+//!   [`PrefetcherKind::build`](ipsim_core::PrefetcherKind::build);
+//! * three rival schemes: [`StreamPrefetcher`], [`ManaPrefetcher`]
+//!   (arXiv 2102.01764) and [`ProgramMapPrefetcher`] (arXiv 2406.06738).
 //!
 //! # Examples
 //!
 //! Configure a two-scheme zoo from a spec string and drive it by hand:
 //!
 //! ```
-//! use ipsim_core::{FetchEvent, PrefetchEngine};
+//! use ipsim_core::FetchEvent;
 //! use ipsim_prefetch::ZooPlan;
 //! use ipsim_types::LineAddr;
 //!
 //! let plan = ZooPlan::parse("nl+disc:ahead=2").unwrap();
-//! let mut zoo = plan.build(128);
+//! let mut zoo = plan.build();
 //! let mut out = Vec::new();
 //! zoo.on_fetch(&FetchEvent::miss(LineAddr(100), None), &mut out);
 //! // Slot 0 (next-line) and slot 1 (discontinuity's sequential partner)
@@ -46,21 +42,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod prefetcher;
 mod registry;
 mod rivals;
-mod shadow;
-mod sink;
 mod stats;
 mod zoo;
 
-pub use prefetcher::{LegacyScheme, Prefetcher};
 pub use registry::{
-    find_scheme, registry, BuiltScheme, KnobDef, PrefetcherSpec, ResolvedKnobs, SchemeDef,
-    SpecError, ZooPlan,
+    find_scheme, registry, KnobDef, PrefetcherSpec, ResolvedKnobs, SchemeDef, SpecError, ZooPlan,
 };
 pub use rivals::{ManaPrefetcher, ProgramMapPrefetcher, StreamPrefetcher};
-pub use shadow::ShadowTable;
-pub use sink::{RequestSink, DEFAULT_PRIORITY};
 pub use stats::SchemeCounters;
 pub use zoo::{Zoo, MAX_SCHEMES};

@@ -5,9 +5,8 @@
 
 use std::fmt;
 
-use ipsim_core::PrefetcherKind;
+use ipsim_core::{PrefetchEngine, PrefetcherKind};
 
-use crate::prefetcher::{LegacyScheme, Prefetcher};
 use crate::rivals::{ManaPrefetcher, ProgramMapPrefetcher, StreamPrefetcher};
 use crate::zoo::{Zoo, MAX_SCHEMES};
 
@@ -28,15 +27,6 @@ pub struct KnobDef {
     pub doc: &'static str,
 }
 
-/// A scheme constructed by the registry: the policy plus the per-event
-/// degree its zoo sink enforces.
-pub struct BuiltScheme {
-    /// The policy state machine.
-    pub prefetcher: Box<dyn Prefetcher>,
-    /// Per-event emission cap (`usize::MAX` = the scheme self-limits).
-    pub degree: usize,
-}
-
 /// A registered scheme: name, documentation, knobs, constructor.
 pub struct SchemeDef {
     /// Registry key as written in specs (e.g. `"disc"`).
@@ -45,7 +35,28 @@ pub struct SchemeDef {
     pub doc: &'static str,
     /// Accepted knobs; anything else in a spec is rejected.
     pub knobs: &'static [KnobDef],
-    build: fn(&ResolvedKnobs) -> BuiltScheme,
+    build: fn(&ResolvedKnobs) -> Box<dyn PrefetchEngine>,
+}
+
+impl KnobDef {
+    /// Checks `value` against the knob's range and power-of-two rule;
+    /// on failure returns what the knob accepts.
+    pub fn check(&self, value: u64) -> Result<(), String> {
+        if value < self.min || value > self.max {
+            return Err(format!("{}..={}", self.min, self.max));
+        }
+        if self.pow2 && !value.is_power_of_two() {
+            return Err("a power of two".to_string());
+        }
+        Ok(())
+    }
+}
+
+impl SchemeDef {
+    /// The declared knob called `name`.
+    pub fn knob(&self, name: &str) -> Option<&'static KnobDef> {
+        self.knobs.iter().find(|kd| kd.name == name)
+    }
 }
 
 /// A spec's knobs after validation: every declared knob present, either
@@ -151,16 +162,9 @@ const fn knob(
     }
 }
 
-fn legacy(kind: PrefetcherKind) -> BuiltScheme {
-    BuiltScheme {
-        prefetcher: Box::new(LegacyScheme::new(kind.build())),
-        degree: usize::MAX,
-    }
-}
-
 /// Every registered scheme, in presentation order: the paper's mechanisms
-/// and legacy baselines first, then the rival schemes implemented
-/// natively on the [`Prefetcher`] trait.
+/// and baselines (built through [`PrefetcherKind::build`]) first, then the
+/// rival schemes.
 pub fn registry() -> &'static [SchemeDef] {
     &REGISTRY
 }
@@ -170,7 +174,7 @@ static REGISTRY: [SchemeDef; 11] = [
         name: "none",
         doc: "no prefetching (baseline)",
         knobs: &[],
-        build: |_| legacy(PrefetcherKind::None),
+        build: |_| PrefetcherKind::None.build(),
     },
     SchemeDef {
         name: "nl",
@@ -184,11 +188,12 @@ static REGISTRY: [SchemeDef; 11] = [
             "trigger: 0=always, 1=on miss, 2=tagged",
         )],
         build: |k| {
-            legacy(match k.get("mode") {
+            match k.get("mode") {
                 0 => PrefetcherKind::NextLineAlways,
                 1 => PrefetcherKind::NextLineOnMiss,
                 _ => PrefetcherKind::NextLineTagged,
-            })
+            }
+            .build()
         },
     },
     SchemeDef {
@@ -203,9 +208,10 @@ static REGISTRY: [SchemeDef; 11] = [
             "prefetch-ahead distance in lines",
         )],
         build: |k| {
-            legacy(PrefetcherKind::NextNLineTagged {
+            PrefetcherKind::NextNLineTagged {
                 n: k.get("n") as u32,
-            })
+            }
+            .build()
         },
     },
     SchemeDef {
@@ -213,9 +219,10 @@ static REGISTRY: [SchemeDef; 11] = [
         doc: "single-line lookahead at distance N",
         knobs: &[knob("n", 4, 1, 64, false, "lookahead distance in lines")],
         build: |k| {
-            legacy(PrefetcherKind::Lookahead {
+            PrefetcherKind::Lookahead {
                 n: k.get("n") as u32,
-            })
+            }
+            .build()
         },
     },
     SchemeDef {
@@ -251,7 +258,7 @@ static REGISTRY: [SchemeDef; 11] = [
             let table_entries = k.get("table_entries") as usize;
             let ahead = k.get("ahead") as u32;
             let min_confidence = k.get("min_confidence") as u8;
-            legacy(if min_confidence > 0 {
+            if min_confidence > 0 {
                 PrefetcherKind::DiscontinuityGated {
                     table_entries,
                     ahead,
@@ -262,7 +269,8 @@ static REGISTRY: [SchemeDef; 11] = [
                     table_entries,
                     ahead,
                 }
-            })
+            }
+            .build()
         },
     },
     SchemeDef {
@@ -277,9 +285,10 @@ static REGISTRY: [SchemeDef; 11] = [
             "target-table entries",
         )],
         build: |k| {
-            legacy(PrefetcherKind::Target {
+            PrefetcherKind::Target {
                 table_entries: k.get("table_entries") as usize,
-            })
+            }
+            .build()
         },
     },
     SchemeDef {
@@ -294,9 +303,10 @@ static REGISTRY: [SchemeDef; 11] = [
             "also prefetch the next line on misses",
         )],
         build: |k| {
-            legacy(PrefetcherKind::WrongPath {
+            PrefetcherKind::WrongPath {
                 next_line: k.get("next_line") != 0,
-            })
+            }
+            .build()
         },
     },
     SchemeDef {
@@ -321,10 +331,11 @@ static REGISTRY: [SchemeDef; 11] = [
             ),
         ],
         build: |k| {
-            legacy(PrefetcherKind::Markov {
+            PrefetcherKind::Markov {
                 table_entries: k.get("table_entries") as usize,
                 ahead: k.get("ahead") as u32,
-            })
+            }
+            .build()
         },
     },
     SchemeDef {
@@ -341,12 +352,11 @@ static REGISTRY: [SchemeDef; 11] = [
                 "lines prefetched ahead of a stream head",
             ),
         ],
-        build: |k| BuiltScheme {
-            prefetcher: Box::new(StreamPrefetcher::new(
+        build: |k| {
+            Box::new(StreamPrefetcher::new(
                 k.get("streams") as usize,
                 k.get("degree") as u32,
-            )),
-            degree: k.get("degree") as usize,
+            ))
         },
     },
     SchemeDef {
@@ -364,13 +374,12 @@ static REGISTRY: [SchemeDef; 11] = [
             ),
             knob("degree", 8, 1, 32, false, "max prefetches per trigger"),
         ],
-        build: |k| BuiltScheme {
-            prefetcher: Box::new(ManaPrefetcher::new(
+        build: |k| {
+            Box::new(ManaPrefetcher::new(
                 k.get("regions") as usize,
                 k.get("region_lines"),
                 k.get("degree") as usize,
-            )),
-            degree: k.get("degree") as usize,
+            ))
         },
     },
     SchemeDef {
@@ -388,13 +397,12 @@ static REGISTRY: [SchemeDef; 11] = [
             knob("depth", 3, 1, 8, false, "traversal depth in graph edges"),
             knob("degree", 8, 1, 32, false, "max prefetches per fetch event"),
         ],
-        build: |k| BuiltScheme {
-            prefetcher: Box::new(ProgramMapPrefetcher::new(
+        build: |k| {
+            Box::new(ProgramMapPrefetcher::new(
                 k.get("nodes") as usize,
                 k.get("depth") as u32,
                 k.get("degree") as usize,
-            )),
-            degree: k.get("degree") as usize,
+            ))
         },
     },
 ];
@@ -433,11 +441,9 @@ impl PrefetcherSpec {
                 let (k, v) = pair
                     .split_once('=')
                     .ok_or_else(|| SpecError::BadSyntax(spec.to_string()))?;
-                let kd = def.knobs.iter().find(|kd| kd.name == k).ok_or_else(|| {
-                    SpecError::UnknownKnob {
-                        scheme: name.to_string(),
-                        knob: k.to_string(),
-                    }
+                let kd = def.knob(k).ok_or_else(|| SpecError::UnknownKnob {
+                    scheme: name.to_string(),
+                    knob: k.to_string(),
                 })?;
                 let bad = |expected: String| SpecError::BadKnobValue {
                     scheme: name.to_string(),
@@ -448,12 +454,7 @@ impl PrefetcherSpec {
                 let value: u64 = v
                     .parse()
                     .map_err(|_| bad("an unsigned integer".to_string()))?;
-                if value < kd.min || value > kd.max {
-                    return Err(bad(format!("{}..={}", kd.min, kd.max)));
-                }
-                if kd.pow2 && !value.is_power_of_two() {
-                    return Err(bad("a power of two".to_string()));
-                }
+                kd.check(value).map_err(bad)?;
                 if knobs.iter().any(|(existing, _)| existing == k) {
                     return Err(SpecError::BadSyntax(spec.to_string()));
                 }
@@ -506,7 +507,7 @@ impl PrefetcherSpec {
     }
 
     /// Constructs the scheme. Infallible: validation happened at parse.
-    pub fn build(&self) -> BuiltScheme {
+    pub fn build(&self) -> Box<dyn PrefetchEngine> {
         let def = find_scheme(&self.name).expect("validated at parse time");
         (def.build)(&self.resolve())
     }
@@ -556,13 +557,15 @@ impl ZooPlan {
         parts.join("+")
     }
 
-    /// Instantiates a fresh [`Zoo`] (one per core) whose shadow table
-    /// holds `max_live` simultaneous attributions.
-    pub fn build(&self, max_live: usize) -> Zoo {
-        let mut zoo = Zoo::new(max_live);
+    /// Instantiates a fresh [`Zoo`] (one per core).
+    pub fn build(&self) -> Zoo {
+        let mut zoo = Zoo::new();
         for spec in &self.specs {
-            let built = spec.build();
-            zoo.add(spec.canonical(), built.prefetcher, built.degree);
+            // Engine before label: the allocation order of `Zoo::single`,
+            // so a plan-built zoo of one lays out its heap like the same
+            // scheme configured directly and the two time alike.
+            let engine = spec.build();
+            zoo.add(spec.canonical(), engine);
         }
         zoo
     }
@@ -582,9 +585,7 @@ mod tests {
     fn every_registered_scheme_builds_with_defaults() {
         for def in registry() {
             let spec = PrefetcherSpec::parse(def.name).unwrap();
-            let built = spec.build();
-            assert!(!built.prefetcher.name().is_empty(), "{}", def.name);
-            assert!(built.degree >= 1, "{}", def.name);
+            assert!(!spec.build().name().is_empty(), "{}", def.name);
             assert!(!def.doc.is_empty());
         }
         assert!(registry().len() >= 6, "the zoo must cover >=6 schemes");
@@ -649,9 +650,13 @@ mod tests {
         let plan = ZooPlan::parse("nl+disc:ahead=2+stream:degree=2").unwrap();
         assert_eq!(plan.canonical(), "nl+disc:ahead=2+stream:degree=2");
         assert_eq!(ZooPlan::parse(&plan.canonical()).unwrap(), plan);
-        let zoo = plan.build(128);
-        assert_eq!(zoo.len(), 3);
-        assert_eq!(zoo.labels(), ["nl", "disc:ahead=2", "stream:degree=2"]);
+        let labels: Vec<String> = plan
+            .build()
+            .scheme_stats()
+            .into_iter()
+            .map(|s| s.0)
+            .collect();
+        assert_eq!(labels, ["nl", "disc:ahead=2", "stream:degree=2"]);
     }
 
     #[test]
@@ -665,7 +670,10 @@ mod tests {
         // Exactly MAX_SCHEMES is fine (duplicates are legal: slots, not
         // names, identify members).
         let full = ["none"; MAX_SCHEMES].join("+");
-        assert_eq!(ZooPlan::parse(&full).unwrap().build(16).len(), MAX_SCHEMES);
+        assert_eq!(
+            ZooPlan::parse(&full).unwrap().build().scheme_stats().len(),
+            MAX_SCHEMES
+        );
     }
 
     #[test]

@@ -11,11 +11,8 @@
 //! the successor region's footprint too (target-class requests) — the
 //! "metadata chaining" that lets MANA run ahead of the fetch stream.
 
-use ipsim_core::{FetchEvent, PrefetchSource};
+use ipsim_core::{FetchEvent, PrefetchEngine, PrefetchRequest, PrefetchSource};
 use ipsim_types::LineAddr;
-
-use crate::prefetcher::Prefetcher;
-use crate::sink::RequestSink;
 
 #[derive(Debug, Clone, Copy)]
 struct Region {
@@ -92,15 +89,14 @@ impl ManaPrefetcher {
     }
 
     /// Replays `region`'s footprint (minus the demand line), spending
-    /// `budget`; returns `false` once the budget or the sink's own degree
-    /// cap is exhausted.
+    /// `budget`; returns `false` once the budget is exhausted.
     fn replay(
         &self,
         region: &Region,
         skip: Option<LineAddr>,
         source: PrefetchSource,
         budget: &mut usize,
-        sink: &mut RequestSink,
+        out: &mut Vec<PrefetchRequest>,
     ) -> bool {
         for bit in 0..self.region_lines {
             if region.footprint & (1 << bit) == 0 {
@@ -110,17 +106,18 @@ impl ManaPrefetcher {
             if Some(line) == skip {
                 continue;
             }
-            if *budget == 0 || !sink.push(line, source) {
+            if *budget == 0 {
                 return false;
             }
+            out.push(PrefetchRequest::new(line, source));
             *budget -= 1;
         }
         true
     }
 }
 
-impl Prefetcher for ManaPrefetcher {
-    fn on_fetch(&mut self, ev: &FetchEvent, sink: &mut RequestSink) {
+impl PrefetchEngine for ManaPrefetcher {
+    fn on_fetch(&mut self, ev: &FetchEvent, out: &mut Vec<PrefetchRequest>) {
         let base = self.base_of(ev.line);
         let entered = match self.current {
             Some((cur_base, _)) => cur_base != base,
@@ -142,10 +139,10 @@ impl Prefetcher for ManaPrefetcher {
                     Some(ev.line),
                     PrefetchSource::Sequential,
                     &mut budget,
-                    sink,
+                    out,
                 ) {
                     if let Some(next) = region.next.and_then(|n| self.lookup(n)) {
-                        self.replay(&next, None, PrefetchSource::Target, &mut budget, sink);
+                        self.replay(&next, None, PrefetchSource::Target, &mut budget, out);
                     }
                 }
             }
@@ -155,7 +152,7 @@ impl Prefetcher for ManaPrefetcher {
         }
     }
 
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "mana"
     }
 
@@ -170,12 +167,10 @@ mod tests {
 
     fn drive(pf: &mut ManaPrefetcher, line: u64, prev: Option<u64>) -> Vec<(u64, PrefetchSource)> {
         let mut out = Vec::new();
-        let mut sink = RequestSink::new(&mut out, 0, usize::MAX);
         pf.on_fetch(
             &FetchEvent::miss(LineAddr(line), prev.map(LineAddr)),
-            &mut sink,
+            &mut out,
         );
-        sink.finish();
         out.iter().map(|r| (r.line.0, r.source)).collect()
     }
 

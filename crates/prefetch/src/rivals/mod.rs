@@ -1,6 +1,6 @@
-//! Rival schemes implemented natively on the [`Prefetcher`](crate::Prefetcher)
-//! trait, evaluated head-to-head against the paper's mechanisms in the
-//! bake-off:
+//! Rival schemes implemented as ordinary
+//! [`PrefetchEngine`](ipsim_core::PrefetchEngine)s, evaluated head-to-head
+//! against the paper's mechanisms in the bake-off:
 //!
 //! * [`StreamPrefetcher`] — the classic stream-buffer next-line baseline;
 //! * [`ManaPrefetcher`] — a MANA-style spatial-region scheme (Ansari et

@@ -10,11 +10,8 @@
 //! (via its `Discontinuity { table_index }` source), an unused eviction
 //! weakens it, and edges that decay to zero stop being traversed.
 
-use ipsim_core::{FetchEvent, PrefetchSource};
+use ipsim_core::{FetchEvent, PrefetchEngine, PrefetchRequest, PrefetchSource};
 use ipsim_types::LineAddr;
-
-use crate::prefetcher::Prefetcher;
-use crate::sink::RequestSink;
 
 /// Successor ways per block-graph node.
 const WAYS: u32 = 2;
@@ -136,7 +133,7 @@ impl ProgramMapPrefetcher {
     /// block bodies (sequential class) and successor block starts
     /// (discontinuity class, tagged with the edge's table index for
     /// confidence feedback).
-    fn traverse(&self, from: LineAddr, sink: &mut RequestSink) {
+    fn traverse(&self, from: LineAddr, out: &mut Vec<PrefetchRequest>) {
         let mut budget = self.degree;
         let mut frontier: Vec<(LineAddr, u32)> = vec![(from, 0)];
         let mut visited: Vec<LineAddr> = vec![from];
@@ -145,9 +142,10 @@ impl ProgramMapPrefetcher {
                 continue;
             };
             for k in 1..=node.body as u64 {
-                if budget == 0 || !sink.push(line.ahead(k), PrefetchSource::Sequential) {
+                if budget == 0 {
                     return;
                 }
+                out.push(PrefetchRequest::sequential(line.ahead(k)));
                 budget -= 1;
             }
             if d >= self.depth {
@@ -159,12 +157,14 @@ impl ProgramMapPrefetcher {
                     continue;
                 }
                 visited.push(edge.target);
-                let table_index = (idx as u32) * WAYS + way as u32;
-                if budget == 0
-                    || !sink.push(edge.target, PrefetchSource::Discontinuity { table_index })
-                {
+                if budget == 0 {
                     return;
                 }
+                let table_index = (idx as u32) * WAYS + way as u32;
+                out.push(PrefetchRequest::new(
+                    edge.target,
+                    PrefetchSource::Discontinuity { table_index },
+                ));
                 budget -= 1;
                 frontier.push((edge.target, d + 1));
             }
@@ -178,8 +178,8 @@ impl ProgramMapPrefetcher {
     }
 }
 
-impl Prefetcher for ProgramMapPrefetcher {
-    fn on_fetch(&mut self, ev: &FetchEvent, sink: &mut RequestSink) {
+impl PrefetchEngine for ProgramMapPrefetcher {
+    fn on_fetch(&mut self, ev: &FetchEvent, out: &mut Vec<PrefetchRequest>) {
         // Train: a discontinuity closes the current block and records the
         // control-flow edge that left it.
         if ev.is_discontinuity() {
@@ -192,7 +192,7 @@ impl Prefetcher for ProgramMapPrefetcher {
         }
         // Predict: traverse the map ahead of misses and taken edges.
         if ev.miss || ev.is_discontinuity() {
-            self.traverse(ev.line, sink);
+            self.traverse(ev.line, out);
         }
     }
 
@@ -215,7 +215,7 @@ impl Prefetcher for ProgramMapPrefetcher {
         }
     }
 
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "pmap"
     }
 }
@@ -226,15 +226,13 @@ mod tests {
 
     fn drive(pf: &mut ProgramMapPrefetcher, line: u64, prev: Option<u64>, miss: bool) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut sink = RequestSink::new(&mut out, 0, usize::MAX);
         let ev = FetchEvent {
             line: LineAddr(line),
             miss,
             first_use_of_prefetch: false,
             prev_line: prev.map(LineAddr),
         };
-        pf.on_fetch(&ev, &mut sink);
-        sink.finish();
+        pf.on_fetch(&ev, &mut out);
         out.iter().map(|r| r.line.0).collect()
     }
 
@@ -281,9 +279,7 @@ mod tests {
         assert!(got.contains(&200));
         // Find the edge's table index from the emitted source and decay it.
         let mut out = Vec::new();
-        let mut sink = RequestSink::new(&mut out, 0, usize::MAX);
-        pf.traverse(LineAddr(100), &mut sink);
-        sink.finish();
+        pf.traverse(LineAddr(100), &mut out);
         let src = out
             .iter()
             .find(|r| r.line.0 == 200)

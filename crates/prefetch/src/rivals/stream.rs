@@ -2,11 +2,8 @@
 //! trackers, each following one sequential fetch stream and keeping
 //! `degree` lines of headroom ahead of it.
 
-use ipsim_core::{FetchEvent, PrefetchSource};
+use ipsim_core::{FetchEvent, PrefetchEngine, PrefetchRequest};
 use ipsim_types::LineAddr;
-
-use crate::prefetcher::Prefetcher;
-use crate::sink::RequestSink;
 
 #[derive(Debug, Clone, Copy)]
 struct Tracker {
@@ -42,22 +39,20 @@ impl StreamPrefetcher {
 
     /// Emits prefetches for tracker `i` so its headroom again reaches
     /// `degree` lines past `last`.
-    fn top_up(&mut self, i: usize, sink: &mut RequestSink) {
+    fn top_up(&mut self, i: usize, out: &mut Vec<PrefetchRequest>) {
         let t = &mut self.trackers[i];
         let goal = t.last.0 + 1 + self.degree as u64;
         let mut next = t.head.max(t.last.0 + 1);
         while next < goal {
-            if !sink.push(LineAddr(next), PrefetchSource::Sequential) {
-                break;
-            }
+            out.push(PrefetchRequest::sequential(LineAddr(next)));
             next += 1;
         }
         t.head = next;
     }
 }
 
-impl Prefetcher for StreamPrefetcher {
-    fn on_fetch(&mut self, ev: &FetchEvent, sink: &mut RequestSink) {
+impl PrefetchEngine for StreamPrefetcher {
+    fn on_fetch(&mut self, ev: &FetchEvent, out: &mut Vec<PrefetchRequest>) {
         self.clock += 1;
         // A fetch continues a stream when it lands on the tracker's line
         // or the next one.
@@ -68,7 +63,7 @@ impl Prefetcher for StreamPrefetcher {
         if let Some(i) = hit {
             self.trackers[i].last = ev.line;
             self.trackers[i].stamp = self.clock;
-            self.top_up(i, sink);
+            self.top_up(i, out);
             return;
         }
         if !ev.miss {
@@ -95,10 +90,10 @@ impl Prefetcher for StreamPrefetcher {
             self.trackers[lru] = t;
             lru
         };
-        self.top_up(i, sink);
+        self.top_up(i, out);
     }
 
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "stream"
     }
 }
@@ -109,9 +104,7 @@ mod tests {
 
     fn drive(pf: &mut StreamPrefetcher, ev: FetchEvent) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut sink = RequestSink::new(&mut out, 0, usize::MAX);
-        pf.on_fetch(&ev, &mut sink);
-        sink.finish();
+        pf.on_fetch(&ev, &mut out);
         out.iter().map(|r| r.line.0).collect()
     }
 

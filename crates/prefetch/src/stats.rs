@@ -3,15 +3,13 @@
 /// Windowed lifecycle counters for one zoo member.
 ///
 /// Counted at the same hot-path points as the core's aggregate
-/// `PrefetchStats`, keyed by the shadow attribution each line carries, so
+/// `PrefetchStats`, keyed by the zoo slot each line's attribution carries, so
 /// per-scheme rows always sum to the aggregates the telemetry validator
 /// checks (the property tests in `tests/` pin this invariant).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchemeCounters {
-    /// Requests the scheme emitted into its sink (pre-filter, pre-queue).
+    /// Requests the scheme emitted (pre-filter, pre-queue).
     pub generated: u64,
-    /// Requests dropped by the scheme's own degree cap.
-    pub degree_capped: u64,
     /// Requests accepted by the memory system (MSHR allocated).
     pub issued: u64,
     /// Prefetched lines that completed and were installed in the L1I.

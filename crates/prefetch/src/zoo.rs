@@ -1,13 +1,10 @@
-//! The multi-prefetcher engine: runs several [`Prefetcher`] schemes side
-//! by side in one core and attributes every line's lifecycle to the
-//! scheme that issued it.
+//! The multi-prefetcher host every core drives: runs one or more
+//! [`PrefetchEngine`] schemes side by side and keeps per-scheme lifecycle
+//! counters.
 
 use ipsim_core::{FetchEvent, PrefetchEngine, PrefetchRequest, PrefetchSource};
 use ipsim_types::LineAddr;
 
-use crate::prefetcher::Prefetcher;
-use crate::shadow::ShadowTable;
-use crate::sink::RequestSink;
 use crate::stats::SchemeCounters;
 
 /// Maximum schemes a zoo can host. Slots are `u8` on the wire
@@ -20,81 +17,75 @@ struct Member {
     /// Canonical spec string (e.g. `disc:ahead=2`) — stable across runs,
     /// used as the row key in telemetry artifacts.
     label: String,
-    prefetcher: Box<dyn Prefetcher>,
-    /// Per-event emission cap handed to the member's [`RequestSink`].
-    degree: usize,
+    engine: Box<dyn PrefetchEngine>,
     counters: SchemeCounters,
 }
 
-/// A [`PrefetchEngine`] multiplexing up to [`MAX_SCHEMES`] prefetchers.
+/// Up to [`MAX_SCHEMES`] prefetch engines hosted in one core.
 ///
-/// Emission: each front-end event is shown to every member in slot order;
-/// each member emits through its own scheme-tagged, degree-capped sink, so
-/// the batch handed to the issue queue interleaves schemes in slot
-/// priority order (slot 0 first).
+/// Every core drives exactly one zoo; a scheme configured directly is a
+/// zoo of one ([`Zoo::single`]).
 ///
-/// Attribution: when the memory system accepts a request, the zoo records
-/// `line → slot` in a bounded [`ShadowTable`] at exactly the point the
-/// core records its own `line → source` attribution, and removes it at
-/// exactly the eviction point where the core reclaims its attribution.
-/// The two tables therefore hold the same key set at every instant, which
-/// is what makes the per-scheme counters sum to the core's aggregate
-/// prefetch statistics — the invariant the attribution property tests
-/// pin.
-#[derive(Debug)]
+/// Emission: each front-end event is shown to every member in slot order,
+/// and the zoo stamps each request with the member's slot, so the batch
+/// handed to the issue queue interleaves schemes in slot priority order
+/// (slot 0 first).
+///
+/// Attribution: the core stores the slot beside each line's prefetch
+/// source in its one attribution table (and in the in-flight MSHR entry)
+/// and passes it back to the lifecycle calls ([`Zoo::on_issued`],
+/// [`Zoo::on_fill`], [`Zoo::on_useful`], [`Zoo::on_evict`]) at exactly
+/// the points where it counts its own aggregate prefetch statistics. The
+/// per-scheme counters therefore sum to those aggregates — the invariant
+/// the attribution property tests pin.
+#[derive(Debug, Default)]
 pub struct Zoo {
     members: Vec<Member>,
-    shadow: ShadowTable<u8>,
 }
 
 impl Zoo {
-    /// An empty zoo whose shadow table holds up to `max_live`
-    /// simultaneous attributions (the owning core's `l1i_lines + mshrs`
-    /// bound).
-    pub fn new(max_live: usize) -> Zoo {
-        Zoo {
-            members: Vec::new(),
-            shadow: ShadowTable::with_bound(max_live, 0),
-        }
+    /// An empty zoo.
+    pub fn new() -> Zoo {
+        Zoo::default()
+    }
+
+    /// A zoo hosting `engine` alone, labelled with the engine's name.
+    pub fn single(engine: Box<dyn PrefetchEngine>) -> Zoo {
+        let mut zoo = Zoo::new();
+        zoo.add(engine.name(), engine);
+        zoo
     }
 
     /// Adds a scheme in the next slot. `label` is the canonical spec
-    /// string; `degree` caps the scheme's emissions per event.
+    /// string.
     ///
     /// # Panics
     ///
     /// Panics when the zoo is full ([`MAX_SCHEMES`]).
-    pub fn add(
-        &mut self,
-        label: impl Into<String>,
-        prefetcher: Box<dyn Prefetcher>,
-        degree: usize,
-    ) {
+    pub fn add(&mut self, label: impl Into<String>, engine: Box<dyn PrefetchEngine>) {
         assert!(
             self.members.len() < MAX_SCHEMES,
             "zoo is full ({MAX_SCHEMES} schemes)"
         );
         self.members.push(Member {
             label: label.into(),
-            prefetcher,
-            degree,
+            engine,
             counters: SchemeCounters::default(),
         });
     }
 
-    /// Number of registered schemes.
-    pub fn len(&self) -> usize {
-        self.members.len()
+    /// The sole member's name for a zoo of one, `"zoo"` otherwise.
+    pub fn name(&self) -> &'static str {
+        match self.members.as_slice() {
+            [only] => only.engine.name(),
+            _ => "zoo",
+        }
     }
 
-    /// `true` when no scheme is registered.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
-    /// Canonical labels in slot order.
-    pub fn labels(&self) -> Vec<String> {
-        self.members.iter().map(|m| m.label.clone()).collect()
+    /// `true` when any member can ever emit a request (see
+    /// [`PrefetchEngine::generates_requests`]).
+    pub fn generates_requests(&self) -> bool {
+        self.members.iter().any(|m| m.engine.generates_requests())
     }
 
     /// Per-scheme windowed counters, `(label, counters)` in slot order.
@@ -105,121 +96,87 @@ impl Zoo {
             .collect()
     }
 
-    /// Live shadow attributions (lines currently credited to a scheme).
-    pub fn live_attributions(&self) -> usize {
-        self.shadow.len()
-    }
-
-    fn member_mut(&mut self, slot: u8) -> Option<&mut Member> {
-        self.members.get_mut(slot as usize)
-    }
-}
-
-impl PrefetchEngine for Zoo {
-    fn on_fetch(&mut self, ev: &FetchEvent, out: &mut Vec<PrefetchRequest>) {
+    /// Shows a demand line fetch to every member, appending their
+    /// slot-stamped requests to `out`.
+    pub fn on_fetch(&mut self, ev: &FetchEvent, out: &mut Vec<PrefetchRequest>) {
         for (slot, m) in self.members.iter_mut().enumerate() {
-            let mut sink = RequestSink::new(out, slot as u8, m.degree);
-            m.prefetcher.on_fetch(ev, &mut sink);
-            let (emitted, capped) = sink.finish();
-            m.counters.generated += emitted;
-            m.counters.degree_capped += capped;
+            let start = out.len();
+            m.engine.on_fetch(ev, out);
+            m.counters.generated += stamp(&mut out[start..], slot);
         }
     }
 
-    fn on_cond_branch(&mut self, alternate: LineAddr, out: &mut Vec<PrefetchRequest>) {
+    /// Shows a conditional branch's untaken path to every member,
+    /// appending their slot-stamped requests to `out`.
+    pub fn on_cond_branch(&mut self, alternate: LineAddr, out: &mut Vec<PrefetchRequest>) {
         for (slot, m) in self.members.iter_mut().enumerate() {
-            let mut sink = RequestSink::new(out, slot as u8, m.degree);
-            m.prefetcher.on_cond_branch(alternate, &mut sink);
-            let (emitted, capped) = sink.finish();
-            m.counters.generated += emitted;
-            m.counters.degree_capped += capped;
+            let start = out.len();
+            m.engine.on_cond_branch(alternate, out);
+            m.counters.generated += stamp(&mut out[start..], slot);
         }
     }
 
-    fn on_prefetch_issued(&mut self, req: &PrefetchRequest) {
-        self.shadow.insert(req.line, req.scheme);
-        if let Some(m) = self.member_mut(req.scheme) {
-            m.counters.issued += 1;
+    /// Slot `scheme`'s request was accepted by the memory system.
+    pub fn on_issued(&mut self, scheme: u8) {
+        self.members[scheme as usize].counters.issued += 1;
+    }
+
+    /// Slot `scheme`'s in-flight prefetch was installed in the L1I.
+    pub fn on_fill(&mut self, scheme: u8) {
+        self.members[scheme as usize].counters.filled += 1;
+    }
+
+    /// A line slot `scheme` prefetched was demand-referenced for the first
+    /// time; forwards the feedback to the member.
+    pub fn on_useful(&mut self, scheme: u8, line: LineAddr, source: PrefetchSource, late: bool) {
+        let m = &mut self.members[scheme as usize];
+        m.counters.useful += 1;
+        if late {
+            m.counters.late += 1;
         }
+        m.engine.on_useful(line, source, late);
     }
 
-    fn on_prefetch_fill(&mut self, line: LineAddr, source: PrefetchSource) {
-        if let Some(slot) = self.shadow.get(line) {
-            if let Some(m) = self.member_mut(slot) {
-                m.counters.filled += 1;
-                m.prefetcher.on_fill(line, source);
-            }
+    /// A line slot `scheme` prefetched left the L1I; forwards the feedback
+    /// to the member.
+    pub fn on_evict(&mut self, scheme: u8, line: LineAddr, source: PrefetchSource, used: bool) {
+        let m = &mut self.members[scheme as usize];
+        if used {
+            m.counters.evicted_used += 1;
+        } else {
+            m.counters.evicted_unused += 1;
         }
+        m.engine.on_evict(line, source, used);
     }
 
-    fn on_prefetch_first_use(&mut self, line: LineAddr, source: PrefetchSource, late: bool) {
-        if let Some(slot) = self.shadow.get(line) {
-            if let Some(m) = self.member_mut(slot) {
-                m.counters.useful += 1;
-                if late {
-                    m.counters.late += 1;
-                }
-                m.prefetcher.on_useful(line, source, late);
-            }
-        }
-    }
-
-    fn on_prefetch_evicted(&mut self, line: LineAddr, source: PrefetchSource, used: bool) {
-        if let Some(slot) = self.shadow.remove(line) {
-            if let Some(m) = self.member_mut(slot) {
-                if used {
-                    m.counters.evicted_used += 1;
-                } else {
-                    m.counters.evicted_unused += 1;
-                }
-                m.prefetcher.on_evict(line, source, used);
-            }
-        }
-    }
-
-    fn wants_lifecycle_hooks(&self) -> bool {
-        true
-    }
-
-    fn reset_window_stats(&mut self) {
-        // Counters restart at the measurement-window boundary; shadow
-        // attributions persist, mirroring how the core resets `pf_stats`
-        // but keeps `pf_sources` (a line prefetched during warmup is still
-        // attributable when it gets used or evicted during measurement).
+    /// Resets every member's counters at a measurement-window boundary.
+    /// Member state and the core's attributions persist, so a line
+    /// prefetched during warmup is still credited when it is used or
+    /// evicted during measurement.
+    pub fn reset_stats(&mut self) {
         for m in &mut self.members {
             m.counters.reset();
         }
     }
+}
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+/// Stamps `batch` with zoo slot `slot`; returns the batch size.
+fn stamp(batch: &mut [PrefetchRequest], slot: usize) -> u64 {
+    for r in batch.iter_mut() {
+        r.scheme = slot as u8;
     }
-
-    fn name(&self) -> &'static str {
-        "zoo"
-    }
+    batch.len() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefetcher::LegacyScheme;
     use ipsim_core::PrefetcherKind;
 
     fn two_scheme_zoo() -> Zoo {
-        let mut zoo = Zoo::new(64);
-        zoo.add(
-            "nl",
-            Box::new(LegacyScheme::new(PrefetcherKind::NextLineTagged.build())),
-            usize::MAX,
-        );
-        zoo.add(
-            "nnl:n=2",
-            Box::new(LegacyScheme::new(
-                PrefetcherKind::NextNLineTagged { n: 2 }.build(),
-            )),
-            usize::MAX,
-        );
+        let mut zoo = Zoo::new();
+        zoo.add("nl", PrefetcherKind::NextLineTagged.build());
+        zoo.add("nnl:n=2", PrefetcherKind::NextNLineTagged { n: 2 }.build());
         zoo
     }
 
@@ -237,16 +194,14 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_counters_follow_shadow_attribution() {
+    fn lifecycle_counters_land_on_the_named_slot() {
         let mut zoo = two_scheme_zoo();
         let line = LineAddr(101);
         let src = PrefetchSource::Sequential;
-        zoo.on_prefetch_issued(&PrefetchRequest::new(line, src).with_scheme(1));
-        assert_eq!(zoo.live_attributions(), 1);
-        zoo.on_prefetch_fill(line, src);
-        zoo.on_prefetch_first_use(line, src, true);
-        zoo.on_prefetch_evicted(line, src, true);
-        assert_eq!(zoo.live_attributions(), 0);
+        zoo.on_issued(1);
+        zoo.on_fill(1);
+        zoo.on_useful(1, line, src, true);
+        zoo.on_evict(1, line, src, true);
         let s = zoo.scheme_stats();
         assert_eq!(s[0].1, SchemeCounters::default(), "slot 0 untouched");
         let c = s[1].1;
@@ -255,48 +210,28 @@ mod tests {
             (1, 1, 1, 1, 1)
         );
         assert_eq!(c.evicted_unused, 0);
+        zoo.reset_stats();
+        assert_eq!(zoo.scheme_stats()[1].1, SchemeCounters::default());
+        zoo.on_evict(1, line, src, false);
+        assert_eq!(zoo.scheme_stats()[1].1.evicted_unused, 1);
     }
 
     #[test]
-    fn window_reset_clears_counters_but_keeps_attributions() {
-        let mut zoo = two_scheme_zoo();
-        let line = LineAddr(200);
-        zoo.on_prefetch_issued(&PrefetchRequest::sequential(line));
-        zoo.reset_window_stats();
-        assert_eq!(zoo.scheme_stats()[0].1, SchemeCounters::default());
-        assert_eq!(zoo.live_attributions(), 1, "attribution must survive");
-        // The surviving attribution still classifies the later eviction.
-        zoo.on_prefetch_evicted(line, PrefetchSource::Sequential, false);
-        assert_eq!(zoo.scheme_stats()[0].1.evicted_unused, 1);
-    }
-
-    #[test]
-    fn degree_cap_counts_dropped_requests() {
-        let mut zoo = Zoo::new(16);
-        zoo.add(
-            "nnl:n=4",
-            Box::new(LegacyScheme::new(
-                PrefetcherKind::NextNLineTagged { n: 4 }.build(),
-            )),
-            2,
-        );
-        let mut out = Vec::new();
-        zoo.on_fetch(&FetchEvent::miss(LineAddr(10), None), &mut out);
-        assert_eq!(out.len(), 2);
-        let c = zoo.scheme_stats()[0].1;
-        assert_eq!((c.generated, c.degree_capped), (2, 2));
+    fn a_zoo_of_one_takes_its_members_name() {
+        let zoo = Zoo::single(PrefetcherKind::discontinuity_default().build());
+        assert_eq!(zoo.name(), "discontinuity");
+        assert_eq!(zoo.scheme_stats()[0].0, "discontinuity");
+        assert!(zoo.generates_requests());
+        assert_eq!(two_scheme_zoo().name(), "zoo");
+        assert!(!Zoo::single(PrefetcherKind::None.build()).generates_requests());
     }
 
     #[test]
     #[should_panic(expected = "zoo is full")]
     fn zoo_rejects_more_than_max_schemes() {
-        let mut zoo = Zoo::new(16);
+        let mut zoo = Zoo::new();
         for i in 0..=MAX_SCHEMES {
-            zoo.add(
-                format!("none#{i}"),
-                Box::new(LegacyScheme::new(PrefetcherKind::None.build())),
-                usize::MAX,
-            );
+            zoo.add(format!("none#{i}"), PrefetcherKind::None.build());
         }
     }
 }

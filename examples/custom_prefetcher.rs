@@ -1,9 +1,12 @@
 //! Implement your own prefetch policy against the `PrefetchEngine` trait
-//! and evaluate it in the full CMP simulator.
+//! — the one trait every scheme, the paper's and the zoo's rivals alike,
+//! implements — and evaluate it in the full CMP simulator.
 //!
 //! The example builds a naive "stream pair" prefetcher — on every miss it
 //! prefetches the next line *and* the line after the last observed
-//! discontinuity target — and races it against the paper's schemes.
+//! discontinuity target — and races it against the paper's schemes. The
+//! policy only needs `on_fetch` and `name`; a scheme that learns from its
+//! outcomes would also override `on_useful` and `on_evict`.
 //!
 //! ```text
 //! cargo run --release --example custom_prefetcher
@@ -42,10 +45,10 @@ impl PrefetchEngine for StreamPair {
 }
 
 fn main() -> Result<(), ConfigError> {
-    // The builder API takes a `PrefetcherKind`; custom engines plug in at
-    // the `Core` level, which the `ipsim-cpu` crate exposes for exactly
-    // this purpose. For an apples-to-apples comparison we drive a single
-    // core by hand with each engine.
+    // The builder API takes a `PrefetcherKind` or a registry `ZooPlan`;
+    // custom engines plug in at the `Core` level, which hosts them in a
+    // zoo of one exactly like a built-in scheme. For an apples-to-apples
+    // comparison we drive a single core by hand with each engine.
     let workload = WorkloadSet::homogeneous(Workload::Web);
     let (warm, measure) = (1_000_000u64, 4_000_000u64);
 

@@ -1,12 +1,13 @@
-//! Property tests for the zoo's shadow attribution: under arbitrary
+//! Property tests for the zoo's per-scheme attribution: under arbitrary
 //! workloads, seeds, install policies and scheme mixes, the per-scheme
-//! counters must sum to the core's aggregate prefetch statistics — no
-//! event lost, none double-credited — and the telemetry artifact rows
-//! must mirror the in-process stats exactly.
+//! counters must sum to the core's aggregate prefetch statistics and to
+//! the telemetry's exact lifecycle counts — no event lost, none
+//! double-credited — and the telemetry artifact rows must mirror the
+//! in-process stats exactly.
 
 use ipsim::cache::InstallPolicy;
 use ipsim::cpu::{SystemBuilder, WorkloadSet};
-use ipsim::telemetry::TelemetryConfig;
+use ipsim::telemetry::{PfEventKind, TelemetryConfig};
 use ipsim::trace::Workload;
 use ipsim::zoo::ZooPlan;
 use proptest::prelude::*;
@@ -65,8 +66,8 @@ fn any_plan() -> impl Strategy<Value = &'static str> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For every scheme mix: Σ per-scheme counters == aggregate counters,
-    /// attributions stay within the bound, telemetry rows mirror the
+    /// For every scheme mix: Σ per-scheme counters == aggregate counters
+    /// and telemetry lifecycle counts, telemetry rows mirror the
     /// in-process stats, and the whole thing is deterministic.
     #[test]
     fn scheme_counters_sum_to_aggregates(
@@ -87,11 +88,10 @@ proptest! {
             system.enable_telemetry(TelemetryConfig::default());
             let metrics = system.run_workload(&ws, 30_000, 80_000);
             let stats = system.zoo_scheme_stats();
-            let live = system.zoo_live_attributions();
             let telemetry = system.take_telemetry().expect("telemetry enabled");
-            (metrics, stats, live, telemetry)
+            (metrics, stats, telemetry)
         };
-        let (metrics, stats, live, telemetry) = run();
+        let (metrics, stats, telemetry) = run();
 
         // Every core hosts the full plan.
         let n_cores = 4usize;
@@ -116,11 +116,18 @@ proptest! {
             prop_assert!(c.late <= c.useful, "core {core} {label}: late {} > useful {}", c.late, c.useful);
         }
 
-        // Shadow occupancy stays within the per-core bound (L1I lines +
-        // MSHRs), i.e. attribution never leaks.
-        let cfg = ipsim::types::SystemConfig::cmp4();
-        let bound = n_cores * (cfg.core.l1i.lines() as usize + cfg.core.mshrs as usize);
-        prop_assert!(live <= bound, "live {live} > bound {bound}");
+        // The lifecycle stages the aggregate statistics do not count sum
+        // to the telemetry's exact per-component counts, which the same
+        // `reset_stats` windows.
+        let components = telemetry.aggregate_components();
+        let exact = |kind: PfEventKind| -> u64 { components.iter().map(|c| c.get(kind)).sum() };
+        prop_assert_eq!(sum(|c| c.filled), exact(PfEventKind::Fill), "filled");
+        prop_assert_eq!(sum(|c| c.evicted_used), exact(PfEventKind::EvictUsed), "evicted_used");
+        prop_assert_eq!(
+            sum(|c| c.evicted_unused),
+            exact(PfEventKind::EvictUnused),
+            "evicted_unused"
+        );
 
         // Telemetry rows are the same stats, row for row.
         prop_assert_eq!(telemetry.zoo.len(), stats.len());
@@ -137,10 +144,9 @@ proptest! {
         }
 
         // And all of it is deterministic.
-        let (metrics2, stats2, live2, _) = run();
+        let (metrics2, stats2, _) = run();
         prop_assert_eq!(metrics.instructions(), metrics2.instructions());
         prop_assert_eq!(metrics.prefetch(), metrics2.prefetch());
         prop_assert_eq!(stats, stats2);
-        prop_assert_eq!(live, live2);
     }
 }
