@@ -1,7 +1,7 @@
 # Developer entry points. Everything here is a thin wrapper over cargo;
 # CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test lint figures figures-sharded bench bench-snapshot \
+.PHONY: build test lint figures figures-sharded bench-snapshot \
         bench-check sim-report sweep-report telemetry-check bakeoff \
         bakeoff-smoke serve serve-load serve-smoke shard-smoke \
         ops-report metrics-smoke
@@ -32,9 +32,6 @@ figures-sharded:
 # SWEEP_REPORT_FLAGS="--stable" for the machine-stable view.
 sweep-report:
 	cargo run --release -p ipsim-experiments --bin sweep_report -- $(SWEEP_REPORT_FLAGS)
-
-bench:
-	cargo bench -p ipsim-bench
 
 # Regenerate BENCH_sim_kernel.json (run on a quiet machine; the committed
 # "baseline" block is preserved). Commit the result so the kernel's perf

@@ -1,9 +1,19 @@
 //! Machine-readable kernel-throughput snapshot: `BENCH_sim_kernel.json`.
 //!
-//! The criterion benches in `benches/` are for interactive exploration;
-//! their shimmed runner prints text and keeps no history. This tool runs
-//! the same workloads with hand-rolled min-of-N timing and writes one JSON
-//! file so the simulator's perf trajectory is diffable and CI-checkable:
+//! This is the workspace's one micro-benchmark harness: every bench is
+//! defined here, timed with hand-rolled min-of-N sampling, and written as
+//! one line of a JSON file so the simulator's perf trajectory is diffable
+//! and CI-checkable. The entries split a run's cost by layer:
+//!
+//! - `system/*`: whole-system runs (walker, core, caches, prefetcher);
+//! - `cache/*`: the set-associative cache's hit, miss+fill and probe
+//!   paths, at L1 and L2 scale;
+//! - `prefetch/*`: engine `on_fetch`, the prefetch queue and the
+//!   recent-fetch filter;
+//! - `units/*`: branch unit, TLB, MSHR and bus.
+//!
+//! Trace synthesis, walker and stream-codec costs are reported per layer
+//! by perfbench's `--trace 1` breakdown (`trace.*`, `stream.*`).
 //!
 //! ```text
 //! cargo run --release -p ipsim-bench --bin bench_snapshot            # regenerate
@@ -12,40 +22,54 @@
 //!
 //! `--check` re-measures and fails (exit 1) when any `system/*` bench is
 //! more than `IPSIM_BENCH_TOLERANCE` percent (default 10) slower than the
-//! committed snapshot. The snapshot path defaults to
-//! `BENCH_sim_kernel.json` and can be redirected with `--out PATH` or the
-//! `IPSIM_BENCH_BASELINE` environment variable (`--out` wins) — useful
-//! for comparing against an alternate baseline without moving files. The min-of-N estimator is deliberate: minima track
+//! committed snapshot; the other layers are recorded, not gated. The
+//! snapshot path defaults to `BENCH_sim_kernel.json` and can be redirected
+//! with `--out PATH` or the `IPSIM_BENCH_BASELINE` environment variable
+//! (`--out` wins) — useful for comparing against an alternate baseline
+//! without moving files. An unknown argument or a `--out` without a path
+//! exits 2 before anything is measured, so a typo never overwrites the
+//! committed snapshot. The min-of-N estimator is deliberate: minima track
 //! the code's floor and are far less sensitive to scheduler noise than
 //! means, which is what a regression gate needs. A `"baseline"` block in
 //! the JSON (pre-optimisation reference numbers, written by hand once) is
 //! preserved verbatim across regenerations.
 
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::time::Instant;
 
-use ipsim_cache::{FillKind, InstallPolicy, SetAssocCache};
-use ipsim_core::PrefetcherKind;
-use ipsim_cpu::{OpSource, SystemBuilder};
+use ipsim_cache::{FillKind, InstallPolicy, Mshr, SetAssocCache};
+use ipsim_core::{
+    DiscontinuityConfig, DiscontinuityPrefetcher, FetchEvent, NextNLinePrefetcher, PrefetchEngine,
+    PrefetchQueue, PrefetchRequest, PrefetcherKind, RecentFetchFilter,
+};
+use ipsim_cpu::{BranchUnit, Bus, OpSource, System, SystemBuilder, Tlb};
 use ipsim_stream::{ArenaSource, TraceSource};
+use ipsim_telemetry::json::{self, Json};
 use ipsim_trace::{TraceWalker, Workload};
+use ipsim_types::config::{BranchConfig, TlbConfig};
+use ipsim_types::instr::CtiClass;
 use ipsim_types::{Addr, CacheConfig, LineAddr, OpKind, Rng64, TraceOp};
 
-/// Default snapshot path, relative to the workspace root (the tool is run
-/// via `cargo run`, whose working directory is the workspace root).
-/// Overridable with `--out PATH` or the `IPSIM_BENCH_BASELINE` environment
-/// variable (`--out` wins); `--check` compares against the same path.
+/// Default snapshot path, relative to the workspace root (`cargo run`'s
+/// working directory).
 const DEFAULT_PATH: &str = "BENCH_sim_kernel.json";
 
 /// Environment override for the snapshot path.
 const BASELINE_ENV: &str = "IPSIM_BENCH_BASELINE";
 
-/// Instructions per sample for the system benches (matches
-/// `benches/system_throughput.rs`).
+const USAGE: &str = "usage: bench_snapshot [--check] [--quick] [--out PATH]
+  (no flags)  re-measure and rewrite the snapshot (its \"baseline\" block is kept)
+  --check     re-measure and exit 1 if a system/* bench is more than
+              IPSIM_BENCH_TOLERANCE percent (default 10) slower than the snapshot
+  --quick     5 samples per bench instead of 9 (IPSIM_BENCH_REPS overrides both)
+  --out PATH  snapshot path (default: $IPSIM_BENCH_BASELINE, else BENCH_sim_kernel.json)";
+
+/// Instructions per sample for the system benches.
 const INSTRS: u64 = 100_000;
 
-/// Operations per sample for the cache micro-benches.
-const CACHE_OPS: u64 = 1_000_000;
+/// Operations per sample for the cache, prefetch and unit micro-benches.
+const MICRO_OPS: u64 = 1_000_000;
 
 /// Instructions per sample for the straight-line fast-path bench: ten
 /// replays of a 100k-op buffer, so first-touch misses on the 256-line
@@ -74,15 +98,27 @@ fn straightline_ops(n: u64) -> Vec<TraceOp> {
 /// Default allowed slowdown for `--check`, percent.
 const DEFAULT_TOLERANCE_PCT: f64 = 10.0;
 
+/// Rejects a bad command line before anything is measured.
+fn usage_error(err: &str) -> ! {
+    eprintln!("bench_snapshot: {err}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let check = args.iter().any(|a| a == "--check");
-    let quick = args.iter().any(|a| a == "--quick");
-    let path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+    let (mut check, mut quick, mut out) = (false, false, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--check" => check = true,
+            "--quick" => quick = true,
+            "--out" => match args.next() {
+                Some(path) if !path.starts_with("--") => out = Some(path),
+                _ => usage_error("--out needs a path"),
+            },
+            other => usage_error(&format!("unknown argument `{other}`")),
+        }
+    }
+    let path = out
         .or_else(|| std::env::var(BASELINE_ENV).ok().filter(|v| !v.is_empty()))
         .unwrap_or_else(|| DEFAULT_PATH.to_string());
 
@@ -125,9 +161,9 @@ impl BenchResult {
     }
 }
 
-/// Times `body` (one full sample per call) `reps` times after two warm-up
-/// calls; returns the minimum in milliseconds.
-fn min_of<F: FnMut()>(reps: u32, mut body: F) -> f64 {
+/// Times `body` (one full sample of `ops` operations per call) `reps`
+/// times after two warm-up calls and keeps the minimum.
+fn bench<F: FnMut()>(name: &'static str, ops: u64, reps: u32, mut body: F) -> BenchResult {
     for _ in 0..2 {
         body();
     }
@@ -137,11 +173,29 @@ fn min_of<F: FnMut()>(reps: u32, mut body: F) -> f64 {
         body();
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
-    best
+    BenchResult {
+        name,
+        ops,
+        min_ms: best,
+    }
+}
+
+/// A micro-bench of [`MICRO_OPS`] ops: each sample builds fresh state
+/// with `setup` and calls the op it returns on `0..MICRO_OPS`; the results
+/// are summed and kept live so the work cannot be optimised away.
+fn micro<F: FnMut(u64) -> u64>(
+    name: &'static str,
+    reps: u32,
+    mut setup: impl FnMut() -> F,
+) -> BenchResult {
+    bench(name, MICRO_OPS, reps, || {
+        let mut op = setup();
+        black_box((0..MICRO_OPS).fold(0u64, |sum, i| sum.wrapping_add(op(i))));
+    })
 }
 
 /// Serves a pre-generated op buffer, cycling — isolates the simulation
-/// kernel from walker generation cost (mirrors the criterion bench).
+/// kernel from walker generation cost.
 struct SliceSource<'a> {
     ops: &'a [TraceOp],
     pos: usize,
@@ -165,186 +219,293 @@ impl OpSource for SliceSource<'_> {
     }
 }
 
+/// Every bench, layer by layer, in snapshot order.
 fn run_all(reps: u32) -> Vec<BenchResult> {
+    let mut results = system_benches(reps);
+    results.extend(cache_benches(reps));
+    results.extend(prefetch_benches(reps));
+    results.extend(unit_benches(reps));
+    results
+}
+
+/// Runs a single-core `system` for [`INSTRS`] from `source` and checks
+/// that it retired all of them.
+fn run_100k(mut system: System, source: &mut dyn OpSource) {
+    system.run(&mut [source], INSTRS);
+    assert!(system.metrics().instructions() == INSTRS);
+}
+
+fn system_benches(reps: u32) -> Vec<BenchResult> {
     let prog = Workload::Web.build_program(1);
     let profile = Workload::Web.profile();
-    let mut results = Vec::new();
-
-    results.push(BenchResult {
-        name: "system/single_core_baseline_100k",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
-            let mut system = SystemBuilder::single_core().build().unwrap();
-            let mut walker = TraceWalker::new(&prog, profile.clone(), 0, 5);
-            let mut sources: Vec<&mut dyn OpSource> = vec![&mut walker];
-            system.run(&mut sources, INSTRS);
-            assert!(system.metrics().instructions() == INSTRS);
-        }),
-    });
-
-    let mut walker = TraceWalker::new(&prog, profile.clone(), 0, 5);
+    let web_walker = |core| TraceWalker::new(&prog, profile.clone(), core, 5);
+    let single = || SystemBuilder::single_core().build().unwrap();
+    let mut walker = web_walker(0);
     let ops: Vec<TraceOp> = (0..INSTRS)
         .map(|_| TraceSource::next_op(&mut walker))
         .collect();
-    results.push(BenchResult {
-        name: "system/single_core_kernel_only_100k",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
-            let mut system = SystemBuilder::single_core().build().unwrap();
-            let mut source = SliceSource { ops: &ops, pos: 0 };
-            let mut sources: Vec<&mut dyn OpSource> = vec![&mut source];
-            system.run(&mut sources, INSTRS);
-            assert!(system.metrics().instructions() == INSTRS);
-        }),
-    });
-
-    // Zero-copy replay of the same kernel-only stream: `System::run` pulls
-    // borrowed slices straight from the arena instead of copying blocks
-    // into a staging buffer — what the harness's arena replay path sees on
-    // a realistic instruction mix.
-    results.push(BenchResult {
-        name: "system/single_core_arena_replay_100k",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
-            let mut system = SystemBuilder::single_core().build().unwrap();
-            let mut source = ArenaSource::new(ops.as_slice());
-            let mut sources: Vec<&mut dyn OpSource> = vec![&mut source];
-            system.run(&mut sources, INSTRS);
-            assert!(system.metrics().instructions() == INSTRS);
-        }),
-    });
-
-    // Straight-line fetch in an L1I-resident footprint, served zero-copy:
-    // the line-granular fast path's best case (one tag probe per line,
-    // fifteen O(1) advances). This is the bench the fast-path win is
-    // gated on. The scheduler quantum is opened to its maximum — exact
-    // for a single core (no interleaving to perturb) and the intended
-    // configuration for batch replays of decoded arenas.
     let straight = straightline_ops(STRAIGHT_BUF);
-    results.push(BenchResult {
-        name: "system/single_core_straightline_1m",
-        ops: STRAIGHT_INSTRS,
-        min_ms: min_of(reps, || {
-            let mut config = ipsim_types::SystemConfig::single_core();
-            config.sched_quantum = ipsim_types::config::MAX_SCHED_QUANTUM;
-            let mut system = SystemBuilder::new(config).build().unwrap();
-            for _ in 0..STRAIGHT_INSTRS / STRAIGHT_BUF {
-                let mut source = ArenaSource::new(straight.as_slice());
-                let mut sources: Vec<&mut dyn OpSource> = vec![&mut source];
-                system.run(&mut sources, STRAIGHT_BUF);
-            }
-            assert!(system.metrics().instructions() == STRAIGHT_INSTRS);
-        }),
-    });
 
-    // The baseline run with telemetry armed: guards the "no regression
-    // with telemetry on" half of the fast-path contract (the fast path
-    // must not fire-and-miss sampler boundaries, and the telemetry guard
-    // checks must stay off the hot path).
-    results.push(BenchResult {
-        name: "system/single_core_telemetry_100k",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
-            let mut system = SystemBuilder::single_core().build().unwrap();
+    vec![
+        bench("system/single_core_baseline_100k", INSTRS, reps, || {
+            run_100k(single(), &mut web_walker(0));
+        }),
+        // The same stream pre-generated, so the sample times the kernel,
+        // not the walker.
+        bench("system/single_core_kernel_only_100k", INSTRS, reps, || {
+            run_100k(single(), &mut SliceSource { ops: &ops, pos: 0 });
+        }),
+        // Zero-copy replay of the same kernel-only stream: `System::run`
+        // pulls borrowed slices straight from the arena instead of copying
+        // blocks into a staging buffer — what the harness's arena replay
+        // path sees on a realistic instruction mix.
+        bench("system/single_core_arena_replay_100k", INSTRS, reps, || {
+            run_100k(single(), &mut ArenaSource::new(ops.as_slice()));
+        }),
+        // Straight-line fetch in an L1I-resident footprint, served
+        // zero-copy: the line-granular fast path's best case (one tag
+        // probe per line, fifteen O(1) advances). This is the bench the
+        // fast-path win is gated on. The scheduler quantum is opened to its
+        // maximum — exact for a single core (no interleaving to perturb)
+        // and the intended configuration for batch replays of decoded
+        // arenas.
+        bench(
+            "system/single_core_straightline_1m",
+            STRAIGHT_INSTRS,
+            reps,
+            || {
+                let mut config = ipsim_types::SystemConfig::single_core();
+                config.sched_quantum = ipsim_types::config::MAX_SCHED_QUANTUM;
+                let mut system = SystemBuilder::new(config).build().unwrap();
+                for _ in 0..STRAIGHT_INSTRS / STRAIGHT_BUF {
+                    system.run(
+                        &mut [&mut ArenaSource::new(straight.as_slice())],
+                        STRAIGHT_BUF,
+                    );
+                }
+                assert!(system.metrics().instructions() == STRAIGHT_INSTRS);
+            },
+        ),
+        // The baseline run with telemetry armed: guards the "no regression
+        // with telemetry on" half of the fast-path contract (the fast path
+        // must not fire-and-miss sampler boundaries, and the telemetry
+        // guard checks must stay off the hot path).
+        bench("system/single_core_telemetry_100k", INSTRS, reps, || {
+            let mut system = single();
             system.enable_telemetry(ipsim_telemetry::TelemetryConfig {
                 interval: 10_000,
                 max_events_per_core: 4_096,
             });
-            let mut walker = TraceWalker::new(&prog, profile.clone(), 0, 5);
-            let mut sources: Vec<&mut dyn OpSource> = vec![&mut walker];
-            system.run(&mut sources, INSTRS);
-            assert!(system.metrics().instructions() == INSTRS);
+            run_100k(system, &mut web_walker(0));
         }),
-    });
-
-    // The baseline run with live [`ipsim_obs`] hooks at far above harness
-    // density: a counter/gauge/histogram/span bundle every 1 000
-    // instructions (the harness fires a handful per run). The gap to
-    // `single_core_baseline_100k` bounds what operational metrics cost
-    // when enabled; `tests/obs_overhead.rs` guards the disabled path.
-    results.push(BenchResult {
-        name: "system/single_core_obs_100k",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
+        // The baseline run with live [`ipsim_obs`] hooks at far above
+        // harness density: a counter/histogram/span bundle every 1 000
+        // instructions (the harness fires a handful per run). The gap to
+        // `single_core_baseline_100k` bounds what operational metrics cost
+        // when enabled; `tests/overhead.rs` guards the disabled path.
+        bench("system/single_core_obs_100k", INSTRS, reps, || {
             let m = ipsim_obs::metrics();
             let counter = m.counter("ipsim_bench_snapshot_obs_total", &[]);
             let hist = m.histogram("ipsim_bench_snapshot_obs_micros", &[]);
             let spans = ipsim_obs::spans();
-            let mut system = SystemBuilder::single_core().build().unwrap();
-            let mut walker = TraceWalker::new(&prog, profile.clone(), 0, 5);
+            let mut system = single();
+            let mut walker = web_walker(0);
             for i in 0..INSTRS / 1_000 {
                 let _span = spans.span("bench.obs");
-                let mut sources: Vec<&mut dyn OpSource> = vec![&mut walker];
-                system.run(&mut sources, 1_000);
+                system.run(&mut [&mut walker], 1_000);
                 counter.inc();
                 hist.observe(i);
             }
             assert!(system.metrics().instructions() == INSTRS);
         }),
-    });
-
-    results.push(BenchResult {
-        name: "system/single_core_discontinuity_100k",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
-            let mut system = SystemBuilder::single_core()
-                .prefetcher(PrefetcherKind::discontinuity_default())
-                .install_policy(InstallPolicy::BypassL2UntilUseful)
-                .build()
-                .unwrap();
-            let mut walker = TraceWalker::new(&prog, profile.clone(), 0, 5);
-            let mut sources: Vec<&mut dyn OpSource> = vec![&mut walker];
-            system.run(&mut sources, INSTRS);
-            assert!(system.metrics().instructions() == INSTRS);
-        }),
-    });
-
-    results.push(BenchResult {
-        name: "system/cmp4_baseline_100k_per_core",
-        ops: INSTRS,
-        min_ms: min_of(reps, || {
+        bench(
+            "system/single_core_discontinuity_100k",
+            INSTRS,
+            reps,
+            || {
+                let system = SystemBuilder::single_core()
+                    .prefetcher(PrefetcherKind::discontinuity_default())
+                    .install_policy(InstallPolicy::BypassL2UntilUseful)
+                    .build()
+                    .unwrap();
+                run_100k(system, &mut web_walker(0));
+            },
+        ),
+        bench("system/cmp4_baseline_100k_per_core", INSTRS, reps, || {
             let mut system = SystemBuilder::cmp4().build().unwrap();
-            let mut walkers: Vec<TraceWalker<'_>> = (0..4)
-                .map(|i| TraceWalker::new(&prog, profile.clone(), i, 5))
-                .collect();
+            let mut walkers: Vec<TraceWalker<'_>> = (0..4).map(web_walker).collect();
             let mut sources: Vec<&mut dyn OpSource> =
                 walkers.iter_mut().map(|w| w as &mut dyn OpSource).collect();
             system.run(&mut sources, INSTRS / 4);
         }),
-    });
+    ]
+}
 
-    let mut hit_cache = SetAssocCache::new(CacheConfig::default_l1());
+fn cache_benches(reps: u32) -> Vec<BenchResult> {
+    let mut warm_l1 = SetAssocCache::new(CacheConfig::default_l1());
     for l in 0..512u64 {
-        hit_cache.fill(LineAddr(l), FillKind::Demand);
+        warm_l1.fill(LineAddr(l), FillKind::Demand);
     }
-    results.push(BenchResult {
-        name: "cache/hit_path_1m",
-        ops: CACHE_OPS,
-        min_ms: min_of(reps, || {
+    vec![
+        bench("cache/hit_path_1m", MICRO_OPS, reps, || {
             let mut sum = 0u64;
-            for i in 0..CACHE_OPS {
-                sum += u64::from(hit_cache.access(LineAddr(i % 512)).is_hit());
+            for i in 0..MICRO_OPS {
+                sum += u64::from(warm_l1.access(LineAddr(i % 512)).is_hit());
             }
-            assert!(sum == CACHE_OPS);
+            assert!(sum == MICRO_OPS);
         }),
-    });
-
-    results.push(BenchResult {
-        name: "cache/miss_and_fill_1m",
-        ops: CACHE_OPS,
-        min_ms: min_of(reps, || {
+        bench("cache/miss_and_fill_1m", MICRO_OPS, reps, || {
             let mut cache = SetAssocCache::new(CacheConfig::default_l1());
             let mut rng = Rng64::new(1);
-            for _ in 0..CACHE_OPS {
+            for _ in 0..MICRO_OPS {
                 let line = LineAddr(rng.next_u64() & 0xFFFF);
                 if !cache.access(line).is_hit() {
                     cache.fill(line, FillKind::Demand);
                 }
             }
         }),
-    });
+        // The prefetch filter's side-effect-free lookup: half the probes
+        // land in the resident 512 lines, half miss.
+        micro("cache/probe", reps, || {
+            let (cache, mut rng) = (&warm_l1, Rng64::new(2));
+            move |_| u64::from(cache.probe(LineAddr(rng.next_u64() & 0x3FF)))
+        }),
+        // Miss and fill at L2 geometry over a 1M-line footprint: the set
+        // index and victim search at the shared cache's scale.
+        micro("cache/l2_scale_access", reps, || {
+            let mut cache = SetAssocCache::new(CacheConfig::default_l2());
+            let mut rng = Rng64::new(3);
+            move |_| {
+                let line = LineAddr(rng.next_u64() & 0xF_FFFF);
+                let hit = cache.access(line).is_hit();
+                if !hit {
+                    cache.fill(line, FillKind::Demand);
+                }
+                u64::from(hit)
+            }
+        }),
+    ]
+}
 
-    results
+/// A plausible fetch stream: mostly sequential advances with occasional
+/// jumps, ~20% misses.
+fn synthetic_events(n: usize) -> Vec<FetchEvent> {
+    let mut rng = Rng64::new(7);
+    let mut prev = None;
+    (0..n)
+        .map(|_| {
+            let line = if rng.chance(0.15) {
+                LineAddr(1000 + rng.range(4096))
+            } else {
+                prev.unwrap_or(LineAddr(1000)).next()
+            };
+            let miss = rng.chance(0.2);
+            let first_use_of_prefetch = rng.chance(0.15);
+            let prev_line = prev.replace(line);
+            FetchEvent {
+                line,
+                miss,
+                first_use_of_prefetch,
+                prev_line,
+            }
+        })
+        .collect()
+}
+
+/// Op `i` is one `on_fetch` of `events[i % len]`; returns the requests made.
+fn on_fetch<'a>(
+    events: &'a [FetchEvent],
+    mut engine: impl PrefetchEngine + 'a,
+) -> impl FnMut(u64) -> u64 + 'a {
+    let mut out = Vec::with_capacity(16);
+    move |i| {
+        out.clear();
+        engine.on_fetch(&events[i as usize % events.len()], &mut out);
+        out.len() as u64
+    }
+}
+
+fn prefetch_benches(reps: u32) -> Vec<BenchResult> {
+    let events = synthetic_events(4096);
+    vec![
+        micro("prefetch/next_4_line_on_fetch", reps, || {
+            on_fetch(&events, NextNLinePrefetcher::new(4))
+        }),
+        micro("prefetch/discontinuity_on_fetch", reps, || {
+            on_fetch(
+                &events,
+                DiscontinuityPrefetcher::new(DiscontinuityConfig::default()),
+            )
+        }),
+        micro("prefetch/queue_push_pop", reps, || {
+            let mut queue = PrefetchQueue::new(32);
+            let mut rng = Rng64::new(9);
+            move |_| {
+                queue.push(PrefetchRequest::sequential(LineAddr(rng.range(256))));
+                u64::from(queue.pop_issue().is_some())
+            }
+        }),
+        micro("prefetch/filter_record_contains", reps, || {
+            let mut filter = RecentFetchFilter::new(32);
+            let mut rng = Rng64::new(11);
+            move |_| {
+                filter.record(LineAddr(rng.range(128)));
+                u64::from(filter.contains(LineAddr(rng.range(128))))
+            }
+        }),
+    ]
+}
+
+/// A control-transfer op of `class` at `pc`.
+fn cti(pc: u64, class: CtiClass, taken: bool, target: u64) -> TraceOp {
+    TraceOp {
+        pc: Addr(pc),
+        kind: OpKind::Cti {
+            class,
+            taken,
+            target: Addr(target),
+        },
+    }
+}
+
+fn unit_benches(reps: u32) -> Vec<BenchResult> {
+    let branch_unit = || BranchUnit::new(&BranchConfig::default(), 16);
+    vec![
+        micro("units/branch_cond", reps, || {
+            let mut unit = branch_unit();
+            let mut rng = Rng64::new(3);
+            move |_| {
+                let pc = 0x1000 + rng.range(256) * 4;
+                u64::from(unit.process(&cti(pc, CtiClass::CondBranch, rng.chance(0.6), 0x4000)))
+            }
+        }),
+        // One op is a call/return pair through the return-address stack.
+        micro("units/branch_call_return", reps, || {
+            let mut unit = branch_unit();
+            let call = cti(0x1000, CtiClass::Call, true, 0x9000);
+            let ret = cti(0x9100, CtiClass::Return, true, 0x1004);
+            move |_| u64::from(unit.process(&call) + unit.process(&ret))
+        }),
+        micro("units/tlb_access", reps, || {
+            let mut tlb = Tlb::new(&TlbConfig::paper());
+            let mut rng = Rng64::new(5);
+            move |_| tlb.access(Addr(rng.range(1 << 24)))
+        }),
+        // Inserts outpace retirement 40:1 against 16 entries, so most
+        // inserts find the MSHR full: the steady state under a miss burst.
+        micro("units/mshr_insert_retire", reps, || {
+            let mut mshr = Mshr::new(16);
+            move |i| {
+                let now = (i + 1) * 10;
+                mshr.insert(LineAddr(i + 1), now + 400, true);
+                mshr.retire_ready(now).len() as u64
+            }
+        }),
+        micro("units/bus_request", reps, || {
+            let mut bus = Bus::new(9.6);
+            move |i| bus.request((i + 1) * 25, 400)
+        }),
+    ]
 }
 
 /// Renders the snapshot JSON. `baseline` is the raw `"baseline": {...}`
@@ -389,48 +550,32 @@ fn extract_baseline_block(json: &str) -> Option<String> {
     Some(rest[..end].to_string())
 }
 
-/// Pulls `(name, min_ms)` pairs out of a snapshot's `"benches"` array.
-fn extract_benches(json: &str) -> Vec<(String, f64)> {
-    let Some(start) = json.find("\"benches\": [") else {
-        return Vec::new();
-    };
-    let body = &json[start..];
-    let body = &body[..body.find(']').unwrap_or(body.len())];
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let Some(name) = field_str(line, "\"name\": \"") else {
-            continue;
-        };
-        let Some(min_ms) = field_num(line, "\"min_ms\": ") else {
-            continue;
-        };
-        out.push((name, min_ms));
-    }
-    out
+/// Pulls `(name, min_ms)` pairs out of a snapshot's `"benches"` array;
+/// empty when the text is not a snapshot.
+fn extract_benches(text: &str) -> Vec<(String, f64)> {
+    let doc = json::parse(text).unwrap_or(Json::Null);
+    let benches = doc
+        .get("benches")
+        .and_then(Json::as_arr)
+        .unwrap_or_default();
+    benches
+        .iter()
+        .filter_map(|b| {
+            Some((
+                b.get("name")?.as_str()?.to_string(),
+                b.get("min_ms")?.as_num()?,
+            ))
+        })
+        .collect()
 }
 
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let rest = &line[line.find(key)? + key.len()..];
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let rest = &line[line.find(key)? + key.len()..];
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls the top-level `"commit"` and `"method"` strings out of a
-/// snapshot's baseline block, if it has one. The block nests follow-up
-/// PR sub-blocks with their own commit/method, but those come later in
-/// the text, so the first occurrence of each key is the top-level pair.
-fn baseline_provenance(json: &str) -> Option<(String, String)> {
-    let block = extract_baseline_block(json)?;
-    let commit = field_str(&block, "\"commit\": \"")?;
-    let method = field_str(&block, "\"method\": \"")?;
-    Some((commit, method))
+/// The top-level `"commit"` and `"method"` of a snapshot's baseline
+/// block, if it has one (its follow-up sub-blocks carry their own).
+fn baseline_provenance(text: &str) -> Option<(String, String)> {
+    let doc = json::parse(text).ok()?;
+    let baseline = doc.get("baseline")?;
+    let field = |key| Some(baseline.get(key)?.as_str()?.to_string());
+    Some((field("commit")?, field("method")?))
 }
 
 /// Compares fresh `results` against the committed snapshot at `path`.
@@ -477,7 +622,7 @@ fn check_against(path: &str, results: &[BenchResult]) -> i32 {
     }
     if failed {
         eprintln!(
-            "bench_snapshot: system_throughput regressed more than {tolerance_pct}% \
+            "bench_snapshot: system/* throughput regressed more than {tolerance_pct}% \
              vs {path} (set IPSIM_BENCH_TOLERANCE to widen on noisy machines)"
         );
         match baseline_provenance(&committed_text) {
@@ -492,5 +637,51 @@ fn check_against(path: &str, results: &[BenchResult]) -> i32 {
         1
     } else {
         0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../../BENCH_sim_kernel.json");
+
+    fn sample_results() -> Vec<BenchResult> {
+        [
+            ("system/a_100k", 100_000, 3.75),
+            ("cache/b_1m", 1_000_000, 12.125),
+        ]
+        .into_iter()
+        .map(|(name, ops, min_ms)| BenchResult { name, ops, min_ms })
+        .collect()
+    }
+
+    #[test]
+    fn render_round_trips_every_bench() {
+        let results = sample_results();
+        let parsed = extract_benches(&render(&results, None));
+        let expected: Vec<_> = results
+            .iter()
+            .map(|r| (r.name.to_string(), r.min_ms))
+            .collect();
+        assert_eq!(parsed, expected);
+    }
+
+    #[test]
+    fn rerender_keeps_the_baseline_block_byte_for_byte() {
+        let block = extract_baseline_block(COMMITTED).expect("committed baseline block");
+        let rerendered = render(&sample_results(), Some(&block));
+        assert_eq!(
+            extract_baseline_block(&rerendered).as_deref(),
+            Some(block.as_str())
+        );
+        assert!(COMMITTED.ends_with(&format!("\"baseline\": {block}\n}}\n")));
+    }
+
+    #[test]
+    fn baseline_provenance_reads_the_committed_snapshot() {
+        let (commit, method) = baseline_provenance(COMMITTED).unwrap();
+        assert_eq!(commit, "b7b4dc6");
+        assert!(method.starts_with("interleaved A/B against a pre-PR worktree build"));
     }
 }

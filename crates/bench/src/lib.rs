@@ -1,1 +1,3 @@
-//! Criterion micro-benchmarks live in `benches/`; this library is empty.
+//! Every micro- and system bench is defined in the `bench_snapshot` binary
+//! and the disabled-hook overhead guard in `tests/overhead.rs`; this
+//! library is empty.

@@ -19,10 +19,11 @@
 //!
 //! All instrumentation is gated on one process-global flag: after
 //! [`set_enabled`]`(false)` every record call is a single relaxed load
-//! and an early return, which the `obs_overhead` guard bench bounds at
-//! under 3% of kernel wall time. The flag defaults to *on* so binaries
-//! get metrics without ceremony; nothing here ever writes to figure or
-//! summary artifacts, so golden hashes are unaffected either way.
+//! and an early return, which the disabled-hook guard in
+//! `crates/bench/tests/overhead.rs` bounds at under 3% of kernel wall
+//! time. The flag defaults to *on* so binaries get metrics without
+//! ceremony; nothing here ever writes to figure or summary artifacts, so
+//! golden hashes are unaffected either way.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

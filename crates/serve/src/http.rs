@@ -12,6 +12,8 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
+use ipsim_telemetry::json;
+
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
@@ -187,26 +189,9 @@ fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// Escapes a string for embedding in a JSON document.
-pub fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len() + 2);
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A `{"error": "..."}` body.
 pub fn error_body(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", json_escape(message))
+    format!("{{\"error\":\"{}\"}}", json::escape(message))
 }
 
 #[cfg(test)]
@@ -266,11 +251,5 @@ mod tests {
             parse_via_socket(b"GET / HTTP/2\r\n\r\n"),
             Err(ParseError::Bad(_))
         ));
-    }
-
-    #[test]
-    fn json_escaping_handles_the_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 }

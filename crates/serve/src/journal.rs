@@ -32,8 +32,6 @@ use std::sync::Mutex;
 use ipsim_harness::wire::JobSpec;
 use ipsim_telemetry::json::{self, Json};
 
-use crate::http::json_escape;
-
 /// Journal schema version.
 pub const JOURNAL_VERSION: u32 = 1;
 
@@ -58,10 +56,10 @@ impl RunResult {
     fn to_json(&self) -> String {
         format!(
             "{{\"key\":\"{}\",\"label\":\"{}\",\"ok\":{},\"tsv\":\"{}\"}}",
-            json_escape(&self.key),
-            json_escape(&self.label),
+            json::escape(&self.key),
+            json::escape(&self.label),
             self.ok,
-            json_escape(&self.tsv),
+            json::escape(&self.tsv),
         )
     }
 
@@ -141,32 +139,32 @@ impl Event {
             } => format!(
                 "{{\"v\":{JOURNAL_VERSION},\"ev\":\"submit\",\"job\":\"{}\",\"jkey\":\"{}\",\
                  \"client\":\"{}\",\"spec\":{}}}",
-                json_escape(job),
-                json_escape(jkey),
-                json_escape(client),
+                json::escape(job),
+                json::escape(jkey),
+                json::escape(client),
                 spec.to_json(),
             ),
             Event::Dup { job, kind } => format!(
                 "{{\"v\":{JOURNAL_VERSION},\"ev\":\"dup\",\"job\":\"{}\",\"kind\":\"{}\"}}",
-                json_escape(job),
-                json_escape(kind),
+                json::escape(job),
+                json::escape(kind),
             ),
             Event::Start { job } => format!(
                 "{{\"v\":{JOURNAL_VERSION},\"ev\":\"start\",\"job\":\"{}\"}}",
-                json_escape(job),
+                json::escape(job),
             ),
             Event::Done { job, results } => {
                 let results: Vec<String> = results.iter().map(RunResult::to_json).collect();
                 format!(
                     "{{\"v\":{JOURNAL_VERSION},\"ev\":\"done\",\"job\":\"{}\",\"results\":[{}]}}",
-                    json_escape(job),
+                    json::escape(job),
                     results.join(","),
                 )
             }
             Event::Failed { job, error } => format!(
                 "{{\"v\":{JOURNAL_VERSION},\"ev\":\"failed\",\"job\":\"{}\",\"error\":\"{}\"}}",
-                json_escape(job),
-                json_escape(error),
+                json::escape(job),
+                json::escape(error),
             ),
         }
     }

@@ -25,8 +25,9 @@ use std::time::Duration;
 
 use ipsim_harness::wire::{JobSpec, TSV_HEADER};
 use ipsim_harness::Summary;
+use ipsim_telemetry::json;
 
-use crate::http::{self, error_body, json_escape, ParseError, Request};
+use crate::http::{self, error_body, ParseError, Request};
 use crate::metrics::ENDPOINTS;
 use crate::state::{Job, Service, SubmitError};
 
@@ -247,7 +248,7 @@ fn submit(request: &Request, peer: SocketAddr, service: &Arc<Service>) -> (u16, 
                 status,
                 format!(
                     "{{\"id\":\"{}\",\"state\":\"{}\",\"dedup\":{}}}",
-                    json_escape(&outcome.job_id),
+                    json::escape(&outcome.job_id),
                     outcome.state.as_str(),
                     dedup
                 ),
@@ -264,7 +265,7 @@ fn submit(request: &Request, peer: SocketAddr, service: &Arc<Service>) -> (u16, 
 fn status_body(job: &Job) -> String {
     format!(
         "{{\"id\":\"{}\",\"state\":\"{}\",\"done\":{},\"total\":{},\"dedup\":{}}}",
-        json_escape(&job.id),
+        json::escape(&job.id),
         job.state.as_str(),
         job.done_runs,
         job.total_runs,
@@ -309,17 +310,17 @@ fn result(request: &Request, id: &str, service: &Arc<Service>) -> (u16, String) 
             let telemetry = service
                 .telemetry_dir(&run.key)
                 .map_or("null".to_string(), |dir| {
-                    format!("\"{}\"", json_escape(&dir.display().to_string()))
+                    format!("\"{}\"", json::escape(&dir.display().to_string()))
                 });
             format!(
                 "{{\"key\":\"{}\",\"label\":\"{}\",\"ok\":{},\"ipc\":{},\"l1i_mpi\":{},\
                  \"tsv\":\"{}\",\"telemetry\":{}}}",
-                json_escape(&run.key),
-                json_escape(&run.label),
+                json::escape(&run.key),
+                json::escape(&run.label),
                 run.ok,
                 summary.as_ref().map_or(0.0, |s| s.ipc),
                 summary.as_ref().map_or(0.0, |s| s.l1i_mpi),
-                json_escape(&run.tsv),
+                json::escape(&run.tsv),
                 telemetry,
             )
         })
@@ -327,12 +328,12 @@ fn result(request: &Request, id: &str, service: &Arc<Service>) -> (u16, String) 
     let error = job
         .error
         .as_deref()
-        .map_or("null".to_string(), |e| format!("\"{}\"", json_escape(e)));
+        .map_or("null".to_string(), |e| format!("\"{}\"", json::escape(e)));
     (
         200,
         format!(
             "{{\"id\":\"{}\",\"state\":\"{}\",\"error\":{},\"results\":[{}]}}",
-            json_escape(&job.id),
+            json::escape(&job.id),
             job.state.as_str(),
             error,
             runs.join(","),

@@ -293,9 +293,12 @@ mod tests {
 
     #[test]
     fn escape_round_trips_through_parse() {
-        let nasty = "he said \"hi\"\n\tback\\slash\u{1}";
-        let doc = format!("\"{}\"", escape(nasty));
-        assert_eq!(parse(&doc).unwrap(), Json::Str(nasty.to_string()));
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        for nasty in ["he said \"hi\"\n\tback\\slash\u{1}", "a\"b\\c\nd", "\u{1}"] {
+            let doc = format!("\"{}\"", escape(nasty));
+            assert_eq!(parse(&doc).unwrap(), Json::Str(nasty.to_string()));
+        }
     }
 
     #[test]
