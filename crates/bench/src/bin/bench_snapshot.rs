@@ -44,8 +44,8 @@ use ipsim_core::{
     PrefetchQueue, PrefetchRequest, PrefetcherKind, RecentFetchFilter,
 };
 use ipsim_cpu::{BranchUnit, Bus, OpSource, System, SystemBuilder, Tlb};
+use ipsim_obs::json::{self, Json};
 use ipsim_stream::{ArenaSource, TraceSource};
-use ipsim_telemetry::json::{self, Json};
 use ipsim_trace::{TraceWalker, Workload};
 use ipsim_types::config::{BranchConfig, TlbConfig};
 use ipsim_types::instr::CtiClass;

@@ -13,13 +13,13 @@
 
 use std::collections::BTreeMap;
 
+use ipsim_harness::telemetry::read_zoo;
 use ipsim_harness::{RunLengths, RunSpec, Summary, TelemetrySink};
 use ipsim_prefetch::ZooPlan;
-use ipsim_telemetry::sink::parse_zoo_tsv;
 use ipsim_telemetry::ZooSchemeRow;
 use ipsim_types::SystemConfig;
 
-use crate::cmp_workload_sets;
+use crate::workload_columns;
 
 /// The contender pool: the paper's sequential and discontinuity schemes
 /// plus the lookahead/target paper mechanisms and the three rivals.
@@ -40,7 +40,7 @@ pub fn bakeoff_plan() -> ZooPlan {
 /// Even indices are baselines, odd indices the paired zoo runs.
 pub fn bakeoff_specs(lengths: RunLengths) -> Vec<RunSpec> {
     let mut specs = Vec::new();
-    for ws in cmp_workload_sets() {
+    for ws in workload_columns(true) {
         let base = RunSpec::new(SystemConfig::cmp4(), ws, lengths);
         specs.push(base.clone());
         specs.push(base.zoo(bakeoff_plan()));
@@ -115,10 +115,7 @@ pub fn render_bakeoff(
         };
         let base = resolve(base_spec);
         let zoo = resolve(zoo_spec);
-        let path = sink.dir_for(&zoo_spec.cache_key()).join("zoo.tsv");
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("missing artifact {}: {e}", path.display()))?;
-        let rows = parse_zoo_tsv(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let rows = read_zoo(&sink.dir_for(&zoo_spec.cache_key()))?;
         let instructions = zoo.instructions.max(1) as f64;
         let baseline_misses = base.l1i_mpi * base.instructions.max(1) as f64;
         let pct = |num: u64, den: f64| {

@@ -12,8 +12,8 @@ use std::path::PathBuf;
 use std::process::exit;
 
 use ipsim_experiments::table_string;
+use ipsim_obs::json::Json;
 use ipsim_obs::{histogram_percentile, parse_text, Exposition};
-use ipsim_telemetry::json::Json;
 
 const USAGE: &str = "\
 usage: ops_report [options]
@@ -182,18 +182,12 @@ fn metrics_tables(exposition: &Exposition) -> String {
 }
 
 /// Folds a Chrome-trace span file into per-name totals: spans, total and
-/// maximum wall micros. Validation is the telemetry crate's shared
-/// structural validator; the fold itself re-reads the events.
+/// maximum wall micros, over the events the shared validator returns.
 fn span_table(text: &str) -> Result<String, String> {
-    ipsim_telemetry::sink::validate_chrome_trace(text)?;
-    let json = ipsim_telemetry::json::parse(text)?;
-    let events = json
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("traceEvents missing")?;
+    let events = ipsim_obs::chrome::validate(text)?;
     // name -> (spans, total duration micros, max duration micros)
     let mut by_name: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
-    for event in events {
+    for event in &events {
         if event.get("ph").and_then(Json::as_str) != Some("X") {
             continue;
         }

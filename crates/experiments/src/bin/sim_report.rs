@@ -31,10 +31,10 @@ use ipsim_core::PrefetcherKind;
 use ipsim_cpu::WorkloadSet;
 use ipsim_harness::pool;
 use ipsim_harness::progress::Progress;
+use ipsim_harness::telemetry::read_pf_summary;
 use ipsim_harness::{
     ProgressMode, RunCache, RunLengths, RunSpec, Summary, TelemetrySink, TraceStore,
 };
-use ipsim_telemetry::sink::parse_component_summary_tsv;
 use ipsim_telemetry::{ComponentCounters, PfComponent, PfEventKind, TelemetryConfig};
 use ipsim_types::SystemConfig;
 
@@ -50,7 +50,7 @@ usage: sim_report [--bakeoff] [--quick | --smoke] [--jobs N]
   --help      this text
 
 Environment: IPSIM_CACHE_DIR, IPSIM_TRACE_DIR, IPSIM_TELEMETRY_DIR,
-IPSIM_RUNLOG as for the figure binaries.
+IPSIM_RUNLOG as for all_figures.
 ";
 
 fn parse_args() -> (RunLengths, usize, bool) {
@@ -173,19 +173,10 @@ fn main() {
         let instructions = pf.instructions.max(1) as f64;
 
         // Per-component counters from the on-disk artifact, not memory.
-        let dir = sink.dir_for(&pf_spec.cache_key());
-        let summary_path = dir.join("pf_summary.tsv");
-        let text = match std::fs::read_to_string(&summary_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("missing artifact {}: {e}", summary_path.display());
-                exit(1);
-            }
-        };
-        let components = match parse_component_summary_tsv(&text) {
+        let components = match read_pf_summary(&sink.dir_for(&pf_spec.cache_key())) {
             Ok(rows) => rows,
             Err(e) => {
-                eprintln!("corrupt artifact {}: {e}", summary_path.display());
+                eprintln!("{e}");
                 exit(1);
             }
         };

@@ -2,12 +2,14 @@
 //! root using the exporters' own parsers.
 //!
 //! For each run directory (identified by its `meta.tsv` completion
-//! marker) the check re-reads all four artifacts with the readers the
-//! `ipsim-telemetry` crate ships alongside its writers:
+//! marker) the check re-reads all four artifacts with the readers that
+//! ship alongside their writers:
 //!
 //! * `events.jsonl`  — schema/field validation, then per-core prefetch
 //!   lifecycle state-machine validation;
-//! * `trace.json`    — Chrome `trace_event` structural validation;
+//! * `trace.json`    — Chrome `trace_event` structural validation (the
+//!   one `ipsim_obs::chrome` validator, which also checks loose span
+//!   files);
 //! * `series.tsv`    — interval time-series parse;
 //! * `pf_summary.tsv`— per-component counter parse, cross-checked against
 //!   the event counts recovered from the JSONL.
@@ -20,10 +22,11 @@
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
-use ipsim_harness::telemetry::{read_meta, DEFAULT_TELEMETRY_DIR, META_FILE, TELEMETRY_DIR_ENV};
-use ipsim_telemetry::sink::{
-    parse_component_summary_tsv, parse_events_jsonl, parse_series_tsv, validate_chrome_trace,
+use ipsim_harness::telemetry::{
+    read_artifact, read_meta, read_pf_summary, DEFAULT_TELEMETRY_DIR, META_FILE, TELEMETRY_DIR_ENV,
 };
+use ipsim_obs::chrome;
+use ipsim_telemetry::sink::{parse_events_jsonl, parse_series_tsv};
 use ipsim_telemetry::{validate_lifecycle, PfEventKind};
 
 const USAGE: &str = "\
@@ -77,13 +80,8 @@ fn targets_from_args() -> (Option<PathBuf>, Vec<PathBuf>) {
 
 /// Validates one loose Chrome-trace file with the shared validator.
 fn check_trace_file(path: &Path) -> Result<String, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let events = validate_chrome_trace(&text)?;
-    Ok(format!("{events} trace events"))
-}
-
-fn read(dir: &Path, name: &str) -> Result<String, String> {
-    std::fs::read_to_string(dir.join(name)).map_err(|e| format!("{name}: {e}"))
+    let events = read_artifact(path, chrome::validate)?;
+    Ok(format!("{} trace events", events.len()))
 }
 
 /// Validates one artifact directory; returns a one-line pass description.
@@ -94,8 +92,7 @@ fn check_dir(dir: &Path) -> Result<String, String> {
     };
 
     // events.jsonl: format, then the lifecycle state machine per core.
-    let events = parse_events_jsonl(&read(dir, "events.jsonl")?)
-        .map_err(|e| format!("events.jsonl: {e}"))?;
+    let events = read_artifact(&dir.join("events.jsonl"), parse_events_jsonl)?;
     let mut issued = 0u64;
     for (core, core_events) in events.per_core.iter().enumerate() {
         let summary = validate_lifecycle(core_events)
@@ -112,20 +109,17 @@ fn check_dir(dir: &Path) -> Result<String, String> {
     }
 
     // trace.json: the Chrome exporter's structural validator.
-    let trace_events =
-        validate_chrome_trace(&read(dir, "trace.json")?).map_err(|e| format!("trace.json: {e}"))?;
+    let trace_events = read_artifact(&dir.join("trace.json"), chrome::validate)?.len();
 
     // series.tsv: interval time series.
-    let samples =
-        parse_series_tsv(&read(dir, "series.tsv")?).map_err(|e| format!("series.tsv: {e}"))?;
+    let samples = read_artifact(&dir.join("series.tsv"), parse_series_tsv)?;
 
     // pf_summary.tsv: per-component counters, cross-checked against the
     // issue count recovered from the event stream. The summary counts
     // every event the tracer saw; the JSONL stream loses events only to
     // per-core buffer overflow, so with nothing dropped the counts agree
     // exactly and with drops the summary can only be larger.
-    let components = parse_component_summary_tsv(&read(dir, "pf_summary.tsv")?)
-        .map_err(|e| format!("pf_summary.tsv: {e}"))?;
+    let components = read_pf_summary(dir)?;
     let summary_issued: u64 = components
         .iter()
         .map(|(_, c)| c.get(PfEventKind::Issued))

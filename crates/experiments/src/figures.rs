@@ -17,8 +17,7 @@ use ipsim_types::stats::CategoryCounts;
 use ipsim_types::{CacheConfig, MissCategory, SystemConfig};
 
 use crate::{
-    pct, scheme_matrix, single_workload_sets, table_string, table_string_owned, workload_columns,
-    workload_header,
+    pct, scheme_matrix, table_string, table_string_owned, workload_columns, workload_header,
 };
 
 /// The full figure registry, in paper order. `all_figures` sweeps this;
@@ -134,7 +133,7 @@ fn fig01(lengths: RunLengths, x: &mut Executor) -> String {
     );
     let _ = writeln!(out, " capacity help strongly, associativity modestly)\n");
 
-    let workloads = single_workload_sets();
+    let workloads = workload_columns(false);
     let mut rows = Vec::new();
     for (label, size, assoc, line) in configs {
         let mut row = vec![label.to_string()];
@@ -227,7 +226,7 @@ fn fig03(lengths: RunLengths, x: &mut Executor) -> String {
         " calls/jumps/returns 15-20% with Call most prevalent; traps negligible)\n"
     );
 
-    let apps = single_workload_sets();
+    let apps = workload_columns(false);
     let single: Vec<(String, Summary)> = apps
         .iter()
         .map(|ws| {

@@ -1,18 +1,20 @@
 //! Figure definitions and shared utilities for the experiment binaries.
 //!
 //! Each figure of the paper lives in [`figures`] as a render function over
-//! an [`Executor`] (see `ipsim-harness`); the `figNN_*` binaries in
-//! `src/bin/` are thin wrappers around [`figure_main`], and `all_figures`
-//! sweeps every figure through one shared scheduler in a single process:
+//! an [`Executor`] (see `ipsim-harness`). One binary, `all_figures`,
+//! sweeps every figure — or the subset `--figures` names — through one
+//! shared scheduler in a single process:
 //!
 //! ```text
 //! cargo run --release -p ipsim-experiments --bin all_figures -- [--quick] [--jobs N]
-//! cargo run --release -p ipsim-experiments --bin fig01_l1_miss_rates [-- --quick]
+//! cargo run --release -p ipsim-experiments --bin all_figures -- --figures fig01 [--quick]
 //! ```
 //!
 //! `--quick` shrinks the warm-up/measurement windows ~5× for smoke runs;
 //! default windows are 10 M warm + 20 M measured instructions per core
-//! (the paper used 50 M + 100 M on real traces).
+//! (the paper used 50 M + 100 M on real traces). The crate's other
+//! binaries are report and development tools sharing the [`tool_args`]
+//! preamble; `tests/cli.rs` pins every binary's exit-code contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,27 +26,7 @@ pub mod report;
 pub use ipsim_harness::{Executor, RunLengths, RunSpec, Summary};
 
 use ipsim_cpu::{SystemBuilder, SystemMetrics, WorkloadSet};
-use ipsim_harness::{run_sweep, HarnessArgs, SweepOptions};
 use ipsim_trace::Workload;
-
-/// The five workload columns of the paper's CMP figures
-/// (DB, TPC-W, jApp, Web, Mixed).
-pub fn cmp_workload_sets() -> Vec<WorkloadSet> {
-    let mut v: Vec<WorkloadSet> = Workload::ALL
-        .iter()
-        .map(|w| WorkloadSet::homogeneous(*w))
-        .collect();
-    v.push(WorkloadSet::mixed());
-    v
-}
-
-/// The four workload columns of the single-core figures.
-pub fn single_workload_sets() -> Vec<WorkloadSet> {
-    Workload::ALL
-        .iter()
-        .map(|w| WorkloadSet::homogeneous(*w))
-        .collect()
-}
 
 /// Runs one configuration to completion and returns its metrics.
 ///
@@ -94,8 +76,9 @@ pub fn scheme_matrix(
     (baselines, per_scheme)
 }
 
-/// The workload columns for one part of a figure: the four applications,
-/// plus Mixed when `include_mix`.
+/// The workload columns of a figure: the four applications (the
+/// single-core figures), plus Mixed when `include_mix` (the five columns
+/// of the paper's CMP figures: DB, TPC-W, jApp, Web, Mixed).
 pub fn workload_columns(include_mix: bool) -> Vec<WorkloadSet> {
     let mut sets: Vec<WorkloadSet> = Workload::ALL
         .iter()
@@ -156,45 +139,9 @@ pub fn table_string(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Prints a table whose header cells are owned strings.
-pub fn print_table_owned(header: &[String], rows: &[Vec<String>]) {
-    print!("{}", table_string_owned(header, rows));
-}
-
 /// Prints a simple aligned table: a header row then data rows.
 pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
     print!("{}", table_string(header, rows));
-}
-
-/// Entry point shared by every thin `figNN_*` binary: parse arguments, run
-/// the named figure through the scheduler, print its output. Exits the
-/// process (0 on success, 1 on figure failure, 130 on Ctrl-C/SIGTERM —
-/// after completing the in-flight run and flushing the runlog tail).
-pub fn figure_main(name: &str) -> ! {
-    ipsim_signal::install();
-    let args = HarnessArgs::from_env_or_exit();
-    let all = figures::all();
-    let figure = all
-        .iter()
-        .find(|f| f.name == name)
-        .unwrap_or_else(|| panic!("unknown figure `{name}`"));
-    let mut opts = SweepOptions::new(args.lengths, args.workers);
-    opts.traces = args.traces;
-    let report = run_sweep(std::slice::from_ref(figure), &opts);
-    if report.interrupted {
-        eprintln!("{name} interrupted: completed runs were cached and logged; rerun to resume");
-        std::process::exit(130);
-    }
-    match &report.figures[0].outcome {
-        Ok(text) => {
-            print!("{text}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{name} failed: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Shared argument preamble for the development-tool binaries
@@ -218,10 +165,10 @@ mod tests {
 
     #[test]
     fn workload_sets_cover_the_paper_columns() {
-        let cmp = cmp_workload_sets();
+        let cmp = workload_columns(true);
         assert_eq!(cmp.len(), 5);
         assert_eq!(cmp[4].name(), "Mixed");
-        assert_eq!(single_workload_sets().len(), 4);
+        assert_eq!(workload_columns(false).len(), 4);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use ipsim_harness::runlog::RUNLOG_SCHEMA;
+use ipsim_harness::telemetry::read_pf_summary;
 use ipsim_harness::RunCache;
-use ipsim_telemetry::sink::parse_component_summary_tsv;
 use ipsim_telemetry::PfEventKind;
 
 use crate::table_string;
@@ -158,8 +158,7 @@ struct Timeliness {
 /// Reads and folds `pf_summary.tsv` across components; `None` when the
 /// artifact is absent or unreadable.
 fn read_timeliness(telemetry_dir: &Path, key: &str) -> Option<Timeliness> {
-    let text = std::fs::read_to_string(telemetry_dir.join(key).join("pf_summary.tsv")).ok()?;
-    let rows = parse_component_summary_tsv(&text).ok()?;
+    let rows = read_pf_summary(&telemetry_dir.join(key)).ok()?;
     let mut t = Timeliness {
         issued: 0,
         first_use: 0,

@@ -9,19 +9,6 @@ use std::process::Command;
 const BINS: &[(&str, &str)] = &[
     ("all_figures", env!("CARGO_BIN_EXE_all_figures")),
     ("calibrate", env!("CARGO_BIN_EXE_calibrate")),
-    ("fig01", env!("CARGO_BIN_EXE_fig01_l1_miss_rates")),
-    ("fig02", env!("CARGO_BIN_EXE_fig02_l2_miss_rates")),
-    ("fig03", env!("CARGO_BIN_EXE_fig03_miss_breakdown")),
-    ("fig04", env!("CARGO_BIN_EXE_fig04_limit_study")),
-    ("fig05", env!("CARGO_BIN_EXE_fig05_prefetch_miss_rates")),
-    ("fig06", env!("CARGO_BIN_EXE_fig06_prefetch_speedup")),
-    ("fig07", env!("CARGO_BIN_EXE_fig07_l2_data_pollution")),
-    ("fig08", env!("CARGO_BIN_EXE_fig08_bypass_speedup")),
-    ("fig09", env!("CARGO_BIN_EXE_fig09_accuracy_2nl")),
-    ("fig10", env!("CARGO_BIN_EXE_fig10_table_size")),
-    ("fig11", env!("CARGO_BIN_EXE_fig11_ablations")),
-    ("fig12", env!("CARGO_BIN_EXE_fig12_bandwidth")),
-    ("fig13", env!("CARGO_BIN_EXE_fig13_latency")),
     ("ops_report", env!("CARGO_BIN_EXE_ops_report")),
     ("pf_check", env!("CARGO_BIN_EXE_pf_check")),
     ("pf_detail", env!("CARGO_BIN_EXE_pf_detail")),
@@ -32,6 +19,23 @@ const BINS: &[(&str, &str)] = &[
     ("trace_dump", env!("CARGO_BIN_EXE_trace_dump")),
     ("trace_stats", env!("CARGO_BIN_EXE_trace_stats")),
 ];
+
+/// A new tool cannot escape the contract: every source file in
+/// `src/bin/` must be listed in [`BINS`].
+#[test]
+fn bins_lists_every_binary_in_the_crate() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            path.file_stem().unwrap().to_string_lossy().into_owned()
+        })
+        .collect();
+    on_disk.sort();
+    let listed: Vec<&str> = BINS.iter().map(|(name, _)| *name).collect();
+    assert_eq!(on_disk, listed, "src/bin/ and BINS disagree");
+}
 
 #[test]
 fn every_binary_prints_usage_on_help_and_exits_zero() {

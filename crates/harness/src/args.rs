@@ -1,25 +1,25 @@
-//! Hand-rolled argument parsing shared by every figure binary.
+//! Hand-rolled argument parsing for the figure sweep (`all_figures`).
 
 use crate::shard::{self, ShardSpec};
 use crate::RunLengths;
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
-usage: <figure-binary> [--quick] [--jobs N] [--figures figNN,figNN,...] [--no-traces]
-                       [--telemetry] [--shards N] [--force]
+usage: all_figures [--quick] [--jobs N] [--figures figNN,figNN,...] [--no-traces]
+                   [--telemetry] [--shards N] [--force]
 
   --quick          ~5x shorter warm-up/measurement windows (smoke runs)
   --jobs N, -j N   worker threads for the run pool
                    (default: the machine's available parallelism)
-  --figures LIST   comma-separated figure subset (all_figures only)
+  --figures LIST   comma-separated figure subset (default: every figure)
   --no-traces      disable instruction-stream capture/replay (every run
                    generates its stream live; see also IPSIM_TRACE_DIR)
   --telemetry      collect interval samples and prefetch lifecycle events,
                    writing per-run artifacts under results/telemetry/
                    (see also IPSIM_TELEMETRY_DIR); results are unchanged
   --shards N       split the sweep's run set over N processes partitioned
-                   by cache key (all_figures only; default $IPSIM_SHARDS
-                   or 1); results and figures are byte-identical for any N
+                   by cache key (default $IPSIM_SHARDS or 1); results
+                   and figures are byte-identical for any N
   --force          re-render every figure, bypassing the incremental
                    manifest (results/figures/manifest.tsv)
   --shard-exec I/N internal: execute shard I of N and exit (spawned by
@@ -37,7 +37,7 @@ pub struct HarnessArgs {
     pub lengths: RunLengths,
     /// Worker threads.
     pub workers: usize,
-    /// Figure-subset filter (`all_figures` only).
+    /// Figure-subset filter (`--figures`).
     pub figures: Option<Vec<String>>,
     /// Whether to capture/replay instruction streams (`--no-traces`
     /// disables).
@@ -202,7 +202,7 @@ impl HarnessArgs {
 }
 
 /// Environment variable overriding the run windows (`WARM/MEASURE`
-/// instruction counts) for every figure binary; see
+/// instruction counts) for the figure sweep; see
 /// [`HarnessArgs::from_env_or_exit`].
 pub const LENGTHS_ENV: &str = "IPSIM_RUN_LENGTHS";
 

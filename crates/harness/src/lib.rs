@@ -1,7 +1,7 @@
 //! `ipsim-harness`: deterministic experiment orchestration.
 //!
-//! This crate turns the figure binaries from "13 sequential processes, each
-//! re-running shared configurations" into one scheduled sweep:
+//! This crate runs the figures as one scheduled sweep rather than 13
+//! sequential processes each re-running shared configurations:
 //!
 //! * [`spec::RunSpec`] names one simulation; its [`spec::RunSpec::cache_key`]
 //!   is a toolchain-stable FNV-1a hash ([`hash`]) of every
@@ -95,15 +95,6 @@ impl RunLengths {
         RunLengths {
             warm: 2_000_000,
             measure: 4_000_000,
-        }
-    }
-
-    /// Parses process arguments: `--quick` selects [`RunLengths::quick`].
-    pub fn from_args() -> RunLengths {
-        if std::env::args().any(|a| a == "--quick") {
-            RunLengths::quick()
-        } else {
-            RunLengths::full()
         }
     }
 }

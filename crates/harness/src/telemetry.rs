@@ -27,7 +27,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ipsim_telemetry::sink;
-use ipsim_telemetry::{TelemetryConfig, TelemetryRun};
+pub use ipsim_telemetry::TelemetryConfig;
+use ipsim_telemetry::{ComponentCounters, PfComponent, TelemetryRun, ZooSchemeRow};
 
 use crate::spec::RunSpec;
 
@@ -40,6 +41,9 @@ pub const DEFAULT_TELEMETRY_DIR: &str = "results/telemetry";
 /// The completion marker, written last: an artifact directory without it
 /// is incomplete and gets regenerated.
 pub const META_FILE: &str = "meta.tsv";
+
+/// Exact per-component event counts, cores summed.
+pub const PF_SUMMARY_FILE: &str = "pf_summary.tsv";
 
 /// Per-scheme shadow-attribution artifact, present only for zoo runs.
 pub const ZOO_FILE: &str = "zoo.tsv";
@@ -140,41 +144,35 @@ impl TelemetrySink {
         key: &str,
         run: &TelemetryRun,
     ) -> io::Result<()> {
-        let file = |name: &str| -> io::Result<BufWriter<File>> {
-            Ok(BufWriter::new(File::create(stage.join(name))?))
+        let write = |name: &str, body: &dyn Fn(&mut BufWriter<File>) -> io::Result<()>| {
+            let mut w = BufWriter::new(File::create(stage.join(name))?);
+            body(&mut w)?;
+            w.flush()
         };
-        let mut events = file("events.jsonl")?;
-        sink::write_events_jsonl(&mut events, run)?;
-        events.flush()?;
-        let mut chrome = file("trace.json")?;
-        sink::write_chrome_trace(&mut chrome, run)?;
-        chrome.flush()?;
-        let mut series = file("series.tsv")?;
-        sink::write_series_tsv(&mut series, &run.samples)?;
-        series.flush()?;
-        let mut summary = file("pf_summary.tsv")?;
-        sink::write_component_summary_tsv(&mut summary, run)?;
-        summary.flush()?;
+        write("events.jsonl", &|w| sink::write_events_jsonl(w, run))?;
+        write("trace.json", &|w| sink::write_chrome_trace(w, run))?;
+        write("series.tsv", &|w| sink::write_series_tsv(w, &run.samples))?;
+        write(PF_SUMMARY_FILE, &|w| {
+            sink::write_component_summary_tsv(w, run)
+        })?;
         if !run.zoo.is_empty() {
-            let mut zoo = file(ZOO_FILE)?;
-            sink::write_zoo_tsv(&mut zoo, &run.zoo)?;
-            zoo.flush()?;
+            write(ZOO_FILE, &|w| sink::write_zoo_tsv(w, &run.zoo))?;
         }
-
-        let mut meta = file(META_FILE)?;
-        writeln!(meta, "key\t{key}")?;
-        writeln!(meta, "label\t{}", spec.label())?;
-        writeln!(meta, "schema\t{}", sink::JSONL_SCHEMA)?;
-        writeln!(meta, "interval\t{}", run.interval)?;
-        writeln!(meta, "cores\t{}", run.cores.len())?;
-        writeln!(meta, "events\t{}", run.total_events())?;
-        writeln!(meta, "dropped\t{}", run.total_dropped())?;
-        writeln!(meta, "samples\t{}", run.samples.len())?;
-        if let Some(plan) = &spec.zoo {
-            writeln!(meta, "zoo\t{}", plan.canonical())?;
-            writeln!(meta, "zoo_rows\t{}", run.zoo.len())?;
-        }
-        meta.flush()
+        write(META_FILE, &|meta| {
+            writeln!(meta, "key\t{key}")?;
+            writeln!(meta, "label\t{}", spec.label())?;
+            writeln!(meta, "schema\t{}", sink::JSONL_SCHEMA)?;
+            writeln!(meta, "interval\t{}", run.interval)?;
+            writeln!(meta, "cores\t{}", run.cores.len())?;
+            writeln!(meta, "events\t{}", run.total_events())?;
+            writeln!(meta, "dropped\t{}", run.total_dropped())?;
+            writeln!(meta, "samples\t{}", run.samples.len())?;
+            if let Some(plan) = &spec.zoo {
+                writeln!(meta, "zoo\t{}", plan.canonical())?;
+                writeln!(meta, "zoo_rows\t{}", run.zoo.len())?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -188,6 +186,28 @@ pub fn read_meta(dir: &Path) -> Option<Vec<(String, String)>> {
         out.push((field.to_string(), value.to_string()));
     }
     Some(out)
+}
+
+/// Reads an artifact's [`PF_SUMMARY_FILE`]; an `Err` names the file and
+/// whether it is missing or corrupt.
+pub fn read_pf_summary(dir: &Path) -> Result<Vec<(PfComponent, ComponentCounters)>, String> {
+    read_artifact(
+        &dir.join(PF_SUMMARY_FILE),
+        sink::parse_component_summary_tsv,
+    )
+}
+
+/// Reads a zoo run's [`ZOO_FILE`], reporting errors as [`read_pf_summary`].
+pub fn read_zoo(dir: &Path) -> Result<Vec<ZooSchemeRow>, String> {
+    read_artifact(&dir.join(ZOO_FILE), sink::parse_zoo_tsv)
+}
+
+/// Reads and parses one artifact file; the one loader behind every
+/// reader above, so every report names a bad artifact the same way.
+pub fn read_artifact<T>(path: &Path, parse: fn(&str) -> Result<T, String>) -> Result<T, String> {
+    let text = fs::read_to_string(path)
+        .map_err(|e| format!("missing artifact {}: {e}", path.display()))?;
+    parse(&text).map_err(|e| format!("corrupt artifact {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -235,13 +255,10 @@ mod tests {
         let parsed = sink::parse_events_jsonl(&events).unwrap();
         assert!(parsed.total_events() > 0);
         let chrome = fs::read_to_string(dir.join("trace.json")).unwrap();
-        assert!(sink::validate_chrome_trace(&chrome).unwrap() > 0);
+        assert!(!sink::validate_chrome_trace(&chrome).unwrap().is_empty());
         let series = fs::read_to_string(dir.join("series.tsv")).unwrap();
         assert!(!sink::parse_series_tsv(&series).unwrap().is_empty());
-        let summary = fs::read_to_string(dir.join("pf_summary.tsv")).unwrap();
-        assert!(!sink::parse_component_summary_tsv(&summary)
-            .unwrap()
-            .is_empty());
+        assert!(!read_pf_summary(&dir).unwrap().is_empty());
 
         let meta = read_meta(&dir).unwrap();
         let get = |f: &str| {
@@ -275,14 +292,15 @@ mod tests {
             .write(&plain, &TraceRun::collect(&plain, sink_.config()))
             .unwrap();
         assert!(
-            !plain_dir.join(ZOO_FILE).exists(),
+            read_zoo(&plain_dir)
+                .unwrap_err()
+                .starts_with("missing artifact"),
             "non-zoo runs have no zoo artifact"
         );
 
         let run = TraceRun::collect(&zoo_spec, sink_.config());
         let dir = sink_.write(&zoo_spec, &run).unwrap();
-        let text = fs::read_to_string(dir.join(ZOO_FILE)).unwrap();
-        let rows = sink::parse_zoo_tsv(&text).unwrap();
+        let rows = read_zoo(&dir).unwrap();
         assert_eq!(rows, run.zoo);
         assert_eq!(rows.len(), 2, "one row per scheme on the single core");
         let meta = read_meta(&dir).unwrap();

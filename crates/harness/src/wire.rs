@@ -10,7 +10,7 @@
 //! Two encodings share one schema version (`ipsim-jobspec v2`):
 //!
 //! * **JSON** (the HTTP wire format), read back with the hand-rolled
-//!   parser from `ipsim-telemetry` — no serde, per the workspace's
+//!   `ipsim_obs::json` parser — no serde, per the workspace's
 //!   vendored-only dependency policy:
 //!
 //! ```json
@@ -45,8 +45,8 @@
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{LimitSpec, WorkloadSet};
+use ipsim_obs::json::{self, Json};
 use ipsim_prefetch::{find_scheme, ZooPlan};
-use ipsim_telemetry::json::{self, Json};
 use ipsim_trace::Workload;
 use ipsim_types::SystemConfig;
 

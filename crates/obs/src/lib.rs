@@ -13,9 +13,11 @@
 //!   (see [`prom`]) for `GET /v1/metrics`.
 //! * **spans** — wall-clock intervals with parent links recorded into a
 //!   bounded ring ([`SpanRecorder`]), exported as Chrome `trace_event`
-//!   complete events (`ph:"X"`) in the same envelope ipsim-telemetry
-//!   writes, so orchestration spans and sim-level telemetry merge into
-//!   one timeline.
+//!   complete events (`ph:"X"`) through [`chrome`], the one trace writer
+//!   and validator, which `ipsim-telemetry`'s lifecycle trace shares —
+//!   so orchestration spans and sim-level telemetry merge into one
+//!   timeline. [`json`] is the workspace's one JSON parser (nesting-
+//!   bounded, as it reads untrusted daemon input) and string escaper.
 //!
 //! All instrumentation is gated on one process-global flag: after
 //! [`set_enabled`]`(false)` every record call is a single relaxed load
@@ -28,7 +30,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chrome;
 pub mod hist;
+pub mod json;
 pub mod prom;
 pub mod registry;
 pub mod span;

@@ -161,11 +161,6 @@ impl Exposition {
         self.families.iter().find(|f| f.name == name)
     }
 
-    /// Total sample lines across all families.
-    pub fn sample_count(&self) -> usize {
-        self.families.iter().map(|f| f.samples.len()).sum()
-    }
-
     /// Merged cumulative buckets of histogram family `name`, restricted
     /// to samples carrying every label pair in `want`. Label-sets with
     /// different bucket boundaries are merged by de-cumulating,

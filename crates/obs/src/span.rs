@@ -11,10 +11,10 @@
 //! Completed spans land in a mutex-guarded ring that drops its oldest
 //! entry when full — a long-lived daemon keeps the most recent window
 //! and counts what it shed ([`SpanRecorder::dropped`]) instead of
-//! growing without bound. Export is the same Chrome `trace_event`
-//! envelope `ipsim-telemetry` writes, using complete events (`ph:"X"`,
-//! `ts` + `dur` in microseconds), so one trace viewer shows daemon
-//! orchestration above sim-level telemetry.
+//! growing without bound. Export goes through the one
+//! [`chrome`](crate::chrome) writer `ipsim-telemetry` also uses, as
+//! complete events (`ph:"X"`, `ts` + `dur` in microseconds), so one trace
+//! viewer shows daemon orchestration above sim-level telemetry.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -22,6 +22,8 @@ use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::chrome::{Arg, ChromeTrace, Event, Phase};
 
 /// Completed spans kept by the default ring before the oldest is shed.
 pub const DEFAULT_RING_CAPACITY: usize = 16_384;
@@ -174,10 +176,9 @@ impl SpanRecorder {
         ring.spans.iter().cloned().collect()
     }
 
-    /// Writes the held spans as a Chrome `trace_event` document —
-    /// complete events (`ph:"X"`) in the same envelope
-    /// `ipsim_telemetry::sink::write_chrome_trace` uses, validated by
-    /// the same `validate_chrome_trace`. Each span carries its id and
+    /// Writes the held spans as a Chrome `trace_event` document of
+    /// complete events (`ph:"X"`) through the shared
+    /// [`chrome`](crate::chrome) writer. Each span carries its id and
     /// parent id in `args`, so the tree survives ring eviction (an
     /// orphaned child still renders, its `parent` just points at an
     /// evicted id).
@@ -186,42 +187,22 @@ impl SpanRecorder {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        write!(w, r#"{{"traceEvents":["#)?;
-        for (i, s) in self.completed().iter().enumerate() {
-            if i > 0 {
-                write!(w, ",")?;
-            }
-            write!(
-                w,
-                r#"{{"name":"{}","cat":"obs","ph":"X","ts":{},"dur":{},"pid":1,"tid":{},"args":{{"id":{},"parent":{}}}}}"#,
-                json_escape(&s.name),
-                s.start_micros,
-                s.dur_micros,
-                s.tid,
-                s.id,
-                s.parent.unwrap_or(0)
-            )?;
+        let mut trace = ChromeTrace::begin(w)?;
+        for s in self.completed() {
+            trace.event(&Event {
+                name: &[&s.name],
+                cat: Some("obs"),
+                ph: Phase::Complete(s.start_micros, s.dur_micros),
+                pid: 1,
+                tid: s.tid,
+                args: &[
+                    ("id", Arg::Num(s.id)),
+                    ("parent", Arg::Num(s.parent.unwrap_or(0))),
+                ],
+            })?;
         }
-        write!(w, r#"],"displayTimeUnit":"ns"}}"#)?;
-        Ok(())
+        trace.finish()
     }
-}
-
-/// Minimal JSON string escaping for span names.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 struct OpenSpan {
@@ -272,6 +253,7 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chrome;
 
     #[test]
     fn nested_guards_record_parent_links() {
@@ -319,15 +301,44 @@ mod tests {
     // enabled-path unit tests here.
 
     #[test]
-    fn chrome_export_escapes_names() {
+    fn chrome_export_bytes_are_pinned() {
         let rec = SpanRecorder::new(8);
-        rec.record("quote\"back\\slash", 5, 10, None);
+        rec.record("serve.request", 5, 10, None);
+        rec.record("quote\"back\\slash", 7, 0, Some(1));
+        let tid = rec.completed()[0].tid;
         let mut buf = Vec::new();
         rec.write_chrome_trace(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains(r#""name":"quote\"back\\slash""#));
-        assert!(text.contains(r#""ph":"X""#));
-        assert!(text.contains(r#""ts":5"#));
-        assert!(text.contains(r#""dur":10"#));
+        let want = format!(
+            concat!(
+                r#"{{"traceEvents":["#,
+                r#"{{"name":"serve.request","cat":"obs","ph":"X","ts":5,"dur":10,"pid":1,"tid":{tid},"args":{{"id":1,"parent":0}}}},"#,
+                r#"{{"name":"quote\"back\\slash","cat":"obs","ph":"X","ts":7,"dur":0,"pid":1,"tid":{tid},"args":{{"id":2,"parent":1}}}}"#,
+                r#"],"displayTimeUnit":"ns"}}"#
+            ),
+            tid = tid
+        );
+        assert_eq!(String::from_utf8(buf).unwrap(), want);
+        assert_eq!(chrome::validate(&want).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn span_export_passes_the_shared_validator() {
+        let rec = SpanRecorder::new(64);
+        {
+            let _outer = rec.span("serve.request");
+            let _inner = rec.span("serve.execute");
+        }
+        rec.record("serve.queue_wait", 3, 40, None);
+        rec.record("odd name \"quoted\"\\slash", 0, 1, Some(1));
+        let mut buf = Vec::new();
+        rec.write_chrome_trace(&mut buf).unwrap();
+        let events = chrome::validate(&String::from_utf8(buf).unwrap()).unwrap();
+        assert_eq!(events.len(), 4);
+
+        let mut empty = Vec::new();
+        SpanRecorder::new(4).write_chrome_trace(&mut empty).unwrap();
+        assert!(chrome::validate(&String::from_utf8(empty).unwrap())
+            .unwrap()
+            .is_empty());
     }
 }

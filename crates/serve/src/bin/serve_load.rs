@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ipsim_obs::json::Json;
 use ipsim_serve::client::{self, Response};
-use ipsim_telemetry::json::Json;
 
 const USAGE: &str = "\
 usage: serve_load [options]

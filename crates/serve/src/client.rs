@@ -6,7 +6,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use ipsim_telemetry::json::{self, Json};
+use ipsim_obs::json::{self, Json};
 
 /// One response: status code and body.
 #[derive(Debug, Clone, PartialEq, Eq)]

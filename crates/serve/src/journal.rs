@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use ipsim_harness::wire::JobSpec;
-use ipsim_telemetry::json::{self, Json};
+use ipsim_obs::json::{self, Json};
 
 /// Journal schema version.
 pub const JOURNAL_VERSION: u32 = 1;

@@ -25,7 +25,7 @@ use std::time::Duration;
 
 use ipsim_harness::wire::{JobSpec, TSV_HEADER};
 use ipsim_harness::Summary;
-use ipsim_telemetry::json;
+use ipsim_obs::json;
 
 use crate::http::{self, error_body, ParseError, Request};
 use crate::metrics::ENDPOINTS;

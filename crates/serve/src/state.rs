@@ -23,10 +23,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use ipsim_harness::progress::{Progress, ProgressMode};
+use ipsim_harness::telemetry::TelemetryConfig;
 use ipsim_harness::wire::JobSpec;
 use ipsim_harness::{pool, runlog, shard};
 use ipsim_harness::{RunCache, RunSpec, TelemetrySink, TraceStore};
-use ipsim_telemetry::TelemetryConfig;
 
 use crate::journal::{Event, Journal, RunResult};
 use crate::metrics::ServeMetrics;

@@ -6,9 +6,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
+use ipsim_obs::json::Json;
 use ipsim_serve::client::{self, Response};
 use ipsim_serve::{start, ServeConfig, ServerHandle, Service};
-use ipsim_telemetry::json::Json;
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ipsim-e2e-{tag}-{}", std::process::id()));
@@ -125,9 +125,9 @@ fn http_job_matches_batch_cli_byte_for_byte() {
 #[test]
 fn zoo_bakeoff_job_matches_the_batch_pipeline_byte_for_byte() {
     use ipsim_experiments::bakeoff::{bakeoff_specs, render_bakeoff};
+    use ipsim_harness::telemetry::TelemetryConfig;
     use ipsim_harness::wire::{JobSpec, WireRun};
     use ipsim_harness::{RunLengths, Summary, TelemetrySink};
-    use ipsim_telemetry::TelemetryConfig;
 
     let root = tmp("bakeoff");
     let specs = bakeoff_specs(RunLengths {
@@ -301,6 +301,27 @@ fn tsv_submission_and_inflight_coalescing() {
     // A malformed spec is rejected at submit time.
     let bad = submit(&addr, "{\"v\":1,\"runs\":[{\"bogus\":true}]}");
     assert_eq!(bad.status, 400);
+
+    handle.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The JSON parser bounds nesting, so a hostile body deep enough to
+/// overflow a recursive parser's stack is a 400, and the daemon keeps
+/// serving afterwards instead of aborting.
+#[test]
+fn deeply_nested_submission_is_rejected_and_the_daemon_survives() {
+    let root = tmp("nesting");
+    let handle = boot(config(&root, 0));
+    let addr = handle.addr.to_string();
+
+    let bomb = submit(&addr, &"[".repeat(10_000));
+    assert_eq!(bomb.status, 400, "{}", bomb.body);
+    assert!(bomb.body.contains("nesting deeper than"), "{}", bomb.body);
+
+    let stats = client::request(&addr, "GET", "/v1/stats", &[], None).unwrap();
+    assert_eq!(stats.status, 200, "{}", stats.body);
+    assert_eq!(submit(&addr, &spec_json("db", "none")).status, 202);
 
     handle.join();
     let _ = std::fs::remove_dir_all(&root);

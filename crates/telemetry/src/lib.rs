@@ -21,14 +21,15 @@
 //! truncation. A finished run is packaged as a [`TelemetryRun`] and
 //! serialised by the [`sink`] writers (JSONL, Chrome `trace_event`, TSV),
 //! each of which has a matching parser/validator used by tests and the CI
-//! smoke job.
+//! smoke job. The JSON parser and the Chrome `trace_event` writer and
+//! validator are not this crate's: they are the workspace-wide ones in
+//! `ipsim_obs::{json, chrome}`, which the daemon's span export shares.
 //!
 //! Nothing in this crate touches simulation semantics: the golden-hash
 //! figure test and the `telemetry_determinism` test prove that metrics
 //! are bit-identical with tracing on, off, or absent.
 
 pub mod event;
-pub mod json;
 pub mod lifecycle;
 pub mod sampler;
 pub mod sink;

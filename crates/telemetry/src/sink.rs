@@ -1,19 +1,20 @@
 //! Artifact sinks: JSONL events, Chrome `trace_event` timeline, and TSV
 //! dumps for the time series and the per-component summary.
 //!
-//! Every writer has a matching reader/validator built on the in-crate
-//! JSON parser, so the CI smoke job can prove an artifact is well-formed
-//! using the exporter's own definition of the format rather than eyeball
-//! inspection. Line addresses are always encoded as `"0x…"` hex strings —
-//! JSON numbers are doubles and a 64-bit line address does not survive
-//! them.
+//! Every writer has a matching reader/validator built on the shared
+//! `ipsim_obs::json` parser, so the CI smoke job can prove an artifact is
+//! well-formed using the exporter's own definition of the format rather
+//! than eyeball inspection. Line addresses are always encoded as `"0x…"`
+//! hex strings — JSON numbers are doubles and a 64-bit line address does
+//! not survive them.
 
 use std::io::{self, Write};
 
+use ipsim_obs::chrome::{Arg, ChromeTrace, Event, Phase};
+use ipsim_obs::json::{self, Json};
 use ipsim_types::LineAddr;
 
 use crate::event::{ComponentCounters, PfComponent, PfEvent, PfEventKind};
-use crate::json::{self, Json};
 use crate::sampler::SampleRow;
 use crate::{TelemetryRun, ZooSchemeRow};
 
@@ -164,111 +165,57 @@ pub fn parse_events_jsonl(text: &str) -> Result<ParsedEvents, String> {
 }
 
 /// Writes the run as a Chrome `trace_event` JSON document (load it at
-/// `chrome://tracing` or <https://ui.perfetto.dev>). Each core becomes a
-/// process: lifecycle events are instants on its timeline (`ph:"i"`,
-/// `ts` = core cycle) and sample rows become counter tracks (`ph:"C"`).
+/// `chrome://tracing` or <https://ui.perfetto.dev>) through the shared
+/// [`ipsim_obs::chrome`] writer. Each core becomes a process: lifecycle
+/// events are instants on its timeline (`ph:"i"`, `ts` = core cycle) and
+/// sample rows become counter tracks (`ph:"C"`).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_chrome_trace<W: Write>(w: &mut W, run: &TelemetryRun) -> io::Result<()> {
-    write!(w, r#"{{"traceEvents":["#)?;
-    let mut first = true;
-    let sep = |w: &mut W, first: &mut bool| -> io::Result<()> {
-        if !*first {
-            write!(w, ",")?;
-        }
-        *first = false;
-        Ok(())
-    };
-    for (core, trace) in run.cores.iter().enumerate() {
-        let pid = core + 1;
-        sep(w, &mut first)?;
-        write!(
-            w,
-            r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"core{core}"}}}}"#
-        )?;
-        for ev in &trace.events {
-            sep(w, &mut first)?;
-            write!(
-                w,
-                r#"{{"name":"{}:{}","cat":"pf","ph":"i","s":"t","ts":{},"pid":{pid},"tid":0,"args":{{"line":"{:#x}"}}}}"#,
-                ev.component.name(),
-                ev.kind.name(),
-                ev.cycle,
-                ev.line.0
-            )?;
+    let mut trace = ChromeTrace::begin(w)?;
+    for (core, core_trace) in run.cores.iter().enumerate() {
+        let pid = core as u64 + 1;
+        trace.event(&Event {
+            name: &["process_name"],
+            cat: None,
+            ph: Phase::Metadata,
+            pid,
+            tid: 0,
+            args: &[("name", Arg::Str(&format!("core{core}")))],
+        })?;
+        for ev in &core_trace.events {
+            trace.event(&Event {
+                name: &[ev.component.name(), ":", ev.kind.name()],
+                cat: Some("pf"),
+                ph: Phase::Instant(ev.cycle),
+                pid,
+                tid: 0,
+                args: &[("line", Arg::Hex(ev.line.0))],
+            })?;
         }
     }
     for row in &run.samples {
-        let pid = row.core as usize + 1;
-        sep(w, &mut first)?;
-        write!(
-            w,
-            r#"{{"name":"l1i_misses","ph":"C","ts":{},"pid":{pid},"tid":0,"args":{{"cum":{}}}}}"#,
-            row.cycles, row.l1i_misses
-        )?;
-        sep(w, &mut first)?;
-        write!(
-            w,
-            r#"{{"name":"pf_queue","ph":"C","ts":{},"pid":{pid},"tid":0,"args":{{"depth":{}}}}}"#,
-            row.cycles, row.pf_queue
-        )?;
-    }
-    write!(w, r#"],"displayTimeUnit":"ns"}}"#)?;
-    Ok(())
-}
-
-/// Parses a Chrome trace document and checks the invariants
-/// [`write_chrome_trace`] guarantees: a `traceEvents` array whose every
-/// element has a string `name`, a known `ph`, a numeric `pid`, and — for
-/// instant and counter events — a numeric `ts` plus an object `args`.
-/// Complete events (`ph:"X"`, written by the ipsim-obs span exporter
-/// into the same envelope) additionally need a numeric `dur`.
-///
-/// Returns the number of trace events on success.
-///
-/// # Errors
-///
-/// Returns a message naming the first offending event.
-pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
-    let doc = json::parse(text)?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .ok_or("missing traceEvents array")?;
-    for (i, ev) in events.iter().enumerate() {
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or(format!("event {i}: missing name"))?;
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or(format!("event {i} ({name}): missing ph"))?;
-        ev.get("pid")
-            .and_then(Json::as_num)
-            .ok_or(format!("event {i} ({name}): missing pid"))?;
-        match ph {
-            "M" => {}
-            "i" | "C" | "X" => {
-                ev.get("ts")
-                    .and_then(Json::as_num)
-                    .ok_or(format!("event {i} ({name}): missing ts"))?;
-                if ph == "X" {
-                    ev.get("dur")
-                        .and_then(Json::as_num)
-                        .ok_or(format!("event {i} ({name}): missing dur"))?;
-                }
-                if !matches!(ev.get("args"), Some(Json::Obj(_))) {
-                    return Err(format!("event {i} ({name}): missing args object"));
-                }
-            }
-            other => return Err(format!("event {i} ({name}): unexpected ph {other:?}")),
+        for (name, arg, value) in [
+            ("l1i_misses", "cum", row.l1i_misses),
+            ("pf_queue", "depth", row.pf_queue),
+        ] {
+            trace.event(&Event {
+                name: &[name],
+                cat: None,
+                ph: Phase::Counter(row.cycles),
+                pid: u64::from(row.core) + 1,
+                tid: 0,
+                args: &[(arg, Arg::Num(value))],
+            })?;
         }
     }
-    Ok(events.len())
+    trace.finish()
 }
+
+/// The Chrome trace validator, shared with the span exporter's files.
+pub use ipsim_obs::chrome::validate as validate_chrome_trace;
 
 /// Writes the interval time series as TSV: a `#`-prefixed header naming
 /// [`SampleRow::COLUMNS`], then one row per sample.
@@ -291,28 +238,19 @@ pub fn write_series_tsv<W: Write>(w: &mut W, samples: &[SampleRow]) -> io::Resul
 ///
 /// Returns a message naming the offending line.
 pub fn parse_series_tsv(text: &str) -> Result<Vec<SampleRow>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty series artifact")?;
-    let want = format!("# {}", SampleRow::COLUMNS.join("\t"));
-    if header != want {
-        return Err(format!("bad series header {header:?}"));
-    }
+    let header = format!("# {}", SampleRow::COLUMNS.join("\t"));
     let mut rows = Vec::new();
-    for (idx, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
+    for (lineno, line) in tsv_lines(text, &header, "series")? {
         let fields: Vec<u64> = line
             .split('\t')
             .map(|f| {
                 f.parse::<u64>()
-                    .map_err(|_| format!("line {}: bad field {f:?}", idx + 2))
+                    .map_err(|_| format!("line {lineno}: bad field {f:?}"))
             })
             .collect::<Result<_, _>>()?;
         if fields.len() != SampleRow::COLUMNS.len() {
             return Err(format!(
-                "line {}: {} fields, want {}",
-                idx + 2,
+                "line {lineno}: {} fields, want {}",
                 fields.len(),
                 SampleRow::COLUMNS.len()
             ));
@@ -365,35 +303,27 @@ pub fn write_component_summary_tsv<W: Write>(w: &mut W, run: &TelemetryRun) -> i
 pub fn parse_component_summary_tsv(
     text: &str,
 ) -> Result<Vec<(PfComponent, ComponentCounters)>, String> {
-    let mut lines = text.lines();
     let names: Vec<&str> = PfEventKind::ALL.iter().map(|k| k.name()).collect();
-    let want = format!("# component\t{}", names.join("\t"));
-    let header = lines.next().ok_or("empty summary artifact")?;
-    if header != want {
-        return Err(format!("bad summary header {header:?}"));
-    }
+    let header = format!("# component\t{}", names.join("\t"));
     let mut out = Vec::new();
-    for (idx, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
+    for (lineno, line) in tsv_lines(text, &header, "summary")? {
         let mut fields = line.split('\t');
         let component = fields
             .next()
             .and_then(PfComponent::from_name)
-            .ok_or(format!("line {}: unknown component", idx + 2))?;
+            .ok_or(format!("line {lineno}: unknown component"))?;
         let mut counters = ComponentCounters::default();
         for kind in PfEventKind::ALL {
             let field = fields
                 .next()
-                .ok_or(format!("line {}: truncated row", idx + 2))?;
+                .ok_or(format!("line {lineno}: truncated row"))?;
             let n: u64 = field
                 .parse()
-                .map_err(|_| format!("line {}: bad count {field:?}", idx + 2))?;
+                .map_err(|_| format!("line {lineno}: bad count {field:?}"))?;
             counters.bump_by(kind, n);
         }
         if fields.next().is_some() {
-            return Err(format!("line {}: trailing fields", idx + 2));
+            return Err(format!("line {lineno}: trailing fields"));
         }
         out.push((component, counters));
     }
@@ -448,18 +378,9 @@ pub fn write_zoo_tsv<W: Write>(w: &mut W, rows: &[ZooSchemeRow]) -> io::Result<(
 ///
 /// Returns a message naming the offending line.
 pub fn parse_zoo_tsv(text: &str) -> Result<Vec<ZooSchemeRow>, String> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or("empty zoo artifact")?;
-    let want = format!("# {}", ZOO_COLUMNS.join("\t"));
-    if header != want {
-        return Err(format!("bad zoo header {header:?}"));
-    }
+    let header = format!("# {}", ZOO_COLUMNS.join("\t"));
     let mut rows = Vec::new();
-    for (idx, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = idx + 2;
+    for (lineno, line) in tsv_lines(text, &header, "zoo")? {
         let fields: Vec<&str> = line.split('\t').collect();
         if fields.len() != ZOO_COLUMNS.len() {
             return Err(format!(
@@ -490,6 +411,21 @@ pub fn parse_zoo_tsv(text: &str) -> Result<Vec<ZooSchemeRow>, String> {
         });
     }
     Ok(rows)
+}
+
+/// The non-empty data lines of a TSV artifact with their 1-based line
+/// numbers, once its first line has proved to be exactly `header`.
+fn tsv_lines<'a>(
+    text: &'a str,
+    header: &str,
+    what: &str,
+) -> Result<impl Iterator<Item = (usize, &'a str)>, String> {
+    let mut lines = text.lines();
+    let got = lines.next().ok_or(format!("empty {what} artifact"))?;
+    if got != header {
+        return Err(format!("bad {what} header {got:?}"));
+    }
+    Ok((2..).zip(lines).filter(|(_, line)| !line.is_empty()))
 }
 
 #[cfg(test)]
@@ -587,26 +523,44 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_passes_its_own_validator() {
+    fn chrome_trace_bytes_are_pinned_and_valid() {
         let run = sample_run();
         let mut buf = Vec::new();
         write_chrome_trace(&mut buf, &run).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let n = validate_chrome_trace(&text).expect("valid chrome trace");
+        let instant = |ts, kind| {
+            format!(
+                r#"{{"name":"seq:{kind}","cat":"pf","ph":"i","s":"t","ts":{ts},"pid":1,"tid":0,"args":{{"line":"0x1f80"}}}}"#
+            )
+        };
+        let counters = |ts, pid, cum, depth| {
+            format!(
+                r#"{{"name":"l1i_misses","ph":"C","ts":{ts},"pid":{pid},"tid":0,"args":{{"cum":{cum}}}}},{{"name":"pf_queue","ph":"C","ts":{ts},"pid":{pid},"tid":0,"args":{{"depth":{depth}}}}}"#
+            )
+        };
+        let process = |pid, core| {
+            format!(
+                r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"core{core}"}}}}"#
+            )
+        };
+        let events = [
+            process(1, 0),
+            instant(5, "queued"),
+            instant(6, "issued"),
+            instant(90, "fill"),
+            instant(120, "first_use"),
+            process(2, 1),
+            counters(2_400, 1, 31, 3),
+            counters(2_501, 2, 44, 0),
+        ];
+        let want = format!(
+            r#"{{"traceEvents":[{}],"displayTimeUnit":"ns"}}"#,
+            events.join(",")
+        );
+        assert_eq!(text, want);
         // 2 process metadata + 4 instants + 2 counters per sample row.
-        assert_eq!(n, 2 + 4 + 2 * 2);
+        assert_eq!(validate_chrome_trace(&text).unwrap().len(), 2 + 4 + 2 * 2);
         assert!(validate_chrome_trace(&text[..text.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn chrome_validator_accepts_complete_events() {
-        // The shape the ipsim-obs span exporter writes (ph:"X").
-        let ok = r#"{"traceEvents":[{"name":"serve.request","cat":"obs","ph":"X","ts":12,"dur":340,"pid":1,"tid":2,"args":{"id":1,"parent":0}}],"displayTimeUnit":"ns"}"#;
-        assert_eq!(validate_chrome_trace(ok).unwrap(), 1);
-        let no_dur = r#"{"traceEvents":[{"name":"s","ph":"X","ts":1,"pid":1,"args":{}}]}"#;
-        assert!(validate_chrome_trace(no_dur).unwrap_err().contains("dur"));
-        let no_ts = r#"{"traceEvents":[{"name":"s","ph":"X","dur":1,"pid":1,"args":{}}]}"#;
-        assert!(validate_chrome_trace(no_ts).unwrap_err().contains("ts"));
     }
 
     #[test]
