@@ -31,7 +31,7 @@ figures-sharded:
 # accuracy/coverage/timeliness, shard utilization. Add
 # SWEEP_REPORT_FLAGS="--stable" for the machine-stable view.
 sweep-report:
-	cargo run --release -p ipsim-experiments --bin sweep_report -- $(SWEEP_REPORT_FLAGS)
+	cargo run --release -p ipsim-experiments --bin report -- sweep $(SWEEP_REPORT_FLAGS)
 
 # Regenerate BENCH_sim_kernel.json (run on a quiet machine; the committed
 # "baseline" block is preserved). Commit the result so the kernel's perf
@@ -49,19 +49,19 @@ bench-check:
 # coverage / timeliness from the artifacts under results/telemetry/.
 # Use SIM_REPORT_FLAGS="--quick" (or --smoke) for shorter windows.
 sim-report:
-	cargo run --release -p ipsim-experiments --bin sim_report -- $(SIM_REPORT_FLAGS)
+	cargo run --release -p ipsim-experiments --bin report -- sim $(SIM_REPORT_FLAGS)
 
 # Re-validate every telemetry artifact directory with the exporters' own
 # parsers (JSONL schema, lifecycle state machine, Chrome trace, TSVs).
 telemetry-check:
-	cargo run --release -p ipsim-experiments --bin telemetry_check
+	cargo run --release -p ipsim-experiments --bin report -- check
 
 # Prefetcher-zoo bake-off: every registered contender side by side per
 # workload, per-scheme accuracy/coverage/timeliness from shadow
 # attribution. Use BAKEOFF_FLAGS="--quick" (or --smoke) for shorter
 # windows.
 bakeoff:
-	cargo run --release -p ipsim-experiments --bin sim_report -- --bakeoff $(BAKEOFF_FLAGS)
+	cargo run --release -p ipsim-experiments --bin report -- sim --bakeoff $(BAKEOFF_FLAGS)
 
 # CI-sized bake-off: small zoo sweep, full-coverage check, worker-count
 # byte-identity, and a golden table hash.
@@ -90,11 +90,11 @@ serve-smoke: build
 # /v1/metrics scrape and/or an exported spans.trace.json, e.g.
 # OPS_REPORT_FLAGS="--metrics scrape.prom --spans results/serve/spans.trace.json".
 ops-report:
-	cargo run --release -p ipsim-experiments --bin ops_report -- $(OPS_REPORT_FLAGS)
+	cargo run --release -p ipsim-experiments --bin report -- ops $(OPS_REPORT_FLAGS)
 
 # End-to-end observability smoke: /v1/metrics exposition + required
 # families, histograms move under a real job, /v1/stats percentiles,
-# drain-time span export validated by telemetry_check. Needs curl+jq.
+# drain-time span export validated by `report check`. Needs curl+jq.
 metrics-smoke: build
 	bash scripts/metrics_smoke.sh
 

@@ -8,7 +8,7 @@
 //! rendered table is built from the on-disk `zoo.tsv` telemetry
 //! artifacts, never from in-process state, which makes the report
 //! byte-identical whether the runs executed through the batch CLI
-//! (`sim_report --bakeoff`) or through an `ipsim-serve` job — the
+//! (`report sim --bakeoff`) or through an `ipsim-serve` job — the
 //! equivalence the serve end-to-end test pins.
 
 use std::collections::BTreeMap;

@@ -12,9 +12,11 @@
 //!
 //! `--quick` shrinks the warm-up/measurement windows ~5× for smoke runs;
 //! default windows are 10 M warm + 20 M measured instructions per core
-//! (the paper used 50 M + 100 M on real traces). The crate's other
-//! binaries are report and development tools sharing the [`tool_args`]
-//! preamble; `tests/cli.rs` pins every binary's exit-code contract.
+//! (the paper used 50 M + 100 M on real traces). `report` reads a
+//! sweep's artifacts back (`report sim|sweep|ops|check`); `pf_check`,
+//! `pf_detail` and `trace_stats` are development tools sharing the
+//! [`tool_args`] preamble; `tests/cli.rs` pins every binary's exit-code
+//! contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -145,7 +147,7 @@ pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
 }
 
 /// Shared argument preamble for the development-tool binaries
-/// (`calibrate`, `pf_check`, `trace_stats`, …): returns the raw argument
+/// (`pf_check`, `pf_detail`, `trace_stats`): returns the raw argument
 /// list after handling `--help`/`-h` (usage to stdout, exit 0). Tools
 /// validate the remaining arguments themselves and exit 2 with the same
 /// usage text on anything unknown — the contract `tests/cli.rs` pins for

@@ -4,7 +4,7 @@
 //! Everything a sweep produced is already on disk — v5 runlog rows with
 //! per-run wall time and kernel throughput, cache entries with the full
 //! metric summaries, telemetry artifacts with prefetch lifecycle counts —
-//! but spread over three stores in three formats. `sweep_report` folds
+//! but spread over three stores in three formats. `report sweep` folds
 //! them into one text report:
 //!
 //! * **totals** — runs by stream source, wall time, and the aggregate
@@ -30,8 +30,8 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use ipsim_harness::runlog::RUNLOG_SCHEMA;
-use ipsim_harness::telemetry::read_pf_summary;
-use ipsim_harness::RunCache;
+use ipsim_harness::telemetry::{read_pf_summary, TelemetryConfig};
+use ipsim_harness::{RunCache, TelemetrySink};
 use ipsim_telemetry::PfEventKind;
 
 use crate::table_string;
@@ -53,20 +53,18 @@ pub struct ReportOptions {
 }
 
 impl ReportOptions {
-    /// Defaults rooted at `results/`.
-    pub fn new() -> ReportOptions {
+    /// The stores a sweep run in this environment writes: `$IPSIM_RUNLOG`,
+    /// `$IPSIM_CACHE_DIR` and `$IPSIM_TELEMETRY_DIR`, each falling back to
+    /// its default under `results/` when unset or empty.
+    pub fn from_env() -> ReportOptions {
         ReportOptions {
-            runlog: PathBuf::from(ipsim_harness::runlog::DEFAULT_RUNLOG),
-            cache_dir: PathBuf::from(ipsim_harness::cache::DEFAULT_CACHE_DIR),
-            telemetry_dir: PathBuf::from(ipsim_harness::telemetry::DEFAULT_TELEMETRY_DIR),
+            runlog: ipsim_harness::runlog::runlog_path_from_env(),
+            cache_dir: RunCache::from_env().dir().to_path_buf(),
+            telemetry_dir: TelemetrySink::from_env(TelemetryConfig::default())
+                .root()
+                .to_path_buf(),
             stable: false,
         }
-    }
-}
-
-impl Default for ReportOptions {
-    fn default() -> Self {
-        ReportOptions::new()
     }
 }
 

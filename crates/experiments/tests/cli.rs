@@ -1,6 +1,6 @@
-//! Pins the command-line contract shared by every binary in this crate:
-//! `--help` prints usage to stdout and exits 0; an unknown flag prints
-//! usage to stderr and exits 2. Scripts and CI jobs rely on that split to
+//! Pins the command-line contract shared by every binary in this crate,
+//! and by each `report` subcommand: `--help` prints usage to stdout and
+//! exits 0; an unknown flag prints usage to stderr and exits 2. Scripts and CI jobs rely on that split to
 //! tell "you called it wrong" from "the experiment failed" (exit 1).
 
 use std::process::Command;
@@ -8,15 +8,9 @@ use std::process::Command;
 /// Every binary this crate builds, by `CARGO_BIN_EXE_*` path.
 const BINS: &[(&str, &str)] = &[
     ("all_figures", env!("CARGO_BIN_EXE_all_figures")),
-    ("calibrate", env!("CARGO_BIN_EXE_calibrate")),
-    ("ops_report", env!("CARGO_BIN_EXE_ops_report")),
     ("pf_check", env!("CARGO_BIN_EXE_pf_check")),
     ("pf_detail", env!("CARGO_BIN_EXE_pf_detail")),
-    ("sim_report", env!("CARGO_BIN_EXE_sim_report")),
-    ("sweep_report", env!("CARGO_BIN_EXE_sweep_report")),
-    ("sweep_zipf", env!("CARGO_BIN_EXE_sweep_zipf")),
-    ("telemetry_check", env!("CARGO_BIN_EXE_telemetry_check")),
-    ("trace_dump", env!("CARGO_BIN_EXE_trace_dump")),
+    ("report", env!("CARGO_BIN_EXE_report")),
     ("trace_stats", env!("CARGO_BIN_EXE_trace_stats")),
 ];
 
@@ -102,6 +96,45 @@ fn every_binary_rejects_unknown_flags_with_exit_two() {
         assert!(
             stderr.contains("usage"),
             "{name} rejected the flag without printing usage:\n{stderr}"
+        );
+    }
+}
+
+/// `report` and each of its subcommands answer `--help` on stdout with
+/// exit 0, and every misuse — no command, an unknown command, an unknown
+/// subcommand flag, `ops` with nothing to read — on stderr with exit 2.
+#[test]
+fn report_subcommands_keep_the_exit_code_contract() {
+    let report = BINS.iter().find(|(n, _)| *n == "report").unwrap().1;
+    let run = |args: &[&str]| {
+        Command::new(report)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("report {args:?}: could not run: {e}"))
+    };
+    for args in [
+        &["--help"][..],
+        &["sim", "--help"],
+        &["sweep", "--help"],
+        &["ops", "--help"],
+        &["check", "--help"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "report {args:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("usage: report"),
+            "report {args:?}:\n{stdout}"
+        );
+    }
+    for args in [&[][..], &["wat"], &["sweep", "--wat"], &["ops"]] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "report {args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "report {args:?} wrote to stdout");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("usage: report"),
+            "report {args:?}:\n{stderr}"
         );
     }
 }

@@ -215,7 +215,7 @@ fn the_binary_shards_across_processes_and_skips_on_the_warm_rerun() {
         "warm rerun changed the output file"
     );
 
-    // `sweep_report --stable` over either directory produces the same bytes.
+    // `report sweep --stable` over either directory produces the same bytes.
     let report = |dir: &PathBuf| {
         let opts = ReportOptions {
             runlog: dir.join("runlog.tsv"),

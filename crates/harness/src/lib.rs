@@ -36,7 +36,7 @@
 //!   telemetry (`ipsim-telemetry`) into an on-disk artifact directory
 //!   keyed by the run-cache hash: JSONL lifecycle events, a Chrome
 //!   `trace_event` timeline, the interval time series, and the
-//!   per-component summary `sim_report` aggregates.
+//!   per-component summary `report sim` aggregates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

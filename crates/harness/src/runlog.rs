@@ -115,7 +115,7 @@ pub fn append(path: &Path, workers: usize, records: &[RunRecord]) -> io::Result<
 /// [`append`] with a batch tag: a `# batch <tag>` comment line is written
 /// immediately before the rows, attributing them to their producer.
 /// Sharded sweeps tag each shard's batch (`shard 1/4`), so shard
-/// utilization is reconstructable from the log (`sweep_report` parses
+/// utilization is reconstructable from the log (`report sweep` parses
 /// these markers); comment lines keep the v5 row schema untouched, so
 /// every existing parser still works.
 pub fn append_tagged(

@@ -62,7 +62,7 @@ pub fn enabled() -> bool {
 }
 
 /// The process-global metrics registry. First call creates it; handles
-/// registered here back `GET /v1/metrics` and the `sweep_report`
+/// registered here back `GET /v1/metrics` and the `report sweep`
 /// distribution sections.
 pub fn metrics() -> &'static Registry {
     static METRICS: OnceLock<Registry> = OnceLock::new();

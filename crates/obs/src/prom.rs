@@ -3,7 +3,7 @@
 //! The render side turns registry families into the classic text format
 //! (`# TYPE` line, then one sample per label-set; histograms as
 //! cumulative `_bucket{le=…}` + `_sum` + `_count`). The parse side is
-//! the same contract read back: `ops_report`, `serve_load` and the
+//! the same contract read back: `report ops`, `serve_load` and the
 //! `metrics-smoke` CI job all validate a scrape with [`parse_text`]
 //! instead of eyeballing it, mirroring how every ipsim-telemetry writer
 //! has a matching validator.
@@ -191,20 +191,26 @@ impl Exposition {
             base.sort();
             groups.entry(base).or_default().push((le, s.value));
         }
-        let mut deltas: BTreeMap<u64, f64> = BTreeMap::new();
+        let mut deltas: Vec<(f64, f64)> = Vec::new();
         for (_, mut buckets) in groups {
             buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
             let mut prev = 0.0;
             for (le, cum) in buckets {
-                *deltas.entry(le.to_bits()).or_default() += cum - prev;
+                deltas.push((le, cum - prev));
                 prev = cum;
             }
         }
-        let mut out = Vec::with_capacity(deltas.len());
+        // Ascending by bound, negative bounds included (raw bit patterns
+        // would sort them after `+Inf`); equal bounds merge.
+        deltas.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut out: Vec<(f64, f64)> = Vec::with_capacity(deltas.len());
         let mut cum = 0.0;
-        for (bits, d) in deltas {
+        for (le, d) in deltas {
             cum += d;
-            out.push((f64::from_bits(bits), cum));
+            match out.last_mut() {
+                Some(last) if last.0.total_cmp(&le).is_eq() => last.1 = cum,
+                _ => out.push((le, cum)),
+            }
         }
         out
     }
@@ -213,6 +219,7 @@ impl Exposition {
 /// Nearest-rank percentile over cumulative `(le, count)` buckets as
 /// returned by [`Exposition::histogram_buckets`]: the `le` bound of the
 /// bucket holding the rank-th observation. Returns 0 for an empty set.
+/// Never panics: a fractional or non-finite total still yields a bound.
 pub fn histogram_percentile(buckets: &[(f64, f64)], p: f64) -> f64 {
     let Some(&(_, total)) = buckets.last() else {
         return 0.0;
@@ -220,7 +227,9 @@ pub fn histogram_percentile(buckets: &[(f64, f64)], p: f64) -> f64 {
     if total <= 0.0 {
         return 0.0;
     }
-    let rank = ((p / 100.0) * total).ceil().clamp(1.0, total);
+    // `max`/`min` rather than `clamp`: a total below 1 or a NaN would make
+    // clamp's range empty and panic.
+    let rank = ((p / 100.0) * total).ceil().max(1.0).min(total);
     for &(le, cum) in buckets {
         if cum >= rank {
             return le;
@@ -438,6 +447,7 @@ fn validate_histogram(family: &Family) -> Result<(), String> {
                 .label("le")
                 .and_then(parse_value)
                 .ok_or(format!("{}: bucket without numeric le", family.name))?;
+            check_count(family, s.value)?;
             let mut base: LabelSet = s
                 .labels
                 .iter()
@@ -447,6 +457,7 @@ fn validate_histogram(family: &Family) -> Result<(), String> {
             base.sort();
             groups.entry(base).or_default().push((le, s.value));
         } else if s.name == count_name {
+            check_count(family, s.value)?;
             let mut base = s.labels.clone();
             base.sort();
             counts.insert(base, s.value);
@@ -478,6 +489,18 @@ fn validate_histogram(family: &Family) -> Result<(), String> {
                 ));
             }
         }
+    }
+    Ok(())
+}
+
+/// A bucket or `_count` value is a number of observations: NaN or a
+/// negative count is a damaged page, not data.
+fn check_count(family: &Family, value: f64) -> Result<(), String> {
+    if value.is_nan() || value < 0.0 {
+        return Err(format!(
+            "{}: invalid observation count {value}",
+            family.name
+        ));
     }
     Ok(())
 }
@@ -556,6 +579,15 @@ mod tests {
         assert!(parse_text(shrinking).unwrap_err().contains("decreases"));
         let mismatch = "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 2\nh_count 3\nh_sum 1\n";
         assert!(parse_text(mismatch).unwrap_err().contains("_count"));
+        for count in ["NaN", "-1", "-Inf"] {
+            let bucket = format!("# TYPE h histogram\nh_bucket{{le=\"+Inf\"}} {count}\n");
+            assert!(
+                parse_text(&bucket).unwrap_err().contains("count"),
+                "{count}"
+            );
+            let total = format!("# TYPE h histogram\nh_bucket{{le=\"+Inf\"}} 0\nh_count {count}\n");
+            assert!(parse_text(&total).unwrap_err().contains("count"), "{count}");
+        }
     }
 
     #[test]
@@ -566,6 +598,26 @@ mod tests {
         let exp = parse_text(&r.render_prometheus()).unwrap();
         let s = &exp.family("ipsim_esc_total").unwrap().samples[0];
         assert_eq!(s.label("path"), Some("a\\b\"c\nd"));
+    }
+
+    #[test]
+    fn negative_bounds_merge_in_numeric_order() {
+        let page = "# TYPE h histogram\nh_bucket{e=\"a\",le=\"-2\"} 1\n\
+                    h_bucket{e=\"a\",le=\"+Inf\"} 2\nh_bucket{e=\"b\",le=\"-2\"} 1\n\
+                    h_bucket{e=\"b\",le=\"3\"} 1\nh_bucket{e=\"b\",le=\"+Inf\"} 1\n";
+        let exp = parse_text(page).unwrap();
+        let merged = exp.histogram_buckets("h", &[]);
+        assert_eq!(merged, vec![(-2.0, 2.0), (3.0, 2.0), (f64::INFINITY, 3.0)]);
+        assert_eq!(histogram_percentile(&merged, 50.0), -2.0);
+    }
+
+    #[test]
+    fn percentile_survives_fractional_and_non_finite_totals() {
+        let inf = f64::INFINITY;
+        assert_eq!(histogram_percentile(&[(inf, 0.5)], 50.0), inf);
+        assert_eq!(histogram_percentile(&[(1.0, 0.25), (inf, 0.5)], 0.0), inf);
+        assert_eq!(histogram_percentile(&[(inf, f64::NAN)], 99.0), inf);
+        assert_eq!(histogram_percentile(&[(2.0, inf), (inf, inf)], 50.0), 2.0);
     }
 
     #[test]

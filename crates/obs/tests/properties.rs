@@ -1,14 +1,15 @@
 //! Property tests for the observability primitives: histogram accounting
 //! exactness, the percentile-within-one-bucket guarantee against a sorted
 //! reference, span nesting validity under concurrent recording, and the
-//! JSON parser (which reads untrusted daemon input) never panicking.
+//! JSON and Prometheus parsers (which read untrusted input) never
+//! panicking.
 
 use std::sync::Arc;
 use std::thread;
 
 use ipsim_obs::hist::{bucket_index, bucket_upper};
 use ipsim_obs::json::{self, MAX_DEPTH};
-use ipsim_obs::{chrome, Histogram, SpanRecorder};
+use ipsim_obs::{chrome, histogram_percentile, parse_text, Histogram, Registry, SpanRecorder};
 use proptest::prelude::*;
 
 /// Exact nearest-rank percentile over a sorted slice — the reference the
@@ -194,5 +195,79 @@ proptest! {
         }
         let parsed = json::parse(&text);
         prop_assert_eq!(parsed.is_ok(), balanced && depth <= MAX_DEPTH);
+    }
+}
+
+/// Valid exposition pages: a rendered registry page shaped like the
+/// daemon's scrape (labelled counters, a negative gauge, labelled and
+/// unlabelled histograms spanning many buckets), and a hand-written one
+/// with fractional counts and a negative bound, which a scrape of a
+/// foreign exporter may carry.
+fn exposition_pages() -> [String; 2] {
+    let hand_written = "# HELP h a hand-written histogram\n# TYPE h histogram\n\
+                        h_bucket{le=\"-1\"} 0.25\nh_bucket{le=\"0.5\"} 0.5\n\
+                        h_bucket{le=\"+Inf\"} 0.75\nh_count 0.75\nh_sum 1e-3\n";
+    [rendered_page(), hand_written.to_string()]
+}
+
+fn rendered_page() -> String {
+    let r = Registry::new();
+    r.counter("ipsim_serve_requests_total", &[("endpoint", "jobs")])
+        .add(7);
+    r.counter("ipsim_serve_requests_total", &[("endpoint", "stats")])
+        .add(1);
+    r.gauge("ipsim_serve_queue_depth", &[]).set(-3);
+    for (endpoint, values) in [("jobs", &[5u64, 90, 1_700][..]), ("stats", &[0, 1 << 40])] {
+        let h = r.histogram("ipsim_serve_request_micros", &[("endpoint", endpoint)]);
+        for &v in values {
+            h.observe(v);
+        }
+    }
+    r.histogram("ipsim_serve_queue_wait_micros", &[])
+        .observe(12);
+    r.render_prometheus()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Truncating a valid page anywhere and flipping up to four of its
+    /// bits never panics the parser; on every page it accepts, merging
+    /// any family's buckets and reading percentiles never panics either.
+    #[test]
+    fn prom_parse_never_panics_on_damaged_expositions(
+        page in 0usize..2,
+        cut in 0usize..1 << 16,
+        flips in prop::collection::vec((0usize..1 << 16, 0u8..8), 0..5),
+    ) {
+        let mut bytes = exposition_pages()[page].clone().into_bytes();
+        prop_assert!(parse_text(std::str::from_utf8(&bytes).unwrap()).is_ok());
+        for (at, bit) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        bytes.truncate(cut % (bytes.len() + 1));
+        let Ok(exposition) = parse_text(&String::from_utf8_lossy(&bytes)) else {
+            return Ok(());
+        };
+        for family in &exposition.families {
+            let mut wants: Vec<Vec<(&str, &str)>> = vec![Vec::new()];
+            for sample in &family.samples {
+                wants.push(
+                    sample
+                        .labels
+                        .iter()
+                        .filter(|(k, _)| k != "le")
+                        .map(|(k, v)| (k.as_str(), v.as_str()))
+                        .collect(),
+                );
+            }
+            for want in &wants {
+                let buckets = exposition.histogram_buckets(&family.name, want);
+                for p in [0.0, 50.0, 99.0, 100.0] {
+                    let _ = histogram_percentile(&buckets, p);
+                }
+            }
+        }
     }
 }

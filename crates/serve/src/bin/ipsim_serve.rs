@@ -14,11 +14,7 @@ usage: ipsim_serve [options]
   --traces DIR      trace-store dir; `none` disables (default results/traces)
   --telemetry DIR   collect per-run telemetry artifacts under DIR (default off)
   --workers N       job-executing worker threads (default: half the cores)
-  --fanout N        runs executed concurrently within one job, partitioned
-                    by the sweep shard planner (default 1: one at a time);
-                    results are byte-identical for any N
   --max-queue N     queued-job bound before 429 (default 64)
-  --rate BURST/SEC  per-client token bucket (default 16/4)
   --no-sync         skip the per-append journal fsync (benchmarks only)
   --help            this text
 
@@ -52,23 +48,7 @@ fn main() {
             }
             "--telemetry" => config.telemetry_root = Some(value("--telemetry").into()),
             "--workers" => config.workers = parse(&value("--workers"), "--workers"),
-            "--fanout" => {
-                config.job_fanout = parse(&value("--fanout"), "--fanout");
-                if config.job_fanout == 0 {
-                    eprintln!("--fanout needs a positive integer\n\n{USAGE}");
-                    std::process::exit(2);
-                }
-            }
             "--max-queue" => config.max_queue = parse(&value("--max-queue"), "--max-queue"),
-            "--rate" => {
-                let spec = value("--rate");
-                let Some((burst, rate)) = spec.split_once('/') else {
-                    eprintln!("--rate expects BURST/SEC, got `{spec}`\n\n{USAGE}");
-                    std::process::exit(2);
-                };
-                config.rate_capacity = parse::<f64>(burst, "--rate");
-                config.rate_refill = parse::<f64>(rate, "--rate");
-            }
             "--no-sync" => config.sync_journal = false,
             _ => {
                 eprintln!("unknown argument `{arg}`\n\n{USAGE}");
@@ -112,7 +92,7 @@ fn main() {
     handle.join();
     // Export the operational span timeline next to the journal — the
     // same Chrome trace_event format the sim telemetry sink writes, so
-    // `telemetry_check` validates it and one viewer merges both.
+    // `report check` validates it and one viewer merges both.
     let span_path = state_dir.join("spans.trace.json");
     match std::fs::File::create(&span_path) {
         Ok(mut file) => {

@@ -77,7 +77,6 @@ fn main() {
             let addr = addr.clone();
             let failures = Arc::clone(&failures);
             handles.push(scope.spawn(move || {
-                let client_id = format!("load-{c}");
                 let mut submit_ms = Vec::new();
                 let mut complete_ms = Vec::new();
                 let mut pending: Vec<(String, Instant)> = Vec::new();
@@ -89,7 +88,7 @@ fn main() {
                          \"policy\":\"install_both\",\"warm\":{warm},\"measure\":{measure}}}]}}"
                     );
                     let t0 = Instant::now();
-                    let response = submit_with_backoff(&addr, &client_id, &spec);
+                    let response = submit_with_backoff(&addr, &spec);
                     submit_ms.push(t0.elapsed().as_secs_f64() * 1e3);
                     match response {
                         Ok(response) if response.status == 200 || response.status == 202 => {
@@ -180,10 +179,10 @@ fn main() {
 
 /// Submits, retrying briefly on 429 — the backpressure answer is part of
 /// normal operation for a bursty load generator.
-fn submit_with_backoff(addr: &str, client_id: &str, spec: &str) -> Result<Response, String> {
+fn submit_with_backoff(addr: &str, spec: &str) -> Result<Response, String> {
     let mut delay = Duration::from_millis(50);
     for _ in 0..50 {
-        let response = client::submit_json(addr, client_id, spec)?;
+        let response = client::submit_json(addr, spec)?;
         if response.status != 429 {
             return Ok(response);
         }

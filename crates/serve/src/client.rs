@@ -98,15 +98,12 @@ pub fn request(
 }
 
 /// `POST /v1/jobs` with a JSON spec body.
-pub fn submit_json(addr: &str, client_id: &str, spec_json: &str) -> Result<Response, String> {
+pub fn submit_json(addr: &str, spec_json: &str) -> Result<Response, String> {
     request(
         addr,
         "POST",
         "/v1/jobs",
-        &[
-            ("Content-Type", "application/json"),
-            ("X-Client-Id", client_id),
-        ],
+        &[("Content-Type", "application/json")],
         Some(spec_json),
     )
 }

@@ -16,7 +16,6 @@
 //!   (lives in the harness so the CLI and daemon share one schema).
 //! * [`journal`] — the crash-safe job journal (JSONL + fsync + torn-tail
 //!   tolerant recovery + startup compaction).
-//! * [`ratelimit`] — per-client token buckets.
 //! * [`state`] — job table, bounded queue, dedup/coalescing, workers,
 //!   recovery.
 //! * [`server`] — the accept loop and the six `/v1` endpoints.
@@ -32,12 +31,10 @@ pub mod client;
 pub mod http;
 pub mod journal;
 pub mod metrics;
-pub mod ratelimit;
 pub mod server;
 pub mod state;
 
 pub use journal::{Event, Journal, RunResult};
 pub use metrics::ServeMetrics;
-pub use ratelimit::RateLimiter;
 pub use server::{start, ServerHandle};
 pub use state::{Job, JobState, ServeConfig, Service, SubmitError, SubmitOutcome};

@@ -42,8 +42,6 @@ pub struct ServeMetrics {
     pub dedup_inflight: Counter,
     /// `ipsim_serve_rejected_total{reason="queue_full"}`.
     pub rejected_queue_full: Counter,
-    /// `ipsim_serve_rejected_total{reason="rate_limited"}`.
-    pub rejected_rate_limited: Counter,
     /// `ipsim_serve_rejected_total{reason="draining"}`.
     pub rejected_draining: Counter,
     /// `ipsim_serve_jobs_total{state="done"}`.
@@ -83,8 +81,6 @@ impl ServeMetrics {
             dedup_inflight: m.counter("ipsim_serve_dedup_total", &[("kind", "inflight")]),
             rejected_queue_full: m
                 .counter("ipsim_serve_rejected_total", &[("reason", "queue_full")]),
-            rejected_rate_limited: m
-                .counter("ipsim_serve_rejected_total", &[("reason", "rate_limited")]),
             rejected_draining: m.counter("ipsim_serve_rejected_total", &[("reason", "draining")]),
             jobs_done: m.counter("ipsim_serve_jobs_total", &[("state", "done")]),
             jobs_failed: m.counter("ipsim_serve_jobs_total", &[("state", "failed")]),

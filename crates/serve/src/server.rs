@@ -12,7 +12,7 @@
 //!
 //! Submissions answer `202` (queued), `200` (dedup — completed from the
 //! run cache or coalesced onto an in-flight twin), `400` (malformed
-//! spec), `429` (queue full or rate-limited, with `Retry-After`), or
+//! spec), `429` (queue full, with `Retry-After`), or
 //! `503` (draining). Results answer `409` until the job is terminal, so
 //! pollers cannot mistake a partial job for a finished one.
 
@@ -207,20 +207,9 @@ fn route(request: &Request, peer: SocketAddr, service: &Arc<Service>) -> (u16, S
     }
 }
 
-/// `POST /v1/jobs`: rate-limit, decode, hand to the service.
+/// `POST /v1/jobs`: decode, hand to the service. The journal names the
+/// submitter by its peer address.
 fn submit(request: &Request, peer: SocketAddr, service: &Arc<Service>) -> (u16, String) {
-    let client = request
-        .header("x-client-id")
-        .map(str::to_string)
-        .unwrap_or_else(|| peer.ip().to_string());
-    if !service.limiter.allow(&client) {
-        service
-            .stats
-            .rejected_rate_limited
-            .fetch_add(1, Ordering::Relaxed);
-        service.obs.rejected_rate_limited.inc();
-        return (429, error_body("rate limited"));
-    }
     let body = match request.body_utf8() {
         Ok(body) => body,
         Err(e) => return (400, error_body(&e)),
@@ -238,7 +227,7 @@ fn submit(request: &Request, peer: SocketAddr, service: &Arc<Service>) -> (u16, 
         Ok(spec) => spec,
         Err(e) => return (400, error_body(&e)),
     };
-    match service.submit(&client, spec) {
+    match service.submit(&peer.ip().to_string(), spec) {
         Ok(outcome) => {
             let dedup = outcome
                 .dedup
@@ -366,7 +355,7 @@ fn stats_body(service: &Arc<Service>) -> String {
     format!(
         "{{\"submitted\":{},\"completed\":{},\"failed\":{},\
          \"dedup_cache\":{},\"dedup_inflight\":{},\
-         \"rejected_queue_full\":{},\"rejected_rate_limited\":{},\
+         \"rejected_queue_full\":{},\
          \"recovered\":{},\"journal_skipped\":{},\
          \"queue_depth\":{},\"jobs\":{},\"workers\":{},\"draining\":{},\
          \"latency_micros\":{{{}}}}}",
@@ -376,7 +365,6 @@ fn stats_body(service: &Arc<Service>) -> String {
         s.dedup_cache.load(Ordering::Relaxed),
         s.dedup_inflight.load(Ordering::Relaxed),
         s.rejected_queue_full.load(Ordering::Relaxed),
-        s.rejected_rate_limited.load(Ordering::Relaxed),
         s.recovered.load(Ordering::Relaxed),
         s.journal_skipped.load(Ordering::Relaxed),
         service.queue_len(),

@@ -25,12 +25,11 @@ use std::time::Duration;
 use ipsim_harness::progress::{Progress, ProgressMode};
 use ipsim_harness::telemetry::TelemetryConfig;
 use ipsim_harness::wire::JobSpec;
-use ipsim_harness::{pool, runlog, shard};
+use ipsim_harness::{pool, runlog};
 use ipsim_harness::{RunCache, RunSpec, TelemetrySink, TraceStore};
 
 use crate::journal::{Event, Journal, RunResult};
 use crate::metrics::ServeMetrics;
-use crate::ratelimit::RateLimiter;
 
 /// Everything configurable about a serving daemon.
 #[derive(Debug, Clone)]
@@ -47,20 +46,8 @@ pub struct ServeConfig {
     /// and journals jobs but never runs them (used by the recovery and
     /// backpressure tests).
     pub workers: usize,
-    /// Runs executed concurrently *within* one claimed job. `1` (the
-    /// default) keeps the original one-at-a-time loop; higher values chunk
-    /// the job's specs with the sweep shard planner
-    /// ([`ipsim_harness::shard::plan`]) — the same content-keyed partition
-    /// `all_figures --shards` uses — and fan each chunk across a pool.
-    /// Results are reassembled in submitted run order, so responses are
-    /// byte-identical for any fan-out.
-    pub job_fanout: usize,
     /// Maximum *queued* jobs before submissions get `429`.
     pub max_queue: usize,
-    /// Per-client token-bucket burst size.
-    pub rate_capacity: f64,
-    /// Per-client sustained submissions per second.
-    pub rate_refill: f64,
     /// fsync the journal on every append (crash-safe acks). On by
     /// default; only benchmarks should turn it off.
     pub sync_journal: bool,
@@ -77,10 +64,7 @@ impl ServeConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| (n.get() / 2).max(1))
                 .unwrap_or(2),
-            job_fanout: 1,
             max_queue: 64,
-            rate_capacity: 16.0,
-            rate_refill: 4.0,
             sync_journal: true,
         }
     }
@@ -189,8 +173,6 @@ pub struct Stats {
     pub dedup_inflight: AtomicU64,
     /// Submissions bounced for a full queue.
     pub rejected_queue_full: AtomicU64,
-    /// Submissions bounced by the rate limiter.
-    pub rejected_rate_limited: AtomicU64,
     /// Jobs re-enqueued from the journal at boot.
     pub recovered: AtomicU64,
     /// Journal lines skipped at boot (torn tail).
@@ -211,8 +193,6 @@ struct Inner {
 pub struct Service {
     /// The configuration the service booted with.
     pub config: ServeConfig,
-    /// Per-client submission rate limiter.
-    pub limiter: RateLimiter,
     /// Service counters.
     pub stats: Stats,
     /// Operational metric handles (global-registry backed).
@@ -351,7 +331,6 @@ impl Service {
             .as_ref()
             .map(|root| TelemetrySink::at(root, TelemetryConfig::default()));
         Ok(Arc::new(Service {
-            limiter: RateLimiter::new(config.rate_capacity, config.rate_refill),
             stats,
             obs,
             journal,
@@ -384,9 +363,8 @@ impl Service {
         format!("{:016x}", hasher.finish())
     }
 
-    /// Submits one job. See [`SubmitOutcome`] / [`SubmitError`] for the
-    /// possible answers; rate limiting is the HTTP layer's job (it knows
-    /// the client), everything else is decided here.
+    /// Submits one job; `client` names the submitter in the journal. See
+    /// [`SubmitOutcome`] / [`SubmitError`] for the possible answers.
     pub fn submit(&self, client: &str, spec: JobSpec) -> Result<SubmitOutcome, SubmitError> {
         if self.shutdown.load(Ordering::SeqCst) {
             self.obs.rejected_draining.inc();
@@ -624,78 +602,47 @@ impl Service {
                 return;
             }
         };
-        // Execution chunks: one spec at a time at the default fan-out
-        // (progress stays maximally observable), or the shard planner's
-        // content-keyed partition when `job_fanout > 1` — each chunk fans
-        // across a pool of `job_fanout` workers. Either way the chunks are
-        // a disjoint exact cover of the job's specs, and results are
-        // reassembled in submitted order below.
-        let fanout = self.config.job_fanout.max(1);
-        let chunks: Vec<Vec<RunSpec>> = if fanout == 1 {
-            specs.iter().map(|s| vec![s.clone()]).collect()
-        } else {
-            shard::plan(&specs, fanout)
-                .into_iter()
-                .filter(|chunk| !chunk.is_empty())
-                .collect()
-        };
-        let mut outcomes: HashMap<String, RunResult> = HashMap::new();
+        // One spec at a time, so `done/total` progress stays observable
+        // and a drain stops between runs.
+        let mut results: Vec<RunResult> = Vec::with_capacity(specs.len());
         let mut records = Vec::new();
-        for chunk in &chunks {
+        for spec in &specs {
             if self.draining() {
                 // Drain mid-job: no terminal event — the journal still has
                 // submit without done, so the next boot re-enqueues this
                 // job, and its finished runs replay from the run cache.
                 return;
             }
-            let progress = Progress::new(ProgressMode::Silent, chunk.len());
+            let progress = Progress::new(ProgressMode::Silent, 1);
             let report = pool::execute(
-                chunk,
-                fanout.min(chunk.len()),
+                std::slice::from_ref(spec),
+                1,
                 &self.cache,
                 &self.traces,
                 self.telemetry.as_ref(),
                 &progress,
             );
-            for spec in chunk {
-                let key = spec.cache_key();
-                let Some(result) = report.results.get(&key) else {
-                    // The pool only skips runs on an interrupt.
-                    return;
-                };
-                let run_result = match result {
-                    Ok(summary) => RunResult {
-                        key: key.clone(),
-                        label: spec.label(),
-                        ok: true,
-                        tsv: summary.to_tsv(),
-                    },
-                    Err(panic) => RunResult {
-                        key: key.clone(),
-                        label: spec.label(),
-                        ok: false,
-                        tsv: panic.clone(),
-                    },
-                };
-                outcomes.insert(key, run_result);
-            }
+            let key = spec.cache_key();
+            let Some(result) = report.results.get(&key) else {
+                // The pool only skips runs on an interrupt.
+                return;
+            };
+            let (ok, tsv) = match result {
+                Ok(summary) => (true, summary.to_tsv()),
+                Err(panic) => (false, panic.clone()),
+            };
+            results.push(RunResult {
+                key,
+                label: spec.label(),
+                ok,
+                tsv,
+            });
             records.extend(report.records);
             let mut inner = self.inner.lock().unwrap();
             if let Some(job) = inner.jobs.get_mut(id) {
-                job.done_runs = outcomes.len().min(job.total_runs);
+                job.done_runs = results.len();
             }
         }
-        // Reassemble in submitted run order: the response must not depend
-        // on which chunk a run landed in (duplicate keys share a result).
-        let results: Vec<RunResult> = specs
-            .iter()
-            .map(|spec| {
-                outcomes
-                    .get(&spec.cache_key())
-                    .cloned()
-                    .expect("every chunked spec has an outcome")
-            })
-            .collect();
 
         // Terminal event first (durable), then the in-memory flip.
         if let Err(e) = self.journal.append(&Event::Done {
@@ -762,10 +709,7 @@ mod tests {
             trace_dir: None,
             telemetry_root: None,
             workers: 0,
-            job_fanout: 1,
             max_queue: 4,
-            rate_capacity: 1e9,
-            rate_refill: 1e9,
             sync_journal: false,
         }
     }

@@ -1,6 +1,6 @@
 //! End-to-end tests over real sockets: submit → poll → result
 //! byte-identity with the batch CLI, dedup/coalescing, backpressure,
-//! rate limiting, and drain → restart → recovery.
+//! result order, and drain → restart → recovery.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -23,10 +23,7 @@ fn config(root: &Path, workers: usize) -> ServeConfig {
         trace_dir: None,
         telemetry_root: None,
         workers,
-        job_fanout: 1,
         max_queue: 16,
-        rate_capacity: 1e9,
-        rate_refill: 1e9,
         sync_journal: false,
     }
 }
@@ -45,7 +42,7 @@ fn spec_json(workload: &str, prefetcher: &str) -> String {
 }
 
 fn submit(addr: &str, spec: &str) -> Response {
-    client::submit_json(addr, "e2e", spec).unwrap()
+    client::submit_json(addr, spec).unwrap()
 }
 
 fn field<'a>(json: &'a Json, name: &str) -> &'a str {
@@ -201,56 +198,63 @@ fn zoo_bakeoff_job_matches_the_batch_pipeline_byte_for_byte() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// `job_fanout` chunks a job's runs with the sweep shard planner and fans
-/// each chunk across a pool; the response must still list results in
-/// submitted run order with byte-identical TSV lines.
+/// A multi-run job lists its results in submitted run order, one per
+/// run, each labelled with its own spec.
 #[test]
-fn job_fanout_preserves_result_order_and_bytes() {
-    let multi_spec = "{\"v\":1,\"runs\":[\
-         {\"config\":\"single_core\",\"workload\":\"db\",\"prefetcher\":\"none\",\
-          \"policy\":\"install_both\",\"warm\":2000,\"measure\":5000},\
-         {\"config\":\"single_core\",\"workload\":\"web\",\"prefetcher\":\"nl_tagged\",\
-          \"policy\":\"install_both\",\"warm\":2000,\"measure\":5000},\
-         {\"config\":\"single_core\",\"workload\":\"japp\",\"prefetcher\":\"none\",\
-          \"policy\":\"install_both\",\"warm\":2000,\"measure\":5000},\
-         {\"config\":\"single_core\",\"workload\":\"tpcw\",\"prefetcher\":\"nl_always\",\
-          \"policy\":\"install_both\",\"warm\":2000,\"measure\":5000},\
-         {\"config\":\"single_core\",\"workload\":\"mixed\",\"prefetcher\":\"none\",\
-          \"policy\":\"install_both\",\"warm\":2000,\"measure\":5000}]}";
+fn multi_run_job_lists_results_in_submitted_order() {
+    let runs = [
+        ("db", "none"),
+        ("web", "nl_tagged"),
+        ("japp", "none"),
+        ("tpcw", "nl_always"),
+        ("mixed", "none"),
+    ];
+    let multi_spec = format!(
+        "{{\"v\":1,\"runs\":[{}]}}",
+        runs.iter()
+            .map(|(workload, prefetcher)| format!(
+                "{{\"config\":\"single_core\",\"workload\":\"{workload}\",\
+                 \"prefetcher\":\"{prefetcher}\",\"policy\":\"install_both\",\
+                 \"warm\":2000,\"measure\":5000}}"
+            ))
+            .collect::<Vec<_>>()
+            .join(",")
+    );
+    let expected: Vec<String> = ipsim_harness::wire::JobSpec::from_json(&multi_spec)
+        .unwrap()
+        .to_run_specs()
+        .unwrap()
+        .iter()
+        .map(|spec| spec.label())
+        .collect();
 
-    let run_job = |tag: &str, fanout: usize| -> (Vec<String>, PathBuf) {
-        let root = tmp(tag);
-        let mut cfg = config(&root, 1);
-        cfg.job_fanout = fanout;
-        let handle = boot(cfg);
-        let addr = handle.addr.to_string();
-        let accepted = submit(&addr, multi_spec);
-        assert_eq!(accepted.status, 202, "{}", accepted.body);
-        let id = field(&accepted.json().unwrap(), "id").to_string();
-        let state = client::wait_terminal(&addr, &id, Duration::from_secs(300)).unwrap();
-        assert_eq!(state, "done");
-        let result =
-            client::request(&addr, "GET", &format!("/v1/jobs/{id}/result"), &[], None).unwrap();
-        assert_eq!(result.status, 200, "{}", result.body);
-        let result = result.json().unwrap();
-        let runs = result.get("results").and_then(Json::as_arr).unwrap();
-        let rows: Vec<String> = runs
-            .iter()
-            .map(|run| {
-                assert!(matches!(run.get("ok"), Some(Json::Bool(true))));
-                format!("{}\t{}", field(run, "label"), field(run, "tsv"))
-            })
-            .collect();
-        handle.join();
-        (rows, root)
-    };
+    let root = tmp("order");
+    let handle = boot(config(&root, 1));
+    let addr = handle.addr.to_string();
+    let accepted = submit(&addr, &multi_spec);
+    assert_eq!(accepted.status, 202, "{}", accepted.body);
+    let id = field(&accepted.json().unwrap(), "id").to_string();
+    let state = client::wait_terminal(&addr, &id, Duration::from_secs(300)).unwrap();
+    assert_eq!(state, "done");
+    let result =
+        client::request(&addr, "GET", &format!("/v1/jobs/{id}/result"), &[], None).unwrap();
+    assert_eq!(result.status, 200, "{}", result.body);
+    let result = result.json().unwrap();
+    let labels: Vec<String> = result
+        .get("results")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|run| {
+            assert!(matches!(run.get("ok"), Some(Json::Bool(true))));
+            field(run, "label").to_string()
+        })
+        .collect();
+    assert_eq!(labels.len(), runs.len());
+    assert_eq!(labels, expected, "results not in submitted run order");
 
-    let (serial, root_a) = run_job("fanout-1", 1);
-    let (fanned, root_b) = run_job("fanout-3", 3);
-    assert_eq!(serial.len(), 5);
-    assert_eq!(serial, fanned, "fan-out changed result order or bytes");
-    let _ = std::fs::remove_dir_all(&root_a);
-    let _ = std::fs::remove_dir_all(&root_b);
+    handle.join();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
@@ -354,29 +358,6 @@ fn queue_overflow_answers_429() {
 }
 
 #[test]
-fn rate_limiter_answers_429_per_client() {
-    let root = tmp("rate");
-    let mut config = config(&root, 0);
-    config.rate_capacity = 2.0;
-    config.rate_refill = 0.0;
-    let handle = boot(config);
-    let addr = handle.addr.to_string();
-
-    let post =
-        |client_id: &str, spec: &str| client::submit_json(&addr, client_id, spec).unwrap().status;
-    assert_eq!(post("a", &spec_json("db", "none")), 202);
-    assert_eq!(post("a", &spec_json("web", "none")), 202);
-    let limited = client::submit_json(&addr, "a", &spec_json("japp", "none")).unwrap();
-    assert_eq!(limited.status, 429, "{}", limited.body);
-    assert!(limited.body.contains("rate limited"));
-    // A different client is unaffected.
-    assert_eq!(post("b", &spec_json("japp", "none")), 202);
-
-    handle.join();
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn drain_then_restart_recovers_and_finishes_queued_jobs() {
     let root = tmp("restart");
 
@@ -391,7 +372,7 @@ fn drain_then_restart_recovers_and_finishes_queued_jobs() {
         ids.push(field(&accepted.json().unwrap(), "id").to_string());
     }
     first.shutdown();
-    let rejected = client::submit_json(&addr, "e2e", &spec_json("tpcw", "none"));
+    let rejected = client::submit_json(&addr, &spec_json("tpcw", "none"));
     if let Ok(response) = rejected {
         assert_eq!(response.status, 503, "{}", response.body);
     }

@@ -6,7 +6,7 @@
 //! and each transition is emitted as one [`PfEvent`] stamped with the
 //! core-local cycle at which it happened. Events carry the prefetcher
 //! *component* that generated the line ([`PfComponent`]), which is what
-//! lets `sim_report` break accuracy, coverage and timeliness down into
+//! lets `report sim` break accuracy, coverage and timeliness down into
 //! sequential vs. discontinuity contributions the way the paper's
 //! Section 5 discussion does.
 

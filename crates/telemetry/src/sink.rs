@@ -275,7 +275,7 @@ pub fn parse_series_tsv(text: &str) -> Result<Vec<SampleRow>, String> {
 
 /// Writes the exact per-component event counts aggregated across cores,
 /// one TSV row per component, one column per [`PfEventKind`]. This is
-/// the compact artifact `sim_report` aggregates.
+/// the compact artifact `report sim` aggregates.
 ///
 /// # Errors
 ///
@@ -346,7 +346,7 @@ pub const ZOO_COLUMNS: [&str; 10] = [
 
 /// Writes the per-scheme shadow-attribution rows as TSV: a `#`-prefixed
 /// header naming [`ZOO_COLUMNS`], then one row per (core, zoo slot).
-/// This is the artifact `sim_report --bakeoff` joins across runs.
+/// This is the artifact `report sim --bakeoff` joins across runs.
 ///
 /// # Errors
 ///

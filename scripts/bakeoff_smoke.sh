@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke test of the prefetcher-zoo bake-off pipeline, end to end:
 #
-#   1. a small zoo sweep (`sim_report --bakeoff --smoke`) runs the full
+#   1. a small zoo sweep (`report sim --bakeoff --smoke`) runs the full
 #      contender plan against a no-prefetch baseline on all five
 #      workload schedules, staging zoo.tsv telemetry artifacts;
 #   2. the rendered table must cover every contender scheme on every
@@ -14,10 +14,10 @@
 #      the change is intentional (new scheme, retuned knobs, table
 #      format) and say so in the commit.
 #
-# Needs: target/release/sim_report (make build), sha256sum.
+# Needs: target/release/report (make build), sha256sum.
 set -euo pipefail
 
-SIM_REPORT=${SIM_REPORT:-target/release/sim_report}
+REPORT=${REPORT:-target/release/report}
 GOLDEN_SHA256="0fde2856c59f7ec20cbafb67cae6d4e9874f98bda4c1f0b3afaa31c221efdf92"
 SCHEMES="nl nnl disc target stream mana pmap"
 WORKLOADS="DB TPC-W jApp Web Mixed"
@@ -36,10 +36,10 @@ run_sweep() { # $1 = tag, $2 = jobs
     IPSIM_TRACE_DIR="${ROOT}/$1/traces" \
     IPSIM_TELEMETRY_DIR="${ROOT}/$1/telemetry" \
     IPSIM_RUNLOG="${ROOT}/$1/runlog.tsv" \
-        "${SIM_REPORT}" --bakeoff --smoke --jobs "$2" 2>/dev/null
+        "${REPORT}" sim --bakeoff --smoke --jobs "$2" 2>/dev/null
 }
 
-[ -x "${SIM_REPORT}" ] || fail "missing ${SIM_REPORT} (run: cargo build --release)"
+[ -x "${REPORT}" ] || fail "missing ${REPORT} (run: cargo build --release)"
 
 echo "bakeoff_smoke: sweep 1 (4 workers)..."
 run_sweep a 4 > "${ROOT}/table_a.txt"

@@ -4,20 +4,19 @@
 #   1. `GET /v1/metrics` serves valid Prometheus text exposition before
 #      any traffic, with every core serve family pre-registered;
 #   2. after a real job executes, the request/queue/execute histograms
-#      and job counters have moved, and `ops_report --require` validates
+#      and job counters have moved, and `report ops --require` validates
 #      the scrape offline;
 #   3. `/v1/stats` carries per-endpoint latency percentiles;
 #   4. a graceful drain exports `spans.trace.json`, which the shared
-#      Chrome-trace validator (via telemetry_check) accepts and
-#      `ops_report --spans` folds into a per-span table.
+#      Chrome-trace validator (via `report check`) accepts and
+#      `report ops --spans` folds into a per-span table.
 #
-# Needs: target/release/{ipsim_serve,ops_report,telemetry_check}
+# Needs: target/release/{ipsim_serve,report}
 # (make build), curl, jq.
 set -euo pipefail
 
 SERVE=${SERVE:-target/release/ipsim_serve}
-OPS_REPORT=${OPS_REPORT:-target/release/ops_report}
-TELEMETRY_CHECK=${TELEMETRY_CHECK:-target/release/telemetry_check}
+REPORT=${REPORT:-target/release/report}
 PORT=$((21000 + RANDOM % 20000))
 ADDR="127.0.0.1:${PORT}"
 ROOT=$(mktemp -d /tmp/ipsim-metrics-smoke.XXXXXX)
@@ -56,12 +55,12 @@ case "${CTYPE}" in
 text/plain*) ;;
 *) fail "unexpected /v1/metrics content type '${CTYPE}'" ;;
 esac
-"${OPS_REPORT}" --metrics "${ROOT}/cold.prom" --require "${REQUIRED}" >/dev/null ||
+"${REPORT}" ops --metrics "${ROOT}/cold.prom" --require "${REQUIRED}" >/dev/null ||
     fail "cold scrape missing required families"
 echo "   ok: cold scrape parses and carries all $(echo "${REQUIRED}" | tr ',' '\n' | wc -l) families"
 
 echo "== run a job, metrics move =="
-ID=$(curl -s -X POST -H 'Content-Type: application/json' -H 'X-Client-Id: smoke' \
+ID=$(curl -s -X POST -H 'Content-Type: application/json' \
     -d "${SPEC}" "http://${ADDR}/v1/jobs" | jq -r .id)
 [ "${ID}" != "null" ] || fail "submit returned no job id"
 for _ in $(seq 1 600); do
@@ -73,14 +72,14 @@ done
 [ "${STATE}" = "done" ] || fail "job never finished"
 
 curl -s "http://${ADDR}/v1/metrics" >"${ROOT}/warm.prom"
-"${OPS_REPORT}" --metrics "${ROOT}/warm.prom" --require "${REQUIRED}" >"${ROOT}/ops.txt" ||
+"${REPORT}" ops --metrics "${ROOT}/warm.prom" --require "${REQUIRED}" >"${ROOT}/ops.txt" ||
     fail "warm scrape failed validation"
 grep -q 'ipsim_serve_jobs_total{state="done"} 1' "${ROOT}/warm.prom" ||
     fail "jobs_total{state=done} did not reach 1"
 grep -q 'ipsim_serve_job_execute_micros_count 1' "${ROOT}/warm.prom" ||
     fail "execute histogram did not record the run"
-grep -q '== histograms ==' "${ROOT}/ops.txt" || fail "ops_report rendered no histogram table"
-echo "   ok: job counters and execute histogram moved; ops_report renders"
+grep -q '== histograms ==' "${ROOT}/ops.txt" || fail "report ops rendered no histogram table"
+echo "   ok: job counters and execute histogram moved; report ops renders"
 
 echo "== /v1/stats carries latency percentiles =="
 curl -s "http://${ADDR}/v1/stats" | jq -e '.latency_micros.jobs.p50' >/dev/null ||
@@ -93,9 +92,9 @@ wait "${DAEMON_PID}" 2>/dev/null || true
 DAEMON_PID=""
 SPANS="${ROOT}/serve/spans.trace.json"
 [ -s "${SPANS}" ] || fail "daemon wrote no ${SPANS}"
-"${TELEMETRY_CHECK}" "${SPANS}" || fail "span trace failed the shared Chrome-trace validator"
-"${OPS_REPORT}" --spans "${SPANS}" | grep -q 'serve.request' ||
-    fail "ops_report found no serve.request spans"
+"${REPORT}" check "${SPANS}" || fail "span trace failed the shared Chrome-trace validator"
+"${REPORT}" ops --spans "${SPANS}" | grep -q 'serve.request' ||
+    fail "report ops found no serve.request spans"
 echo "   ok: spans.trace.json validates and folds into a span table"
 
 echo "metrics_smoke: PASS"

@@ -57,7 +57,7 @@ stop() {
 
 submit() {
     curl -s -X POST -H 'Content-Type: application/json' \
-        -H 'X-Client-Id: smoke' -d "$1" "http://${ADDR}/v1/jobs"
+        -d "$1" "http://${ADDR}/v1/jobs"
 }
 
 wait_done() {
@@ -134,7 +134,7 @@ submit "${SPEC}" >/dev/null
 OVERFLOW_SPEC='{"v":1,"runs":[{"config":"single_core","workload":"web","prefetcher":"none","policy":"install_both","warm":50000,"measure":100000}]}'
 submit "${OVERFLOW_SPEC}" >/dev/null
 CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
-    -H 'Content-Type: application/json' -H 'X-Client-Id: smoke2' \
+    -H 'Content-Type: application/json' \
     -d '{"v":1,"runs":[{"config":"single_core","workload":"japp","prefetcher":"none","policy":"install_both","warm":50000,"measure":100000}]}' \
     "http://${ADDR}/v1/jobs")
 [ "${CODE}" = "429" ] || fail "expected 429 on overflow, got ${CODE}"

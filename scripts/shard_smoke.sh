@@ -11,15 +11,15 @@
 #      and say so in the commit;
 #   3. a warm re-run over the sharded directory must render zero figures
 #      (the incremental manifest proves both outputs current);
-#   4. `sweep_report --stable` over the solo and sharded directories
+#   4. `report sweep --stable` over the solo and sharded directories
 #      must produce identical bytes (the stable view is independent of
 #      how the sweep was executed).
 #
-# Needs: target/release/{all_figures,sweep_report} (make build), sha256sum.
+# Needs: target/release/{all_figures,report} (make build), sha256sum.
 set -euo pipefail
 
 ALL_FIGURES=${ALL_FIGURES:-$(pwd)/target/release/all_figures}
-SWEEP_REPORT=${SWEEP_REPORT:-$(pwd)/target/release/sweep_report}
+REPORT=${REPORT:-$(pwd)/target/release/report}
 GOLDEN_FIG02="071f7ee4f5ed0287e8f9e46f459a8c44f807bf1dfb3d59850112ee56fe02263a"
 GOLDEN_FIG05="3273ed53fcce5d75222e51f610f8b4e71b5c1b0cf51186f1a0e24b029c00194c"
 ROOT=$(mktemp -d /tmp/ipsim-shard-smoke.XXXXXX)
@@ -48,12 +48,12 @@ run_sweep() { # $1 = tag, $2 = shards
 
 report_stable() { # $1 = tag
     local dir="${ROOT}/$1"
-    "${SWEEP_REPORT}" --stable --runlog "${dir}/runlog.tsv" \
+    "${REPORT}" sweep --stable --runlog "${dir}/runlog.tsv" \
         --cache "${dir}/cache" --telemetry "${dir}/telemetry"
 }
 
 [ -x "${ALL_FIGURES}" ] || fail "missing ${ALL_FIGURES} (run: cargo build --release)"
-[ -x "${SWEEP_REPORT}" ] || fail "missing ${SWEEP_REPORT} (run: cargo build --release)"
+[ -x "${REPORT}" ] || fail "missing ${REPORT} (run: cargo build --release)"
 
 echo "shard_smoke: mini-sweep, 1 shard..."
 run_sweep solo 1 > "${ROOT}/solo.out"
@@ -84,6 +84,6 @@ echo "shard_smoke: warm re-run skipped both figures"
 report_stable solo > "${ROOT}/report_solo.txt"
 report_stable sharded > "${ROOT}/report_sharded.txt"
 cmp -s "${ROOT}/report_solo.txt" "${ROOT}/report_sharded.txt" \
-    || fail "sweep_report --stable differs between solo and sharded runs"
+    || fail "report sweep --stable differs between solo and sharded runs"
 echo "shard_smoke: stable sweep report identical across execution shapes"
 echo "shard_smoke: PASS"
