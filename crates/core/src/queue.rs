@@ -1,6 +1,25 @@
 //! The per-core prefetch queue (Section 4.1 of the paper).
-
-use std::collections::VecDeque;
+//!
+//! The queue is a fixed arena of `capacity` slots. Each slot's line
+//! address sits in one dense `u64` lane, so finding a line is a single
+//! branch-free pass over that lane. Slots fill in index order and a slot
+//! freed by overflow is refilled by the push that freed it, so the
+//! occupied slots are always a prefix of the arena: occupancy is a length,
+//! not a sentinel line value, and every `u64` is an ordinary line. Two
+//! intrusive index lists keep the order: all occupied slots by recency,
+//! and the waiting slots by recency.
+//!
+//! Costs per operation, for `n` occupied slots:
+//!
+//! * [`PrefetchQueue::push`]: one lane pass for dedup, then O(1) to hoist,
+//!   drop or link in. A full queue first reclaims a slot by walking back
+//!   from the oldest slot past waiting ones to the oldest record, which
+//!   is usually zero or one step.
+//! * [`PrefetchQueue::pop_issue`], [`PrefetchQueue::waiting`] and
+//!   [`PrefetchQueue::clear`]: O(1).
+//! * [`PrefetchQueue::on_demand_fetch`]: O(1) when nothing waits, else one
+//!   lane pass.
+//! * [`PrefetchQueue::slot_state`]: one lane pass.
 
 use ipsim_types::LineAddr;
 
@@ -15,12 +34,6 @@ pub enum SlotState {
     Issued,
     /// Invalidated by a matching demand fetch; retained as a record.
     Invalid,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    req: PrefetchRequest,
-    state: SlotState,
 }
 
 /// Counters maintained by the [`PrefetchQueue`].
@@ -39,6 +52,66 @@ pub struct QueueStats {
     pub invalidated: u64,
     /// Prefetches handed to the issue path.
     pub issued: u64,
+}
+
+/// End-of-list marker for [`SlotList`].
+const NIL: usize = usize::MAX;
+
+/// A doubly linked list threaded through arena slot indices.
+#[derive(Debug, Clone)]
+struct SlotList {
+    /// `(prev, next)` of each slot on the list; stale for slots off it.
+    links: Box<[(usize, usize)]>,
+    /// Most recent slot, or [`NIL`].
+    head: usize,
+    /// Least recent slot, or [`NIL`].
+    tail: usize,
+}
+
+impl SlotList {
+    fn new(capacity: usize) -> SlotList {
+        SlotList {
+            links: vec![(NIL, NIL); capacity].into_boxed_slice(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.head = NIL;
+        self.tail = NIL;
+    }
+
+    /// Links `slot`, which is not on the list, in at the head.
+    fn push_front(&mut self, slot: usize) {
+        self.links[slot] = (NIL, self.head);
+        match self.head {
+            NIL => self.tail = slot,
+            head => self.links[head].0 = slot,
+        }
+        self.head = slot;
+    }
+
+    /// Unlinks `slot`, which is on the list.
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = self.links[slot];
+        match prev {
+            NIL => self.head = next,
+            prev => self.links[prev].1 = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.links[next].0 = prev,
+        }
+    }
+
+    /// Moves `slot`, which is on the list, to the head.
+    fn move_to_front(&mut self, slot: usize) {
+        if self.head != slot {
+            self.unlink(slot);
+            self.push_front(slot);
+        }
+    }
 }
 
 /// The paper's prefetch queue: finite, managed **last-in first-out** so
@@ -72,9 +145,18 @@ pub struct QueueStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefetchQueue {
-    /// Front = head (most recent / highest priority).
-    slots: VecDeque<Slot>,
-    capacity: usize,
+    /// Line address of each slot; slots `0..len` are occupied.
+    lines: Box<[u64]>,
+    /// The request each occupied slot holds.
+    reqs: Box<[PrefetchRequest]>,
+    /// The state of each occupied slot.
+    states: Box<[SlotState]>,
+    len: usize,
+    /// Every occupied slot, most recently pushed or hoisted first.
+    recency: SlotList,
+    /// The waiting slots in the same order; the head issues next.
+    waiting: SlotList,
+    n_waiting: usize,
     stats: QueueStats,
 }
 
@@ -87,8 +169,13 @@ impl PrefetchQueue {
     pub fn new(capacity: usize) -> PrefetchQueue {
         assert!(capacity > 0, "queue capacity must be non-zero");
         PrefetchQueue {
-            slots: VecDeque::with_capacity(capacity),
-            capacity,
+            lines: vec![0; capacity].into_boxed_slice(),
+            reqs: vec![PrefetchRequest::sequential(LineAddr(0)); capacity].into_boxed_slice(),
+            states: vec![SlotState::Invalid; capacity].into_boxed_slice(),
+            len: 0,
+            recency: SlotList::new(capacity),
+            waiting: SlotList::new(capacity),
+            n_waiting: 0,
             stats: QueueStats::default(),
         }
     }
@@ -101,34 +188,42 @@ impl PrefetchQueue {
     /// Empties the queue — entries, dedup records and statistics — back to
     /// the state of a freshly built queue (run-reuse reset).
     pub fn clear(&mut self) {
-        self.slots.clear();
+        self.len = 0;
+        self.recency.clear();
+        self.waiting.clear();
+        self.n_waiting = 0;
         self.stats = QueueStats::default();
     }
 
     /// Number of waiting (issuable) entries.
     pub fn waiting(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.state == SlotState::Waiting)
-            .count()
+        self.n_waiting
     }
 
     /// The state of the slot holding `line`, if any.
     pub fn slot_state(&self, line: LineAddr) -> Option<SlotState> {
-        self.slots
+        self.find(line).map(|slot| self.states[slot])
+    }
+
+    /// The occupied slot holding `line`. Lines are unique among occupied
+    /// slots, so one branch-free pass over the lane finds it.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<usize> {
+        let hit = self.lines[..self.len]
             .iter()
-            .find(|s| s.req.line == line)
-            .map(|s| s.state)
+            .enumerate()
+            .fold(NIL, |hit, (slot, &l)| if l == line.0 { slot } else { hit });
+        (hit != NIL).then_some(hit)
     }
 
     /// Pushes one request, applying dedup / hoisting / overflow rules.
     pub fn push(&mut self, req: PrefetchRequest) {
-        if let Some(pos) = self.slots.iter().position(|s| s.req.line == req.line) {
-            match self.slots[pos].state {
+        if let Some(slot) = self.find(req.line) {
+            match self.states[slot] {
                 SlotState::Waiting => {
                     // Hoist the existing entry to the head.
-                    let slot = self.slots.remove(pos).expect("position exists");
-                    self.slots.push_front(slot);
+                    self.recency.move_to_front(slot);
+                    self.waiting.move_to_front(slot);
                     self.stats.hoisted += 1;
                 }
                 SlotState::Issued | SlotState::Invalid => {
@@ -137,25 +232,41 @@ impl PrefetchQueue {
             }
             return;
         }
-        if self.slots.len() == self.capacity {
-            // Reclaim the oldest record first; only drop a real (waiting)
-            // prefetch — the oldest — when no record remains.
-            if let Some(pos) = self
-                .slots
-                .iter()
-                .rposition(|s| s.state != SlotState::Waiting)
-            {
-                self.slots.remove(pos);
-            } else {
-                self.slots.pop_back();
-                self.stats.dropped_overflow += 1;
-            }
-        }
-        self.slots.push_front(Slot {
-            req,
-            state: SlotState::Waiting,
-        });
+        let slot = if self.len < self.lines.len() {
+            self.len += 1;
+            self.len - 1
+        } else {
+            self.reclaim()
+        };
+        self.lines[slot] = req.line.0;
+        self.reqs[slot] = req;
+        self.states[slot] = SlotState::Waiting;
+        self.recency.push_front(slot);
+        self.waiting.push_front(slot);
+        self.n_waiting += 1;
         self.stats.pushed += 1;
+    }
+
+    /// Frees a slot of the full queue for a new request: the oldest record
+    /// first; only drop a real (waiting) prefetch — the oldest — when no
+    /// record remains.
+    fn reclaim(&mut self) -> usize {
+        if self.n_waiting == self.len {
+            // Every slot waits, so the oldest slot is the oldest waiting one.
+            let slot = self.recency.tail;
+            self.recency.unlink(slot);
+            self.waiting.unlink(slot);
+            self.n_waiting -= 1;
+            self.stats.dropped_overflow += 1;
+            return slot;
+        }
+        // A record exists: walk back from the oldest slot past waiting ones.
+        let mut slot = self.recency.tail;
+        while self.states[slot] == SlotState::Waiting {
+            slot = self.recency.links[slot].0;
+        }
+        self.recency.unlink(slot);
+        slot
     }
 
     /// Pushes a batch whose order is *issue-priority* order: `batch[0]`
@@ -170,21 +281,28 @@ impl PrefetchQueue {
     /// Takes the highest-priority waiting prefetch for issue, leaving an
     /// issued record behind.
     pub fn pop_issue(&mut self) -> Option<PrefetchRequest> {
-        let pos = self
-            .slots
-            .iter()
-            .position(|s| s.state == SlotState::Waiting)?;
-        self.slots[pos].state = SlotState::Issued;
+        let slot = self.waiting.head;
+        if slot == NIL {
+            return None;
+        }
+        self.waiting.unlink(slot);
+        self.n_waiting -= 1;
+        self.states[slot] = SlotState::Issued;
         self.stats.issued += 1;
-        Some(self.slots[pos].req)
+        Some(self.reqs[slot])
     }
 
     /// A demand fetch of `line` occurred: invalidate matching waiting
     /// entries (the prefetch is now pointless — the miss already happened).
     pub fn on_demand_fetch(&mut self, line: LineAddr) {
-        for s in &mut self.slots {
-            if s.req.line == line && s.state == SlotState::Waiting {
-                s.state = SlotState::Invalid;
+        if self.n_waiting == 0 {
+            return;
+        }
+        if let Some(slot) = self.find(line) {
+            if self.states[slot] == SlotState::Waiting {
+                self.states[slot] = SlotState::Invalid;
+                self.waiting.unlink(slot);
+                self.n_waiting -= 1;
                 self.stats.invalidated += 1;
             }
         }
@@ -287,6 +405,49 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_panics() {
         PrefetchQueue::new(0);
+    }
+
+    #[test]
+    fn capacity_one_queue() {
+        let mut q = PrefetchQueue::new(1);
+        q.push(req(1));
+        q.push(req(2)); // full of waiting entries: drops 1
+        assert_eq!(q.stats().dropped_overflow, 1);
+        assert!(q.slot_state(LineAddr(1)).is_none());
+        assert_eq!(q.pop_issue().unwrap().line, LineAddr(2));
+        q.push(req(2)); // dedups against its own record
+        assert_eq!(q.stats().dropped_record, 1);
+        q.push(req(3)); // reclaims the record, no overflow
+        assert_eq!(q.stats().dropped_overflow, 1);
+        assert!(q.slot_state(LineAddr(2)).is_none());
+        q.on_demand_fetch(LineAddr(3));
+        assert_eq!(q.slot_state(LineAddr(3)), Some(SlotState::Invalid));
+        assert_eq!(q.waiting(), 0);
+        assert!(q.pop_issue().is_none());
+    }
+
+    #[test]
+    fn reuse_after_clear_matches_a_fresh_queue() {
+        let ops = |q: &mut PrefetchQueue| {
+            q.push_batch(&[req(1), req(2), req(3)]);
+            q.on_demand_fetch(LineAddr(2));
+            let first = q.pop_issue();
+            q.push(req(4));
+            q.push(req(1));
+            (first, q.pop_issue(), q.pop_issue(), q.waiting())
+        };
+        let mut q = PrefetchQueue::new(3);
+        ops(&mut q);
+        q.clear();
+        assert_eq!(*q.stats(), QueueStats::default());
+        assert_eq!(q.waiting(), 0);
+        assert!(q.pop_issue().is_none());
+        for l in 1..=4 {
+            assert!(q.slot_state(LineAddr(l)).is_none());
+        }
+        let mut fresh = PrefetchQueue::new(3);
+        assert_eq!(ops(&mut q), ops(&mut fresh));
+        assert_eq!(q.stats(), fresh.stats());
     }
 
     #[test]

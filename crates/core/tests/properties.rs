@@ -1,9 +1,14 @@
 //! Property-based tests for the prefetch infrastructure: the queue's
 //! no-duplicate and capacity invariants must hold under arbitrary operation
-//! sequences, and the discontinuity table must never exceed its geometry.
+//! sequences, the queue and filter must agree with their list-based
+//! reference models, and the discontinuity table must never exceed its
+//! geometry.
+
+mod reference;
 
 use ipsim_core::{
-    DiscontinuityTable, PrefetchQueue, PrefetchRequest, RecentFetchFilter, SlotState,
+    DiscontinuityTable, PrefetchQueue, PrefetchRequest, PrefetchSource, RecentFetchFilter,
+    SlotState,
 };
 use ipsim_types::LineAddr;
 use proptest::prelude::*;
@@ -23,8 +28,120 @@ fn qop() -> impl Strategy<Value = QOp> {
     ]
 }
 
+/// One step of the differential test. Lines are picks into the case's
+/// alphabet (see [`alphabet`]); requests carry every source and scheme.
+#[derive(Debug, Clone)]
+enum DiffOp {
+    Push(ReqPick),
+    PushBatch(Vec<ReqPick>),
+    Pop,
+    Demand(usize),
+    Record(usize),
+    Clear,
+}
+
+/// A request as drawn: `(line pick, source kind, table index, scheme)`.
+type ReqPick = (usize, u8, u32, u8);
+
+fn req_pick() -> impl Strategy<Value = ReqPick> {
+    (any::<usize>(), 0u8..3, 0u32..4, any::<u8>())
+}
+
+fn diff_op() -> impl Strategy<Value = DiffOp> {
+    (
+        0u32..64,
+        req_pick(),
+        prop::collection::vec(req_pick(), 0..6),
+        any::<usize>(),
+    )
+        .prop_map(|(pick, req, batch, line)| match pick {
+            0 => DiffOp::Clear,
+            1..=20 => DiffOp::Push(req),
+            21..=28 => DiffOp::PushBatch(batch),
+            29..=42 => DiffOp::Pop,
+            43..=52 => DiffOp::Demand(line),
+            _ => DiffOp::Record(line),
+        })
+}
+
+/// The lines a case draws from: a few more small lines than the larger
+/// capacity (so both overflow and dedup happen), plus the top two `u64`
+/// values, which must behave as ordinary lines.
+fn alphabet(capacity: usize) -> Vec<u64> {
+    (0..capacity as u64 + 3)
+        .chain([u64::MAX - 1, u64::MAX])
+        .collect()
+}
+
+fn request(alphabet: &[u64], (line, kind, table_index, scheme): ReqPick) -> PrefetchRequest {
+    let source = match kind {
+        0 => PrefetchSource::Sequential,
+        1 => PrefetchSource::Discontinuity { table_index },
+        _ => PrefetchSource::Target,
+    };
+    PrefetchRequest {
+        line: LineAddr(alphabet[line % alphabet.len()]),
+        source,
+        scheme,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense-lane queue and filter agree with their list-based
+    /// reference models after every operation: same popped requests, same
+    /// slot states, waiting counts, statistics and filter hits.
+    #[test]
+    fn queue_and_filter_match_reference_models(
+        queue_cap in 1usize..41,
+        filter_cap in 1usize..41,
+        ops in prop::collection::vec(diff_op(), 1..400),
+    ) {
+        let lines = alphabet(queue_cap.max(filter_cap));
+        let mut q = PrefetchQueue::new(queue_cap);
+        let mut rq = reference::PrefetchQueue::new(queue_cap);
+        let mut f = RecentFetchFilter::new(filter_cap);
+        let mut rf = reference::RecentFetchFilter::new(filter_cap);
+        for op in ops {
+            match op {
+                DiffOp::Push(pick) => {
+                    let req = request(&lines, pick);
+                    q.push(req);
+                    rq.push(req);
+                }
+                DiffOp::PushBatch(picks) => {
+                    let batch: Vec<_> = picks.into_iter().map(|p| request(&lines, p)).collect();
+                    q.push_batch(&batch);
+                    rq.push_batch(&batch);
+                }
+                DiffOp::Pop => prop_assert_eq!(q.pop_issue(), rq.pop_issue()),
+                DiffOp::Demand(pick) => {
+                    let line = LineAddr(lines[pick % lines.len()]);
+                    q.on_demand_fetch(line);
+                    rq.on_demand_fetch(line);
+                }
+                DiffOp::Record(pick) => {
+                    let line = LineAddr(lines[pick % lines.len()]);
+                    f.record(line);
+                    rf.record(line);
+                }
+                DiffOp::Clear => {
+                    q.clear();
+                    rq.clear();
+                    f.clear();
+                    rf.clear();
+                }
+            }
+            prop_assert_eq!(q.waiting(), rq.waiting());
+            prop_assert_eq!(q.stats(), rq.stats());
+            for &l in &lines {
+                let line = LineAddr(l);
+                prop_assert_eq!(q.slot_state(line), rq.slot_state(line), "line {}", l);
+                prop_assert_eq!(f.contains(line), rf.contains(line), "line {}", l);
+            }
+        }
+    }
 
     /// The queue never holds two slots for the same line, never exceeds its
     /// capacity, and never issues an invalidated prefetch.
