@@ -10,7 +10,9 @@
 //!   paths, at L1 and L2 scale;
 //! - `prefetch/*`: engine `on_fetch`, the prefetch queue and the
 //!   recent-fetch filter;
-//! - `units/*`: branch unit, TLB, MSHR and bus.
+//! - `units/*`: branch unit, TLB, MSHR and bus;
+//! - `telemetry/*`: the two large lifecycle-trace sinks, JSONL and the
+//!   Chrome trace, in ns per event.
 //!
 //! Trace synthesis, walker and stream-codec costs are reported per layer
 //! by perfbench's `--trace 1` breakdown (`trace.*`, `stream.*`).
@@ -46,6 +48,8 @@ use ipsim_core::{
 use ipsim_cpu::{BranchUnit, Bus, OpSource, System, SystemBuilder, Tlb};
 use ipsim_obs::json::{self, Json};
 use ipsim_stream::{ArenaSource, TraceSource};
+use ipsim_telemetry::sink::{write_chrome_trace, write_events_jsonl};
+use ipsim_telemetry::{CoreTrace, PfComponent, PfEvent, PfEventKind, TelemetryRun};
 use ipsim_trace::{TraceWalker, Workload};
 use ipsim_types::config::{BranchConfig, TlbConfig};
 use ipsim_types::instr::CtiClass;
@@ -225,6 +229,7 @@ fn run_all(reps: u32) -> Vec<BenchResult> {
     results.extend(cache_benches(reps));
     results.extend(prefetch_benches(reps));
     results.extend(unit_benches(reps));
+    results.extend(telemetry_benches(reps));
     results
 }
 
@@ -504,6 +509,59 @@ fn unit_benches(reps: u32) -> Vec<BenchResult> {
         micro("units/bus_request", reps, || {
             let mut bus = Bus::new(9.6);
             move |i| bus.request((i + 1) * 25, 400)
+        }),
+    ]
+}
+
+/// A lifecycle trace of [`MICRO_OPS`] events over four cores: cycles
+/// climbing by a few hundred per event and lines drawn from a 16 MiB code
+/// footprint, as a bake-off run's buffers hold them.
+fn synthetic_telemetry() -> TelemetryRun {
+    let mut rng = Rng64::new(13);
+    let per_core = MICRO_OPS / 4;
+    let cores = (0..4)
+        .map(|_| {
+            let mut cycle = 0;
+            let events = (0..per_core)
+                .map(|_| {
+                    cycle += rng.range(400);
+                    PfEvent {
+                        cycle,
+                        line: LineAddr(0x40_0000 + rng.range(1 << 18)),
+                        component: PfComponent::ALL[rng.range(3) as usize],
+                        kind: PfEventKind::ALL[rng.range(12) as usize],
+                    }
+                })
+                .collect();
+            CoreTrace {
+                events,
+                ..CoreTrace::default()
+            }
+        })
+        .collect();
+    TelemetryRun {
+        interval: 100_000,
+        cores,
+        ..TelemetryRun::default()
+    }
+}
+
+/// The sinks over [`synthetic_telemetry`], one op per event. The output
+/// `Vec` is reused across samples, so the lines time formatting, not the
+/// page faults of a fresh buffer.
+fn telemetry_benches(reps: u32) -> Vec<BenchResult> {
+    let run = synthetic_telemetry();
+    let mut out = Vec::new();
+    vec![
+        bench("telemetry/write_events_jsonl", MICRO_OPS, reps, || {
+            out.clear();
+            write_events_jsonl(&mut out, &run).expect("writing into memory cannot fail");
+            black_box(&out);
+        }),
+        bench("telemetry/write_chrome_trace", MICRO_OPS, reps, || {
+            out.clear();
+            write_chrome_trace(&mut out, &run).expect("writing into memory cannot fail");
+            black_box(&out);
         }),
     ]
 }

@@ -290,12 +290,10 @@ impl WireRun {
         let int_field = |name: &str| -> Result<u64, String> {
             let n = value
                 .get(name)
-                .and_then(Json::as_num)
+                .filter(|n| n.as_num().is_some())
                 .ok_or_else(|| format!("run field `{name}` must be a number"))?;
-            if n.fract() != 0.0 || !(0.0..=9e15).contains(&n) {
-                return Err(format!("run field `{name}` must be a non-negative integer"));
-            }
-            Ok(n as u64)
+            n.as_u64()
+                .ok_or_else(|| format!("run field `{name}` must be a non-negative integer"))
         };
         let limit = match value.get("limit") {
             None | Some(Json::Null) => None,
@@ -876,6 +874,16 @@ mod tests {
         assert!(JobSpec::from_json(&ok).is_err());
         // Absurd windows are rejected at the door.
         assert!(WireRun::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t9999999999999").is_err());
+        // Window lengths are exact non-negative integers, never cast.
+        let job = |warm: &str| {
+            format!(
+                r#"{{"v":2,"runs":[{{"config":"cmp4","workload":"mixed","policy":"bypass","warm":{warm},"measure":4000000}}]}}"#
+            )
+        };
+        assert!(JobSpec::from_json(&job("2e6")).is_ok());
+        for bad in ["-1", "1.5", "1e30", "\"7\""] {
+            assert!(JobSpec::from_json(&job(bad)).is_err(), "{bad}");
+        }
         // Bad TSV header.
         assert!(JobSpec::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t2\n").is_err());
         assert!(prefetcher_from_wire("disc:8192").is_err());

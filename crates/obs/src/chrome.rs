@@ -3,10 +3,18 @@
 //! spans ([`SpanRecorder`](crate::SpanRecorder)) both write through
 //! [`ChromeTrace`], which fixes the envelope, field order and escaping;
 //! [`validate`] checks what either wrote.
+//!
+//! Each event is rendered whole into a [`Stage`], and the output sees
+//! 64 KiB chunks. Events that differ only in their timestamp and one
+//! argument value (a lifecycle trace has millions, in 36 shapes per core)
+//! go through a [`Shape`], whose constant bytes are rendered and escaped
+//! once; [`ChromeTrace::event`] and [`Shape`] write the same segments in
+//! the same order, so both produce the same bytes for the same event.
 
 use std::io::{self, Write};
 
 use crate::json::{self, Json};
+use crate::stage::{digits, Stage};
 
 /// What an event marks, with its timing in trace units (µs for spans,
 /// core cycles for the simulator).
@@ -22,6 +30,32 @@ pub enum Phase {
     Complete(u64, u64),
 }
 
+impl Phase {
+    /// The bytes from the end of the name (or category) string up to the
+    /// first timestamp digit.
+    fn head(self) -> &'static [u8] {
+        match self {
+            Phase::Metadata => br#"","ph":"M""#,
+            Phase::Instant(_) => br#"","ph":"i","s":"t","ts":"#,
+            Phase::Counter(_) => br#"","ph":"C","ts":"#,
+            Phase::Complete(..) => br#"","ph":"X","ts":"#,
+        }
+    }
+
+    /// The timestamp digits, then `,"dur":` and the duration's.
+    fn stamp(self, buf: &mut Vec<u8>) {
+        match self {
+            Phase::Metadata => {}
+            Phase::Instant(ts) | Phase::Counter(ts) => digits::<10>(buf, ts),
+            Phase::Complete(ts, dur) => {
+                digits::<10>(buf, ts);
+                buf.extend_from_slice(br#","dur":"#);
+                digits::<10>(buf, dur);
+            }
+        }
+    }
+}
+
 /// One `args` value.
 #[derive(Clone, Copy)]
 pub enum Arg<'a> {
@@ -31,6 +65,33 @@ pub enum Arg<'a> {
     Hex(u64),
     /// A string, escaped on write.
     Str(&'a str),
+}
+
+impl Arg<'_> {
+    /// The bytes between the key's closing quote and the value.
+    fn open(self) -> &'static [u8] {
+        match self {
+            Arg::Num(_) => b"\":",
+            Arg::Hex(_) => b"\":\"0x",
+            Arg::Str(_) => b"\":\"",
+        }
+    }
+
+    fn render(self, buf: &mut Vec<u8>) {
+        match self {
+            Arg::Num(n) => digits::<10>(buf, n),
+            Arg::Hex(n) => digits::<16>(buf, n),
+            Arg::Str(text) => json::escape_into(buf, text),
+        }
+    }
+
+    /// The bytes after the value.
+    fn close(self) -> &'static [u8] {
+        match self {
+            Arg::Num(_) => b"",
+            Arg::Hex(_) | Arg::Str(_) => b"\"",
+        }
+    }
 }
 
 /// One event, written as
@@ -50,99 +111,155 @@ pub struct Event<'a> {
     pub args: &'a [(&'a str, Arg<'a>)],
 }
 
+// An event is five segments, in this order: the head (name, category,
+// phase, up to the first timestamp digit), the stamp (`Phase::stamp`),
+// the lanes (pid, tid and the opening of `args`), the args, and `}}`.
+// `ChromeTrace::event` writes all five; a `Shape` renders the head and
+// the lanes plus its one key once, and fills in the stamp and the value.
+impl Event<'_> {
+    fn head(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(br#"{"name":""#);
+        for part in self.name {
+            json::escape_into(buf, part);
+        }
+        if let Some(cat) = self.cat {
+            buf.extend_from_slice(br#"","cat":""#);
+            json::escape_into(buf, cat);
+        }
+        buf.extend_from_slice(self.ph.head());
+    }
+
+    fn lanes(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(br#","pid":"#);
+        digits::<10>(buf, self.pid);
+        buf.extend_from_slice(br#","tid":"#);
+        digits::<10>(buf, self.tid);
+        buf.extend_from_slice(br#","args":{"#);
+    }
+
+    /// Arg `i`'s key, separator and opening bytes: everything before its
+    /// value.
+    fn arg_open(buf: &mut Vec<u8>, i: usize, key: &str, value: Arg<'_>) {
+        buf.extend_from_slice(if i == 0 { b"\"" } else { b",\"" });
+        buf.extend_from_slice(key.as_bytes());
+        buf.extend_from_slice(value.open());
+    }
+}
+
+/// The constant bytes of a family of events that differ only in their
+/// timestamp and the value of their one `args` member, rendered once.
+/// A lifecycle trace has one per (component, kind, core).
+pub struct Shape {
+    /// The head segment, ending just before the timestamp digits.
+    head: Vec<u8>,
+    /// The lanes segment and the arg's key, ending before its value.
+    tail: Vec<u8>,
+    /// Whether the value is [`Arg::Hex`] rather than [`Arg::Num`].
+    hex: bool,
+    /// The arg's closing bytes and the event's `}}`.
+    close: Vec<u8>,
+}
+
+impl Shape {
+    /// Renders `template`'s constant bytes. Its timestamp and its arg's
+    /// value are placeholders, supplied per event to
+    /// [`ChromeTrace::shaped`].
+    ///
+    /// # Panics
+    ///
+    /// If `template` is not an instant or counter with exactly one
+    /// [`Arg::Num`] or [`Arg::Hex`] arg.
+    pub fn new(template: &Event<'_>) -> Shape {
+        assert!(
+            matches!(template.ph, Phase::Instant(_) | Phase::Counter(_)),
+            "a shape stamps one timestamp"
+        );
+        let [(key, value)] = template.args else {
+            panic!("a shape has exactly one arg");
+        };
+        assert!(!matches!(value, Arg::Str(_)), "a shape's arg is a number");
+        let (mut head, mut tail) = (Vec::new(), Vec::new());
+        template.head(&mut head);
+        template.lanes(&mut tail);
+        Event::arg_open(&mut tail, 0, key, *value);
+        Shape {
+            head,
+            tail,
+            hex: matches!(value, Arg::Hex(_)),
+            close: [value.close(), b"}}"].concat(),
+        }
+    }
+}
+
 /// A `{"traceEvents":[…],"displayTimeUnit":"ns"}` document being written:
-/// [`ChromeTrace::begin`], any number of [`ChromeTrace::event`]s, then
-/// [`ChromeTrace::finish`]. Every method propagates the output's I/O
-/// errors.
+/// [`ChromeTrace::begin`], any number of [`ChromeTrace::event`]s and
+/// [`ChromeTrace::shaped`] events, then [`ChromeTrace::finish`]. Output
+/// is staged: the writer hands `W` whole 64 KiB chunks as they fill and
+/// the rest on `finish`, and every method propagates `W`'s I/O errors.
 pub struct ChromeTrace<W: Write> {
-    out: W,
+    stage: Stage<W>,
     first: bool,
 }
 
 impl<W: Write> ChromeTrace<W> {
     /// Opens the envelope.
-    pub fn begin(mut out: W) -> io::Result<ChromeTrace<W>> {
-        out.write_all(br#"{"traceEvents":["#)?;
-        Ok(ChromeTrace { out, first: true })
+    pub fn begin(out: W) -> ChromeTrace<W> {
+        let mut stage = Stage::new(out);
+        stage.buf().extend_from_slice(br#"{"traceEvents":["#);
+        ChromeTrace { stage, first: true }
     }
 
-    /// Appends one event. Every byte goes straight to the output — no
-    /// `fmt` machinery or intermediate `String` — since a run's lifecycle
-    /// trace has millions of events.
-    pub fn event(&mut self, event: &Event<'_>) -> io::Result<()> {
-        let out = &mut self.out;
+    /// The staging buffer, after the separator the next event needs.
+    #[inline]
+    fn next(&mut self) -> &mut Vec<u8> {
+        let buf = self.stage.buf();
         if !std::mem::take(&mut self.first) {
-            out.write_all(b",")?;
+            buf.push(b',');
         }
-        out.write_all(br#"{"name":""#)?;
-        for part in event.name {
-            json::write_escaped(out, part)?;
-        }
-        if let Some(cat) = event.cat {
-            out.write_all(br#"","cat":""#)?;
-            json::write_escaped(out, cat)?;
-        }
-        let (ph, ts, dur): (&[u8], _, _) = match event.ph {
-            Phase::Metadata => (br#"","ph":"M""#, None, None),
-            Phase::Instant(ts) => (br#"","ph":"i","s":"t","ts":"#, Some(ts), None),
-            Phase::Counter(ts) => (br#"","ph":"C","ts":"#, Some(ts), None),
-            Phase::Complete(ts, dur) => (br#"","ph":"X","ts":"#, Some(ts), Some(dur)),
-        };
-        out.write_all(ph)?;
-        if let Some(ts) = ts {
-            digits::<10, _>(out, ts)?;
-        }
-        if let Some(dur) = dur {
-            out.write_all(br#","dur":"#)?;
-            digits::<10, _>(out, dur)?;
-        }
-        out.write_all(br#","pid":"#)?;
-        digits::<10, _>(out, event.pid)?;
-        out.write_all(br#","tid":"#)?;
-        digits::<10, _>(out, event.tid)?;
-        out.write_all(br#","args":{"#)?;
-        for (i, (key, value)) in event.args.iter().enumerate() {
-            out.write_all(if i == 0 { b"\"" } else { b",\"" })?;
-            out.write_all(key.as_bytes())?;
-            match *value {
-                Arg::Num(n) => {
-                    out.write_all(b"\":")?;
-                    digits::<10, _>(out, n)?;
-                }
-                Arg::Hex(n) => {
-                    out.write_all(b"\":\"0x")?;
-                    digits::<16, _>(out, n)?;
-                    out.write_all(b"\"")?;
-                }
-                Arg::Str(text) => {
-                    out.write_all(b"\":\"")?;
-                    json::write_escaped(out, text)?;
-                    out.write_all(b"\"")?;
-                }
-            }
-        }
-        out.write_all(b"}}")
+        buf
     }
 
-    /// Closes the envelope.
+    /// Appends one event, rendered whole into the stage with no `fmt`
+    /// machinery or intermediate `String`.
+    pub fn event(&mut self, event: &Event<'_>) -> io::Result<()> {
+        let buf = self.next();
+        event.head(buf);
+        event.ph.stamp(buf);
+        event.lanes(buf);
+        for (i, &(key, value)) in event.args.iter().enumerate() {
+            Event::arg_open(buf, i, key, value);
+            value.render(buf);
+            buf.extend_from_slice(value.close());
+        }
+        buf.extend_from_slice(b"}}");
+        self.stage.spill()
+    }
+
+    /// Appends one event of `shape` at `ts` with arg value `value`: the
+    /// same bytes as [`ChromeTrace::event`] on the shape's template with
+    /// these two filled in, at the cost of two copies and two numbers.
+    #[inline]
+    pub fn shaped(&mut self, shape: &Shape, ts: u64, value: u64) -> io::Result<()> {
+        let buf = self.next();
+        buf.extend_from_slice(&shape.head);
+        digits::<10>(buf, ts);
+        buf.extend_from_slice(&shape.tail);
+        if shape.hex {
+            digits::<16>(buf, value);
+        } else {
+            digits::<10>(buf, value);
+        }
+        buf.extend_from_slice(&shape.close);
+        self.stage.spill()
+    }
+
+    /// Closes the envelope and hands `W` the rest of the stage.
     pub fn finish(mut self) -> io::Result<()> {
-        self.out.write_all(br#"],"displayTimeUnit":"ns"}"#)
+        self.stage
+            .buf()
+            .extend_from_slice(br#"],"displayTimeUnit":"ns"}"#);
+        self.stage.finish()
     }
-}
-
-/// Writes `n` in base `RADIX` (lower-case digits), as `{}` / `{:x}` would.
-fn digits<const RADIX: u64, W: Write>(out: &mut W, mut n: u64) -> io::Result<()> {
-    let mut buf = [0u8; 20];
-    let mut start = buf.len();
-    loop {
-        start -= 1;
-        buf[start] = b"0123456789abcdef"[(n % RADIX) as usize];
-        n /= RADIX;
-        if n == 0 {
-            break;
-        }
-    }
-    out.write_all(&buf[start..])
 }
 
 /// Parses a Chrome trace and checks what [`ChromeTrace`] guarantees: a
@@ -203,7 +320,7 @@ mod tests {
     #[test]
     fn every_phase_writes_in_the_fixed_field_order() {
         let mut buf = Vec::new();
-        let mut trace = ChromeTrace::begin(&mut buf).unwrap();
+        let mut trace = ChromeTrace::begin(&mut buf);
         let core = 3;
         trace
             .event(&Event {
@@ -264,20 +381,61 @@ mod tests {
     }
 
     #[test]
-    fn digits_match_std_formatting() {
-        for n in [0, 9, 10, 0xff, 1 << 32, u64::MAX] {
-            let (mut dec, mut hex) = (Vec::new(), Vec::new());
-            digits::<10, _>(&mut dec, n).unwrap();
-            digits::<16, _>(&mut hex, n).unwrap();
-            assert_eq!(dec, n.to_string().into_bytes());
-            assert_eq!(hex, format!("{n:x}").into_bytes());
+    fn shaped_events_match_their_templates() {
+        let templates = [
+            Event {
+                name: &["disc", ":", "first_use_late"],
+                cat: Some("pf"),
+                ph: Phase::Instant(0),
+                pid: 3,
+                tid: 0,
+                args: &[("line", Arg::Hex(0))],
+            },
+            Event {
+                name: &["q\"\\\u{1}é"],
+                cat: None,
+                ph: Phase::Counter(0),
+                pid: u64::MAX,
+                tid: 7,
+                args: &[("depth", Arg::Num(0))],
+            },
+        ];
+        for template in &templates {
+            let shape = Shape::new(template);
+            for (ts, value) in [(0, 0), (9, 0x1f80), (1 << 53, 10), (u64::MAX, u64::MAX)] {
+                let ph = match template.ph {
+                    Phase::Instant(_) => Phase::Instant(ts),
+                    _ => Phase::Counter(ts),
+                };
+                let arg = match template.args[0].1 {
+                    Arg::Hex(_) => Arg::Hex(value),
+                    _ => Arg::Num(value),
+                };
+                let (mut direct, mut shaped) = (Vec::new(), Vec::new());
+                let mut trace = ChromeTrace::begin(&mut direct);
+                trace
+                    .event(&Event {
+                        ph,
+                        args: &[(template.args[0].0, arg)],
+                        ..*template
+                    })
+                    .unwrap();
+                trace.finish().unwrap();
+                let mut trace = ChromeTrace::begin(&mut shaped);
+                trace.shaped(&shape, ts, value).unwrap();
+                trace.finish().unwrap();
+                assert_eq!(
+                    String::from_utf8(shaped).unwrap(),
+                    String::from_utf8(direct).unwrap()
+                );
+            }
         }
     }
 
     #[test]
     fn empty_trace_is_valid() {
         let mut buf = Vec::new();
-        ChromeTrace::begin(&mut buf).unwrap().finish().unwrap();
+        ChromeTrace::begin(&mut buf).finish().unwrap();
         assert_eq!(validate(std::str::from_utf8(&buf).unwrap()).unwrap(), []);
     }
 

@@ -6,8 +6,6 @@
 //! a deeper recursion. Numbers parse as `f64`, so writers encode 64-bit
 //! line addresses as hex strings.
 
-use std::io::{self, Write};
-
 /// Deepest array/object nesting [`parse`] accepts: far above anything
 /// the workspace writes, far below what would overflow a thread's stack.
 pub const MAX_DEPTH: usize = 128;
@@ -50,6 +48,18 @@ impl Json {
     pub fn as_num(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as an integer, if it is an exact one in `0..=2^53`, the
+    /// range in which a JSON double holds every integer. Negative,
+    /// fractional and larger numbers give `None` rather than a cast's
+    /// clamped or truncated value.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = (1u64 << 53) as f64;
+        match *self {
+            Json::Num(n) if (0.0..=MAX_EXACT).contains(&n) && n.fract() == 0.0 => Some(n as u64),
             _ => None,
         }
     }
@@ -248,37 +258,40 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Str
     }
 }
 
-/// Writes `text` escaped for a JSON string literal (quotes not
+/// Appends `text` escaped for a JSON string literal (quotes not
 /// included): runs of plain bytes are copied whole, and only `"`, `\\`
 /// and control characters are rewritten.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `out`.
-pub fn write_escaped<W: Write + ?Sized>(out: &mut W, text: &str) -> io::Result<()> {
+pub fn escape_into(buf: &mut Vec<u8>, text: &str) {
     let mut rest = text.as_bytes();
     while let Some(i) = rest
         .iter()
         .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
     {
-        out.write_all(&rest[..i])?;
+        buf.extend_from_slice(&rest[..i]);
         match rest[i] {
-            b'\n' => out.write_all(b"\\n"),
-            b'\r' => out.write_all(b"\\r"),
-            b'\t' => out.write_all(b"\\t"),
-            quoted @ (b'"' | b'\\') => out.write_all(&[b'\\', quoted]),
-            control => write!(out, "\\u{control:04x}"),
-        }?;
+            b'\n' => buf.extend_from_slice(b"\\n"),
+            b'\r' => buf.extend_from_slice(b"\\r"),
+            b'\t' => buf.extend_from_slice(b"\\t"),
+            quoted @ (b'"' | b'\\') => buf.extend_from_slice(&[b'\\', quoted]),
+            control => {
+                let hex = b"0123456789abcdef";
+                buf.extend_from_slice(b"\\u00");
+                buf.extend_from_slice(&[
+                    hex[usize::from(control >> 4)],
+                    hex[usize::from(control & 0xf)],
+                ]);
+            }
+        }
         rest = &rest[i + 1..];
     }
-    out.write_all(rest)
+    buf.extend_from_slice(rest);
 }
 
 /// Escapes `text` for embedding inside a JSON string literal (quotes not
 /// included).
 pub fn escape(text: &str) -> String {
     let mut out = Vec::with_capacity(text.len());
-    write_escaped(&mut out, text).expect("writing to a Vec cannot fail");
+    escape_into(&mut out, text);
     String::from_utf8(out).expect("escaping keeps UTF-8 intact")
 }
 
@@ -338,6 +351,29 @@ mod tests {
         for nasty in ["he said \"hi\"\n\tback\\slash\u{1}", "a\"b\\c\nd", "\u{1}"] {
             let doc = format!("\"{}\"", escape(nasty));
             assert_eq!(parse(&doc).unwrap(), Json::Str(nasty.to_string()));
+        }
+    }
+
+    #[test]
+    fn as_u64_takes_only_exact_non_negative_integers() {
+        let num = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(num("0"), Some(0));
+        assert_eq!(num("-0"), Some(0));
+        assert_eq!(num("42"), Some(42));
+        assert_eq!(num("1.5e1"), Some(15));
+        assert_eq!(num("1e3"), Some(1_000));
+        assert_eq!(num("9007199254740992"), Some(1 << 53));
+        for bad in [
+            "-5",
+            "-1",
+            "1.5",
+            "0.9",
+            "1e30",
+            "9007199254740994",
+            "\"7\"",
+            "null",
+        ] {
+            assert_eq!(num(bad), None, "{bad}");
         }
     }
 

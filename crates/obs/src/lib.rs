@@ -17,7 +17,9 @@
 //!   and validator, which `ipsim-telemetry`'s lifecycle trace shares —
 //!   so orchestration spans and sim-level telemetry merge into one
 //!   timeline. [`json`] is the workspace's one JSON parser (nesting-
-//!   bounded, as it reads untrusted daemon input) and string escaper.
+//!   bounded, as it reads untrusted daemon input) and string escaper,
+//!   and [`stage`] the output staging and number formatting every
+//!   trace and telemetry writer shares.
 //!
 //! All instrumentation is gated on one process-global flag: after
 //! [`set_enabled`]`(false)` every record call is a single relaxed load
@@ -36,6 +38,7 @@ pub mod json;
 pub mod prom;
 pub mod registry;
 pub mod span;
+pub mod stage;
 
 pub use hist::{HistSnapshot, Histogram};
 pub use prom::{histogram_percentile, parse_text, Exposition, Family, Sample};

@@ -187,7 +187,7 @@ impl SpanRecorder {
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_chrome_trace<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let mut trace = ChromeTrace::begin(w)?;
+        let mut trace = ChromeTrace::begin(w);
         for s in self.completed() {
             trace.event(&Event {
                 name: &[&s.name],

@@ -6,12 +6,20 @@
 //! well-formed using the exporter's own definition of the format rather
 //! than eyeball inspection. Line addresses are always encoded as `"0x…"`
 //! hex strings — JSON numbers are doubles and a 64-bit line address does
-//! not survive them.
+//! not survive them; the readers take a JSON number as an integer only
+//! when it is an exact one in `0..=2^53` ([`Json::as_u64`]).
+//!
+//! Every writer stages its output through [`ipsim_obs::stage`], so `W`
+//! sees whole 64 KiB chunks and the rest at the end, never a fragment per
+//! field. The two large artifacts, JSONL and the Chrome trace, also
+//! render each lifecycle event from bytes pre-rendered per (component,
+//! kind) and per core, with no `fmt` machinery per event.
 
 use std::io::{self, Write};
 
-use ipsim_obs::chrome::{Arg, ChromeTrace, Event, Phase};
+use ipsim_obs::chrome::{Arg, ChromeTrace, Event, Phase, Shape};
 use ipsim_obs::json::{self, Json};
+use ipsim_obs::stage::{digits, Stage};
 use ipsim_types::LineAddr;
 
 use crate::event::{ComponentCounters, PfComponent, PfEvent, PfEventKind};
@@ -24,33 +32,67 @@ pub const JSONL_SCHEMA: &str = "ipsim-telemetry-v1";
 /// Writes the lifecycle event trace as JSON Lines: one header object,
 /// then one object per event in per-core emission order.
 ///
+/// Each line is staged whole from three pre-rendered pieces and two
+/// numbers: the core's `{"core":N,"cycle":` prefix, the cycle, the line
+/// address, and a `","component":…,"kind":…"}` suffix looked up per
+/// (component, kind). `W` sees 64 KiB chunks (see [`Stage`]).
+///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_events_jsonl<W: Write>(w: &mut W, run: &TelemetryRun) -> io::Result<()> {
-    let dropped: Vec<String> = run.cores.iter().map(|c| c.dropped.to_string()).collect();
-    writeln!(
-        w,
-        r#"{{"schema":"{}","interval":{},"cores":{},"dropped":[{}]}}"#,
-        JSONL_SCHEMA,
-        run.interval,
-        run.cores.len(),
-        dropped.join(",")
-    )?;
+    let mut stage = Stage::new(w);
+    let buf = stage.buf();
+    buf.extend_from_slice(br#"{"schema":""#);
+    buf.extend_from_slice(JSONL_SCHEMA.as_bytes());
+    buf.extend_from_slice(br#"","interval":"#);
+    digits::<10>(buf, run.interval);
+    buf.extend_from_slice(br#","cores":"#);
+    digits::<10>(buf, run.cores.len() as u64);
+    buf.extend_from_slice(br#","dropped":["#);
+    for (i, trace) in run.cores.iter().enumerate() {
+        if i > 0 {
+            buf.push(b',');
+        }
+        digits::<10>(buf, trace.dropped);
+    }
+    buf.extend_from_slice(b"]}\n");
+    let suffixes: Vec<Vec<u8>> = PfComponent::ALL
+        .iter()
+        .flat_map(|c| {
+            PfEventKind::ALL.iter().map(move |k| {
+                [
+                    br#"","component":""#,
+                    c.name().as_bytes(),
+                    br#"","kind":""#,
+                    k.name().as_bytes(),
+                    b"\"}\n",
+                ]
+                .concat()
+            })
+        })
+        .collect();
     for (core, trace) in run.cores.iter().enumerate() {
+        let mut prefix = br#"{"core":"#.to_vec();
+        digits::<10>(&mut prefix, core as u64);
+        prefix.extend_from_slice(br#","cycle":"#);
         for ev in &trace.events {
-            writeln!(
-                w,
-                r#"{{"core":{},"cycle":{},"line":"{:#x}","component":"{}","kind":"{}"}}"#,
-                core,
-                ev.cycle,
-                ev.line.0,
-                ev.component.name(),
-                ev.kind.name()
-            )?;
+            let buf = stage.buf();
+            buf.extend_from_slice(&prefix);
+            digits::<10>(buf, ev.cycle);
+            buf.extend_from_slice(br#","line":"0x"#);
+            digits::<16>(buf, ev.line.0);
+            buf.extend_from_slice(&suffixes[shape_index(ev)]);
+            stage.spill()?;
         }
     }
-    Ok(())
+    stage.finish()
+}
+
+/// An event's (component, kind) pair as a dense index, for per-pair
+/// tables of pre-rendered bytes.
+fn shape_index(ev: &PfEvent) -> usize {
+    ev.component.index() * PfEventKind::COUNT + ev.kind.index()
 }
 
 /// A parsed JSONL artifact: the header fields plus events regrouped per
@@ -92,21 +134,21 @@ pub fn parse_events_jsonl(text: &str) -> Result<ParsedEvents, String> {
     }
     let interval = header
         .get("interval")
-        .and_then(Json::as_num)
-        .ok_or("line 1: missing interval")? as u64;
+        .and_then(Json::as_u64)
+        .ok_or("line 1: missing or non-integer interval")?;
     let n_cores = header
         .get("cores")
-        .and_then(Json::as_num)
-        .ok_or("line 1: missing cores")? as usize;
+        .and_then(Json::as_u64)
+        .ok_or("line 1: missing or non-integer cores")?;
     let dropped: Vec<u64> = header
         .get("dropped")
         .and_then(Json::as_arr)
         .ok_or("line 1: missing dropped")?
         .iter()
-        .map(|v| v.as_num().map(|n| n as u64))
+        .map(Json::as_u64)
         .collect::<Option<_>>()
-        .ok_or("line 1: non-numeric dropped entry")?;
-    if dropped.len() != n_cores {
+        .ok_or("line 1: non-integer dropped entry")?;
+    if dropped.len() as u64 != n_cores {
         return Err(format!(
             "line 1: dropped has {} entries for {} cores",
             dropped.len(),
@@ -114,7 +156,7 @@ pub fn parse_events_jsonl(text: &str) -> Result<ParsedEvents, String> {
         ));
     }
 
-    let mut per_core: Vec<Vec<PfEvent>> = vec![Vec::new(); n_cores];
+    let mut per_core: Vec<Vec<PfEvent>> = vec![Vec::new(); dropped.len()];
     for (idx, line) in lines {
         if line.is_empty() {
             continue;
@@ -123,15 +165,15 @@ pub fn parse_events_jsonl(text: &str) -> Result<ParsedEvents, String> {
         let doc = json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
         let core = doc
             .get("core")
-            .and_then(Json::as_num)
-            .ok_or(format!("line {lineno}: missing core"))? as usize;
-        if core >= n_cores {
+            .and_then(Json::as_u64)
+            .ok_or(format!("line {lineno}: missing or non-integer core"))?;
+        let Some(events) = per_core.get_mut(core as usize) else {
             return Err(format!("line {lineno}: core {core} out of range"));
-        }
+        };
         let cycle = doc
             .get("cycle")
-            .and_then(Json::as_num)
-            .ok_or(format!("line {lineno}: missing cycle"))? as u64;
+            .and_then(Json::as_u64)
+            .ok_or(format!("line {lineno}: missing or non-integer cycle"))?;
         let line_addr = doc
             .get("line")
             .and_then(Json::as_str)
@@ -150,7 +192,7 @@ pub fn parse_events_jsonl(text: &str) -> Result<ParsedEvents, String> {
             .and_then(Json::as_str)
             .and_then(PfEventKind::from_name)
             .ok_or(format!("line {lineno}: unknown kind"))?;
-        per_core[core].push(PfEvent {
+        events.push(PfEvent {
             cycle,
             line: LineAddr(line_addr),
             component,
@@ -168,13 +210,14 @@ pub fn parse_events_jsonl(text: &str) -> Result<ParsedEvents, String> {
 /// `chrome://tracing` or <https://ui.perfetto.dev>) through the shared
 /// [`ipsim_obs::chrome`] writer. Each core becomes a process: lifecycle
 /// events are instants on its timeline (`ph:"i"`, `ts` = core cycle) and
-/// sample rows become counter tracks (`ph:"C"`).
+/// sample rows become counter tracks (`ph:"C"`). Each core's 36
+/// (component, kind) instants are [`Shape`]s, rendered once.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_chrome_trace<W: Write>(w: &mut W, run: &TelemetryRun) -> io::Result<()> {
-    let mut trace = ChromeTrace::begin(w)?;
+    let mut trace = ChromeTrace::begin(w);
     for (core, core_trace) in run.cores.iter().enumerate() {
         let pid = core as u64 + 1;
         trace.event(&Event {
@@ -185,15 +228,23 @@ pub fn write_chrome_trace<W: Write>(w: &mut W, run: &TelemetryRun) -> io::Result
             tid: 0,
             args: &[("name", Arg::Str(&format!("core{core}")))],
         })?;
+        let shapes: Vec<Shape> = PfComponent::ALL
+            .iter()
+            .flat_map(|c| {
+                PfEventKind::ALL.iter().map(move |k| {
+                    Shape::new(&Event {
+                        name: &[c.name(), ":", k.name()],
+                        cat: Some("pf"),
+                        ph: Phase::Instant(0),
+                        pid,
+                        tid: 0,
+                        args: &[("line", Arg::Hex(0))],
+                    })
+                })
+            })
+            .collect();
         for ev in &core_trace.events {
-            trace.event(&Event {
-                name: &[ev.component.name(), ":", ev.kind.name()],
-                cat: Some("pf"),
-                ph: Phase::Instant(ev.cycle),
-                pid,
-                tid: 0,
-                args: &[("line", Arg::Hex(ev.line.0))],
-            })?;
+            trace.shaped(&shapes[shape_index(ev)], ev.cycle, ev.line.0)?;
         }
     }
     for row in &run.samples {
@@ -224,12 +275,13 @@ pub use ipsim_obs::chrome::validate as validate_chrome_trace;
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_series_tsv<W: Write>(w: &mut W, samples: &[SampleRow]) -> io::Result<()> {
+    let mut w = Stage::new(w);
     writeln!(w, "# {}", SampleRow::COLUMNS.join("\t"))?;
     for row in samples {
         let values: Vec<String> = row.values().iter().map(u64::to_string).collect();
         writeln!(w, "{}", values.join("\t"))?;
     }
-    Ok(())
+    w.finish()
 }
 
 /// Parses a TSV time series written by [`write_series_tsv`].
@@ -281,6 +333,7 @@ pub fn parse_series_tsv(text: &str) -> Result<Vec<SampleRow>, String> {
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_component_summary_tsv<W: Write>(w: &mut W, run: &TelemetryRun) -> io::Result<()> {
+    let mut w = Stage::new(w);
     let names: Vec<&str> = PfEventKind::ALL.iter().map(|k| k.name()).collect();
     writeln!(w, "# component\t{}", names.join("\t"))?;
     let totals = run.aggregate_components();
@@ -291,7 +344,7 @@ pub fn write_component_summary_tsv<W: Write>(w: &mut W, run: &TelemetryRun) -> i
             .collect();
         writeln!(w, "{}\t{}", component.name(), counts.join("\t"))?;
     }
-    Ok(())
+    w.finish()
 }
 
 /// Parses a per-component summary written by
@@ -352,6 +405,7 @@ pub const ZOO_COLUMNS: [&str; 10] = [
 ///
 /// Propagates I/O errors from `w`.
 pub fn write_zoo_tsv<W: Write>(w: &mut W, rows: &[ZooSchemeRow]) -> io::Result<()> {
+    let mut w = Stage::new(w);
     writeln!(w, "# {}", ZOO_COLUMNS.join("\t"))?;
     for r in rows {
         writeln!(
@@ -369,7 +423,7 @@ pub fn write_zoo_tsv<W: Write>(w: &mut W, rows: &[ZooSchemeRow]) -> io::Result<(
             r.evicted_unused
         )?;
     }
-    Ok(())
+    w.finish()
 }
 
 /// Parses a zoo TSV artifact written by [`write_zoo_tsv`].
@@ -520,6 +574,38 @@ mod tests {
         assert!(parse_events_jsonl(&text.replace(JSONL_SCHEMA, "bogus")).is_err());
         // Corrupt a kind name.
         assert!(parse_events_jsonl(&text.replace("first_use", "fist_use")).is_err());
+    }
+
+    /// The sample run's JSONL with `from` replaced by `to` must fail to
+    /// parse with an error naming `field`.
+    fn assert_rejected(from: &str, to: &str, field: &str) {
+        let mut buf = Vec::new();
+        write_events_jsonl(&mut buf, &sample_run()).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains(from), "{from} not in the sample JSONL");
+        let err = parse_events_jsonl(&text.replacen(from, to, 1)).unwrap_err();
+        assert!(err.contains(field), "{to}: {err}");
+    }
+
+    #[test]
+    fn jsonl_rejects_negative_integers() {
+        assert_rejected(r#""cycle":5,"#, r#""cycle":-5,"#, "cycle");
+        assert_rejected(r#""interval":1000"#, r#""interval":-3"#, "interval");
+        assert_rejected(r#""dropped":[0,0]"#, r#""dropped":[-1,0]"#, "dropped");
+    }
+
+    #[test]
+    fn jsonl_rejects_fractional_integers() {
+        assert_rejected(r#""cycle":5,"#, r#""cycle":1.5,"#, "cycle");
+        assert_rejected(r#""core":0,"#, r#""core":0.9,"#, "core");
+        assert_rejected(r#""cores":2,"#, r#""cores":2.5,"#, "cores");
+    }
+
+    #[test]
+    fn jsonl_rejects_integers_beyond_exact_doubles() {
+        assert_rejected(r#""cycle":5,"#, r#""cycle":1e30,"#, "cycle");
+        assert_rejected(r#""cycle":5,"#, r#""cycle":9007199254740994,"#, "cycle");
+        assert_rejected(r#""interval":1000"#, r#""interval":1e300"#, "interval");
     }
 
     #[test]
