@@ -3,7 +3,7 @@
 
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
-use ipsim_prefetch::{SchemeCounters, Zoo, ZooPlan};
+use ipsim_prefetch::{Scheme, SchemeCounters, ZooPlan};
 use ipsim_telemetry::{
     CoreTracer, SampleRow, Sampler, TelemetryConfig, TelemetryRun, ZooSchemeRow,
 };
@@ -136,8 +136,7 @@ impl WorkloadSet {
 #[derive(Debug, Clone)]
 pub struct SystemBuilder {
     config: SystemConfig,
-    prefetcher: PrefetcherKind,
-    zoo: Option<ZooPlan>,
+    scheme: Scheme,
     policy: InstallPolicy,
     limit: Option<LimitSpec>,
 }
@@ -147,8 +146,7 @@ impl SystemBuilder {
     pub fn new(config: SystemConfig) -> SystemBuilder {
         SystemBuilder {
             config,
-            prefetcher: PrefetcherKind::None,
-            zoo: None,
+            scheme: Scheme::default(),
             policy: InstallPolicy::InstallBoth,
             limit: None,
         }
@@ -164,18 +162,21 @@ impl SystemBuilder {
         SystemBuilder::new(SystemConfig::cmp4())
     }
 
-    /// Sets the per-core instruction prefetcher.
-    pub fn prefetcher(mut self, kind: PrefetcherKind) -> SystemBuilder {
-        self.prefetcher = kind;
+    /// Sets the per-core prefetch scheme; the last scheme setter wins.
+    pub fn scheme(mut self, scheme: Scheme) -> SystemBuilder {
+        self.scheme = scheme;
         self
     }
 
+    /// Sets the per-core instruction prefetcher ([`Scheme::Single`]).
+    pub fn prefetcher(self, kind: PrefetcherKind) -> SystemBuilder {
+        self.scheme(Scheme::Single(kind))
+    }
+
     /// Runs a prefetcher zoo (every scheme in `plan`, side by side with
-    /// per-scheme attribution) on each core instead of a single
-    /// [`PrefetcherKind`]. Takes precedence over [`SystemBuilder::prefetcher`].
-    pub fn zoo(mut self, plan: ZooPlan) -> SystemBuilder {
-        self.zoo = Some(plan);
-        self
+    /// per-scheme attribution) on each core ([`Scheme::Zoo`]).
+    pub fn zoo(self, plan: ZooPlan) -> SystemBuilder {
+        self.scheme(Scheme::Zoo(plan))
     }
 
     /// Sets the L2 install policy for instruction prefetches.
@@ -217,30 +218,17 @@ impl SystemBuilder {
     pub fn build(self) -> Result<System, ConfigError> {
         self.config.validate()?;
         let cores = (0..self.config.n_cores)
-            .map(|id| {
-                let zoo = build_zoo(self.prefetcher, self.zoo.as_ref());
-                Core::with_zoo(id, &self.config.core, zoo, self.limit)
-            })
+            .map(|id| Core::with_zoo(id, &self.config.core, self.scheme.build(), self.limit))
             .collect();
         Ok(System {
             cores,
             mem: MemSystem::new(&self.config.mem, self.policy),
             // The engine build recipe is kept so `reset_cold` can hand
             // every core a freshly built engine without the caller.
-            prefetcher: self.prefetcher,
-            zoo: self.zoo,
+            scheme: self.scheme,
             config: self.config,
             telemetry: None,
         })
-    }
-}
-
-/// One core's prefetch schemes: the plan's zoo, or `prefetcher` as a zoo
-/// of one.
-fn build_zoo(prefetcher: PrefetcherKind, plan: Option<&ZooPlan>) -> Zoo {
-    match plan {
-        Some(plan) => plan.build(),
-        None => Zoo::single(prefetcher.build()),
     }
 }
 
@@ -259,8 +247,7 @@ pub struct System {
     config: SystemConfig,
     /// Engine build recipe (see [`SystemBuilder::build`]): what
     /// [`System::reset_cold`] rebuilds per-core engines from.
-    prefetcher: PrefetcherKind,
-    zoo: Option<ZooPlan>,
+    scheme: Scheme,
     telemetry: Option<TelemetryState>,
 }
 
@@ -336,7 +323,7 @@ impl System {
     /// [`ZooPlan`] (a directly configured scheme runs as a zoo of one, but
     /// reports no rows, so its artifacts carry no zoo table).
     pub fn zoo_scheme_stats(&self) -> Vec<(u32, String, SchemeCounters)> {
-        if self.zoo.is_none() {
+        if self.scheme.plan().is_none() {
             return Vec::new();
         }
         let mut rows = Vec::new();
@@ -349,7 +336,7 @@ impl System {
     }
 
     fn zoo_scheme_rows(&self) -> Vec<ZooSchemeRow> {
-        if self.zoo.is_none() {
+        if self.scheme.plan().is_none() {
             return Vec::new();
         }
         let mut rows = Vec::new();
@@ -535,7 +522,7 @@ impl System {
     /// on it, and a reuse-vs-fresh test enforces it.
     pub fn reset_cold(&mut self) {
         for core in &mut self.cores {
-            core.reset_cold(build_zoo(self.prefetcher, self.zoo.as_ref()));
+            core.reset_cold(self.scheme.build());
         }
         self.mem.reset_cold();
         self.telemetry = None;

@@ -170,8 +170,8 @@ mod tests {
         });
         assert_eq!(specs.len(), 10, "5 workload columns × (baseline, zoo)");
         for pair in specs.chunks(2) {
-            assert!(pair[0].zoo.is_none());
-            assert_eq!(pair[1].zoo.as_ref().unwrap().canonical(), BAKEOFF_PLAN);
+            assert!(pair[0].scheme.plan().is_none());
+            assert_eq!(pair[1].scheme.plan().unwrap().canonical(), BAKEOFF_PLAN);
             assert_eq!(pair[0].workloads, pair[1].workloads);
         }
     }

@@ -6,7 +6,7 @@ use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{SystemBuilder, WorkloadSet};
 use ipsim_experiments::{pct, print_table, run, tool_args, RunLengths};
-use ipsim_prefetch::ZooPlan;
+use ipsim_prefetch::{Scheme, ZooPlan};
 use ipsim_trace::Workload;
 
 const USAGE: &str = "\
@@ -23,7 +23,7 @@ usage: pf_check [db|tpcw|japp|web] [--quick] [--prefetcher SPEC]
 fn main() {
     let mut lengths = RunLengths::full();
     let mut workload = Workload::JApp;
-    let mut selected: Option<ZooPlan> = None;
+    let mut contenders: Vec<Scheme> = PrefetcherKind::PAPER_SCHEMES.map(Scheme::Single).to_vec();
     let mut args = tool_args(USAGE).into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -35,7 +35,7 @@ fn main() {
             "--prefetcher" => {
                 let spec = args.next().unwrap_or_default();
                 match ZooPlan::parse(&spec) {
-                    Ok(plan) => selected = Some(plan),
+                    Ok(plan) => contenders = vec![Scheme::Zoo(plan)],
                     Err(e) => {
                         eprintln!("--prefetcher: {e}\n\n{USAGE}");
                         std::process::exit(2);
@@ -60,35 +60,16 @@ fn main() {
         base.ipc()
     );
 
-    // Each contender: a display label and a configured builder factory.
-    let contenders: Vec<(String, Box<dyn Fn() -> SystemBuilder>)> = match &selected {
-        Some(plan) => {
-            let plan = plan.clone();
-            vec![(
-                format!("zoo[{}]", plan.canonical()),
-                Box::new(move || SystemBuilder::cmp4().zoo(plan.clone())) as _,
-            )]
-        }
-        None => PrefetcherKind::PAPER_SCHEMES
-            .into_iter()
-            .map(|kind| {
-                (
-                    kind.label(),
-                    Box::new(move || SystemBuilder::cmp4().prefetcher(kind)) as _,
-                )
-            })
-            .collect(),
-    };
-
     let mut rows = Vec::new();
-    for (label, builder) in &contenders {
+    for scheme in &contenders {
         for policy in [
             InstallPolicy::InstallBoth,
             InstallPolicy::BypassL2UntilUseful,
         ] {
-            let m = run(builder().install_policy(policy), &ws, lengths);
+            let builder = SystemBuilder::cmp4().scheme(scheme.clone());
+            let m = run(builder.install_policy(policy), &ws, lengths);
             rows.push(vec![
-                label.clone(),
+                scheme.label(),
                 match policy {
                     InstallPolicy::InstallBoth => "install".to_string(),
                     InstallPolicy::BypassL2UntilUseful => "bypass".to_string(),

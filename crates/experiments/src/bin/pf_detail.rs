@@ -2,10 +2,9 @@
 //! scheme so calibration problems can be localised.
 
 use ipsim_cache::InstallPolicy;
-use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{SystemBuilder, WorkloadSet};
 use ipsim_experiments::{pct, run, tool_args, RunLengths};
-use ipsim_prefetch::ZooPlan;
+use ipsim_prefetch::{Scheme, ZooPlan};
 use ipsim_trace::Workload;
 
 const USAGE: &str = "\
@@ -20,7 +19,9 @@ usage: pf_detail [--bypass] [--prefetcher SPEC]
 
 fn main() {
     let mut bypass = false;
-    let mut selected: Option<ZooPlan> = None;
+    let mut contenders: Vec<Scheme> = ["nnl", "disc", "disc:min_confidence=2"]
+        .map(|text| Scheme::parse(text).expect("valid scheme"))
+        .to_vec();
     let mut args = tool_args(USAGE).into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -28,7 +29,7 @@ fn main() {
             "--prefetcher" => {
                 let spec = args.next().unwrap_or_default();
                 match ZooPlan::parse(&spec) {
-                    Ok(plan) => selected = Some(plan),
+                    Ok(plan) => contenders = vec![Scheme::Zoo(plan)],
                     Err(e) => {
                         eprintln!("--prefetcher: {e}\n\n{USAGE}");
                         std::process::exit(2);
@@ -58,39 +59,16 @@ fn main() {
         }
         println!();
     }
-    let contenders: Vec<(String, Box<dyn Fn() -> SystemBuilder>)> = match &selected {
-        Some(plan) => {
-            let plan = plan.clone();
-            vec![(
-                format!("zoo[{}]", plan.canonical()),
-                Box::new(move || SystemBuilder::cmp4().zoo(plan.clone())) as _,
-            )]
-        }
-        None => [
-            PrefetcherKind::NextNLineTagged { n: 4 },
-            PrefetcherKind::discontinuity_default(),
-            PrefetcherKind::DiscontinuityGated {
-                table_entries: 8192,
-                ahead: 4,
-                min_confidence: 2,
-            },
-        ]
-        .into_iter()
-        .map(|kind| {
-            (
-                kind.label(),
-                Box::new(move || SystemBuilder::cmp4().prefetcher(kind)) as _,
-            )
-        })
-        .collect(),
-    };
-    for (label, builder) in &contenders {
+    for scheme in &contenders {
+        let label = scheme.label();
         let m = run(
-            builder().install_policy(if bypass {
-                InstallPolicy::BypassL2UntilUseful
-            } else {
-                InstallPolicy::InstallBoth
-            }),
+            SystemBuilder::cmp4()
+                .scheme(scheme.clone())
+                .install_policy(if bypass {
+                    InstallPolicy::BypassL2UntilUseful
+                } else {
+                    InstallPolicy::InstallBoth
+                }),
             &ws,
             lengths,
         );

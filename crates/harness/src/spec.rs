@@ -3,7 +3,7 @@
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{LimitSpec, System, SystemBuilder, SystemMetrics, WorkloadSet};
-use ipsim_prefetch::ZooPlan;
+use ipsim_prefetch::{Scheme, ZooPlan};
 use ipsim_types::config::DEFAULT_SCHED_QUANTUM;
 use ipsim_types::SystemConfig;
 
@@ -17,12 +17,9 @@ use crate::RunLengths;
 pub struct RunSpec {
     /// System configuration (cores, caches, memory).
     pub config: SystemConfig,
-    /// Per-core prefetcher.
-    pub prefetcher: PrefetcherKind,
-    /// Optional prefetcher-zoo plan; when set it runs *instead of*
-    /// `prefetcher` and the run's telemetry carries per-scheme
+    /// Per-core prefetch scheme; a zoo's telemetry carries per-scheme
     /// shadow-attribution rows.
-    pub zoo: Option<ZooPlan>,
+    pub scheme: Scheme,
     /// L2 install policy for instruction prefetches.
     pub policy: InstallPolicy,
     /// Optional limit-study spec.
@@ -38,8 +35,7 @@ impl RunSpec {
     pub fn new(config: SystemConfig, workloads: WorkloadSet, lengths: RunLengths) -> RunSpec {
         RunSpec {
             config,
-            prefetcher: PrefetcherKind::None,
-            zoo: None,
+            scheme: Scheme::default(),
             policy: InstallPolicy::InstallBoth,
             limit: None,
             workloads,
@@ -47,15 +43,15 @@ impl RunSpec {
         }
     }
 
-    /// Sets the prefetcher.
+    /// Sets the prefetcher ([`Scheme::Single`]).
     pub fn prefetcher(mut self, kind: PrefetcherKind) -> RunSpec {
-        self.prefetcher = kind;
+        self.scheme = Scheme::Single(kind);
         self
     }
 
-    /// Sets a prefetcher-zoo plan (overrides [`RunSpec::prefetcher`]).
+    /// Sets a prefetcher-zoo plan ([`Scheme::Zoo`]).
     pub fn zoo(mut self, plan: ZooPlan) -> RunSpec {
-        self.zoo = Some(plan);
+        self.scheme = Scheme::Zoo(plan);
         self
     }
 
@@ -74,53 +70,22 @@ impl RunSpec {
     /// The canonical plain-text descriptor covering every parameter that
     /// affects results; the cache key is a hash of this string.
     fn descriptor(&self) -> String {
-        let c = &self.config;
         let mut descr = format!(
-            "v4|cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
-             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}|pf={:?}|pol={:?}|lim={:?}|\
-             ws={:?}/{}/{}|warm={}|meas={}",
-            c.n_cores,
-            c.core.l1i.size_bytes(),
-            c.core.l1i.assoc(),
-            c.core.l1i.line().bytes(),
-            c.core.l1d.size_bytes(),
-            c.core.l1d.assoc(),
-            c.core.l1d.line().bytes(),
-            c.mem.l2.size_bytes(),
-            c.mem.l2.assoc(),
-            c.mem.l2.line().bytes(),
-            c.core.l1_latency,
-            c.mem.l2_latency,
-            c.mem.mem_latency,
-            c.mem.offchip_bytes_per_cycle,
-            c.core.fetch_width,
-            c.core.issue_width,
-            c.core.rob_entries,
-            c.core.pipeline_depth,
-            c.core.mshrs,
-            c.core.branch.gshare_entries,
-            c.core.branch.btb_entries,
-            c.core.branch.ras_entries,
-            self.prefetcher,
-            self.policy,
-            self.limit,
+            "v4|{}|{}|ws={:?}/{}/{}|warm={}|meas={}",
+            self.config_fields(),
+            self.scheme_fields(),
             self.workloads.per_core,
             self.workloads.program_seed,
             self.workloads.walker_seed,
             self.lengths.warm,
             self.lengths.measure,
         );
-        if c.core.tlb.enabled {
-            descr.push_str(&format!("|tlb={:?}", c.core.tlb));
-        }
-        // Appended only when present so pre-zoo specs keep their keys.
-        if let Some(plan) = &self.zoo {
-            descr.push_str(&format!("|zoo={}", plan.canonical()));
-        }
+        self.push_optional_fields(&mut descr);
         // Appended only when non-default so the pre-knob key corpus
         // survives: sq=16 specs hash exactly as before the knob existed.
-        if c.sched_quantum != DEFAULT_SCHED_QUANTUM {
-            descr.push_str(&format!("|sq={}", c.sched_quantum));
+        let sq = self.config.sched_quantum;
+        if sq != DEFAULT_SCHED_QUANTUM {
+            descr.push_str(&format!("|sq={sq}"));
         }
         descr
     }
@@ -137,14 +102,27 @@ impl RunSpec {
 
     /// The system half of the descriptor: exactly the fields that
     /// determine what [`RunSpec::build_system`] constructs (configuration,
-    /// prefetcher/zoo, policy, limit). Workloads and run lengths are
+    /// scheme, policy, limit). Workloads and run lengths are
     /// deliberately absent — they describe what flows *through* a system,
     /// not the system itself.
     fn system_descriptor(&self) -> String {
-        let c = &self.config;
         let mut descr = format!(
-            "system-v1|cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
-             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}|sq={}|pf={:?}|pol={:?}|lim={:?}",
+            "system-v1|{}|sq={}|{}",
+            self.config_fields(),
+            self.config.sched_quantum,
+            self.scheme_fields()
+        );
+        self.push_optional_fields(&mut descr);
+        descr
+    }
+
+    /// The configuration fields both descriptors start with, `cores=`
+    /// through `ras=`.
+    fn config_fields(&self) -> String {
+        let c = &self.config;
+        format!(
+            "cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
+             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}",
             c.n_cores,
             c.core.l1i.size_bytes(),
             c.core.l1i.assoc(),
@@ -167,18 +145,30 @@ impl RunSpec {
             c.core.branch.gshare_entries,
             c.core.branch.btb_entries,
             c.core.branch.ras_entries,
-            c.sched_quantum,
-            self.prefetcher,
-            self.policy,
-            self.limit,
-        );
-        if c.core.tlb.enabled {
-            descr.push_str(&format!("|tlb={:?}", c.core.tlb));
+        )
+    }
+
+    /// The scheme, policy and limit fields of both descriptors. A zoo
+    /// prints as `pf=None`; its plan is appended as `|zoo=` (see
+    /// [`RunSpec::push_optional_fields`]).
+    fn scheme_fields(&self) -> String {
+        let kind = match self.scheme {
+            Scheme::Single(kind) => kind,
+            Scheme::Zoo(_) => PrefetcherKind::None,
+        };
+        format!("pf={kind:?}|pol={:?}|lim={:?}", self.policy, self.limit)
+    }
+
+    /// Appends the fields both descriptors carry only when present, so
+    /// specs from before each existed keep their keys: the TLB config
+    /// and the zoo plan.
+    fn push_optional_fields(&self, descr: &mut String) {
+        if self.config.core.tlb.enabled {
+            descr.push_str(&format!("|tlb={:?}", self.config.core.tlb));
         }
-        if let Some(plan) = &self.zoo {
+        if let Some(plan) = self.scheme.plan() {
             descr.push_str(&format!("|zoo={}", plan.canonical()));
         }
-        descr
     }
 
     /// A stable key for the *system* this spec builds: equal iff two specs
@@ -230,12 +220,8 @@ impl RunSpec {
     /// static and a bad one is a programming error.
     pub fn build_system(&self) -> System {
         let builder = SystemBuilder::new(self.config.clone())
-            .prefetcher(self.prefetcher)
+            .scheme(self.scheme.clone())
             .install_policy(self.policy);
-        let builder = match &self.zoo {
-            Some(plan) => builder.zoo(plan.clone()),
-            None => builder,
-        };
         let builder = match self.limit {
             Some(l) => builder.limit(l),
             None => builder,
@@ -245,11 +231,12 @@ impl RunSpec {
 
     /// A short human-readable tag for progress lines and the run log.
     pub fn label(&self) -> String {
-        let pf = match &self.zoo {
-            Some(plan) => format!("zoo[{}]", plan.canonical()),
-            None => self.prefetcher.label().to_string(),
-        };
-        let mut label = format!("{}c·{}·{}", self.config.n_cores, self.workloads.name(), pf);
+        let mut label = format!(
+            "{}c·{}·{}",
+            self.config.n_cores,
+            self.workloads.name(),
+            self.scheme.label()
+        );
         if self.policy != InstallPolicy::InstallBoth {
             label.push_str("·bypass");
         }

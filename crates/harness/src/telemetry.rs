@@ -167,7 +167,7 @@ impl TelemetrySink {
             writeln!(meta, "events\t{}", run.total_events())?;
             writeln!(meta, "dropped\t{}", run.total_dropped())?;
             writeln!(meta, "samples\t{}", run.samples.len())?;
-            if let Some(plan) = &spec.zoo {
+            if let Some(plan) = spec.scheme.plan() {
                 writeln!(meta, "zoo\t{}", plan.canonical())?;
                 writeln!(meta, "zoo_rows\t{}", run.zoo.len())?;
             }

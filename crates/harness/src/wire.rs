@@ -7,15 +7,15 @@
 //! space actually sweeps (workload, prefetcher, install policy, limit
 //! spec, run windows) — and [`JobSpec`] is a batch of them.
 //!
-//! Two encodings share one schema version (`ipsim-jobspec v2`):
+//! Two encodings share one schema version (`ipsim-jobspec v3`):
 //!
 //! * **JSON** (the HTTP wire format), read back with the hand-rolled
 //!   `ipsim_obs::json` parser — no serde, per the workspace's
 //!   vendored-only dependency policy:
 //!
 //! ```json
-//! {"v":2,"runs":[{"config":"cmp4","workload":"mixed",
-//!                 "prefetcher":"disc:8192:4","policy":"bypass",
+//! {"v":3,"runs":[{"config":"cmp4","workload":"mixed",
+//!                 "prefetcher":"disc","policy":"bypass",
 //!                 "warm":2000000,"measure":4000000}]}
 //! ```
 //!
@@ -23,47 +23,73 @@
 //!   `Content-Type: text/tab-separated-values`):
 //!
 //! ```text
-//! # ipsim-jobspec-tsv v1
-//! cmp4<TAB>mixed<TAB>disc:8192:4<TAB>bypass<TAB>-<TAB>2000000<TAB>4000000
+//! # ipsim-jobspec-tsv v3
+//! cmp4<TAB>mixed<TAB>disc<TAB>bypass<TAB>-<TAB>2000000<TAB>4000000
 //! ```
 //!
-//! The prefetcher column is a compact text form shared by both encodings
-//! (see [`prefetcher_to_wire`]); `limit` is `-` or any `+`-joined subset
-//! of `seq`, `br`, `call`. Every decoder is strict: unknown fields,
-//! unknown presets and non-integral numbers are errors, not guesses —
-//! a daemon must reject malformed jobs at submit time, not discover them
-//! mid-queue.
+//! The prefetcher column is a [`Scheme`]'s text form, shared by both
+//! encodings: a registry spec (`disc:ahead=2`) or a `zoo:` plan
+//! (`zoo:nl+mana`, run with shadow attribution; see `ipsim-prefetch`).
+//! The JSON `prefetcher` field is optional (absent means `none`). `limit`
+//! is `-` or any `+`-joined subset of `seq`, `br`, `call`. Every decoder
+//! is strict: unknown fields, unknown presets and non-integral numbers
+//! are errors, not guesses — a daemon must reject malformed jobs at
+//! submit time, not discover them mid-queue.
 //!
-//! **v2** extends v1 in two backward-compatible ways. The JSON
-//! `prefetcher` field became *optional* (absent means `none`), and both
-//! encodings accept a `zoo:` prefetcher form carrying a registry plan —
-//! `zoo:nl+disc:ahead=2` runs the zoo of those schemes with shadow
-//! attribution (see `ipsim-prefetch`). Every v1 payload decodes
-//! unchanged; a v1-versioned JSON payload that smuggles a `zoo:` form is
-//! rejected, since a v1 producer could never have written one.
+//! Older payloads and journals still decode. **v1** spelled the
+//! prefetcher column in a positional grammar (`nl_tagged`, `disc:8192:4`,
+//! `wrong_path+nl`), read through the `COMPACT_FORMS` table; **v2** kept
+//! that grammar, made the JSON `prefetcher` field optional and added the
+//! `zoo:` form (a v1-tagged payload carrying one is rejected). The table
+//! applies only under a v1/v2 tag: the grammars overlap, and `wrong_path`
+//! meant `next_line=0` there but is the registry default `next_line=1`
+//! in v3.
 
 use ipsim_cache::InstallPolicy;
-use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{LimitSpec, WorkloadSet};
 use ipsim_obs::json::{self, Json};
-use ipsim_prefetch::{find_scheme, ZooPlan};
+use ipsim_prefetch::Scheme;
 use ipsim_trace::Workload;
 use ipsim_types::SystemConfig;
 
 use crate::spec::RunSpec;
 use crate::RunLengths;
 
-/// Wire-schema version written by every JSON encoder.
-pub const WIRE_VERSION: u32 = 2;
+/// Wire-schema version written by every encoder.
+pub const WIRE_VERSION: u32 = 3;
 
 /// Oldest wire-schema version decoders still accept.
 pub const MIN_WIRE_VERSION: u32 = 1;
 
 /// Header line of the TSV encoding.
-pub const TSV_HEADER: &str = "# ipsim-jobspec-tsv v2";
+pub const TSV_HEADER: &str = "# ipsim-jobspec-tsv v3";
 
-/// The v1 TSV header, still accepted on decode.
-pub const TSV_HEADER_V1: &str = "# ipsim-jobspec-tsv v1";
+/// Every TSV header up to its version number; decoders accept
+/// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`] after it.
+pub const TSV_PREFIX: &str = "# ipsim-jobspec-tsv v";
+
+/// The v1/v2 prefetcher column forms: `(head, registry scheme, positional
+/// knobs, fixed knob)`. `disc:8192:4` reads as the registry spec
+/// `disc:table_entries=8192,ahead=4`; positional values must be ≥ 1.
+const COMPACT_FORMS: &[(&str, &str, &[&str], Option<&str>)] = &[
+    ("none", "none", &[], None),
+    ("nl_always", "nl", &[], Some("mode=0")),
+    ("nl_miss", "nl", &[], Some("mode=1")),
+    ("nl_tagged", "nl", &[], Some("mode=2")),
+    ("nnl", "nnl", &["n"], None),
+    ("lookahead", "lookahead", &["n"], None),
+    ("disc", "disc", &["table_entries", "ahead"], None),
+    (
+        "disc_gated",
+        "disc",
+        &["table_entries", "ahead", "min_confidence"],
+        None,
+    ),
+    ("target", "target", &["table_entries"], None),
+    ("wrong_path", "wrong_path", &[], Some("next_line=0")),
+    ("wrong_path+nl", "wrong_path", &[], Some("next_line=1")),
+    ("markov", "markov", &["table_entries", "ahead"], None),
+];
 
 /// Maximum runs accepted in one job spec (a submit-time sanity bound; a
 /// bigger sweep is many jobs).
@@ -140,10 +166,10 @@ pub struct WireRun {
     pub config: ConfigPreset,
     /// Workload name (`db`|`tpcw`|`japp`|`web`|`mixed`).
     pub workload: String,
-    /// Per-core prefetcher (ignored when `zoo` is set).
-    pub prefetcher: PrefetcherKind,
-    /// Optional prefetcher-zoo plan (the `zoo:` wire form, v2+).
-    pub zoo: Option<ZooPlan>,
+    /// Per-core prefetch scheme, written as its [`Scheme::text`]; the
+    /// encoders panic on a kind the registry cannot name, which neither
+    /// the decoders nor [`WireRun::from_run_spec`] ever produce.
+    pub scheme: Scheme,
     /// L2 install policy.
     pub policy: InstallPolicy,
     /// Optional limit-study spec.
@@ -162,12 +188,9 @@ impl WireRun {
             warm: self.warm,
             measure: self.measure,
         };
-        let mut spec = RunSpec::new(self.config.to_config(), workloads, lengths)
-            .prefetcher(self.prefetcher)
-            .policy(self.policy);
-        if let Some(plan) = &self.zoo {
-            spec = spec.zoo(plan.clone());
-        }
+        let mut spec =
+            RunSpec::new(self.config.to_config(), workloads, lengths).policy(self.policy);
+        spec.scheme = self.scheme.clone();
         if let Some(limit) = self.limit {
             spec = spec.limit(limit);
         }
@@ -175,13 +198,17 @@ impl WireRun {
     }
 
     /// Lifts an in-process spec back onto the wire. `None` when the spec
-    /// uses a non-preset config or non-default workload seeds (such specs
-    /// exist only inside the process and cannot be re-submitted).
+    /// uses a non-preset config, non-default workload seeds, a prefetcher
+    /// the registry cannot name or a window past the decoders' bound of
+    /// 10^9 instructions (such specs exist only inside the process and
+    /// cannot be re-submitted).
     pub fn from_run_spec(spec: &RunSpec) -> Option<WireRun> {
         let config = ConfigPreset::from_config(&spec.config)?;
+        spec.scheme.text()?;
         let default = WorkloadSet::homogeneous(Workload::Db);
         if spec.workloads.program_seed != default.program_seed
             || spec.workloads.walker_seed != default.walker_seed
+            || spec.lengths.warm.max(spec.lengths.measure) > MAX_WINDOW
         {
             return None;
         }
@@ -195,8 +222,7 @@ impl WireRun {
         Some(WireRun {
             config,
             workload,
-            prefetcher: spec.prefetcher,
-            zoo: spec.zoo.clone(),
+            scheme: spec.scheme.clone(),
             policy: spec.policy,
             limit: spec.limit,
             warm: spec.lengths.warm,
@@ -204,13 +230,11 @@ impl WireRun {
         })
     }
 
-    /// The prefetcher column value: the zoo form when a plan is set,
-    /// else the compact [`prefetcher_to_wire`] form.
+    /// The prefetcher column value.
     fn prefetcher_column(&self) -> String {
-        match &self.zoo {
-            Some(plan) => format!("zoo:{}", plan.canonical()),
-            None => prefetcher_to_wire(self.prefetcher),
-        }
+        self.scheme
+            .text()
+            .expect("wire runs hold schemes the registry can name")
     }
 
     /// One JSON object (no surrounding whitespace).
@@ -246,8 +270,8 @@ impl WireRun {
         )
     }
 
-    /// Parses one TSV line.
-    pub fn from_tsv(line: &str) -> Result<WireRun, String> {
+    /// Parses one TSV line of a version-`version` document.
+    fn from_tsv(line: &str, version: u32) -> Result<WireRun, String> {
         let parts: Vec<&str> = line.trim_end().split('\t').collect();
         if parts.len() != 7 {
             return Err(format!(
@@ -255,12 +279,10 @@ impl WireRun {
                 parts.len()
             ));
         }
-        let (prefetcher, zoo) = prefetcher_column_from_wire(parts[2])?;
         Ok(WireRun {
             config: ConfigPreset::parse(parts[0])?,
             workload: parse_workload_name(parts[1])?,
-            prefetcher,
-            zoo,
+            scheme: scheme_from_wire(parts[2], version)?,
             policy: policy_from_wire(parts[3])?,
             limit: limit_from_wire(parts[4])?,
             warm: parse_window(parts[5], "warm")?,
@@ -268,8 +290,8 @@ impl WireRun {
         })
     }
 
-    /// Parses one JSON object (already parsed into a [`Json`] value).
-    pub fn from_json_value(value: &Json) -> Result<WireRun, String> {
+    /// Parses one run object of a version-`version` document.
+    fn from_json_value(value: &Json, version: u32) -> Result<WireRun, String> {
         let Json::Obj(fields) = value else {
             return Err("each run must be a JSON object".to_string());
         };
@@ -292,25 +314,26 @@ impl WireRun {
                 .get(name)
                 .filter(|n| n.as_num().is_some())
                 .ok_or_else(|| format!("run field `{name}` must be a number"))?;
-            n.as_u64()
-                .ok_or_else(|| format!("run field `{name}` must be a non-negative integer"))
+            let n = n
+                .as_u64()
+                .ok_or_else(|| format!("run field `{name}` must be a non-negative integer"))?;
+            check_window(n, name)
         };
         let limit = match value.get("limit") {
             None | Some(Json::Null) => None,
             Some(Json::Str(s)) => limit_from_wire(s)?,
             Some(_) => return Err("run field `limit` must be a string".to_string()),
         };
-        // v2: `prefetcher` is optional; absent means no prefetcher.
-        let (prefetcher, zoo) = match value.get("prefetcher") {
-            None | Some(Json::Null) => (PrefetcherKind::None, None),
-            Some(Json::Str(s)) => prefetcher_column_from_wire(s)?,
+        // v2+: `prefetcher` is optional; absent means no prefetcher.
+        let scheme = match value.get("prefetcher") {
+            None | Some(Json::Null) => Scheme::default(),
+            Some(Json::Str(s)) => scheme_from_wire(s, version)?,
             Some(_) => return Err("run field `prefetcher` must be a string".to_string()),
         };
         Ok(WireRun {
             config: ConfigPreset::parse(str_field("config")?)?,
             workload: parse_workload_name(str_field("workload")?)?,
-            prefetcher,
-            zoo,
+            scheme,
             policy: policy_from_wire(str_field("policy")?)?,
             limit,
             warm: int_field("warm")?,
@@ -375,12 +398,13 @@ impl JobSpec {
                 return Err(format!("unknown job field `{key}`"));
             }
         }
-        let version = match value.get("v").and_then(Json::as_num) {
-            Some(v) if (f64::from(MIN_WIRE_VERSION)..=f64::from(WIRE_VERSION)).contains(&v) => {
-                v as u32
+        let v = value.get("v");
+        let version = match (v.and_then(Json::as_u64), v.and_then(Json::as_num)) {
+            (Some(n), _) if (MIN_WIRE_VERSION.into()..=WIRE_VERSION.into()).contains(&n) => {
+                n as u32
             }
-            Some(v) => return Err(format!("unsupported job-spec version {v}")),
-            None => return Err("job spec must carry a numeric `v` field".to_string()),
+            (_, Some(n)) => return Err(format!("unsupported job-spec version {n}")),
+            (_, None) => return Err("job spec must carry a numeric `v` field".to_string()),
         };
         let runs = value
             .get("runs")
@@ -388,26 +412,22 @@ impl JobSpec {
             .ok_or_else(|| "job spec must carry a `runs` array".to_string())?;
         let runs = runs
             .iter()
-            .map(WireRun::from_json_value)
+            .map(|run| WireRun::from_json_value(run, version))
             .collect::<Result<Vec<_>, _>>()?;
-        reject_v2_features(version, &runs)?;
         JobSpec::new(runs)
     }
 
-    /// Parses a TSV document (header line required; both the current and
-    /// the v1 header are accepted).
+    /// Parses a TSV document (header line required, any accepted version).
     pub fn from_tsv(text: &str) -> Result<JobSpec, String> {
         let mut lines = text.lines();
-        let version = match lines.next().map(str::trim_end) {
-            Some(TSV_HEADER) => WIRE_VERSION,
-            Some(TSV_HEADER_V1) => 1,
-            _ => return Err(format!("first line must be `{TSV_HEADER}`")),
-        };
+        let header = lines.next().unwrap_or("").trim_end();
+        let version = (MIN_WIRE_VERSION..=WIRE_VERSION)
+            .find(|v| header.strip_prefix(TSV_PREFIX) == Some(&v.to_string()))
+            .ok_or_else(|| format!("first line must be `{TSV_HEADER}`"))?;
         let runs = lines
             .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
-            .map(WireRun::from_tsv)
+            .map(|line| WireRun::from_tsv(line, version))
             .collect::<Result<Vec<_>, _>>()?;
-        reject_v2_features(version, &runs)?;
         JobSpec::new(runs)
     }
 
@@ -417,169 +437,50 @@ impl JobSpec {
     }
 }
 
-/// Rejects runs using v2-only wire features under a v1 version tag: a
-/// v1 producer could never have written them, so their presence means a
-/// mislabelled payload, not an old one.
-fn reject_v2_features(version: u32, runs: &[WireRun]) -> Result<(), String> {
-    if version < 2 {
-        if let Some(run) = runs.iter().find(|r| r.zoo.is_some()) {
+/// Reads a version-`version` prefetcher column: [`Scheme`] text, or under
+/// v1/v2 a [`COMPACT_FORMS`] entry or (v2 only) a `zoo:` plan.
+fn scheme_from_wire(text: &str, version: u32) -> Result<Scheme, String> {
+    let zoo = text.starts_with("zoo:");
+    if zoo && version < 2 {
+        return Err(format!(
+            "`zoo:` prefetchers need job-spec v2, got v{version}"
+        ));
+    }
+    let spec = if zoo || version >= 3 {
+        text.to_string()
+    } else {
+        let mut parts = text.split(':');
+        let head = parts.next().unwrap_or("");
+        let args: Vec<&str> = parts.collect();
+        let (_, name, positional, fixed) = COMPACT_FORMS
+            .iter()
+            .find(|form| form.0 == head)
+            .ok_or_else(|| format!("unknown prefetcher `{text}`"))?;
+        if args.len() != positional.len() {
             return Err(format!(
-                "`zoo:` prefetchers need job-spec v2, got v{version} (run {})",
-                run.to_tsv()
+                "prefetcher `{head}` takes {} `:`-argument(s), got {}",
+                positional.len(),
+                args.len()
             ));
         }
-    }
-    Ok(())
-}
-
-/// Parses the full prefetcher column: either a compact
-/// [`prefetcher_from_wire`] form or a `zoo:` plan.
-fn prefetcher_column_from_wire(text: &str) -> Result<(PrefetcherKind, Option<ZooPlan>), String> {
-    match text.strip_prefix("zoo:") {
-        Some(plan) => {
-            let plan = ZooPlan::parse(plan).map_err(|e| format!("zoo prefetcher: {e}"))?;
-            Ok((PrefetcherKind::None, Some(plan)))
+        let mut knobs: Vec<String> = fixed.iter().map(|k| k.to_string()).collect();
+        for (knob, arg) in positional.iter().zip(args) {
+            match arg.parse::<u64>() {
+                Ok(value) if value >= 1 => knobs.push(format!("{knob}={value}")),
+                _ => {
+                    return Err(format!(
+                        "prefetcher `{head}`: {knob} must be a positive integer"
+                    ))
+                }
+            }
         }
-        None => Ok((prefetcher_from_wire(text)?, None)),
-    }
-}
-
-/// The compact prefetcher text form, shared by both encodings:
-///
-/// `none` | `nl_always` | `nl_miss` | `nl_tagged` | `nnl:N` |
-/// `lookahead:N` | `disc:T:A` | `disc_gated:T:A:C` | `target:T` |
-/// `wrong_path` | `wrong_path+nl` | `markov:T:A`
-pub fn prefetcher_to_wire(kind: PrefetcherKind) -> String {
-    match kind {
-        PrefetcherKind::None => "none".to_string(),
-        PrefetcherKind::NextLineAlways => "nl_always".to_string(),
-        PrefetcherKind::NextLineOnMiss => "nl_miss".to_string(),
-        PrefetcherKind::NextLineTagged => "nl_tagged".to_string(),
-        PrefetcherKind::NextNLineTagged { n } => format!("nnl:{n}"),
-        PrefetcherKind::Lookahead { n } => format!("lookahead:{n}"),
-        PrefetcherKind::Discontinuity {
-            table_entries,
-            ahead,
-        } => format!("disc:{table_entries}:{ahead}"),
-        PrefetcherKind::DiscontinuityGated {
-            table_entries,
-            ahead,
-            min_confidence,
-        } => format!("disc_gated:{table_entries}:{ahead}:{min_confidence}"),
-        PrefetcherKind::Target { table_entries } => format!("target:{table_entries}"),
-        PrefetcherKind::WrongPath { next_line } => if next_line {
-            "wrong_path+nl"
+        if knobs.is_empty() {
+            name.to_string()
         } else {
-            "wrong_path"
-        }
-        .to_string(),
-        PrefetcherKind::Markov {
-            table_entries,
-            ahead,
-        } => format!("markov:{table_entries}:{ahead}"),
-    }
-}
-
-/// Parses the compact prefetcher form (see [`prefetcher_to_wire`]). Each
-/// numeric argument must lie in the range of the registry knob it sets
-/// (`disc:T:A` ↔ `disc:table_entries=T,ahead=A`, …), so every accepted
-/// form builds.
-pub fn prefetcher_from_wire(text: &str) -> Result<PrefetcherKind, String> {
-    let mut parts = text.split(':');
-    let head = parts.next().unwrap_or("");
-    let args: Vec<&str> = parts.collect();
-    let arity = |n: usize| -> Result<(), String> {
-        if args.len() == n {
-            Ok(())
-        } else {
-            Err(format!(
-                "prefetcher `{head}` takes {n} `:`-argument(s), got {}",
-                args.len()
-            ))
+            format!("{name}:{}", knobs.join(","))
         }
     };
-    let num = |i: usize, scheme: &str, knob: &str| -> Result<u64, String> {
-        let value = args[i]
-            .parse::<u64>()
-            .ok()
-            .filter(|v| *v >= 1)
-            .ok_or_else(|| format!("prefetcher `{head}`: {knob} must be a positive integer"))?;
-        find_scheme(scheme)
-            .and_then(|def| def.knob(knob))
-            .expect("compact forms map onto registered knobs")
-            .check(value)
-            .map_err(|expected| {
-                format!("prefetcher `{head}`: {knob} must be {expected}, got {value}")
-            })?;
-        Ok(value)
-    };
-    match head {
-        "none" => {
-            arity(0)?;
-            Ok(PrefetcherKind::None)
-        }
-        "nl_always" => {
-            arity(0)?;
-            Ok(PrefetcherKind::NextLineAlways)
-        }
-        "nl_miss" => {
-            arity(0)?;
-            Ok(PrefetcherKind::NextLineOnMiss)
-        }
-        "nl_tagged" => {
-            arity(0)?;
-            Ok(PrefetcherKind::NextLineTagged)
-        }
-        "nnl" => {
-            arity(1)?;
-            Ok(PrefetcherKind::NextNLineTagged {
-                n: num(0, "nnl", "n")? as u32,
-            })
-        }
-        "lookahead" => {
-            arity(1)?;
-            Ok(PrefetcherKind::Lookahead {
-                n: num(0, "lookahead", "n")? as u32,
-            })
-        }
-        "disc" => {
-            arity(2)?;
-            Ok(PrefetcherKind::Discontinuity {
-                table_entries: num(0, "disc", "table_entries")? as usize,
-                ahead: num(1, "disc", "ahead")? as u32,
-            })
-        }
-        "disc_gated" => {
-            arity(3)?;
-            Ok(PrefetcherKind::DiscontinuityGated {
-                table_entries: num(0, "disc", "table_entries")? as usize,
-                ahead: num(1, "disc", "ahead")? as u32,
-                min_confidence: num(2, "disc", "min_confidence")? as u8,
-            })
-        }
-        "target" => {
-            arity(1)?;
-            Ok(PrefetcherKind::Target {
-                table_entries: num(0, "target", "table_entries")? as usize,
-            })
-        }
-        "wrong_path" => {
-            arity(0)?;
-            Ok(PrefetcherKind::WrongPath { next_line: false })
-        }
-        "wrong_path+nl" => {
-            arity(0)?;
-            Ok(PrefetcherKind::WrongPath { next_line: true })
-        }
-        "markov" => {
-            arity(2)?;
-            Ok(PrefetcherKind::Markov {
-                table_entries: num(0, "markov", "table_entries")? as usize,
-                ahead: num(1, "markov", "ahead")? as u32,
-            })
-        }
-        _ => Err(format!("unknown prefetcher `{text}`")),
-    }
+    Scheme::parse(&spec).map_err(|e| format!("prefetcher `{text}`: {e}"))
 }
 
 /// `install_both` | `bypass`.
@@ -677,30 +578,39 @@ fn parse_workload_set(name: &str) -> Result<WorkloadSet, String> {
     })
 }
 
-/// Parses a run window, bounding it so a malicious submit cannot queue a
-/// multi-year simulation (the full paper windows are 10M/20M).
-fn parse_window(text: &str, what: &str) -> Result<u64, String> {
-    const MAX_WINDOW: u64 = 1_000_000_000;
-    let v = text
-        .parse::<u64>()
-        .map_err(|_| format!("{what} must be a non-negative integer"))?;
+/// The longest run window a wire spec may carry, so a malicious submit
+/// cannot queue a multi-year simulation (the full paper windows are
+/// 10M/20M).
+const MAX_WINDOW: u64 = 1_000_000_000;
+
+/// Bounds a decoded run window by [`MAX_WINDOW`].
+fn check_window(v: u64, what: &str) -> Result<u64, String> {
     if v > MAX_WINDOW {
         return Err(format!("{what} must be at most {MAX_WINDOW}"));
     }
     Ok(v)
 }
 
+/// Parses a TSV run window.
+fn parse_window(text: &str, what: &str) -> Result<u64, String> {
+    let v = text
+        .parse::<u64>()
+        .map_err(|_| format!("{what} must be a non-negative integer"))?;
+    check_window(v, what)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipsim_core::PrefetcherKind;
+    use ipsim_prefetch::ZooPlan;
 
     fn sample_runs() -> Vec<WireRun> {
         vec![
             WireRun {
                 config: ConfigPreset { n_cores: 1 },
                 workload: "db".to_string(),
-                prefetcher: PrefetcherKind::None,
-                zoo: None,
+                scheme: Scheme::default(),
                 policy: InstallPolicy::InstallBoth,
                 limit: None,
                 warm: 1000,
@@ -709,11 +619,10 @@ mod tests {
             WireRun {
                 config: ConfigPreset { n_cores: 4 },
                 workload: "mixed".to_string(),
-                prefetcher: PrefetcherKind::Discontinuity {
+                scheme: Scheme::Single(PrefetcherKind::Discontinuity {
                     table_entries: 8192,
                     ahead: 4,
-                },
-                zoo: None,
+                }),
                 policy: InstallPolicy::BypassL2UntilUseful,
                 limit: Some(LimitSpec {
                     sequential: true,
@@ -726,8 +635,7 @@ mod tests {
             WireRun {
                 config: ConfigPreset { n_cores: 1 },
                 workload: "web".to_string(),
-                prefetcher: PrefetcherKind::None,
-                zoo: Some(ZooPlan::parse("nl+disc:ahead=2+mana").unwrap()),
+                scheme: Scheme::Zoo(ZooPlan::parse("nl+disc:ahead=2+mana").unwrap()),
                 policy: InstallPolicy::InstallBoth,
                 limit: None,
                 warm: 1000,
@@ -748,41 +656,39 @@ mod tests {
     fn tsv_round_trips() {
         let spec = JobSpec::new(sample_runs()).unwrap();
         let text = spec.to_tsv();
+        assert!(text.starts_with(&format!("{TSV_PREFIX}{WIRE_VERSION}\n")));
         let back = JobSpec::from_tsv(&text).unwrap();
         assert_eq!(spec, back);
     }
 
+    /// Each v1/v2 compact form and its v3 registry spelling decode to the
+    /// same scheme, and the scheme writes the v3 spelling back.
     #[test]
-    fn every_prefetcher_kind_round_trips() {
-        let kinds = [
-            PrefetcherKind::None,
-            PrefetcherKind::NextLineAlways,
-            PrefetcherKind::NextLineOnMiss,
-            PrefetcherKind::NextLineTagged,
-            PrefetcherKind::NextNLineTagged { n: 4 },
-            PrefetcherKind::Lookahead { n: 7 },
-            PrefetcherKind::Discontinuity {
-                table_entries: 8192,
-                ahead: 4,
-            },
-            PrefetcherKind::DiscontinuityGated {
-                table_entries: 1024,
-                ahead: 2,
-                min_confidence: 3,
-            },
-            PrefetcherKind::Target {
-                table_entries: 2048,
-            },
-            PrefetcherKind::WrongPath { next_line: false },
-            PrefetcherKind::WrongPath { next_line: true },
-            PrefetcherKind::Markov {
-                table_entries: 4096,
-                ahead: 2,
-            },
-        ];
-        for kind in kinds {
-            let wire = prefetcher_to_wire(kind);
-            assert_eq!(prefetcher_from_wire(&wire), Ok(kind), "{wire}");
+    fn compact_forms_and_registry_specs_agree() {
+        for (compact, spec) in [
+            ("none", "none"),
+            ("nl_always", "nl:mode=0"),
+            ("nl_miss", "nl:mode=1"),
+            ("nl_tagged", "nl"),
+            ("nnl:7", "nnl:n=7"),
+            ("lookahead:7", "lookahead:n=7"),
+            ("disc:8192:4", "disc"),
+            (
+                "disc_gated:1024:2:3",
+                "disc:ahead=2,min_confidence=3,table_entries=1024",
+            ),
+            ("target:2048", "target:table_entries=2048"),
+            ("wrong_path", "wrong_path:next_line=0"),
+            ("wrong_path+nl", "wrong_path"),
+            ("markov:4096:2", "markov:ahead=2,table_entries=4096"),
+        ] {
+            let old = scheme_from_wire(compact, 2).unwrap();
+            assert_eq!(
+                scheme_from_wire(spec, WIRE_VERSION),
+                Ok(old.clone()),
+                "{spec}"
+            );
+            assert_eq!(old.text().as_deref(), Some(spec), "{compact}");
         }
     }
 
@@ -805,16 +711,15 @@ mod tests {
                   \"prefetcher\":\"disc:8192:4\",\"policy\":\"bypass\",\
                   \"warm\":5000,\"measure\":10000}]}";
         let spec = JobSpec::from_json(v1).unwrap();
-        assert_eq!(spec.runs[0].zoo, None);
         assert_eq!(
-            spec.runs[0].prefetcher,
-            PrefetcherKind::Discontinuity {
+            spec.runs[0].scheme,
+            Scheme::Single(PrefetcherKind::Discontinuity {
                 table_entries: 8192,
                 ahead: 4
-            }
+            })
         );
         // A v1 TSV document under the old header.
-        let tsv = format!("{TSV_HEADER_V1}\ncmp4\tdb\tnone\tinstall_both\t-\t1\t2\n");
+        let tsv = format!("{TSV_PREFIX}1\ncmp4\tdb\tnone\tinstall_both\t-\t1\t2\n");
         assert_eq!(JobSpec::from_tsv(&tsv).unwrap().runs.len(), 1);
     }
 
@@ -825,8 +730,7 @@ mod tests {
              \"policy\":\"install_both\",\"warm\":10,\"measure\":20}]}",
         )
         .unwrap();
-        assert_eq!(spec.runs[0].prefetcher, PrefetcherKind::None);
-        assert_eq!(spec.runs[0].zoo, None);
+        assert_eq!(spec.runs[0].scheme, Scheme::default());
     }
 
     #[test]
@@ -837,12 +741,12 @@ mod tests {
         assert_eq!(JobSpec::from_json(&json).unwrap(), spec);
         let run_spec = spec.runs[2].to_run_spec().unwrap();
         assert_eq!(
-            run_spec.zoo,
-            Some(ZooPlan::parse("nl+disc:ahead=2+mana").unwrap())
+            run_spec.scheme,
+            Scheme::Zoo(ZooPlan::parse("nl+disc:ahead=2+mana").unwrap())
         );
         // Non-canonical knob order canonicalises on decode → same key.
-        let (_, messy) = prefetcher_column_from_wire("zoo:nl+disc:ahead=2+mana:degree=8").unwrap();
-        assert_eq!(messy.unwrap().canonical(), "nl+disc:ahead=2+mana:degree=8");
+        let messy = scheme_from_wire("zoo:nl+disc:ahead=2+mana:degree=8", 2).unwrap();
+        assert_eq!(messy.text().unwrap(), "zoo:nl+disc:ahead=2+mana:degree=8");
     }
 
     #[test]
@@ -853,8 +757,24 @@ mod tests {
         let err = JobSpec::from_json(v1_json).unwrap_err();
         assert!(err.contains("need job-spec v2"), "{err}");
         let v1_tsv =
-            format!("{TSV_HEADER_V1}\nsingle_core\tdb\tzoo:nl+disc\tinstall_both\t-\t10\t20\n");
+            format!("{TSV_PREFIX}1\nsingle_core\tdb\tzoo:nl+disc\tinstall_both\t-\t10\t20\n");
         assert!(JobSpec::from_tsv(&v1_tsv).is_err());
+    }
+
+    /// Compact forms are read only under v1/v2 tags, registry specs only
+    /// under v3; a rival needs `zoo:` in v3 as it did in v2.
+    #[test]
+    fn prefetcher_grammars_are_version_gated() {
+        for version in [1, 2] {
+            assert!(scheme_from_wire("disc:ahead=2", version).is_err());
+            assert!(scheme_from_wire("nl", version).is_err());
+        }
+        for compact in ["nl_tagged", "disc:8192:4", "wrong_path+nl"] {
+            assert!(scheme_from_wire(compact, 3).is_err(), "{compact}");
+        }
+        let err = scheme_from_wire("mana", 3).unwrap_err();
+        assert!(err.contains("zoo:mana"), "{err}");
+        assert!(scheme_from_wire("zoo:mana", 3).is_ok());
     }
 
     #[test]
@@ -863,17 +783,31 @@ mod tests {
         assert!(JobSpec::from_json("{\"v\":1,\"runs\":[]}").is_err());
         assert!(JobSpec::from_json("{\"v\":3,\"runs\":[{}]}").is_err());
         assert!(JobSpec::from_json("{\"v\":2,\"runs\":[{}]}").is_err());
+        // Versions are exact integers in range, never cast.
+        let versioned = |v: &str| {
+            format!(
+                r#"{{"v":{v},"runs":[{{"config":"cmp4","workload":"db","policy":"bypass","warm":1,"measure":2}}]}}"#
+            )
+        };
+        assert!(JobSpec::from_json(&versioned("3")).is_ok());
+        for bad in ["0", "4", "1.5", "2.5", "-1", "\"2\""] {
+            assert!(JobSpec::from_json(&versioned(bad)).is_err(), "{bad}");
+        }
+        for bad in ["0", "4", "+3", "03"] {
+            let tsv = format!("{TSV_PREFIX}{bad}\ncmp4\tdb\tnone\tinstall_both\t-\t1\t2\n");
+            assert!(JobSpec::from_tsv(&tsv).is_err(), "{bad}");
+        }
         // Zoo plans are validated against the scheme registry on decode.
-        assert!(prefetcher_column_from_wire("zoo:warp").is_err());
-        assert!(prefetcher_column_from_wire("zoo:nl:mode=9").is_err());
-        assert!(prefetcher_column_from_wire("zoo:").is_err());
+        assert!(scheme_from_wire("zoo:warp", 2).is_err());
+        assert!(scheme_from_wire("zoo:nl:mode=9", 3).is_err());
+        assert!(scheme_from_wire("zoo:", 3).is_err());
         assert!(JobSpec::from_json("{\"v\":1,\"runs\":[{\"config\":\"cmp4\"}]}").is_err());
         // Unknown fields are rejected, not ignored.
         let mut ok = JobSpec::new(sample_runs()).unwrap().to_json();
         ok = ok.replacen("\"config\"", "\"confg\"", 1);
         assert!(JobSpec::from_json(&ok).is_err());
         // Absurd windows are rejected at the door.
-        assert!(WireRun::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t9999999999999").is_err());
+        assert!(WireRun::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t9999999999999", 3).is_err());
         // Window lengths are exact non-negative integers, never cast.
         let job = |warm: &str| {
             format!(
@@ -881,13 +815,13 @@ mod tests {
             )
         };
         assert!(JobSpec::from_json(&job("2e6")).is_ok());
-        for bad in ["-1", "1.5", "1e30", "\"7\""] {
+        for bad in ["-1", "1.5", "1e30", "\"7\"", "1000000001"] {
             assert!(JobSpec::from_json(&job(bad)).is_err(), "{bad}");
         }
         // Bad TSV header.
         assert!(JobSpec::from_tsv("cmp4\tdb\tnone\tinstall_both\t-\t1\t2\n").is_err());
-        assert!(prefetcher_from_wire("disc:8192").is_err());
-        assert!(prefetcher_from_wire("warp").is_err());
+        assert!(scheme_from_wire("disc:8192", 2).is_err());
+        assert!(scheme_from_wire("warp", 2).is_err());
         // Compact forms are held to the registry's knob ranges: these used
         // to decode and then panic when the engine was built.
         for bad in [
@@ -898,9 +832,9 @@ mod tests {
             "nnl:65",
             "disc:8192:0",
         ] {
-            assert!(prefetcher_from_wire(bad).is_err(), "{bad}");
+            assert!(scheme_from_wire(bad, 2).is_err(), "{bad}");
             let tsv = format!("cmp4\tdb\t{bad}\tinstall_both\t-\t10\t20");
-            assert!(WireRun::from_tsv(&tsv).is_err(), "{bad}");
+            assert!(WireRun::from_tsv(&tsv, 1).is_err(), "{bad}");
         }
         assert!(policy_from_wire("both").is_err());
         assert!(limit_from_wire("seq+wat").is_err());

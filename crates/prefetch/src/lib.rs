@@ -14,9 +14,12 @@
 //! * the string-keyed [`registry`]: every scheme is constructed from a
 //!   validated `name[:knob=value,…]` spec ([`PrefetcherSpec`]), and a
 //!   `+`-joined [`ZooPlan`] configures a whole zoo — the canonical forms
-//!   are stable and live in run cache keys and the serve wire codec. The
-//!   paper's mechanisms are built through
-//!   [`PrefetcherKind::build`](ipsim_core::PrefetcherKind::build);
+//!   are stable and live in run cache keys. The paper's mechanisms map
+//!   their knobs to a [`PrefetcherKind`](ipsim_core::PrefetcherKind)
+//!   ([`PrefetcherSpec::kind`], inverted by [`PrefetcherSpec::from_kind`]);
+//! * [`Scheme`] — what a run configures, one kind or a zoo plan, whose
+//!   text form (`disc:ahead=2`, `zoo:nl+mana`) is the one spelling the
+//!   CLI and the serve wire take;
 //! * three rival schemes: [`StreamPrefetcher`], [`ManaPrefetcher`]
 //!   (arXiv 2102.01764) and [`ProgramMapPrefetcher`] (arXiv 2406.06738).
 //!
@@ -48,7 +51,8 @@ mod stats;
 mod zoo;
 
 pub use registry::{
-    find_scheme, registry, KnobDef, PrefetcherSpec, ResolvedKnobs, SchemeDef, SpecError, ZooPlan,
+    find_scheme, registry, KnobDef, PrefetcherSpec, ResolvedKnobs, Scheme, SchemeDef, SpecError,
+    ZooPlan,
 };
 pub use rivals::{ManaPrefetcher, ProgramMapPrefetcher, StreamPrefetcher};
 pub use stats::SchemeCounters;

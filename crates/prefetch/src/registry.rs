@@ -35,7 +35,16 @@ pub struct SchemeDef {
     pub doc: &'static str,
     /// Accepted knobs; anything else in a spec is rejected.
     pub knobs: &'static [KnobDef],
-    build: fn(&ResolvedKnobs) -> Box<dyn PrefetchEngine>,
+    make: Make,
+}
+
+/// How a scheme's resolved knobs become an engine.
+enum Make {
+    /// A paper mechanism: the knobs pick a [`PrefetcherKind`], which
+    /// builds the engine.
+    Kind(fn(&ResolvedKnobs) -> PrefetcherKind),
+    /// A rival scheme, built directly.
+    Engine(fn(&ResolvedKnobs) -> Box<dyn PrefetchEngine>),
 }
 
 impl KnobDef {
@@ -109,6 +118,9 @@ pub enum SpecError {
     BadSyntax(String),
     /// A zoo spec listed no schemes or more than [`MAX_SCHEMES`].
     BadZooSize(usize),
+    /// A rival scheme was named as a single scheme; it has no
+    /// [`PrefetcherKind`] and runs only in a zoo.
+    ZooOnly(String),
 }
 
 impl fmt::Display for SpecError {
@@ -137,6 +149,9 @@ impl fmt::Display for SpecError {
             }
             SpecError::BadZooSize(n) => {
                 write!(f, "zoo must have 1..={MAX_SCHEMES} schemes, got {n}")
+            }
+            SpecError::ZooOnly(name) => {
+                write!(f, "scheme {name:?} runs only in a zoo (write zoo:{name})")
             }
         }
     }
@@ -174,7 +189,7 @@ static REGISTRY: [SchemeDef; 11] = [
         name: "none",
         doc: "no prefetching (baseline)",
         knobs: &[],
-        build: |_| PrefetcherKind::None.build(),
+        make: Make::Kind(|_| PrefetcherKind::None),
     },
     SchemeDef {
         name: "nl",
@@ -187,14 +202,11 @@ static REGISTRY: [SchemeDef; 11] = [
             false,
             "trigger: 0=always, 1=on miss, 2=tagged",
         )],
-        build: |k| {
-            match k.get("mode") {
-                0 => PrefetcherKind::NextLineAlways,
-                1 => PrefetcherKind::NextLineOnMiss,
-                _ => PrefetcherKind::NextLineTagged,
-            }
-            .build()
-        },
+        make: Make::Kind(|k| match k.get("mode") {
+            0 => PrefetcherKind::NextLineAlways,
+            1 => PrefetcherKind::NextLineOnMiss,
+            _ => PrefetcherKind::NextLineTagged,
+        }),
     },
     SchemeDef {
         name: "nnl",
@@ -207,23 +219,17 @@ static REGISTRY: [SchemeDef; 11] = [
             false,
             "prefetch-ahead distance in lines",
         )],
-        build: |k| {
-            PrefetcherKind::NextNLineTagged {
-                n: k.get("n") as u32,
-            }
-            .build()
-        },
+        make: Make::Kind(|k| PrefetcherKind::NextNLineTagged {
+            n: k.get("n") as u32,
+        }),
     },
     SchemeDef {
         name: "lookahead",
         doc: "single-line lookahead at distance N",
         knobs: &[knob("n", 4, 1, 64, false, "lookahead distance in lines")],
-        build: |k| {
-            PrefetcherKind::Lookahead {
-                n: k.get("n") as u32,
-            }
-            .build()
-        },
+        make: Make::Kind(|k| PrefetcherKind::Lookahead {
+            n: k.get("n") as u32,
+        }),
     },
     SchemeDef {
         name: "disc",
@@ -254,24 +260,21 @@ static REGISTRY: [SchemeDef; 11] = [
                 "confidence gate (0 = ungated)",
             ),
         ],
-        build: |k| {
+        make: Make::Kind(|k| {
             let table_entries = k.get("table_entries") as usize;
             let ahead = k.get("ahead") as u32;
-            let min_confidence = k.get("min_confidence") as u8;
-            if min_confidence > 0 {
-                PrefetcherKind::DiscontinuityGated {
+            match k.get("min_confidence") as u8 {
+                0 => PrefetcherKind::Discontinuity {
+                    table_entries,
+                    ahead,
+                },
+                min_confidence => PrefetcherKind::DiscontinuityGated {
                     table_entries,
                     ahead,
                     min_confidence,
-                }
-            } else {
-                PrefetcherKind::Discontinuity {
-                    table_entries,
-                    ahead,
-                }
+                },
             }
-            .build()
-        },
+        }),
     },
     SchemeDef {
         name: "target",
@@ -284,12 +287,9 @@ static REGISTRY: [SchemeDef; 11] = [
             true,
             "target-table entries",
         )],
-        build: |k| {
-            PrefetcherKind::Target {
-                table_entries: k.get("table_entries") as usize,
-            }
-            .build()
-        },
+        make: Make::Kind(|k| PrefetcherKind::Target {
+            table_entries: k.get("table_entries") as usize,
+        }),
     },
     SchemeDef {
         name: "wrong_path",
@@ -302,12 +302,9 @@ static REGISTRY: [SchemeDef; 11] = [
             false,
             "also prefetch the next line on misses",
         )],
-        build: |k| {
-            PrefetcherKind::WrongPath {
-                next_line: k.get("next_line") != 0,
-            }
-            .build()
-        },
+        make: Make::Kind(|k| PrefetcherKind::WrongPath {
+            next_line: k.get("next_line") != 0,
+        }),
     },
     SchemeDef {
         name: "markov",
@@ -330,13 +327,10 @@ static REGISTRY: [SchemeDef; 11] = [
                 "sequential prefetch-ahead distance",
             ),
         ],
-        build: |k| {
-            PrefetcherKind::Markov {
-                table_entries: k.get("table_entries") as usize,
-                ahead: k.get("ahead") as u32,
-            }
-            .build()
-        },
+        make: Make::Kind(|k| PrefetcherKind::Markov {
+            table_entries: k.get("table_entries") as usize,
+            ahead: k.get("ahead") as u32,
+        }),
     },
     SchemeDef {
         name: "stream",
@@ -352,12 +346,12 @@ static REGISTRY: [SchemeDef; 11] = [
                 "lines prefetched ahead of a stream head",
             ),
         ],
-        build: |k| {
+        make: Make::Engine(|k| {
             Box::new(StreamPrefetcher::new(
                 k.get("streams") as usize,
                 k.get("degree") as u32,
             ))
-        },
+        }),
     },
     SchemeDef {
         name: "mana",
@@ -374,13 +368,13 @@ static REGISTRY: [SchemeDef; 11] = [
             ),
             knob("degree", 8, 1, 32, false, "max prefetches per trigger"),
         ],
-        build: |k| {
+        make: Make::Engine(|k| {
             Box::new(ManaPrefetcher::new(
                 k.get("regions") as usize,
                 k.get("region_lines"),
                 k.get("degree") as usize,
             ))
-        },
+        }),
     },
     SchemeDef {
         name: "pmap",
@@ -397,13 +391,13 @@ static REGISTRY: [SchemeDef; 11] = [
             knob("depth", 3, 1, 8, false, "traversal depth in graph edges"),
             knob("degree", 8, 1, 32, false, "max prefetches per fetch event"),
         ],
-        build: |k| {
+        make: Make::Engine(|k| {
             Box::new(ProgramMapPrefetcher::new(
                 k.get("nodes") as usize,
                 k.get("depth") as u32,
                 k.get("degree") as usize,
             ))
-        },
+        }),
     },
 ];
 
@@ -489,9 +483,64 @@ impl PrefetcherSpec {
         }
     }
 
+    /// The spec naming `kind`, with only its non-default knobs written:
+    /// the inverse of [`PrefetcherSpec::kind`]. `None` when the registry
+    /// cannot name the kind, e.g. a knob outside its [`KnobDef`] range or
+    /// a gated discontinuity with `min_confidence: 0`.
+    pub fn from_kind(kind: PrefetcherKind) -> Option<PrefetcherSpec> {
+        use PrefetcherKind as K;
+        let text = match kind {
+            K::None => "none".to_string(),
+            K::NextLineAlways => "nl:mode=0".to_string(),
+            K::NextLineOnMiss => "nl:mode=1".to_string(),
+            K::NextLineTagged => "nl:mode=2".to_string(),
+            K::NextNLineTagged { n } => format!("nnl:n={n}"),
+            K::Lookahead { n } => format!("lookahead:n={n}"),
+            K::Discontinuity {
+                table_entries: t,
+                ahead: a,
+            } => {
+                format!("disc:table_entries={t},ahead={a}")
+            }
+            K::DiscontinuityGated {
+                table_entries: t,
+                ahead: a,
+                min_confidence: c,
+            } => {
+                format!("disc:table_entries={t},ahead={a},min_confidence={c}")
+            }
+            K::Target { table_entries: t } => format!("target:table_entries={t}"),
+            K::WrongPath { next_line } => format!("wrong_path:next_line={}", u8::from(next_line)),
+            K::Markov {
+                table_entries: t,
+                ahead: a,
+            } => {
+                format!("markov:table_entries={t},ahead={a}")
+            }
+        };
+        let mut spec = PrefetcherSpec::parse(&text).ok()?;
+        let def = spec.def();
+        spec.knobs
+            .retain(|(k, v)| def.knob(k).is_some_and(|kd| kd.default != *v));
+        (spec.kind() == Some(kind)).then_some(spec)
+    }
+
+    /// The paper mechanism this spec selects; `None` for a rival scheme,
+    /// which has no [`PrefetcherKind`].
+    pub fn kind(&self) -> Option<PrefetcherKind> {
+        match self.def().make {
+            Make::Kind(kind) => Some(kind(&self.resolve())),
+            Make::Engine(_) => None,
+        }
+    }
+
+    fn def(&self) -> &'static SchemeDef {
+        find_scheme(&self.name).expect("validated at parse time")
+    }
+
     fn resolve(&self) -> ResolvedKnobs {
-        let def = find_scheme(&self.name).expect("validated at parse time");
-        let vals = def
+        let vals = self
+            .def()
             .knobs
             .iter()
             .map(|kd| {
@@ -508,8 +557,10 @@ impl PrefetcherSpec {
 
     /// Constructs the scheme. Infallible: validation happened at parse.
     pub fn build(&self) -> Box<dyn PrefetchEngine> {
-        let def = find_scheme(&self.name).expect("validated at parse time");
-        (def.build)(&self.resolve())
+        match self.def().make {
+            Make::Kind(kind) => kind(&self.resolve()).build(),
+            Make::Engine(build) => build(&self.resolve()),
+        }
     }
 }
 
@@ -574,6 +625,76 @@ impl ZooPlan {
 impl fmt::Display for ZooPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.canonical())
+    }
+}
+
+/// The prefetching a run configures: one paper mechanism, or a zoo of
+/// registry schemes side by side with per-scheme attribution.
+///
+/// Its text form is the one spelling of a scheme that the `ipsim` CLI and
+/// the serve wire take: a registry spec (`disc:ahead=2`) for
+/// [`Scheme::Single`], `zoo:<plan>` (`zoo:nl+mana`) for [`Scheme::Zoo`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Scheme {
+    /// One paper mechanism, run as a zoo of one.
+    Single(PrefetcherKind),
+    /// A zoo plan; its runs report per-scheme rows.
+    Zoo(ZooPlan),
+}
+
+impl Default for Scheme {
+    fn default() -> Scheme {
+        Scheme::Single(PrefetcherKind::None)
+    }
+}
+
+impl Scheme {
+    /// Parses the text form. A rival scheme written without `zoo:` is a
+    /// [`SpecError::ZooOnly`].
+    pub fn parse(text: &str) -> Result<Scheme, SpecError> {
+        if let Some(plan) = text.strip_prefix("zoo:") {
+            return ZooPlan::parse(plan).map(Scheme::Zoo);
+        }
+        let spec = PrefetcherSpec::parse(text)?;
+        spec.kind()
+            .map(Scheme::Single)
+            .ok_or(SpecError::ZooOnly(spec.name))
+    }
+
+    /// The text form, which [`Scheme::parse`] reads back to an equal
+    /// scheme; `None` for a kind the registry cannot name (see
+    /// [`PrefetcherSpec::from_kind`]).
+    pub fn text(&self) -> Option<String> {
+        match self {
+            Scheme::Single(kind) => PrefetcherSpec::from_kind(*kind).map(|spec| spec.canonical()),
+            Scheme::Zoo(plan) => Some(format!("zoo:{plan}")),
+        }
+    }
+
+    /// The zoo plan; `None` for a single mechanism.
+    pub fn plan(&self) -> Option<&ZooPlan> {
+        match self {
+            Scheme::Single(_) => None,
+            Scheme::Zoo(plan) => Some(plan),
+        }
+    }
+
+    /// A short tag for progress lines: the mechanism's paper legend, or
+    /// `zoo[<plan>]`.
+    pub fn label(&self) -> String {
+        match self {
+            Scheme::Single(kind) => kind.label(),
+            Scheme::Zoo(plan) => format!("zoo[{plan}]"),
+        }
+    }
+
+    /// Instantiates one core's [`Zoo`]: the plan's, or the mechanism as a
+    /// zoo of one.
+    pub fn build(&self) -> Zoo {
+        match self {
+            Scheme::Single(kind) => Zoo::single(kind.build()),
+            Scheme::Zoo(plan) => plan.build(),
+        }
     }
 }
 

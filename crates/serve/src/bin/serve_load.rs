@@ -27,11 +27,11 @@ Exit code 1 when any submission or job fails.
 /// submitted by several clients — duplicate submissions are the point.
 const CORPUS: &[(&str, &str)] = &[
     ("db", "none"),
-    ("db", "nl_tagged"),
-    ("tpcw", "nl_tagged"),
-    ("japp", "disc:4096:4"),
-    ("web", "nl_tagged"),
-    ("db", "disc:4096:4"),
+    ("db", "nl"),
+    ("tpcw", "nl"),
+    ("japp", "disc:table_entries=4096"),
+    ("web", "nl"),
+    ("db", "disc:table_entries=4096"),
 ];
 
 fn main() {
@@ -83,7 +83,7 @@ fn main() {
                 for j in 0..jobs {
                     let (workload, prefetcher) = CORPUS[(c + j) % CORPUS.len()];
                     let spec = format!(
-                        "{{\"v\":1,\"runs\":[{{\"config\":\"single_core\",\
+                        "{{\"v\":3,\"runs\":[{{\"config\":\"single_core\",\
                          \"workload\":\"{workload}\",\"prefetcher\":\"{prefetcher}\",\
                          \"policy\":\"install_both\",\"warm\":{warm},\"measure\":{measure}}}]}}"
                     );

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ipsim_harness::wire::{JobSpec, TSV_HEADER};
+use ipsim_harness::wire::{JobSpec, TSV_PREFIX};
 use ipsim_harness::Summary;
 use ipsim_obs::json;
 
@@ -217,7 +217,7 @@ fn submit(request: &Request, peer: SocketAddr, service: &Arc<Service>) -> (u16, 
     let is_tsv = request
         .header("content-type")
         .is_some_and(|t| t.contains("tab-separated"))
-        || body.trim_start().starts_with(TSV_HEADER);
+        || body.trim_start().starts_with(TSV_PREFIX);
     let spec = if is_tsv {
         JobSpec::from_tsv(body)
     } else {

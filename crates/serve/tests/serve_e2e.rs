@@ -264,8 +264,9 @@ fn tsv_submission_and_inflight_coalescing() {
     let handle = boot(config(&root, 0));
     let addr = handle.addr.to_string();
 
+    // A v3 TSV job spelling next-line tagged as the registry spec `nl`.
     let body = format!(
-        "{}\nsingle_core\tweb\tnl_tagged\tinstall_both\t-\t2000\t5000\n",
+        "{}\nsingle_core\tweb\tnl\tinstall_both\t-\t2000\t5000\n",
         ipsim_harness::wire::TSV_HEADER
     );
     let first = client::request(
@@ -279,7 +280,8 @@ fn tsv_submission_and_inflight_coalescing() {
     assert_eq!(first.status, 202, "{}", first.body);
     let first_id = field(&first.json().unwrap(), "id").to_string();
 
-    // The same spec as JSON coalesces onto the queued job.
+    // The same run as a v1 JSON job, spelled `nl_tagged`, coalesces onto
+    // the queued job.
     let second = submit(&addr, &spec_json("web", "nl_tagged"));
     assert_eq!(second.status, 200, "{}", second.body);
     let second = second.json().unwrap();

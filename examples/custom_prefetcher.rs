@@ -45,10 +45,13 @@ impl PrefetchEngine for StreamPair {
 }
 
 fn main() -> Result<(), ConfigError> {
-    // The builder API takes a `PrefetcherKind` or a registry `ZooPlan`;
-    // custom engines plug in at the `Core` level, which hosts them in a
-    // zoo of one exactly like a built-in scheme. For an apples-to-apples
-    // comparison we drive a single core by hand with each engine.
+    // The builder API takes a `Scheme`: one `PrefetcherKind`
+    // (`.prefetcher`) or a registry `ZooPlan` (`.zoo`), both spelled as
+    // registry text such as `disc:ahead=2` or `zoo:nl+mana`. Custom
+    // engines are not in the registry; they plug in at the `Core` level,
+    // which hosts them in a zoo of one exactly like a built-in scheme.
+    // For an apples-to-apples comparison we drive a single core by hand
+    // with each engine.
     let workload = WorkloadSet::homogeneous(Workload::Web);
     let (warm, measure) = (1_000_000u64, 4_000_000u64);
 

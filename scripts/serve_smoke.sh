@@ -7,7 +7,9 @@
 #   2. dedup: resubmitting the spec answers instantly from the run cache;
 #   3. crash safety: kill -9 with a 10-job queue in flight, restart over
 #      the same journal, every job reaches a terminal state;
-#   4. backpressure: a full queue answers 429, not a hang.
+#   4. backpressure: a full queue answers 429, not a hang;
+#   5. v3 scheme text: a registry-spec job and a `zoo:` job both finish
+#      (the v1 payloads above keep the compact `nl_tagged`/`nnl:N` forms).
 #
 # Needs: target/release/{ipsim_serve,serve_load} (make build), curl, jq.
 set -euo pipefail
@@ -140,5 +142,16 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST \
 [ "${CODE}" = "429" ] || fail "expected 429 on overflow, got ${CODE}"
 stop
 echo "   ok: 429 on a full queue"
+
+echo "== v3 registry-spec and zoo: submissions =="
+boot e --workers 2
+for PF in "disc:ahead=2" "zoo:nl+mana"; do
+    J=$(submit "{\"v\":3,\"runs\":[{\"config\":\"single_core\",\"workload\":\"web\",\"prefetcher\":\"${PF}\",\"policy\":\"install_both\",\"warm\":50000,\"measure\":100000}]}")
+    ID=$(echo "${J}" | jq -r .id)
+    [ "${ID}" != "null" ] || fail "v3 submit of ${PF} rejected: ${J}"
+    wait_done "${ID}"
+done
+stop
+echo "   ok: v3 disc:ahead=2 and zoo:nl+mana jobs done"
 
 echo "serve_smoke: PASS"

@@ -2,7 +2,7 @@
 //! simulator.
 //!
 //! ```text
-//! ipsim run       --workload db --cores 4 --prefetcher discontinuity --policy bypass
+//! ipsim run       --workload db --cores 4 --prefetcher disc:ahead=2 --policy bypass
 //! ipsim compare   --workload japp
 //! ipsim breakdown --workload db
 //! ipsim info
@@ -15,6 +15,7 @@ use ipsim::cpu::{SystemBuilder, SystemMetrics, WorkloadSet};
 use ipsim::prefetch::PrefetcherKind;
 use ipsim::trace::Workload;
 use ipsim::types::{MissCategory, SystemConfig};
+use ipsim::zoo::{registry, Scheme};
 
 const USAGE: &str = "\
 ipsim — instruction prefetching in chip multiprocessors (HPCA 2005 reproduction)
@@ -26,7 +27,7 @@ COMMANDS:
     run        simulate one configuration and print its metrics
     compare    run every prefetching scheme on one workload
     breakdown  print the miss-category breakdown for one workload
-    info       list workloads, schemes and the default configuration
+    info       list workloads, the scheme registry and the default configuration
 
 OPTIONS (run / compare / breakdown):
     --workload <db|tpcw|japp|web|mixed>   workload (default: db)
@@ -35,8 +36,8 @@ OPTIONS (run / compare / breakdown):
     --measure <N>                         measured instructions per core (default: 5000000)
 
 OPTIONS (run):
-    --prefetcher <none|next-line|next-line-tagged|next-4-line|discontinuity|
-                  discont-2nl|target|wrong-path|markov>   (default: discontinuity)
+    --prefetcher <SCHEME>                 a registry spec such as `disc:ahead=2`, or
+                                          `zoo:<spec>+<spec>...` (default: disc; see `ipsim info`)
     --policy <install|bypass>             L2 install policy (default: bypass)
 ";
 
@@ -46,7 +47,7 @@ struct Options {
     cores: u32,
     warm: u64,
     measure: u64,
-    prefetcher: PrefetcherKind,
+    prefetcher: Scheme,
     policy: InstallPolicy,
 }
 
@@ -57,7 +58,7 @@ impl Options {
             cores: 4,
             warm: 2_000_000,
             measure: 5_000_000,
-            prefetcher: PrefetcherKind::discontinuity_default(),
+            prefetcher: Scheme::Single(PrefetcherKind::discontinuity_default()),
             policy: InstallPolicy::BypassL2UntilUseful,
         };
         let mut it = args.iter();
@@ -94,23 +95,7 @@ impl Options {
                         .map_err(|_| "measure must be a number".to_string())?;
                 }
                 "--prefetcher" => {
-                    opts.prefetcher = match value(&mut it)?.as_str() {
-                        "none" => PrefetcherKind::None,
-                        "next-line" => PrefetcherKind::NextLineOnMiss,
-                        "next-line-tagged" => PrefetcherKind::NextLineTagged,
-                        "next-4-line" => PrefetcherKind::NextNLineTagged { n: 4 },
-                        "discontinuity" => PrefetcherKind::discontinuity_default(),
-                        "discont-2nl" => PrefetcherKind::discontinuity_2nl(),
-                        "target" => PrefetcherKind::Target {
-                            table_entries: 8192,
-                        },
-                        "wrong-path" => PrefetcherKind::WrongPath { next_line: true },
-                        "markov" => PrefetcherKind::Markov {
-                            table_entries: 8192,
-                            ahead: 4,
-                        },
-                        other => return Err(format!("unknown prefetcher '{other}'")),
-                    };
+                    opts.prefetcher = Scheme::parse(&value(&mut it)?).map_err(|e| e.to_string())?;
                 }
                 "--policy" => {
                     opts.policy = match value(&mut it)?.as_str() {
@@ -136,9 +121,9 @@ impl Options {
         }
     }
 
-    fn simulate(&self, prefetcher: PrefetcherKind, policy: InstallPolicy) -> SystemMetrics {
+    fn simulate(&self, scheme: Scheme, policy: InstallPolicy) -> SystemMetrics {
         let mut system = SystemBuilder::new(self.config())
-            .prefetcher(prefetcher)
+            .scheme(scheme)
             .install_policy(policy)
             .build()
             .expect("the paper design points are valid configurations");
@@ -171,10 +156,10 @@ fn cmd_run(opts: &Options) {
         opts.prefetcher.label(),
         opts.policy == InstallPolicy::BypassL2UntilUseful,
     );
-    let base = opts.simulate(PrefetcherKind::None, InstallPolicy::InstallBoth);
+    let base = opts.simulate(Scheme::default(), InstallPolicy::InstallBoth);
     print_metrics("no prefetch", &base, None);
-    if opts.prefetcher != PrefetcherKind::None {
-        let m = opts.simulate(opts.prefetcher, opts.policy);
+    if opts.prefetcher != Scheme::default() {
+        let m = opts.simulate(opts.prefetcher.clone(), opts.policy);
         print_metrics(&opts.prefetcher.label(), &m, Some(&base));
     }
 }
@@ -185,26 +170,21 @@ fn cmd_compare(opts: &Options) {
         opts.workload.name(),
         opts.cores
     );
-    let base = opts.simulate(PrefetcherKind::None, InstallPolicy::InstallBoth);
+    let base = opts.simulate(Scheme::default(), InstallPolicy::InstallBoth);
     print_metrics("no prefetch", &base, None);
-    let schemes = [
-        PrefetcherKind::NextLineOnMiss,
-        PrefetcherKind::NextLineTagged,
-        PrefetcherKind::NextNLineTagged { n: 4 },
-        PrefetcherKind::WrongPath { next_line: true },
-        PrefetcherKind::Target {
-            table_entries: 8192,
-        },
-        PrefetcherKind::Markov {
-            table_entries: 8192,
-            ahead: 4,
-        },
-        PrefetcherKind::discontinuity_2nl(),
-        PrefetcherKind::discontinuity_default(),
-    ];
-    for kind in schemes {
-        let m = opts.simulate(kind, InstallPolicy::BypassL2UntilUseful);
-        print_metrics(&kind.label(), &m, Some(&base));
+    for text in [
+        "nl:mode=1",
+        "nl",
+        "nnl",
+        "wrong_path",
+        "target:table_entries=8192",
+        "markov",
+        "disc:ahead=2",
+        "disc",
+    ] {
+        let scheme = Scheme::parse(text).expect("registry spec");
+        let m = opts.simulate(scheme.clone(), InstallPolicy::BypassL2UntilUseful);
+        print_metrics(&scheme.label(), &m, Some(&base));
     }
 }
 
@@ -214,7 +194,7 @@ fn cmd_breakdown(opts: &Options) {
         opts.workload.name(),
         opts.cores
     );
-    let m = opts.simulate(PrefetcherKind::None, InstallPolicy::InstallBoth);
+    let m = opts.simulate(Scheme::default(), InstallPolicy::InstallBoth);
     let l1i = m.l1i_miss_breakdown();
     let l2i = m.l2_instr_miss_breakdown();
     println!("{:<18} {:>8} {:>8}", "category", "L1I", "L2I");
@@ -246,6 +226,17 @@ fn cmd_info() {
         );
     }
     println!("  Mixed  one application per core (4-way CMP only)");
+    println!("\nprefetch schemes (--prefetcher name[:knob=value,...]; rivals only in zoo:a+b):");
+    for def in registry() {
+        println!("  {:<11} {}", def.name, def.doc);
+        for k in def.knobs {
+            let pow2 = if k.pow2 { ", power of two" } else { "" };
+            println!(
+                "    {}={} ({}..={}{pow2}) {}",
+                k.name, k.default, k.min, k.max, k.doc
+            );
+        }
+    }
     println!("\ndefault system (paper Section 5):");
     let c = SystemConfig::cmp4();
     println!(
