@@ -1,9 +1,9 @@
 # Developer entry points. Everything here is a thin wrapper over cargo;
 # CI runs the same commands (see .github/workflows/ci.yml).
 
-.PHONY: build test lint figures figures-sharded bench-snapshot \
+.PHONY: build test lint figures bench-snapshot \
         bench-check sim-report sweep-report telemetry-check bakeoff \
-        bakeoff-smoke serve serve-load serve-smoke shard-smoke \
+        bakeoff-smoke serve serve-load serve-smoke sweep-smoke \
         ops-report metrics-smoke
 
 build:
@@ -19,17 +19,10 @@ lint:
 figures:
 	cargo run --release -p ipsim-experiments --bin all_figures
 
-# Process-parallel figure sweep: the run set is partitioned by cache key
-# over N processes (override with SHARDS=N), all writing through the
-# shared run cache; figures are byte-identical at any shard count.
-SHARDS ?= 4
-figures-sharded:
-	cargo run --release -p ipsim-experiments --bin all_figures -- --shards $(SHARDS)
-
 # Queryable summary of everything the runlog + run cache + telemetry
 # artifacts record: totals, cache economics, per-workload/per-scheme
-# accuracy/coverage/timeliness, shard utilization. Add
-# SWEEP_REPORT_FLAGS="--stable" for the machine-stable view.
+# accuracy/coverage/timeliness. Add SWEEP_REPORT_FLAGS="--stable" for the
+# machine-stable view.
 sweep-report:
 	cargo run --release -p ipsim-experiments --bin report -- sweep $(SWEEP_REPORT_FLAGS)
 
@@ -98,8 +91,8 @@ ops-report:
 metrics-smoke: build
 	bash scripts/metrics_smoke.sh
 
-# Sharded-sweep smoke: 2-shard mini-sweep with a real child process,
-# golden figure hashes, warm-rerun manifest skip, stable-report
-# byte-identity. Same script CI runs.
-shard-smoke: build
-	bash scripts/shard_smoke.sh
+# Sweep smoke: --jobs 1 vs --jobs 2 mini-sweeps, golden figure hashes,
+# warm-rerun manifest skip, stable-report byte-identity. Same script CI
+# runs.
+sweep-smoke: build
+	bash scripts/sweep_smoke.sh

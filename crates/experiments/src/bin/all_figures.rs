@@ -1,5 +1,4 @@
-//! Regenerates every figure in one process — or several — through the
-//! shared scheduler.
+//! Regenerates every figure in one process through the shared scheduler.
 //!
 //! All figures' runs are collected up front, deduplicated globally by cache
 //! key, executed once across a worker pool (`--jobs N`), then each figure
@@ -8,24 +7,15 @@
 //! figure runs, a pass/fail summary is printed at the end, and only then
 //! does the process exit nonzero.
 //!
-//! Two orthogonal accelerators ride on top:
-//!
-//! * `--shards N` (or `$IPSIM_SHARDS`) partitions the unique run set
-//!   deterministically by cache key over N processes: this binary re-execs
-//!   itself with the internal `--shard-exec I/N` flag for shards `1..N`,
-//!   runs shard 0 in-process, and every shard writes through the shared
-//!   run cache — so the final render pass resolves everything from cache
-//!   hits and the figures are byte-identical at any shard count.
-//! * the incremental manifest (`results/figures/manifest.tsv`) skips
-//!   figures whose input runs and renderer are unchanged since their
-//!   output file was written; `--force` bypasses it.
+//! The incremental manifest (`results/figures/manifest.tsv`) skips figures
+//! whose input runs and renderer are unchanged since their output file was
+//! written; `--force` bypasses it.
 
 use std::path::PathBuf;
 use std::process::exit;
 
 use ipsim_experiments::figures;
-use ipsim_harness::shard::ShardSpec;
-use ipsim_harness::{run_shard, run_sweep, Figure, HarnessArgs, SweepOptions};
+use ipsim_harness::{run_sweep, Figure, HarnessArgs, SweepOptions};
 
 fn main() {
     ipsim_signal::install();
@@ -56,37 +46,6 @@ fn main() {
     if args.telemetry {
         opts.telemetry = Some(ipsim_telemetry::TelemetryConfig::default());
     }
-
-    // Child mode: execute our slice of the run set and exit. No rendering,
-    // no summary tables — the parent does that once everything merged.
-    if let Some(shard) = args.shard_exec {
-        let report = run_shard(&selected, &opts, shard);
-        eprintln!(
-            "[s{shard}] shard done: {}/{} runs ({} simulated, {} cached) in {:.1}s",
-            report.assigned,
-            report.sweep_jobs,
-            report.cache_misses,
-            report.cache_hits,
-            report.wall.as_secs_f64(),
-        );
-        exit(if report.interrupted { 130 } else { 0 });
-    }
-
-    let shards = match args.resolve_shards() {
-        Ok(n) => n,
-        Err(msg) => {
-            eprintln!("{msg}");
-            exit(2);
-        }
-    };
-    let mut shard_interrupted = false;
-    if shards > 1 {
-        shard_interrupted = run_sharded(&args, &selected, &opts, shards);
-    }
-
-    // Render pass. After sharded execution this resolves (almost) entirely
-    // from cache hits; any run a failed shard left behind is simulated
-    // here, so a crashed child degrades throughput, never correctness.
     let report = run_sweep(&selected, &opts);
 
     for fig in &report.figures {
@@ -102,7 +61,7 @@ fn main() {
     }
 
     println!(
-        "{} figures ({} rendered, {} unchanged) · {} runs ({} unique: {} cached, {} simulated{}) · {:.1}s with {} worker{}{}",
+        "{} figures ({} rendered, {} unchanged) · {} runs ({} unique: {} cached, {} simulated{}) · {:.1}s with {} worker{}",
         report.figures.len(),
         report.figures.len() - report.figures_skipped,
         report.figures_skipped,
@@ -118,11 +77,6 @@ fn main() {
         report.wall.as_secs_f64(),
         args.workers,
         if args.workers == 1 { "" } else { "s" },
-        if shards > 1 {
-            format!(" · {shards} shards")
-        } else {
-            String::new()
-        },
     );
     if report.telemetry_written > 0 {
         println!(
@@ -166,7 +120,7 @@ fn main() {
             fig.title,
         );
     }
-    if report.interrupted || shard_interrupted {
+    if report.interrupted {
         eprintln!(
             "interrupted: {} completed runs flushed to the runlog; rerun to resume from cache",
             report.cache_hits + report.cache_misses,
@@ -180,63 +134,4 @@ fn main() {
         eprintln!("{failed} figure(s) failed");
         exit(1);
     }
-}
-
-/// Spawns shards `1..shards` as child processes of this same binary and
-/// runs shard 0 in-process; waits for every child. Returns whether any
-/// shard was interrupted. A child that fails for any other reason is
-/// reported and otherwise ignored: the render pass re-simulates whatever
-/// that shard didn't finish.
-fn run_sharded(
-    args: &HarnessArgs,
-    selected: &[Figure],
-    opts: &SweepOptions,
-    shards: usize,
-) -> bool {
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            eprintln!("warning: cannot respawn for sharding ({e}); running single-process");
-            return false;
-        }
-    };
-    let mut children = Vec::new();
-    for index in 1..shards {
-        let shard = ShardSpec {
-            index,
-            count: shards,
-        };
-        match std::process::Command::new(&exe)
-            .args(args.child_args(shard))
-            .spawn()
-        {
-            Ok(child) => children.push((shard, child)),
-            Err(e) => eprintln!("warning: shard {shard} failed to spawn: {e}"),
-        }
-    }
-    let local = run_shard(
-        selected,
-        opts,
-        ShardSpec {
-            index: 0,
-            count: shards,
-        },
-    );
-    let mut interrupted = local.interrupted;
-    for (shard, mut child) in children {
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) if status.code() == Some(130) => interrupted = true,
-            Ok(status) => eprintln!("warning: shard {shard} exited with {status}"),
-            Err(e) => eprintln!("warning: shard {shard} could not be waited on: {e}"),
-        }
-    }
-    eprintln!(
-        "shards: {shards} processes over {} unique runs · shard 0 did {} ({} simulated) in {:.1}s",
-        local.sweep_jobs,
-        local.assigned,
-        local.cache_misses,
-        local.wall.as_secs_f64(),
-    );
-    interrupted
 }

@@ -56,8 +56,8 @@ usage: report <command> [options]
 
   sim     per-workload prefetcher diagnosis (or the zoo bake-off) from a
           telemetry-enabled sweep
-  sweep   totals, cache economics, per-scheme accuracy/coverage/timeliness
-          and shard utilization from a finished sweep's runlog and stores
+  sweep   totals, cache economics and per-scheme accuracy/coverage/
+          timeliness from a finished sweep's runlog and stores
   ops     tables from a saved /v1/metrics scrape and/or span trace
   check   validate telemetry artifact directories and Chrome traces
 
@@ -90,9 +90,9 @@ usage: report sweep [--runlog PATH] [--cache DIR] [--telemetry DIR] [--stable]
   --telemetry DIR   telemetry artifact root for the timeliness columns
                     (default: $IPSIM_TELEMETRY_DIR or results/telemetry);
                     missing artifacts print `-`, never fail
-  --stable          machine-stable view only: no timestamps, wall times,
-                    stream sources or shard batches — byte-identical for
-                    any shard or worker count that produced the sweep
+  --stable          machine-stable view only: no timestamps, wall times
+                    or stream sources — byte-identical for any worker
+                    count that produced the sweep
   --help            this text
 ";
 

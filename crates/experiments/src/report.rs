@@ -15,15 +15,12 @@
 //! * **per-workload / per-scheme** — accuracy, coverage (L1I miss
 //!   reduction vs the matching no-prefetch baseline), prefetches per
 //!   kilo-instruction from the cache summaries, plus timeliness (late and
-//!   useless fractions) where a telemetry artifact exists;
-//! * **shard utilization** — simulated runs, wall and instructions per
-//!   `# batch shard I/N` section of the log.
+//!   useless fractions) where a telemetry artifact exists.
 //!
-//! `--stable` drops everything timing- or shard-dependent (timestamps,
-//! wall, sources, batches) and keys every remaining line to sorted cache
-//! keys: the stable view of a sweep is byte-identical no matter how many
-//! processes, workers or invocations produced it — which is exactly what
-//! the sharding tests pin.
+//! `--stable` drops everything timing-dependent (timestamps, wall,
+//! sources) and keys every remaining line to sorted cache keys: the
+//! stable view of a sweep is byte-identical no matter how many workers or
+//! invocations produced it — which is what the determinism tests pin.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -46,9 +43,8 @@ pub struct ReportOptions {
     /// The telemetry artifact root (timeliness columns); missing artifacts
     /// degrade those columns to `-`, never fail the report.
     pub telemetry_dir: PathBuf,
-    /// Emit only the machine-stable view: no timestamps, wall times,
-    /// stream sources or shard batches. Byte-identical across shard and
-    /// worker counts.
+    /// Emit only the machine-stable view: no timestamps, wall times or
+    /// stream sources. Byte-identical across worker counts.
     pub stable: bool,
 }
 
@@ -68,8 +64,7 @@ impl ReportOptions {
     }
 }
 
-/// One parsed v5 runlog row (the fields the report uses), plus the batch
-/// tag it was appended under.
+/// One parsed v5 runlog row (the fields the report uses).
 #[derive(Debug, Clone)]
 struct LogRow {
     source: String,
@@ -80,14 +75,12 @@ struct LogRow {
     sim_s: f64,
     key: String,
     label: String,
-    batch: Option<String>,
 }
 
-/// Parses a v5 runlog. `# batch <tag>` markers attribute the rows that
-/// follow them (until the next marker) to that producer; other comment
-/// lines are skipped. Malformed rows are counted, not fatal: a report
-/// over a damaged log should describe what is readable and say what was
-/// not.
+/// Parses a v5 runlog. Comment lines are skipped, including the
+/// `# batch …` markers older logs carry. Malformed rows are counted, not
+/// fatal: a report over a damaged log should describe what is readable
+/// and say what was not.
 fn parse_runlog(text: &str) -> Result<(Vec<LogRow>, usize), String> {
     let mut lines = text.lines();
     match lines.next() {
@@ -97,12 +90,7 @@ fn parse_runlog(text: &str) -> Result<(Vec<LogRow>, usize), String> {
     }
     let mut rows = Vec::new();
     let mut malformed = 0usize;
-    let mut batch: Option<String> = None;
     for line in lines {
-        if let Some(tag) = line.strip_prefix("# batch ") {
-            batch = Some(tag.to_string());
-            continue;
-        }
         if line.starts_with('#') || line.is_empty() {
             continue;
         }
@@ -117,7 +105,6 @@ fn parse_runlog(text: &str) -> Result<(Vec<LogRow>, usize), String> {
                 sim_s: f.get(8)?.parse().ok()?,
                 key: f.get(13)?.to_string(),
                 label: f.get(14)?.to_string(),
-                batch: batch.clone(),
             })
         })();
         match parsed {
@@ -370,43 +357,13 @@ pub fn render_report(opts: &ReportOptions) -> Result<String, String> {
         out.push_str(&table_string(&header, &table));
     }
 
-    // --- shard utilization (timing-dependent: skipped in stable) ----
-    if !opts.stable {
-        let mut batches: BTreeMap<String, (usize, f64, f64)> = BTreeMap::new();
-        for row in &rows {
-            if row.source == "cache" {
-                continue; // cache hits are bookkeeping, not shard work
-            }
-            let tag = row.batch.clone().unwrap_or_else(|| "(untagged)".into());
-            let b = batches.entry(tag).or_insert((0, 0.0, 0.0));
-            b.0 += 1;
-            b.1 += row.wall_s;
-            b.2 += row.sim_minstr;
-        }
-        if batches.keys().any(|t| t.starts_with("shard ")) {
-            let _ = writeln!(out, "\n== shard utilization ==");
-            let rows: Vec<Vec<String>> = batches
-                .iter()
-                .map(|(tag, (n, wall, minstr))| {
-                    vec![
-                        tag.clone(),
-                        n.to_string(),
-                        format!("{wall:.1}"),
-                        format!("{minstr:.0}"),
-                    ]
-                })
-                .collect();
-            out.push_str(&table_string(&["batch", "runs", "wall_s", "Minstr"], &rows));
-        }
-    }
-
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipsim_harness::runlog::{append_tagged, RunRecord};
+    use ipsim_harness::runlog::{append, RunRecord};
     use ipsim_harness::traces::RunSource;
 
     fn record(key: &str, label: &str, source: RunSource, wall: f64) -> RunRecord {
@@ -452,27 +409,24 @@ mod tests {
     }
 
     #[test]
-    fn report_aggregates_batches_sources_and_schemes() {
+    fn report_aggregates_sources_and_schemes() {
         let dir = base("full");
         let o = opts(&dir);
-        append_tagged(
+        append(
             &o.runlog,
             1,
-            Some("shard 0/2"),
             &[record("aaaa", "1c·DB·none", RunSource::Capture, 2.0)],
         )
         .unwrap();
-        append_tagged(
+        append(
             &o.runlog,
             1,
-            Some("shard 1/2"),
             &[record("bbbb", "1c·DB·nl-tagged", RunSource::Replay, 1.5)],
         )
         .unwrap();
-        append_tagged(
+        append(
             &o.runlog,
             1,
-            None,
             &[
                 record("aaaa", "1c·DB·none", RunSource::Cache, 0.001),
                 record("bbbb", "1c·DB·nl-tagged", RunSource::Cache, 0.001),
@@ -482,8 +436,6 @@ mod tests {
 
         let text = render_report(&o).unwrap();
         assert!(text.contains("unique runs: 2"), "{text}");
-        assert!(text.contains("shard 0/2"), "{text}");
-        assert!(text.contains("shard 1/2"), "{text}");
         assert!(text.contains("hits: 2 · simulations: 2"), "{text}");
         assert!(text.contains("aggregate sim-MIPS: 30.00"), "{text}");
         // Both executed rows report sim_mips 30, which lands in the
@@ -509,13 +461,13 @@ mod tests {
     fn stable_view_is_independent_of_row_order_sources_and_batches() {
         let dir_a = base("stable-a");
         let dir_b = base("stable-b");
-        // Same key set; different shard batches, sources, wall times and
-        // row orders — everything a shard count changes.
+        let dir_c = base("stable-c");
+        // Same key set; different sources, wall times, worker counts and
+        // row orders — everything the execution shape changes.
         let a = opts(&dir_a);
-        append_tagged(
+        append(
             &a.runlog,
             4,
-            Some("shard 0/4"),
             &[
                 record("aaaa", "1c·DB·none", RunSource::Live, 2.0),
                 record("bbbb", "1c·DB·nl-tagged", RunSource::Capture, 3.0),
@@ -523,18 +475,34 @@ mod tests {
         )
         .unwrap();
         let b = opts(&dir_b);
-        append_tagged(
+        append(
             &b.runlog,
             1,
-            None,
             &[record("bbbb", "1c·DB·nl-tagged", RunSource::Replay, 9.9)],
         )
         .unwrap();
-        append_tagged(
+        append(
             &b.runlog,
             1,
-            Some("shard 1/2"),
             &[record("aaaa", "1c·DB·none", RunSource::Cache, 0.1)],
+        )
+        .unwrap();
+        // A log written before batch markers became plain comments: one
+        // `# batch shard I/N` section per process of a two-process sweep.
+        let c = opts(&dir_c);
+        std::fs::write(
+            &c.runlog,
+            format!(
+                "{RUNLOG_SCHEMA}\n\
+                 # ts\tworkers\tsource\tok\twall_s\tsim_minstr\tmips\tsim_mips\tsim_s\t\
+                 dec_mips\tl1i_mpi\tiv_mpki\ttelem\tkey\tlabel\n\
+                 # batch shard 0/2\n\
+                 1700000000\t1\tcapture\t1\t2.000\t30.00\t20.00\t30.00\t0.5000\t0.00\t\
+                 0.02000\t0.00\t0\tbbbb\t1c·DB·nl-tagged\n\
+                 # batch shard 1/2\n\
+                 1700000000\t1\tlive\t1\t2.000\t30.00\t20.00\t30.00\t0.5000\t0.00\t\
+                 0.02000\t0.00\t0\taaaa\t1c·DB·none\n"
+            ),
         )
         .unwrap();
 
@@ -545,9 +513,18 @@ mod tests {
             o.telemetry_dir = dir_a.join("telemetry");
             render_report(&o).unwrap()
         };
-        assert_eq!(stable(a), stable(b));
-        let _ = std::fs::remove_dir_all(&dir_a);
-        let _ = std::fs::remove_dir_all(&dir_b);
+        let view = stable(a);
+        assert!(view.contains("unique runs: 2"), "{view}");
+        assert!(!view.contains("malformed"), "{view}");
+        assert_eq!(view, stable(b));
+        assert_eq!(view, stable(c.clone()));
+        // The full view reads the old log too, and has no batch section.
+        let full = render_report(&c).unwrap();
+        assert!(full.contains("unique runs: 2"), "{full}");
+        assert!(!full.contains("batch"), "{full}");
+        for dir in [&dir_a, &dir_b, &dir_c] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

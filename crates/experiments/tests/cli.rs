@@ -100,6 +100,32 @@ fn every_binary_rejects_unknown_flags_with_exit_two() {
     }
 }
 
+/// An empty figure list, and the flags of the retired process-shard
+/// engine, are usage errors: exit 2 with usage on stderr, before any run.
+#[test]
+fn all_figures_rejects_empty_figure_lists_and_shard_flags_with_exit_two() {
+    let all_figures = BINS.iter().find(|(n, _)| *n == "all_figures").unwrap().1;
+    for args in [
+        &["--figures", ""][..],
+        &["--figures", ","],
+        &["--figures="],
+        &["--shards", "2"],
+        &["--shard-exec", "0/1"],
+    ] {
+        let out = Command::new(all_figures)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("all_figures {args:?}: could not run: {e}"));
+        assert_eq!(out.status.code(), Some(2), "all_figures {args:?}: {out:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "all_figures {args:?} wrote to stdout"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage"), "all_figures {args:?}:\n{stderr}");
+    }
+}
+
 /// `report` and each of its subcommands answer `--help` on stdout with
 /// exit 0, and every misuse — no command, an unknown command, an unknown
 /// subcommand flag, `ops` with nothing to read — on stderr with exit 2.

@@ -7,9 +7,17 @@
 //! (flat cache sets, batched dispatch, bounded prefetch-source table). Any
 //! change to simulated behaviour — however subtle — flips a hash; perf work
 //! on the hot path must keep these green.
+//!
+//! The same property is pinned end to end, too: the runlogs of both
+//! worker counts record the same run set and render the same stable
+//! `report sweep` view, and the real `all_figures` binary writes the
+//! golden fig02 bytes with `--jobs 1` and `--jobs 2` alike.
 
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
+use ipsim_experiments::report::{render_report, ReportOptions};
 use ipsim_harness::hash::fnv1a64;
 use ipsim_harness::{run_sweep, Figure, ProgressMode, RunLengths, SweepOptions, SweepReport};
 use ipsim_telemetry::TelemetryConfig;
@@ -48,6 +56,31 @@ fn cold_sweep(
         force: false,
     };
     (run_sweep(figures, &opts), base)
+}
+
+/// The set of run keys a runlog records (ignoring comments and order).
+fn runlog_keys(path: &Path) -> BTreeSet<String> {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("runlog {} unreadable: {e}", path.display()));
+    text.lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| {
+            let fields: Vec<&str> = l.split('\t').collect();
+            assert_eq!(fields.len(), 15, "not a v5 runlog row: {l}");
+            fields[13].to_string()
+        })
+        .collect()
+}
+
+/// `report sweep --stable` over the stores a sweep wrote under `base`.
+fn stable_report(base: &Path) -> String {
+    render_report(&ReportOptions {
+        runlog: base.join("runlog.tsv"),
+        cache_dir: base.join("cache"),
+        telemetry_dir: base.join("telemetry"),
+        stable: true,
+    })
+    .unwrap()
 }
 
 #[test]
@@ -120,7 +153,86 @@ fn figure_output_is_byte_identical_across_worker_counts() {
         );
     }
 
+    // Both worker counts logged the same run set, and the stable report
+    // over their stores is byte-identical.
+    assert_eq!(
+        runlog_keys(&dir1.join("runlog.tsv")),
+        runlog_keys(&dir4.join("runlog.tsv")),
+        "1-worker and 4-worker runlogs record different runs"
+    );
+    assert_eq!(
+        stable_report(&dir1),
+        stable_report(&dir4),
+        "stable sweep report differs between worker counts"
+    );
+
     let _ = std::fs::remove_dir_all(dir1);
     let _ = std::fs::remove_dir_all(dir4);
     let _ = std::fs::remove_dir_all(dir_t);
+}
+
+/// Runs the real binary in `dir` with extra args, isolated via env vars.
+fn all_figures_in(dir: &Path, args: &[&str]) -> std::process::Output {
+    std::fs::create_dir_all(dir).unwrap();
+    Command::new(env!("CARGO_BIN_EXE_all_figures"))
+        .args(args)
+        .current_dir(dir)
+        .env("IPSIM_RUN_LENGTHS", "10000/20000")
+        .env("IPSIM_CACHE_DIR", dir.join("cache"))
+        .env("IPSIM_RUNLOG", dir.join("runlog.tsv"))
+        .env("IPSIM_TRACE_DIR", dir.join("traces"))
+        .output()
+        .expect("all_figures did not run")
+}
+
+#[test]
+fn the_binary_writes_golden_bytes_at_any_worker_count_and_skips_on_the_warm_rerun() {
+    let root = std::env::temp_dir().join(format!("ipsim-determinism-bin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+
+    let mut figures = Vec::new();
+    for jobs in ["1", "2"] {
+        let dir = root.join(format!("jobs{jobs}"));
+        let out = all_figures_in(&dir, &["--figures", "fig02", "--jobs", jobs]);
+        assert!(
+            out.status.success(),
+            "--jobs {jobs} run failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let fig = std::fs::read(dir.join("results/fig02.txt")).unwrap();
+        assert_eq!(
+            fnv1a64(&fig),
+            GOLDEN[0].1,
+            "fig02 diverged at --jobs {jobs}"
+        );
+        figures.push(fig);
+    }
+    assert_eq!(
+        figures[0], figures[1],
+        "worker count changed rendered bytes"
+    );
+    let (serial, parallel) = (root.join("jobs1"), root.join("jobs2"));
+    assert_eq!(
+        runlog_keys(&serial.join("runlog.tsv")),
+        runlog_keys(&parallel.join("runlog.tsv"))
+    );
+
+    // Warm re-run: the manifest proves the output current; nothing renders.
+    let warm = all_figures_in(&parallel, &["--figures", "fig02", "--jobs", "2"]);
+    assert!(warm.status.success());
+    let stdout = String::from_utf8_lossy(&warm.stdout);
+    assert!(
+        stdout.contains("(0 rendered, 1 unchanged)"),
+        "warm rerun rendered figures:\n{stdout}"
+    );
+    assert_eq!(
+        std::fs::read(parallel.join("results/fig02.txt")).unwrap(),
+        figures[1],
+        "warm rerun changed the output file"
+    );
+
+    // `report sweep --stable` over either directory produces the same bytes.
+    assert_eq!(stable_report(&serial), stable_report(&parallel));
+
+    let _ = std::fs::remove_dir_all(&root);
 }

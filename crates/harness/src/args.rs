@@ -1,12 +1,11 @@
 //! Hand-rolled argument parsing for the figure sweep (`all_figures`).
 
-use crate::shard::{self, ShardSpec};
 use crate::RunLengths;
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
 usage: all_figures [--quick] [--jobs N] [--figures figNN,figNN,...] [--no-traces]
-                   [--telemetry] [--shards N] [--force]
+                   [--telemetry] [--force]
 
   --quick          ~5x shorter warm-up/measurement windows (smoke runs)
   --jobs N, -j N   worker threads for the run pool
@@ -17,13 +16,8 @@ usage: all_figures [--quick] [--jobs N] [--figures figNN,figNN,...] [--no-traces
   --telemetry      collect interval samples and prefetch lifecycle events,
                    writing per-run artifacts under results/telemetry/
                    (see also IPSIM_TELEMETRY_DIR); results are unchanged
-  --shards N       split the sweep's run set over N processes partitioned
-                   by cache key (default $IPSIM_SHARDS or 1); results
-                   and figures are byte-identical for any N
   --force          re-render every figure, bypassing the incremental
                    manifest (results/figures/manifest.tsv)
-  --shard-exec I/N internal: execute shard I of N and exit (spawned by
-                   --shards; not for interactive use)
   --help           this text
 
   IPSIM_RUN_LENGTHS=WARM/MEASURE overrides the windows (beats --quick);
@@ -45,17 +39,9 @@ pub struct HarnessArgs {
     /// Whether to collect telemetry and write per-run artifacts
     /// (`--telemetry` enables).
     pub telemetry: bool,
-    /// Process-shard count from `--shards`; `None` when the flag is
-    /// absent (callers fall back to `$IPSIM_SHARDS`, then 1 — see
-    /// [`HarnessArgs::resolve_shards`]).
-    pub shards: Option<usize>,
     /// Re-render every figure, bypassing the incremental manifest
     /// (`--force`).
     pub force: bool,
-    /// Internal shard-child mode (`--shard-exec I/N`): execute shard I of
-    /// N and exit without rendering. Set only on processes spawned by a
-    /// `--shards` parent.
-    pub shard_exec: Option<ShardSpec>,
 }
 
 impl HarnessArgs {
@@ -71,9 +57,7 @@ impl HarnessArgs {
             figures: None,
             traces: true,
             telemetry: false,
-            shards: None,
             force: false,
-            shard_exec: None,
         };
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
@@ -93,32 +77,14 @@ impl HarnessArgs {
                     let v = args
                         .next()
                         .ok_or_else(|| format!("{arg} needs a value\n\n{USAGE}"))?;
-                    out.figures = Some(parse_figures(v.as_ref()));
-                }
-                "--shards" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| format!("{arg} needs a value\n\n{USAGE}"))?;
-                    out.shards = Some(parse_shards(v.as_ref())?);
-                }
-                "--shard-exec" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| format!("{arg} needs a value\n\n{USAGE}"))?;
-                    out.shard_exec =
-                        Some(ShardSpec::parse(v.as_ref()).map_err(|e| format!("{e}\n\n{USAGE}"))?);
+                    out.figures = Some(parse_figures(v.as_ref())?);
                 }
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 _ => {
                     if let Some(v) = arg.strip_prefix("--jobs=") {
                         out.workers = parse_workers(v)?;
                     } else if let Some(v) = arg.strip_prefix("--figures=") {
-                        out.figures = Some(parse_figures(v));
-                    } else if let Some(v) = arg.strip_prefix("--shards=") {
-                        out.shards = Some(parse_shards(v)?);
-                    } else if let Some(v) = arg.strip_prefix("--shard-exec=") {
-                        out.shard_exec =
-                            Some(ShardSpec::parse(v).map_err(|e| format!("{e}\n\n{USAGE}"))?);
+                        out.figures = Some(parse_figures(v)?);
                     } else {
                         return Err(format!("unknown argument `{arg}`\n\n{USAGE}"));
                     }
@@ -128,54 +94,13 @@ impl HarnessArgs {
         Ok(out)
     }
 
-    /// The effective shard count: `--shards` beats `$IPSIM_SHARDS` beats 1.
-    /// A malformed environment value is an error (a typo must not silently
-    /// serialise the sweep).
-    pub fn resolve_shards(&self) -> Result<usize, String> {
-        if let Some(n) = self.shards {
-            return Ok(n);
-        }
-        Ok(shard::shards_from_env()?.unwrap_or(1))
-    }
-
-    /// The argument vector a `--shards` parent passes to the child process
-    /// executing `shard`: the parent's own sweep-shaping flags (lengths,
-    /// workers, figure subset, traces, telemetry, force) plus
-    /// `--shard-exec I/N`. The child re-derives the identical job set and
-    /// executes only the shard it owns.
-    pub fn child_args(&self, shard: ShardSpec) -> Vec<String> {
-        let mut argv = Vec::new();
-        if self.lengths == RunLengths::quick() {
-            argv.push("--quick".to_string());
-        }
-        argv.push("--jobs".to_string());
-        argv.push(self.workers.to_string());
-        if let Some(figures) = &self.figures {
-            argv.push("--figures".to_string());
-            argv.push(figures.join(","));
-        }
-        if !self.traces {
-            argv.push("--no-traces".to_string());
-        }
-        if self.telemetry {
-            argv.push("--telemetry".to_string());
-        }
-        if self.force {
-            argv.push("--force".to_string());
-        }
-        argv.push("--shard-exec".to_string());
-        argv.push(shard.to_string());
-        argv
-    }
-
     /// Parses the process arguments, exiting with the usage text on error.
     /// `--help` prints the usage to stdout and exits 0.
     ///
     /// `$IPSIM_RUN_LENGTHS` (format `WARM/MEASURE`, instruction counts)
-    /// overrides the windows last, beating `--quick`. Shard children
-    /// inherit the variable, so every process of a sharded sweep agrees
-    /// on the run set. This is the hook CI smoke sweeps and tests use to
-    /// drive the real binaries with tiny windows.
+    /// overrides the windows last, beating `--quick`. This is the hook CI
+    /// smoke sweeps and tests use to drive the real binaries with tiny
+    /// windows.
     pub fn from_env_or_exit() -> HarnessArgs {
         let argv: Vec<String> = std::env::args().skip(1).collect();
         if argv.iter().any(|a| a == "--help" || a == "-h") {
@@ -254,21 +179,21 @@ fn parse_workers(v: &str) -> Result<usize, String> {
     }
 }
 
-fn parse_shards(v: &str) -> Result<usize, String> {
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!(
-            "--shards needs a positive integer, got `{v}`\n\n{USAGE}"
-        )),
-    }
-}
-
-fn parse_figures(v: &str) -> Vec<String> {
-    v.split(',')
+/// A comma-separated figure list; blank items are dropped, and a list
+/// with none left is an error rather than a sweep of zero figures.
+fn parse_figures(v: &str) -> Result<Vec<String>, String> {
+    let names: Vec<String> = v
+        .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(str::to_string)
-        .collect()
+        .collect();
+    if names.is_empty() {
+        return Err(format!(
+            "--figures needs at least one figure name, got `{v}`\n\n{USAGE}"
+        ));
+    }
+    Ok(names)
 }
 
 #[cfg(test)]
@@ -303,64 +228,9 @@ mod tests {
 
         let c = HarnessArgs::parse(["-j", "2"]).unwrap();
         assert_eq!(c.workers, 2);
-    }
 
-    #[test]
-    fn shard_flags_parse_in_both_forms() {
-        let d = HarnessArgs::parse(Vec::<String>::new()).unwrap();
-        assert_eq!(d.shards, None);
         assert!(!d.force);
-        assert_eq!(d.shard_exec, None);
-
-        let a = HarnessArgs::parse(["--shards", "4", "--force"]).unwrap();
-        assert_eq!(a.shards, Some(4));
-        assert!(a.force);
-
-        let b = HarnessArgs::parse(["--shards=7"]).unwrap();
-        assert_eq!(b.shards, Some(7));
-
-        let c = HarnessArgs::parse(["--shard-exec", "2/4"]).unwrap();
-        assert_eq!(c.shard_exec, Some(ShardSpec { index: 2, count: 4 }));
-        let e = HarnessArgs::parse(["--shard-exec=0/2"]).unwrap();
-        assert_eq!(e.shard_exec, Some(ShardSpec { index: 0, count: 2 }));
-    }
-
-    #[test]
-    fn child_args_replicate_the_parents_sweep_shape() {
-        let parent = HarnessArgs::parse([
-            "--quick",
-            "--jobs",
-            "3",
-            "--figures",
-            "fig01,fig05",
-            "--no-traces",
-            "--telemetry",
-            "--force",
-            "--shards",
-            "4",
-        ])
-        .unwrap();
-        let argv = parent.child_args(ShardSpec { index: 2, count: 4 });
-        // A child parses back to the same sweep shape, minus the shard
-        // driver flags, plus its own shard identity.
-        let child = HarnessArgs::parse(&argv).unwrap();
-        assert_eq!(child.lengths, parent.lengths);
-        assert_eq!(child.workers, parent.workers);
-        assert_eq!(child.figures, parent.figures);
-        assert_eq!(child.traces, parent.traces);
-        assert_eq!(child.telemetry, parent.telemetry);
-        assert_eq!(child.force, parent.force);
-        assert_eq!(child.shards, None, "children must not re-spawn shards");
-        assert_eq!(child.shard_exec, Some(ShardSpec { index: 2, count: 4 }));
-
-        // Defaults stay defaults: a plain parent spawns a minimal child.
-        let plain = HarnessArgs::parse(["--shards", "2"]).unwrap();
-        let argv = plain.child_args(ShardSpec { index: 1, count: 2 });
-        assert!(!argv.contains(&"--quick".to_string()));
-        assert!(!argv.contains(&"--force".to_string()));
-        assert!(argv
-            .windows(2)
-            .any(|w| w[0] == "--shard-exec" && w[1] == "1/2"));
+        assert!(HarnessArgs::parse(["--force"]).unwrap().force);
     }
 
     #[test]
@@ -382,11 +252,11 @@ mod tests {
             &["--jobs", "x"],
             &["--wat"],
             &["--jobs"],
-            &["--shards", "0"],
-            &["--shards", "x"],
-            &["--shards"],
-            &["--shard-exec", "4/4"],
-            &["--shard-exec", "nope"],
+            &["--figures", ""],
+            &["--figures", ","],
+            &["--figures= , "],
+            &["--shards", "2"],
+            &["--shard-exec", "0/1"],
         ] {
             let err = HarnessArgs::parse(bad.iter().copied()).unwrap_err();
             assert!(err.contains("usage:"), "{err}");

@@ -85,24 +85,24 @@ impl RunCache {
     /// counters and never quarantines: a reporter must not mutate the
     /// store it is describing. Corrupt or missing entries are `None`.
     pub fn lookup_key(&self, key: &str) -> Option<Summary> {
-        let text = fs::read_to_string(self.entry_path(key)).ok()?;
-        parse_entry(&text)
+        parse_entry(&fs::read(self.entry_path(key)).ok()?)
     }
 
-    /// Looks up `spec`; counts a hit or a miss. Corrupt entries are
-    /// quarantined to `<key>.tsv.corrupt` and reported as misses.
+    /// Looks up `spec`; counts a hit or a miss. Corrupt entries (non-UTF-8
+    /// bytes included) are quarantined to `<key>.tsv.corrupt` and reported
+    /// as misses.
     pub fn lookup(&self, spec: &RunSpec) -> Option<Summary> {
         let _probe = ipsim_obs::spans().span("cache.probe");
         let path = self.entry_path(&spec.cache_key());
-        let text = match fs::read_to_string(&path) {
-            Ok(text) => text,
+        let bytes = match fs::read(&path) {
+            Ok(bytes) => bytes,
             Err(_) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 crate::obs::obs().cache_miss.inc();
                 return None;
             }
         };
-        match parse_entry(&text) {
+        match parse_entry(&bytes) {
             Some(summary) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 crate::obs::obs().cache_hit.inc();
@@ -167,8 +167,8 @@ impl RunCache {
 }
 
 /// Parses a full cache file: schema header, then exactly one summary line.
-fn parse_entry(text: &str) -> Option<Summary> {
-    let mut lines = text.lines();
+fn parse_entry(bytes: &[u8]) -> Option<Summary> {
+    let mut lines = std::str::from_utf8(bytes).ok()?.lines();
     if lines.next()? != CACHE_SCHEMA {
         return None;
     }
@@ -252,15 +252,16 @@ mod tests {
     #[test]
     fn missing_or_wrong_header_is_rejected() {
         let summary = Summary::zeroed();
+        let parse = |text: String| parse_entry(text.as_bytes());
         // Headerless (the pre-harness format).
-        assert!(parse_entry(&format!("{}\n", summary.to_tsv())).is_none());
+        assert!(parse(format!("{}\n", summary.to_tsv())).is_none());
         // Future schema.
-        assert!(parse_entry(&format!("# ipsim-run-cache v99\n{}\n", summary.to_tsv())).is_none());
+        assert!(parse(format!("# ipsim-run-cache v99\n{}\n", summary.to_tsv())).is_none());
         // Trailing junk.
-        assert!(parse_entry(&format!("{CACHE_SCHEMA}\n{}\nextra\n", summary.to_tsv())).is_none());
+        assert!(parse(format!("{CACHE_SCHEMA}\n{}\nextra\n", summary.to_tsv())).is_none());
         // Valid.
         assert_eq!(
-            parse_entry(&format!("{CACHE_SCHEMA}\n{}\n", summary.to_tsv())),
+            parse(format!("{CACHE_SCHEMA}\n{}\n", summary.to_tsv())),
             Some(summary)
         );
     }

@@ -13,6 +13,8 @@
 //!   cache key, fans the unique runs across a hand-rolled [`pool`] of
 //!   `std::thread` workers (zero runtime dependencies), and renders each
 //!   figure sequentially — output is byte-identical for any worker count.
+//!   The pool is a sweep's only parallelism: its threads share one
+//!   decoded trace arena, which separate processes could not.
 //! * [`cache::RunCache`] persists summaries with schema-versioned headers,
 //!   atomic writes, and quarantine-and-rerun for corrupt entries.
 //! * [`traces::TraceStore`] captures each workload's instruction stream to
@@ -24,10 +26,6 @@
 //!   wall time, simulated MIPS, stream provenance (`cache` / `live` /
 //!   `capture` / `replay`) and trace-decode throughput, cache hit/miss
 //!   counters, and a live `N/M runs, ETA` stderr line.
-//! * [`shard::ShardSpec`] partitions any sweep's run set deterministically
-//!   by content-addressed cache key into N process shards
-//!   ([`sweep::run_shard`]); shards coordinate only through the shared run
-//!   cache, so results merge for free and work is never duplicated.
 //! * [`manifest::FigureManifest`] records each figure's render fingerprint
 //!   (FNV-1a over name, renderer version and sorted input keys) plus its
 //!   output hash, so warm sweeps skip byte-identical re-renders — and the
@@ -50,7 +48,6 @@ pub mod obs;
 pub mod pool;
 pub mod progress;
 pub mod runlog;
-pub mod shard;
 pub mod spec;
 pub mod summary;
 pub mod sweep;
@@ -63,10 +60,9 @@ pub use cache::RunCache;
 pub use figure::{Executor, Figure, RenderFn};
 pub use manifest::FigureManifest;
 pub use progress::ProgressMode;
-pub use shard::ShardSpec;
 pub use spec::RunSpec;
 pub use summary::Summary;
-pub use sweep::{run_shard, run_sweep, FigureReport, ShardReport, SweepOptions, SweepReport};
+pub use sweep::{run_sweep, FigureReport, SweepOptions, SweepReport};
 pub use telemetry::TelemetrySink;
 pub use traces::{RunSource, SystemSlot, TraceStore};
 pub use wire::{JobSpec, WireRun};

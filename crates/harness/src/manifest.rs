@@ -124,19 +124,9 @@ impl FigureManifest {
         Ok(())
     }
 
-    /// The recorded entry for `name`, if any.
-    pub fn get(&self, name: &str) -> Option<&ManifestEntry> {
-        self.entries.get(name)
-    }
-
     /// Records (or replaces) the entry for `name`.
     pub fn set(&mut self, name: &str, entry: ManifestEntry) {
         self.entries.insert(name.to_string(), entry);
-    }
-
-    /// Number of recorded figures.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// Whether no figure is recorded.
@@ -144,20 +134,21 @@ impl FigureManifest {
         self.entries.is_empty()
     }
 
-    /// Whether the figure named `name` can be skipped: its recorded
-    /// fingerprint matches `fingerprint` *and* the output file at
-    /// `output` still hashes to the recorded value.
-    pub fn allows_skip(&self, name: &str, fingerprint: &str, output: &Path) -> bool {
-        let Some(entry) = self.entries.get(name) else {
-            return false;
-        };
+    /// The on-disk text of figure `name` when its render can be skipped:
+    /// the recorded fingerprint matches `fingerprint` *and* the file at
+    /// `output` still hashes to the recorded value. `None` — unknown
+    /// figure, stale fingerprint, missing, edited or non-UTF-8 output —
+    /// means render.
+    pub fn current_output(&self, name: &str, fingerprint: &str, output: &Path) -> Option<String> {
+        let entry = self.entries.get(name)?;
         if entry.fingerprint != fingerprint {
-            return false;
+            return None;
         }
-        match fs::read(output) {
-            Ok(bytes) => entry.output_hash == hash_hex(&bytes),
-            Err(_) => false,
+        let bytes = fs::read(output).ok()?;
+        if hash_hex(&bytes) != entry.output_hash {
+            return None;
         }
+        String::from_utf8(bytes).ok()
     }
 }
 
@@ -280,14 +271,27 @@ mod tests {
                 inputs: 1,
             },
         );
-        assert!(m.allows_skip("fig01", &fp, &out));
+        let current = |m: &FigureManifest, name: &str, fp: &str| m.current_output(name, fp, &out);
+        assert_eq!(current(&m, "fig01", &fp).as_deref(), Some("rendered\n"));
         // Unknown figure, stale fingerprint, edited output, missing output.
-        assert!(!m.allows_skip("fig02", &fp, &out));
-        assert!(!m.allows_skip("fig01", "0000000000000000", &out));
+        assert_eq!(current(&m, "fig02", &fp), None);
+        assert_eq!(current(&m, "fig01", "0000000000000000"), None);
         fs::write(&out, "tampered\n").unwrap();
-        assert!(!m.allows_skip("fig01", &fp, &out));
+        assert_eq!(current(&m, "fig01", &fp), None);
         fs::remove_file(&out).unwrap();
-        assert!(!m.allows_skip("fig01", &fp, &out));
+        assert_eq!(current(&m, "fig01", &fp), None);
+        // Output that hashes to the record but is not UTF-8.
+        let raw = [b'o', b'k', 0xFF, b'\n'];
+        fs::write(&out, raw).unwrap();
+        m.set(
+            "fig01",
+            ManifestEntry {
+                fingerprint: fp.clone(),
+                output_hash: hash_hex(&raw),
+                inputs: 1,
+            },
+        );
+        assert_eq!(current(&m, "fig01", &fp), None);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -29,9 +29,6 @@ pub enum ProgressMode {
 pub struct Progress {
     mode: ProgressMode,
     total: usize,
-    // Line prefix identifying the producer when several processes share
-    // one stderr (sharded sweeps: `s1/4`); empty for ordinary sweeps.
-    tag: String,
     done: AtomicUsize,
     cached: AtomicU64,
     started: Instant,
@@ -47,31 +44,14 @@ pub struct Progress {
 impl Progress {
     /// A meter for `total` runs.
     pub fn new(mode: ProgressMode, total: usize) -> Progress {
-        Progress::with_tag(mode, total, None)
-    }
-
-    /// A meter whose lines carry a `[tag]` prefix — shard children use
-    /// their shard identity so interleaved multi-process output stays
-    /// attributable. A tagged meter never uses the `\r` live line (shards
-    /// sharing a terminal would fight over it): `Auto`/`Live` resolve to
-    /// `Plain`.
-    pub fn with_tag(mode: ProgressMode, total: usize, tag: Option<&str>) -> Progress {
-        let mode = match (mode, tag) {
-            (ProgressMode::Silent, _) => ProgressMode::Silent,
-            (_, Some(_)) => ProgressMode::Plain,
-            (ProgressMode::Auto, None) => {
-                if std::io::stderr().is_terminal() {
-                    ProgressMode::Live
-                } else {
-                    ProgressMode::Plain
-                }
-            }
-            (other, None) => other,
+        let mode = match mode {
+            ProgressMode::Auto if std::io::stderr().is_terminal() => ProgressMode::Live,
+            ProgressMode::Auto => ProgressMode::Plain,
+            other => other,
         };
         Progress {
             mode,
             total,
-            tag: tag.map(|t| format!("[{t}] ")).unwrap_or_default(),
             done: AtomicUsize::new(0),
             cached: AtomicU64::new(0),
             started: Instant::now(),
@@ -126,8 +106,7 @@ impl Progress {
                 };
                 let _ = writeln!(
                     err,
-                    "{tag}[{done}/{total}] {label}: {what} · ETA {eta}",
-                    tag = self.tag,
+                    "[{done}/{total}] {label}: {what} · ETA {eta}",
                     total = self.total,
                     label = record.label,
                     eta = fmt_eta(eta),
@@ -160,8 +139,7 @@ impl Progress {
         if kernel.1 > 0.0 {
             let _ = writeln!(
                 err,
-                "{}sweep kernel: {:.1} sim-MIPS aggregate over {:.1}s simulated",
-                self.tag,
+                "sweep kernel: {:.1} sim-MIPS aggregate over {:.1}s simulated",
                 kernel.0 / kernel.1,
                 kernel.1,
             );

@@ -109,21 +109,6 @@ impl RunRecord {
 /// consistent. One call appends one batch atomically enough for a log: a
 /// single buffered write.
 pub fn append(path: &Path, workers: usize, records: &[RunRecord]) -> io::Result<()> {
-    append_tagged(path, workers, None, records)
-}
-
-/// [`append`] with a batch tag: a `# batch <tag>` comment line is written
-/// immediately before the rows, attributing them to their producer.
-/// Sharded sweeps tag each shard's batch (`shard 1/4`), so shard
-/// utilization is reconstructable from the log (`report sweep` parses
-/// these markers); comment lines keep the v5 row schema untouched, so
-/// every existing parser still works.
-pub fn append_tagged(
-    path: &Path,
-    workers: usize,
-    tag: Option<&str>,
-    records: &[RunRecord],
-) -> io::Result<()> {
     if records.is_empty() {
         return Ok(());
     }
@@ -140,13 +125,6 @@ pub fn append_tagged(
             "# ts\tworkers\tsource\tok\twall_s\tsim_minstr\tmips\tsim_mips\tsim_s\tdec_mips\t\
              l1i_mpi\tiv_mpki\ttelem\tkey\tlabel\n",
         );
-    }
-    if let Some(tag) = tag {
-        debug_assert!(
-            !tag.contains('\n') && !tag.contains('\r'),
-            "batch tags are single-line"
-        );
-        out.push_str(&format!("# batch {tag}\n"));
     }
     let ts = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -239,25 +217,6 @@ mod tests {
         assert!(lines[2].contains("\t0.02210\t"), "l1i_mpi column present");
         assert!(lines[2].contains("\t18.50\t"), "iv_mpki column present");
         assert!(lines[2].contains("\t1234\t"), "telem column present");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn tagged_batches_write_a_batch_marker_before_their_rows() {
-        let path =
-            std::env::temp_dir().join(format!("ipsim-runlog-tagged-{}.tsv", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        append_tagged(&path, 1, Some("shard 1/4"), &[record(RunSource::Live)]).unwrap();
-        append_tagged(&path, 1, None, &[record(RunSource::Cache)]).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[2], "# batch shard 1/4");
-        assert!(lines[3].contains("\tlive\t"));
-        assert!(
-            lines[4].contains("\tcache\t"),
-            "untagged batch has no marker"
-        );
-        assert_eq!(text.lines().filter(|l| l.starts_with("# batch")).count(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -20,7 +20,6 @@ use crate::manifest::{self, FigureManifest, ManifestEntry};
 use crate::pool::{self, ExecReport};
 use crate::progress::{Progress, ProgressMode};
 use crate::runlog;
-use crate::shard::ShardSpec;
 use crate::spec::RunSpec;
 use crate::summary::Summary;
 use crate::telemetry::TelemetrySink;
@@ -170,117 +169,6 @@ impl SweepReport {
     }
 }
 
-/// One figure's skip decision: either "the on-disk output is provably
-/// current" (carrying its text) or "must render".
-enum SkipDecision {
-    Current(String),
-    Render,
-}
-
-/// The shared front half of a sweep: per-figure job enumeration, manifest
-/// skip decisions, and the global dedup over figures that must render.
-/// Every process of a sharded sweep computes this independently and —
-/// because enumeration, fingerprints and the on-disk manifest are all
-/// deterministic inputs — arrives at the same plan.
-struct JobPlan {
-    /// Per-figure enumerated jobs (enumeration panics become `Err`).
-    planned: Vec<Result<Vec<RunSpec>, String>>,
-    /// Per-figure render fingerprint (`None` for failed enumeration).
-    fingerprints: Vec<Option<String>>,
-    /// Per-figure skip decision.
-    skips: Vec<SkipDecision>,
-    /// Unique jobs (deduped by cache key, first-seen order) across the
-    /// figures that must render.
-    unique: Vec<RunSpec>,
-    /// Jobs requested across all figures, before dedup and skipping.
-    total_jobs: usize,
-}
-
-fn plan_jobs(figures: &[Figure], opts: &SweepOptions) -> JobPlan {
-    let _plan = ipsim_obs::spans().span("sweep.plan");
-    let planned: Vec<Result<Vec<RunSpec>, String>> =
-        figures.iter().map(|f| f.jobs(opts.lengths)).collect();
-    let total_jobs: usize = planned.iter().map(|p| p.as_ref().map_or(0, Vec::len)).sum();
-
-    let fingerprints: Vec<Option<String>> = figures
-        .iter()
-        .zip(&planned)
-        .map(|(figure, plan)| {
-            let plan = plan.as_ref().ok()?;
-            let keys: Vec<String> = plan.iter().map(RunSpec::cache_key).collect();
-            Some(manifest::fingerprint(figure.name, figure.version, &keys))
-        })
-        .collect();
-
-    let loaded = (!opts.force)
-        .then(|| opts.manifest.as_deref().map(FigureManifest::load))
-        .flatten()
-        .unwrap_or_default();
-    let skips: Vec<SkipDecision> = figures
-        .iter()
-        .zip(&fingerprints)
-        .map(|(figure, fingerprint)| {
-            skip_decision(&loaded, figure.name, fingerprint.as_deref(), opts)
-        })
-        .collect();
-
-    // Global dedup by cache key over figures that must render, preserving
-    // first-seen order so scheduling (and thus the progress display) is
-    // deterministic.
-    let mut seen = HashSet::new();
-    let mut unique: Vec<RunSpec> = Vec::new();
-    for (plan, skip) in planned.iter().zip(&skips) {
-        if matches!(skip, SkipDecision::Current(_)) {
-            continue;
-        }
-        for spec in plan.iter().flatten() {
-            if seen.insert(spec.cache_key()) {
-                unique.push(spec.clone());
-            }
-        }
-    }
-
-    JobPlan {
-        planned,
-        fingerprints,
-        skips,
-        unique,
-        total_jobs,
-    }
-}
-
-/// Whether one figure's render can be skipped: the manifest's recorded
-/// fingerprint matches and the output file on disk still hashes to the
-/// recorded value. Returns the on-disk text so the report (and any
-/// downstream consumer) sees the same bytes a render would have produced.
-fn skip_decision(
-    loaded: &FigureManifest,
-    name: &str,
-    fingerprint: Option<&str>,
-    opts: &SweepOptions,
-) -> SkipDecision {
-    let (Some(fingerprint), Some(dir)) = (fingerprint, &opts.results_dir) else {
-        return SkipDecision::Render;
-    };
-    let Some(entry) = loaded.get(name) else {
-        return SkipDecision::Render;
-    };
-    if entry.fingerprint != fingerprint {
-        return SkipDecision::Render;
-    }
-    let path = dir.join(format!("{name}.txt"));
-    let Ok(bytes) = std::fs::read(&path) else {
-        return SkipDecision::Render;
-    };
-    if manifest::hash_hex(&bytes) != entry.output_hash {
-        return SkipDecision::Render;
-    }
-    match String::from_utf8(bytes) {
-        Ok(text) => SkipDecision::Current(text),
-        Err(_) => SkipDecision::Render,
-    }
-}
-
 /// Runs `figures` end to end: enumerate, dedup, execute, render, persist.
 ///
 /// Figure failures (enumeration panic, simulation panic, render panic) are
@@ -290,7 +178,55 @@ fn skip_decision(
 /// output already on disk.
 pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
     // Phases 1-2: enumerate, decide skips, dedup.
-    let plan = plan_jobs(figures, opts);
+    let plan_span = ipsim_obs::spans().span("sweep.plan");
+    // Per-figure enumerated jobs (enumeration panics become `Err`).
+    let planned: Vec<Result<Vec<RunSpec>, String>> =
+        figures.iter().map(|f| f.jobs(opts.lengths)).collect();
+    let total_jobs: usize = planned.iter().map(|p| p.as_ref().map_or(0, Vec::len)).sum();
+    // Per-figure render fingerprint (`None` for failed enumeration).
+    let fingerprints: Vec<Option<String>> = figures
+        .iter()
+        .zip(&planned)
+        .map(|(figure, plan)| {
+            let plan = plan.as_ref().ok()?;
+            let keys: Vec<String> = plan.iter().map(RunSpec::cache_key).collect();
+            Some(manifest::fingerprint(figure.name, figure.version, &keys))
+        })
+        .collect();
+    // Per-figure skip decision: the on-disk text when the manifest proves
+    // it current (so the report sees the bytes a render would produce),
+    // `None` when the figure must render.
+    let loaded = (!opts.force)
+        .then(|| opts.manifest.as_deref().map(FigureManifest::load))
+        .flatten()
+        .unwrap_or_default();
+    let skips: Vec<Option<String>> = figures
+        .iter()
+        .zip(&fingerprints)
+        .map(|(figure, fingerprint)| {
+            let output = opts
+                .results_dir
+                .as_ref()?
+                .join(format!("{}.txt", figure.name));
+            loaded.current_output(figure.name, fingerprint.as_deref()?, &output)
+        })
+        .collect();
+    // Global dedup by cache key over figures that must render, preserving
+    // first-seen order so scheduling (and thus the progress display) is
+    // deterministic.
+    let mut seen = HashSet::new();
+    let mut unique: Vec<RunSpec> = Vec::new();
+    for (plan, skip) in planned.iter().zip(&skips) {
+        if skip.is_some() {
+            continue;
+        }
+        for spec in plan.iter().flatten() {
+            if seen.insert(spec.cache_key()) {
+                unique.push(spec.clone());
+            }
+        }
+    }
+    drop(plan_span);
 
     // Phase 3: execute unique runs across the pool, captains first (see
     // module docs) so every stream is captured before anyone replays it.
@@ -300,9 +236,9 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
     };
     let traces = opts.trace_store();
     let telemetry = opts.telemetry_sink();
-    let progress = Progress::new(opts.progress, plan.unique.len());
+    let progress = Progress::new(opts.progress, unique.len());
     let exec = execute_phased(
-        &plan.unique,
+        &unique,
         opts.workers,
         &cache,
         &traces,
@@ -347,7 +283,7 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
     let mut manifest_dirty = false;
     let mut figures_skipped = 0;
     for (i, figure) in figures.iter().enumerate() {
-        if let SkipDecision::Current(text) = &plan.skips[i] {
+        if let Some(text) = &skips[i] {
             figures_skipped += 1;
             reports.push(FigureReport {
                 name: figure.name,
@@ -359,7 +295,7 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
         }
         let outcome = {
             let _render = ipsim_obs::spans().span("sweep.render");
-            match &plan.planned[i] {
+            match &planned[i] {
                 Err(e) => Err(e.clone()),
                 Ok(_) => figure.output(opts.lengths, &resolve),
             }
@@ -372,8 +308,7 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
                 Ok(()) => {
                     // Only a figure whose output landed on disk earns a
                     // manifest entry: the skip check re-hashes that file.
-                    if let (Some(fingerprint), Ok(jobs)) = (&plan.fingerprints[i], &plan.planned[i])
-                    {
+                    if let (Some(fingerprint), Ok(jobs)) = (&fingerprints[i], &planned[i]) {
                         updated.set(
                             figure.name,
                             ManifestEntry {
@@ -403,8 +338,8 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
 
     SweepReport {
         figures: reports,
-        total_jobs: plan.total_jobs,
-        unique_jobs: plan.unique.len(),
+        total_jobs,
+        unique_jobs: unique.len(),
         figures_skipped,
         cache_hits: cache.hits(),
         cache_misses: cache.misses(),
@@ -416,97 +351,6 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
         aggregate_sim_mips: progress.aggregate_sim_mips(),
         wall: exec.wall,
         interrupted,
-    }
-}
-
-/// What one shard's execution pass did (no rendering happens here).
-#[derive(Debug)]
-pub struct ShardReport {
-    /// Which shard this was.
-    pub shard: ShardSpec,
-    /// Unique jobs across the whole sweep (what all shards partition).
-    pub sweep_jobs: usize,
-    /// Unique jobs owned by this shard.
-    pub assigned: usize,
-    /// Disk-cache hits (runs another shard or a prior sweep already did).
-    pub cache_hits: u64,
-    /// Disk-cache misses (simulated by this shard).
-    pub cache_misses: u64,
-    /// Workload streams captured to the trace store by this shard.
-    pub traces_captured: u64,
-    /// Runs replayed from the trace store by this shard.
-    pub traces_replayed: u64,
-    /// Telemetry artifact directories written by this shard.
-    pub telemetry_written: u64,
-    /// Shard-aggregate kernel throughput (see [`SweepReport`]).
-    pub aggregate_sim_mips: Option<f64>,
-    /// Wall time of this shard's execution phase.
-    pub wall: Duration,
-    /// Whether a shutdown signal cut execution short.
-    pub interrupted: bool,
-}
-
-/// Executes the slice of a sweep's run set owned by `shard`, writing
-/// results through the shared run cache; renders nothing.
-///
-/// Every shard process calls this with the same `figures` and `opts` and a
-/// different `shard`; the union of all shards' work is exactly
-/// [`run_sweep`]'s execution phase (same enumeration, same manifest skips,
-/// same dedup), partitioned by [`crate::shard::shard_index`]. Afterwards a
-/// plain `run_sweep` over the shared cache renders from all-hits. Shard
-/// batches land in the runlog tagged `shard I/N` so per-shard utilization
-/// is reconstructable.
-pub fn run_shard(figures: &[Figure], opts: &SweepOptions, shard: ShardSpec) -> ShardReport {
-    let plan = plan_jobs(figures, opts);
-    let assigned: Vec<RunSpec> = plan
-        .unique
-        .iter()
-        .filter(|spec| shard.owns(&spec.cache_key()))
-        .cloned()
-        .collect();
-
-    let cache = match &opts.cache_dir {
-        Some(dir) => RunCache::at(dir.clone()),
-        None => RunCache::from_env(),
-    };
-    let traces = opts.trace_store();
-    let telemetry = opts.telemetry_sink();
-    let progress = Progress::with_tag(
-        opts.progress,
-        assigned.len(),
-        (shard.count > 1).then(|| format!("s{shard}")).as_deref(),
-    );
-    let exec = execute_phased(
-        &assigned,
-        opts.workers,
-        &cache,
-        &traces,
-        telemetry.as_ref(),
-        &progress,
-    );
-    progress.finish();
-
-    let runlog_path = opts
-        .runlog
-        .clone()
-        .unwrap_or_else(runlog::runlog_path_from_env);
-    let tag = format!("shard {shard}");
-    if let Err(e) = runlog::append_tagged(&runlog_path, opts.workers, Some(&tag), &exec.records) {
-        eprintln!("warning: could not append {}: {e}", runlog_path.display());
-    }
-
-    ShardReport {
-        shard,
-        sweep_jobs: plan.unique.len(),
-        assigned: assigned.len(),
-        cache_hits: cache.hits(),
-        cache_misses: cache.misses(),
-        traces_captured: traces.captured(),
-        traces_replayed: traces.replayed(),
-        telemetry_written: telemetry.as_ref().map_or(0, TelemetrySink::written),
-        aggregate_sim_mips: progress.aggregate_sim_mips(),
-        wall: exec.wall,
-        interrupted: exec.interrupted,
     }
 }
 
@@ -831,56 +675,6 @@ mod tests {
         assert_ne!(std::fs::read_to_string(&figa).unwrap(), "tampered\n");
 
         let _ = std::fs::remove_dir_all(opts.results_dir.as_ref().unwrap().parent().unwrap());
-    }
-
-    #[test]
-    fn sharded_execution_merges_into_the_single_process_sweep() {
-        use crate::shard::ShardSpec;
-
-        // Baseline: ordinary single-process sweep in its own directories.
-        let base_opts = opts("shard-base");
-        let baseline = run_sweep(&FIGS[..2], &base_opts);
-        assert!(baseline.all_ok());
-
-        for count in [2usize, 3] {
-            let opts = opts(&format!("shard-{count}"));
-            let mut assigned_total = 0;
-            let mut misses_total = 0;
-            for index in 0..count {
-                let report = run_shard(&FIGS[..2], &opts, ShardSpec { index, count });
-                assert!(!report.interrupted);
-                assert_eq!(report.sweep_jobs, 2);
-                assigned_total += report.assigned;
-                misses_total += report.cache_misses;
-            }
-            assert_eq!(assigned_total, 2, "shards partition the unique jobs");
-            assert_eq!(misses_total, 2, "no run simulated twice across shards");
-
-            // The merge pass renders entirely from the shared cache...
-            let merged = run_sweep(&FIGS[..2], &opts);
-            assert_eq!(merged.cache_misses, 0);
-            assert_eq!(merged.cache_hits, 2);
-            // ...byte-identical to the single-process sweep.
-            for (a, b) in baseline.figures.iter().zip(&merged.figures) {
-                assert_eq!(a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
-            }
-
-            // The runlog carries one tagged batch per shard that did work.
-            let log = std::fs::read_to_string(opts.runlog.as_ref().unwrap()).unwrap();
-            let markers: Vec<&str> = log
-                .lines()
-                .filter(|l| l.starts_with("# batch shard "))
-                .collect();
-            assert!(!markers.is_empty());
-            for index in 0..count {
-                let tag = format!("# batch shard {index}/{count}");
-                let owned = markers.iter().filter(|m| **m == tag).count();
-                assert!(owned <= 1, "one batch per shard, got {owned} for {tag}");
-            }
-
-            let _ = std::fs::remove_dir_all(opts.results_dir.as_ref().unwrap().parent().unwrap());
-        }
-        let _ = std::fs::remove_dir_all(base_opts.results_dir.as_ref().unwrap().parent().unwrap());
     }
 
     #[test]

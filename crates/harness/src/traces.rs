@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ipsim_cpu::{OpSource, System};
+use ipsim_cpu::{OpSource, System, SystemMetrics};
 use ipsim_stream::{ArenaSource, ReplaySource, Tee, TraceReader, TraceWriter};
 use ipsim_telemetry::{TelemetryConfig, TelemetryRun};
 use ipsim_types::instr::TraceOp;
@@ -47,22 +47,12 @@ pub const TRACE_DIR_ENV: &str = "IPSIM_TRACE_DIR";
 /// Default trace directory, relative to the working directory.
 pub const DEFAULT_TRACE_DIR: &str = "results/traces";
 
-/// Environment variable overriding the in-memory arena budget, in total
-/// decoded ops held across all cached streams. `0` disables arenas (every
-/// replay streams through the codec).
-pub const ARENA_OPS_ENV: &str = "IPSIM_ARENA_OPS";
-
-/// Default arena budget: 16 million ops (~a few hundred MB at `TraceOp`
-/// width) — far above the paper sweeps' stream lengths, far below a
-/// machine-threatening allocation.
+/// The in-memory arena budget, in total decoded ops held across all
+/// cached streams: 16 million ops (~a few hundred MB at `TraceOp` width),
+/// far below a machine-threatening allocation. Stream sets that do not
+/// fit — every full-length run at 30M ops per core, for one — replay
+/// through the streaming decoder instead.
 pub const DEFAULT_ARENA_OPS: u64 = 16_000_000;
-
-fn arena_budget() -> u64 {
-    std::env::var(ARENA_OPS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_ARENA_OPS)
-}
 
 /// A reusable simulator slot: keeps the last [`System`] built for a
 /// [`RunSpec::system_key`] and serves it back reset-in-place
@@ -174,10 +164,13 @@ pub struct TracedRun {
     pub summary: Summary,
     /// How the instruction stream was produced.
     pub source: RunSource,
-    /// Throughput of the pre-replay verification scan (million ops per
-    /// second through the CRC check of every block); 0 for non-replay
-    /// runs. A drop in this column means trace I/O or checksumming got
-    /// slower, independent of simulation speed.
+    /// Trace throughput before a replay (million ops per second); 0 for
+    /// non-replay runs. On the arena path it is the full decode of the
+    /// run's streams into memory (measured once, when the arena is built,
+    /// and repeated for every replay it serves); on the streaming path it
+    /// is the CRC verification scan of every block, with no decode. A drop
+    /// means trace I/O, checksumming or decoding got slower, independent
+    /// of simulation speed.
     pub decode_mips: f64,
     /// Kernel-only simulation throughput (million simulated instructions
     /// per host second over the *measured* window, excluding system
@@ -213,8 +206,11 @@ pub struct TraceStore {
     /// this process; prevents two workers racing to write the same files.
     claims: Mutex<HashSet<String>>,
     /// Fully decoded streams, keyed by trace key and shared across the
-    /// worker pool; `total_ops` tracks the store-wide arena budget.
+    /// worker pool; `total_ops` counts against `arena_budget`.
     arenas: Mutex<ArenaCache>,
+    /// Total decoded ops the arenas may hold ([`DEFAULT_ARENA_OPS`]); a
+    /// replay that would exceed it streams through the codec instead.
+    arena_budget: u64,
 }
 
 #[derive(Debug, Default)]
@@ -224,28 +220,26 @@ struct ArenaCache {
 }
 
 impl TraceStore {
-    /// A store rooted at `dir`.
-    pub fn at(dir: impl Into<PathBuf>) -> TraceStore {
+    fn new(dir: Option<PathBuf>) -> TraceStore {
         TraceStore {
-            dir: Some(dir.into()),
+            dir,
             captured: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
             claims: Mutex::new(HashSet::new()),
             arenas: Mutex::new(ArenaCache::default()),
+            arena_budget: DEFAULT_ARENA_OPS,
         }
+    }
+
+    /// A store rooted at `dir`.
+    pub fn at(dir: impl Into<PathBuf>) -> TraceStore {
+        TraceStore::new(Some(dir.into()))
     }
 
     /// A disabled store: every run executes live.
     pub fn disabled() -> TraceStore {
-        TraceStore {
-            dir: None,
-            captured: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            claims: Mutex::new(HashSet::new()),
-            arenas: Mutex::new(ArenaCache::default()),
-        }
+        TraceStore::new(None)
     }
 
     /// The store at `$IPSIM_TRACE_DIR` (`off`/`0` disable it), or
@@ -359,16 +353,13 @@ impl TraceStore {
                 let metrics =
                     system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
                 self.replayed.fetch_add(1, Ordering::Relaxed);
-                let run = TracedRun {
-                    summary: Summary::from_metrics(&metrics),
-                    source: RunSource::Replay,
-                    decode_mips: arena.decode_mips,
-                    sim_mips: metrics.sim_mips(),
-                    sim_seconds: metrics.sim_wall_seconds,
-                    telemetry: system.take_telemetry(),
-                };
-                slot.put(system);
-                return Some(run);
+                return Some(finish(
+                    system,
+                    slot,
+                    &metrics,
+                    RunSource::Replay,
+                    arena.decode_mips,
+                ));
             }
             ArenaOutcome::Missing => return None,
             ArenaOutcome::OverBudget => {}
@@ -402,20 +393,14 @@ impl TraceStore {
             sources.iter_mut().map(|s| s as &mut dyn OpSource).collect();
         let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
         self.replayed.fetch_add(1, Ordering::Relaxed);
-        let run = TracedRun {
-            summary: Summary::from_metrics(&metrics),
-            source: RunSource::Replay,
-            decode_mips: if decode_s > 0.0 {
-                decoded_ops as f64 / 1e6 / decode_s
-            } else {
-                0.0
-            },
-            sim_mips: metrics.sim_mips(),
-            sim_seconds: metrics.sim_wall_seconds,
-            telemetry: system.take_telemetry(),
-        };
-        slot.put(system);
-        Some(run)
+        let decode_mips = mops_per_s(decoded_ops, decode_s);
+        Some(finish(
+            system,
+            slot,
+            &metrics,
+            RunSource::Replay,
+            decode_mips,
+        ))
     }
 
     /// Finds or builds the decoded arena for `key`. Decode happens outside
@@ -424,7 +409,7 @@ impl TraceStore {
     /// from its private copy without caching it.
     fn arena_for(&self, dir: &Path, key: &str, n_cores: u32, per_core_ops: u64) -> ArenaOutcome {
         let total_ops = per_core_ops * u64::from(n_cores);
-        let budget = arena_budget();
+        let budget = self.arena_budget;
         {
             let cache = self.arenas.lock().unwrap();
             if let Some(cached) = cache.map.get(key) {
@@ -458,11 +443,7 @@ impl TraceStore {
         let decode_s = t0.elapsed().as_secs_f64();
         let arena = CachedArena {
             ops: Arc::new(cores),
-            decode_mips: if decode_s > 0.0 {
-                total_ops as f64 / 1e6 / decode_s
-            } else {
-                0.0
-            },
+            decode_mips: mops_per_s(total_ops, decode_s),
         };
         let mut cache = self.arenas.lock().unwrap();
         if let Some(existing) = cache.map.get(key) {
@@ -526,11 +507,7 @@ impl TraceStore {
         let mut dyns: Vec<&mut dyn OpSource> =
             tees.iter_mut().map(|t| t as &mut dyn OpSource).collect();
         let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
-        let summary = Summary::from_metrics(&metrics);
-        let sim_mips = metrics.sim_mips();
-        let sim_seconds = metrics.sim_wall_seconds;
-        let collected = system.take_telemetry();
-        slot.put(system);
+        let mut run = finish(system, slot, &metrics, RunSource::Capture, 0.0);
 
         // Seal and publish. Any sink error (latched mid-run or at finish)
         // voids the whole capture but never the simulation result.
@@ -550,26 +527,13 @@ impl TraceStore {
                 }
             }
         }
-        if !sealed {
+        if sealed {
+            self.captured.fetch_add(1, Ordering::Relaxed);
+        } else {
             discard(&tmp_paths);
-            return TracedRun {
-                summary,
-                source: RunSource::Live,
-                decode_mips: 0.0,
-                sim_mips,
-                sim_seconds,
-                telemetry: collected,
-            };
+            run.source = RunSource::Live;
         }
-        self.captured.fetch_add(1, Ordering::Relaxed);
-        TracedRun {
-            summary,
-            source: RunSource::Capture,
-            decode_mips: 0.0,
-            sim_mips,
-            sim_seconds,
-            telemetry: collected,
-        }
+        run
     }
 
     /// Moves a corrupt trace aside, preserving it for inspection.
@@ -606,16 +570,37 @@ fn live_run(
 ) -> TracedRun {
     let mut system = instrumented(spec, telemetry, slot);
     let metrics = system.run_workload(&spec.workloads, spec.lengths.warm, spec.lengths.measure);
+    finish(system, slot, &metrics, RunSource::Live, 0.0)
+}
+
+/// Packages a finished simulation as a [`TracedRun`] and returns its
+/// system to `slot` for the next run.
+fn finish(
+    mut system: System,
+    slot: &mut SystemSlot,
+    metrics: &SystemMetrics,
+    source: RunSource,
+    decode_mips: f64,
+) -> TracedRun {
     let run = TracedRun {
-        summary: Summary::from_metrics(&metrics),
-        source: RunSource::Live,
-        decode_mips: 0.0,
+        summary: Summary::from_metrics(metrics),
+        source,
+        decode_mips,
         sim_mips: metrics.sim_mips(),
         sim_seconds: metrics.sim_wall_seconds,
         telemetry: system.take_telemetry(),
     };
     slot.put(system);
     run
+}
+
+/// Million ops per second, or 0 when no time was measured.
+fn mops_per_s(ops: u64, seconds: f64) -> f64 {
+    if seconds > 0.0 {
+        ops as f64 / 1e6 / seconds
+    } else {
+        0.0
+    }
 }
 
 /// Removes leftover capture temp files (best effort).
@@ -837,10 +822,9 @@ mod tests {
         assert_eq!(again.decode_mips, arena.decode_mips);
 
         // A zero budget disables arenas: same files, streaming decoder.
-        std::env::set_var(ARENA_OPS_ENV, "0");
-        let streaming_store = TraceStore::at(&dir);
+        let mut streaming_store = TraceStore::at(&dir);
+        streaming_store.arena_budget = 0;
         let streaming = streaming_store.execute(&spec);
-        std::env::remove_var(ARENA_OPS_ENV);
         assert_eq!(streaming.source, RunSource::Replay);
         assert_eq!(streaming.summary, live);
         assert!(

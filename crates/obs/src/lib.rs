@@ -1,7 +1,7 @@
 //! # ipsim-obs
 //!
 //! Operational observability for the machinery that *runs* experiments —
-//! the serving daemon, the worker pools, the shard engine — as opposed to
+//! the serving daemon and the worker pools — as opposed to
 //! `ipsim-telemetry`, which observes the *simulated* machine. Two data
 //! models, both std-only and lock-cheap on the hot path:
 //!
