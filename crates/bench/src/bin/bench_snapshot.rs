@@ -500,10 +500,13 @@ fn unit_benches(reps: u32) -> Vec<BenchResult> {
         // inserts find the MSHR full: the steady state under a miss burst.
         micro("units/mshr_insert_retire", reps, || {
             let mut mshr = Mshr::new(16);
+            let mut done = Vec::with_capacity(16);
             move |i| {
                 let now = (i + 1) * 10;
                 mshr.insert(LineAddr(i + 1), now + 400, true);
-                mshr.retire_ready(now).len() as u64
+                done.clear();
+                mshr.retire_ready_into(now, &mut done);
+                done.len() as u64
             }
         }),
         micro("units/bus_request", reps, || {

@@ -38,7 +38,8 @@ pub struct MshrEntry {
 /// assert!(!mshr.insert(LineAddr(3), 500, false), "full");
 ///
 /// mshr.merge_demand(LineAddr(1));
-/// let done = mshr.retire_ready(410);
+/// let mut done = Vec::new();
+/// mshr.retire_ready_into(410, &mut done);
 /// assert_eq!(done.len(), 1);
 /// assert!(done[0].prefetch && done[0].demand_merged);
 /// ```
@@ -121,16 +122,9 @@ impl Mshr {
         Some(e.ready_at)
     }
 
-    /// Removes and returns every fill that has completed by `now`.
-    pub fn retire_ready(&mut self, now: Cycle) -> Vec<MshrEntry> {
-        let mut done = Vec::new();
-        self.retire_ready_into(now, &mut done);
-        done
-    }
-
-    /// Like [`Mshr::retire_ready`], but appends into a caller-owned buffer
-    /// — the hot simulation loop reuses one buffer per core so retiring
-    /// fills never allocates.
+    /// Removes every fill that has completed by `now`, appending it to
+    /// `done` — a caller-owned buffer, so the hot simulation loop reuses
+    /// one per core and retiring fills never allocates.
     pub fn retire_ready_into(&mut self, now: Cycle, done: &mut Vec<MshrEntry>) {
         if now < self.next_ready {
             return;
@@ -191,11 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn retire_ready_removes_only_completed() {
+    fn retire_ready_into_removes_only_completed() {
         let mut m = Mshr::new(4);
         m.insert(LineAddr(1), 10, false);
         m.insert(LineAddr(2), 20, true);
-        let done = m.retire_ready(15);
+        let mut done = Vec::new();
+        m.retire_ready_into(15, &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].line, LineAddr(1));
         assert_eq!(m.len(), 1);
@@ -217,7 +212,8 @@ mod tests {
         let mut m = Mshr::new(2);
         assert!(m.insert_prefetch(LineAddr(6), 50, 3));
         assert!(!m.insert_prefetch(LineAddr(6), 60, 1), "duplicate line");
-        let done = m.retire_ready(50);
+        let mut done = Vec::new();
+        m.retire_ready_into(50, &mut done);
         assert_eq!((done[0].prefetch, done[0].demand_merged), (true, false));
         assert_eq!(done[0].scheme, 3);
     }

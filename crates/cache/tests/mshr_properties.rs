@@ -30,6 +30,7 @@ proptest! {
         let mut mshr = Mshr::new(4);
         let mut inserted = 0u64;
         let mut retired = 0u64;
+        let mut done = Vec::new();
         for op in ops {
             match op {
                 Op::Insert(line, ready, prefetch) => {
@@ -50,7 +51,8 @@ proptest! {
                     }
                 }
                 Op::Retire(now) => {
-                    let done = mshr.retire_ready(now);
+                    done.clear();
+                    mshr.retire_ready_into(now, &mut done);
                     for e in &done {
                         prop_assert!(e.ready_at <= now, "retired too early");
                         prop_assert!(mshr.lookup(e.line).is_none());
@@ -67,7 +69,9 @@ proptest! {
             }
         }
         // Drain the rest: total retired equals total inserted.
-        retired += mshr.retire_ready(u64::MAX).len() as u64;
+        done.clear();
+        mshr.retire_ready_into(u64::MAX, &mut done);
+        retired += done.len() as u64;
         prop_assert_eq!(retired, inserted);
     }
 }

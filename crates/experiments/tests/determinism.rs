@@ -13,12 +13,13 @@
 //! `report sweep` view, and the real `all_figures` binary writes the
 //! golden fig02 bytes with `--jobs 1` and `--jobs 2` alike.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use ipsim_experiments::report::{render_report, ReportOptions};
 use ipsim_harness::hash::fnv1a64;
+use ipsim_harness::traces::DEFAULT_ARENA_OPS;
 use ipsim_harness::{run_sweep, Figure, ProgressMode, RunLengths, SweepOptions, SweepReport};
 use ipsim_telemetry::TelemetryConfig;
 
@@ -30,6 +31,11 @@ const GOLDEN: [(&str, u64); 2] = [
     ("fig05", 0x8B34_D941_5818_8E70),
 ];
 
+const LENGTHS: RunLengths = RunLengths {
+    warm: 10_000,
+    measure: 20_000,
+};
+
 fn cold_sweep(
     figures: &[Figure],
     tag: &str,
@@ -39,10 +45,7 @@ fn cold_sweep(
     let base = std::env::temp_dir().join(format!("ipsim-determinism-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let opts = SweepOptions {
-        lengths: RunLengths {
-            warm: 10_000,
-            measure: 20_000,
-        },
+        lengths: LENGTHS,
         workers,
         results_dir: None,
         cache_dir: Some(base.join("cache")),
@@ -56,6 +59,27 @@ fn cold_sweep(
         force: false,
     };
     (run_sweep(figures, &opts), base)
+}
+
+/// The decoded size (ops over all cores) of every stream a cold sweep of
+/// `figures` replays: each stream with more than one unique run, since
+/// its first run captures it and the rest replay.
+fn replayed_stream_ops(figures: &[Figure]) -> Vec<u64> {
+    let mut streams: BTreeMap<String, (u64, BTreeSet<String>)> = BTreeMap::new();
+    for figure in figures {
+        for spec in figure.jobs(LENGTHS).expect("jobs enumerate") {
+            let ops = u64::from(spec.config.n_cores) * (LENGTHS.warm + LENGTHS.measure);
+            let entry = streams
+                .entry(spec.trace_key())
+                .or_insert_with(|| (ops, BTreeSet::new()));
+            entry.1.insert(spec.cache_key());
+        }
+    }
+    streams
+        .into_values()
+        .filter(|(_, runs)| runs.len() > 1)
+        .map(|(ops, _)| ops)
+        .collect()
 }
 
 /// The set of run keys a runlog records (ignoring comments and order).
@@ -152,6 +176,30 @@ fn figure_output_is_byte_identical_across_worker_counts() {
             a.name
         );
     }
+
+    // Replay arenas: each replayed stream is decoded once, whatever the
+    // worker count, and the decoded ops live at once stay within the
+    // budget. One worker runs one stream's group at a time, so its peak
+    // is exactly the largest stream.
+    let replayed = replayed_stream_ops(&figures);
+    assert!(!replayed.is_empty());
+    for (report, workers) in [(&serial, 1), (&parallel, 4)] {
+        assert_eq!(
+            report.arenas_decoded,
+            replayed.len() as u64,
+            "{workers} worker(s): a replayed stream was decoded more than once (or never)"
+        );
+        assert!(
+            report.arena_peak_ops <= DEFAULT_ARENA_OPS,
+            "{workers} worker(s): {} arena ops live at once",
+            report.arena_peak_ops
+        );
+    }
+    assert_eq!(
+        serial.arena_peak_ops,
+        *replayed.iter().max().unwrap(),
+        "one worker held more than one stream's arena at a time"
+    );
 
     // Both worker counts logged the same run set, and the stable report
     // over their stores is byte-identical.

@@ -88,6 +88,12 @@ impl RunCache {
         parse_entry(&fs::read(self.entry_path(key)).ok()?)
     }
 
+    /// Whether `spec` has an entry on disk, without reading it or touching
+    /// the counters: a cheap forecast of [`RunCache::lookup`] hitting.
+    pub fn contains(&self, spec: &RunSpec) -> bool {
+        self.entry_path(&spec.cache_key()).is_file()
+    }
+
     /// Looks up `spec`; counts a hit or a miss. Corrupt entries (non-UTF-8
     /// bytes included) are quarantined to `<key>.tsv.corrupt` and reported
     /// as misses.

@@ -21,7 +21,8 @@
 //!   disk once (`ipsim-stream` format) and replays it for every other
 //!   configuration sharing it, with CRC-validated files, quarantine-and-
 //!   fall-back for corrupt traces, and captains-first scheduling so a
-//!   sweep generates each stream exactly once.
+//!   sweep generates each stream exactly once. A stream's decoded replay
+//!   arena lives only while the sweep's runs over it do.
 //! * [`runlog`] and [`progress`] provide run-level observability: per-run
 //!   wall time, simulated MIPS, stream provenance (`cache` / `live` /
 //!   `capture` / `replay`) and trace-decode throughput, cache hit/miss

@@ -125,7 +125,8 @@ pub fn execute(
 /// (containing panics), store the summary, and — when a telemetry sink is
 /// active — write the run's artifact. A cache hit is only taken when the
 /// sink already has this run's artifact (or there is no sink): summaries
-/// are cacheable, telemetry is not.
+/// are cacheable, telemetry is not. However the run ends, it releases its
+/// stream in `traces` once on the way out.
 fn run_one(
     spec: &RunSpec,
     cache: &RunCache,
@@ -134,6 +135,7 @@ fn run_one(
     slot: &mut SystemSlot,
 ) -> (Result<Summary, String>, RunRecord) {
     let _run_span = ipsim_obs::spans().span("harness.run");
+    let _release = StreamRelease::new(spec, traces);
     let t0 = Instant::now();
     let key = spec.cache_key();
     let label = spec.label();
@@ -222,6 +224,32 @@ fn run_one(
         obs.decode_mips.observe(record.decode_mips.round() as u64);
     }
     (result, record)
+}
+
+/// Releases a run's stream in the trace store when dropped
+/// ([`TraceStore::release`]), so every run releases exactly once — after
+/// a cache hit, a replay, a capture, a live run or a panic alike — and an
+/// announced stream's arena is freed when its last run ends.
+struct StreamRelease<'a> {
+    traces: &'a TraceStore,
+    key: Option<String>,
+}
+
+impl<'a> StreamRelease<'a> {
+    fn new(spec: &RunSpec, traces: &'a TraceStore) -> StreamRelease<'a> {
+        StreamRelease {
+            traces,
+            key: traces.enabled().then(|| spec.trace_key()),
+        }
+    }
+}
+
+impl Drop for StreamRelease<'_> {
+    fn drop(&mut self) {
+        if let Some(key) = &self.key {
+            self.traces.release(key);
+        }
+    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -382,6 +410,60 @@ mod tests {
         );
 
         let _ = std::fs::remove_dir_all(&root);
+        let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    /// Every run of an announced stream releases it exactly once — a
+    /// cache hit, a panicking run and a replay alike — so the arena lives
+    /// exactly as long as the announced runs.
+    #[test]
+    fn every_run_releases_its_stream_once_whatever_its_outcome() {
+        let base = tiny_specs().swap_remove(0);
+        let mut broken = base.clone();
+        broken.config.core.issue_width = 0;
+        let replay = base
+            .clone()
+            .prefetcher(ipsim_core::PrefetcherKind::NextLineTagged);
+        let key = base.trace_key();
+        assert_eq!(
+            (broken.trace_key(), replay.trace_key()),
+            (key.clone(), key.clone())
+        );
+
+        let dir = std::env::temp_dir().join(format!("ipsim-pool-release-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = tmp_cache("release");
+        let traces = TraceStore::at(&dir);
+        let p = Progress::new(ProgressMode::Silent, 1);
+        let first = execute(std::slice::from_ref(&base), 1, &cache, &traces, None, &p);
+        assert_eq!(first.records[0].source, RunSource::Capture);
+
+        // One run more than the batch holds: a run releasing twice would
+        // drop the arena early, one never releasing would leave two.
+        traces.announce(&key, 4);
+        let batch = [base, broken, replay];
+        let p = Progress::new(ProgressMode::Silent, batch.len());
+        let report = execute(&batch, 1, &cache, &traces, None, &p);
+        let sources: Vec<RunSource> = report.records.iter().map(|r| r.source).collect();
+        assert_eq!(
+            sources,
+            [RunSource::Cache, RunSource::Live, RunSource::Replay]
+        );
+        assert!(
+            report.results[&batch[1].cache_key()].is_err(),
+            "the broken run panicked"
+        );
+        assert_eq!(traces.arenas_decoded(), 1);
+        assert!(
+            traces.holds_arena(&key),
+            "one announced run is still to come"
+        );
+        traces.release(&key);
+        assert!(
+            !traces.holds_arena(&key),
+            "the last release drops the arena"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

@@ -1,12 +1,22 @@
 //! The sweep orchestrator: collect every figure's jobs, dedup globally,
 //! execute once across the pool, then render and report per figure.
 //!
-//! With the trace store enabled, execution is two-phased: for each
-//! distinct instruction stream ([`RunSpec::trace_key`]) the first spec
-//! needing it — its *captain* — runs in phase one and captures the stream
-//! to disk; every other spec sharing it runs in phase two and replays.
-//! Walker generation therefore happens once per workload stream per
-//! sweep, no matter how many configurations share it.
+//! With the trace store enabled, execution is two-phased. Each distinct
+//! instruction stream ([`RunSpec::trace_key`]) is first checked for
+//! replay ([`TraceStore::replayable`]: present, CRC-valid, the right
+//! length; a corrupt file is quarantined) — unless every run over it will
+//! be served from the run cache, in which case it is not read at all.
+//! Only for a stream that cannot
+//! be replayed does the first spec needing it — its *captain* — run in
+//! phase one and capture the stream to disk. Phase two runs every other
+//! spec grouped by stream, in first-seen stream order, and replays. Walker
+//! generation therefore happens once per workload stream per sweep, no
+//! matter how many configurations share it.
+//!
+//! The sweep announces each stream's run count to the store, and every
+//! run releases its stream when it ends, so a decoded replay arena lives
+//! only while its stream's group runs: a one-worker sweep holds one
+//! stream's arena at a time, however many streams it replays.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -19,7 +29,7 @@ use crate::figure::Figure;
 use crate::manifest::{self, FigureManifest, ManifestEntry};
 use crate::pool::{self, ExecReport};
 use crate::progress::{Progress, ProgressMode};
-use crate::runlog;
+use crate::runlog::{self, RunRecord};
 use crate::spec::RunSpec;
 use crate::summary::Summary;
 use crate::telemetry::TelemetrySink;
@@ -160,6 +170,12 @@ pub struct SweepReport {
     /// figures whose runs are incomplete report errors rather than
     /// rendering from partial data. Callers should exit with code 130.
     pub interrupted: bool,
+    /// Stream sets decoded into replay arenas (at most one per replayed
+    /// stream: an arena is dropped only after its stream's last run).
+    pub arenas_decoded: u64,
+    /// Most decoded arena ops held at once, in-flight decodes included;
+    /// never above [`crate::traces::DEFAULT_ARENA_OPS`].
+    pub arena_peak_ops: u64,
 }
 
 impl SweepReport {
@@ -228,8 +244,9 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
     }
     drop(plan_span);
 
-    // Phase 3: execute unique runs across the pool, captains first (see
-    // module docs) so every stream is captured before anyone replays it.
+    // Phase 3: execute unique runs across the pool, captains of streams
+    // that cannot be replayed first, then everything else grouped by
+    // stream (see module docs).
     let cache = match &opts.cache_dir {
         Some(dir) => RunCache::at(dir.clone()),
         None => RunCache::from_env(),
@@ -351,12 +368,17 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
         aggregate_sim_mips: progress.aggregate_sim_mips(),
         wall: exec.wall,
         interrupted,
+        arenas_decoded: traces.arenas_decoded(),
+        arena_peak_ops: traces.arena_peak_ops(),
     }
 }
 
-/// Executes `unique` with captains-first scheduling when the trace store
-/// is live: the first spec per trace key runs (and captures) in phase
-/// one, the rest replay in phase two. Records are re-ordered to match the
+/// Executes `unique` in two phases when the trace store is live: phase
+/// one runs the captain of every stream that cannot be replayed (it
+/// captures), phase two runs every other spec grouped by stream, in
+/// first-seen stream order, so each stream's replays run back to back.
+/// Each stream's run count is announced to the store first, so its arena
+/// is dropped after its last run. Records are re-ordered to match the
 /// input, so phasing is invisible everywhere downstream.
 fn execute_phased(
     unique: &[RunSpec],
@@ -367,49 +389,67 @@ fn execute_phased(
     progress: &Progress,
 ) -> ExecReport {
     let _execute = ipsim_obs::spans().span("sweep.execute");
-    let mut captains: Vec<RunSpec> = Vec::new();
-    let mut followers: Vec<RunSpec> = Vec::new();
-    if traces.enabled() {
-        let mut streams = HashSet::new();
-        for spec in unique {
-            if streams.insert(spec.trace_key()) {
-                captains.push(spec.clone());
-            } else {
-                followers.push(spec.clone());
-            }
-        }
-    }
-    if followers.is_empty() {
-        // Every spec has its own stream (or the store is off): no phasing.
+    if !traces.enabled() {
         return pool::execute(unique, workers, cache, traces, telemetry, progress);
     }
-    let first = pool::execute(&captains, workers, cache, traces, telemetry, progress);
-    let second = if first.interrupted {
-        // Don't start the replay phase after an interrupt; its specs are
-        // simply never claimed.
-        ExecReport {
-            results: HashMap::new(),
-            records: Vec::new(),
-            wall: Duration::ZERO,
-            interrupted: true,
+    // Each stream's specs, in first-seen stream order.
+    let mut streams: Vec<(String, Vec<&RunSpec>)> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    for spec in unique {
+        let key = spec.trace_key();
+        let at = *index.entry(key.clone()).or_insert_with(|| {
+            streams.push((key, Vec::new()));
+            streams.len() - 1
+        });
+        streams[at].1.push(spec);
+    }
+    let mut captains: Vec<RunSpec> = Vec::new();
+    let mut replays: Vec<RunSpec> = Vec::new();
+    {
+        let _check = ipsim_obs::spans().span("trace.verify");
+        for (key, specs) in &streams {
+            traces.announce(key, specs.len() as u64);
+            // A stream whose runs will all be served from the run cache is
+            // never read, so it is not checked either.
+            let cached = specs.iter().all(|spec| {
+                cache.contains(spec) && telemetry.is_none_or(|sink| sink.has(&spec.cache_key()))
+            });
+            let rest = if cached || traces.replayable(specs[0]) {
+                &specs[..]
+            } else {
+                captains.push(specs[0].clone());
+                &specs[1..]
+            };
+            replays.extend(rest.iter().map(|&spec| spec.clone()));
         }
-    } else {
-        pool::execute(&followers, workers, cache, traces, telemetry, progress)
-    };
+    }
 
-    let interrupted = first.interrupted || second.interrupted;
-    let mut results = first.results;
-    results.extend(second.results);
-    // Restore input order (first.records ++ second.records is phase
-    // order). An interrupted batch is missing the unclaimed specs'
-    // records; everything completed is preserved.
-    let mut by_key: HashMap<String, crate::runlog::RunRecord> = first
-        .records
-        .into_iter()
-        .chain(second.records)
-        .map(|r| (r.key.clone(), r))
-        .collect();
-    let records: Vec<crate::runlog::RunRecord> = unique
+    let mut phases: Vec<ExecReport> = Vec::new();
+    for batch in [captains, replays] {
+        if batch.is_empty() {
+            continue;
+        }
+        if phases.last().is_some_and(|p| p.interrupted) {
+            // Don't start the replay phase after an interrupt; its specs
+            // are simply never claimed.
+            break;
+        }
+        phases.push(pool::execute(
+            &batch, workers, cache, traces, telemetry, progress,
+        ));
+    }
+
+    let interrupted = phases.iter().any(|p| p.interrupted);
+    let wall = phases.iter().map(|p| p.wall).sum();
+    let mut results = HashMap::with_capacity(unique.len());
+    let mut by_key: HashMap<String, RunRecord> = HashMap::with_capacity(unique.len());
+    for phase in phases {
+        results.extend(phase.results);
+        by_key.extend(phase.records.into_iter().map(|r| (r.key.clone(), r)));
+    }
+    // Restore input order. An interrupted sweep is missing the unclaimed
+    // specs' records; everything completed is preserved.
+    let records: Vec<RunRecord> = unique
         .iter()
         .filter_map(|spec| by_key.remove(&spec.cache_key()))
         .collect();
@@ -417,7 +457,7 @@ fn execute_phased(
     ExecReport {
         results,
         records,
-        wall: first.wall + second.wall,
+        wall,
         interrupted,
     }
 }
@@ -540,8 +580,19 @@ mod tests {
         assert_eq!(log.lines().filter(|l| l.contains("\tcapture\t")).count(), 2);
 
         // A second sweep over the same cache is all hits; cache hits
-        // short-circuit the trace store entirely.
+        // short-circuit the trace store entirely — not even a damaged
+        // trace is read.
+        let trace = std::fs::read_dir(opts.trace_dir.as_ref().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "itrace"))
+            .unwrap();
+        let mut bytes = std::fs::read(&trace).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&trace, bytes).unwrap();
         let report2 = run_sweep(&FIGS, &opts);
+        assert_eq!(report2.traces_quarantined, 0);
         assert_eq!(report2.cache_hits, 2);
         assert_eq!(report2.cache_misses, 0);
         assert_eq!(report2.traces_captured, 0);

@@ -23,6 +23,14 @@
 //!   back to live generation — there is no mid-run failure path;
 //! * capture I/O errors degrade the run to plain live generation
 //!   (the simulation result is identical either way).
+//!
+//! Replays that fit [`DEFAULT_ARENA_OPS`] decode their stream set once
+//! into a shared in-memory arena. A sweep announces how many runs each
+//! stream has ([`TraceStore::announce`]); every run releases its stream
+//! once ([`TraceStore::release`]), and the arena is dropped with the last
+//! release, so a stream's decoded ops live only while its runs do.
+//! Streams nobody announced (direct [`TraceStore::execute`] calls) keep
+//! their arenas for the store's lifetime.
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
@@ -47,11 +55,12 @@ pub const TRACE_DIR_ENV: &str = "IPSIM_TRACE_DIR";
 /// Default trace directory, relative to the working directory.
 pub const DEFAULT_TRACE_DIR: &str = "results/traces";
 
-/// The in-memory arena budget, in total decoded ops held across all
-/// cached streams: 16 million ops (~a few hundred MB at `TraceOp` width),
-/// far below a machine-threatening allocation. Stream sets that do not
-/// fit — every full-length run at 30M ops per core, for one — replay
-/// through the streaming decoder instead.
+/// The in-memory arena budget: decoded ops live at once, summed over every
+/// arena a store holds or is decoding — 16 million ops (~a few hundred MB
+/// at `TraceOp` width), far below a machine-threatening allocation. It is
+/// a hard bound: ops are reserved under the store's lock before a decode
+/// starts, and a replay whose stream set does not fit — every full-length
+/// run at 30M ops per core, for one — streams through the codec instead.
 pub const DEFAULT_ARENA_OPS: u64 = 16_000_000;
 
 /// A reusable simulator slot: keeps the last [`System`] built for a
@@ -127,9 +136,9 @@ enum ArenaOutcome {
     Hit(CachedArena),
     /// A per-core file is missing or corrupt — capture instead.
     Missing,
-    /// The run's streams don't fit the arena budget — stream the replay
-    /// through the codec as before.
-    OverBudget,
+    /// The run's streams don't fit the arena budget, or another worker is
+    /// decoding them right now — stream the replay through the codec.
+    Stream,
 }
 
 /// Where a run's result (and instruction stream) came from.
@@ -205,18 +214,37 @@ pub struct TraceStore {
     /// Trace keys some thread is currently capturing (or has captured)
     /// this process; prevents two workers racing to write the same files.
     claims: Mutex<HashSet<String>>,
-    /// Fully decoded streams, keyed by trace key and shared across the
-    /// worker pool; `total_ops` counts against `arena_budget`.
+    /// Decoded streams, keyed by trace key and shared across the worker
+    /// pool, with the announced-run counts that decide when each is
+    /// dropped.
     arenas: Mutex<ArenaCache>,
-    /// Total decoded ops the arenas may hold ([`DEFAULT_ARENA_OPS`]); a
-    /// replay that would exceed it streams through the codec instead.
+    /// Decoded ops the arenas may hold or be decoding at once
+    /// ([`DEFAULT_ARENA_OPS`]); a replay that would exceed it streams
+    /// through the codec instead.
     arena_budget: u64,
 }
 
 #[derive(Debug, Default)]
 struct ArenaCache {
-    map: HashMap<String, CachedArena>,
-    total_ops: u64,
+    /// Arenas held or being decoded, by trace key; at most one per key.
+    map: HashMap<String, ArenaEntry>,
+    /// Ops of every entry in `map`, decoding ones included; never above
+    /// the store's `arena_budget`.
+    live_ops: u64,
+    /// High-water mark of `live_ops`.
+    peak_ops: u64,
+    /// Arenas decoded so far.
+    decoded: u64,
+    /// Announced runs per trace key that have not yet released it.
+    pending: HashMap<String, u64>,
+}
+
+#[derive(Debug)]
+struct ArenaEntry {
+    /// Decoded ops reserved for the stream set (all cores).
+    ops: u64,
+    /// `None` while one worker decodes it; runs arriving meanwhile stream.
+    arena: Option<CachedArena>,
 }
 
 impl TraceStore {
@@ -275,6 +303,95 @@ impl TraceStore {
     /// Corrupt trace files quarantined by this instance.
     pub fn quarantined(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
+    }
+
+    /// Stream sets decoded into an arena by this instance.
+    pub fn arenas_decoded(&self) -> u64 {
+        self.arenas.lock().unwrap().decoded
+    }
+
+    /// Most decoded ops this instance held (or was decoding) at once;
+    /// never above [`DEFAULT_ARENA_OPS`].
+    pub fn arena_peak_ops(&self) -> u64 {
+        self.arenas.lock().unwrap().peak_ops
+    }
+
+    /// Announces `runs` more runs over the stream `key`
+    /// ([`RunSpec::trace_key`]). Each must later call
+    /// [`TraceStore::release`] once; the stream's arena is dropped when
+    /// the last of them has.
+    pub(crate) fn announce(&self, key: &str, runs: u64) {
+        if runs > 0 {
+            *self
+                .arenas
+                .lock()
+                .unwrap()
+                .pending
+                .entry(key.to_string())
+                .or_default() += runs;
+        }
+    }
+
+    /// Marks one announced run over `key` finished, whatever its outcome.
+    /// The last release drops the stream's arena and returns its ops to
+    /// the budget. A key nobody announced is left alone, arena included.
+    pub(crate) fn release(&self, key: &str) {
+        let mut cache = self.arenas.lock().unwrap();
+        let Some(left) = cache.pending.get_mut(key) else {
+            return;
+        };
+        *left -= 1;
+        if *left > 0 {
+            return;
+        }
+        cache.pending.remove(key);
+        // A decode still in flight here belongs to a run nobody announced;
+        // it finishes into a retained arena, as such runs' arenas are.
+        if let Some(ops) = cache
+            .map
+            .get(key)
+            .filter(|e| e.arena.is_some())
+            .map(|e| e.ops)
+        {
+            cache.map.remove(key);
+            cache.live_ops -= ops;
+        }
+    }
+
+    /// Whether a decoded arena for `key` is held right now.
+    #[cfg(test)]
+    pub(crate) fn holds_arena(&self, key: &str) -> bool {
+        self.arenas
+            .lock()
+            .unwrap()
+            .map
+            .get(key)
+            .is_some_and(|e| e.arena.is_some())
+    }
+
+    /// Whether `spec`'s stream can be replayed: every per-core file is
+    /// present, passes [`TraceReader::verify_blocks`] (checksum speed, no
+    /// decode) and holds the run's op count. A file that fails is
+    /// quarantined, so the run that follows re-captures the stream.
+    pub(crate) fn replayable(&self, spec: &RunSpec) -> bool {
+        let Some(dir) = self.dir.as_deref() else {
+            return false;
+        };
+        let key = spec.trace_key();
+        let per_core_ops = spec.lengths.warm + spec.lengths.measure;
+        (0..spec.config.n_cores).all(|core| {
+            let path = self.core_path(dir, &key, core);
+            let Ok(file) = File::open(&path) else {
+                return false;
+            };
+            let verified = TraceReader::open(BufReader::new(file))
+                .and_then(|mut reader| reader.verify_blocks())
+                .is_ok_and(|stats| stats.ops == per_core_ops);
+            if !verified {
+                self.quarantine(&path);
+            }
+            verified
+        })
     }
 
     /// Path of the per-core trace file for a trace key.
@@ -336,7 +453,8 @@ impl TraceStore {
         let per_core_ops = spec.lengths.warm + spec.lengths.measure;
         // Zero-copy fast path: decode the whole stream set once into a
         // shared arena and lend the scheduler borrowed slices. Over-budget
-        // runs fall through to the per-op streaming decoder below.
+        // runs, and runs arriving while another worker decodes the same
+        // stream, fall through to the per-op streaming decoder below.
         match self.arena_for(dir, key, n_cores, per_core_ops) {
             ArenaOutcome::Hit(arena) => {
                 let mut sources: Vec<ArenaSource<CoreOps>> = (0..n_cores as usize)
@@ -362,7 +480,7 @@ impl TraceStore {
                 ));
             }
             ArenaOutcome::Missing => return None,
-            ArenaOutcome::OverBudget => {}
+            ArenaOutcome::Stream => {}
         }
         let mut sources: Vec<ReplaySource<BufReader<File>>> = Vec::with_capacity(n_cores as usize);
         let t0 = Instant::now();
@@ -403,57 +521,93 @@ impl TraceStore {
         ))
     }
 
-    /// Finds or builds the decoded arena for `key`. Decode happens outside
-    /// the cache lock (workers decoding different keys don't serialise);
-    /// the budget is re-checked at insert, and a losing racer simply serves
-    /// from its private copy without caching it.
+    /// Finds or builds the decoded arena for `key`. The per-core files are
+    /// opened and their indexed op counts checked first; then the stream
+    /// set's ops are reserved against the budget under the lock, so a
+    /// decode in flight already counts, and at most one worker decodes a
+    /// key. A stream being decoded, or one that does not fit, streams.
     fn arena_for(&self, dir: &Path, key: &str, n_cores: u32, per_core_ops: u64) -> ArenaOutcome {
         let total_ops = per_core_ops * u64::from(n_cores);
-        let budget = self.arena_budget;
-        {
-            let cache = self.arenas.lock().unwrap();
-            if let Some(cached) = cache.map.get(key) {
-                return ArenaOutcome::Hit(cached.clone());
-            }
-            if cache.total_ops + total_ops > budget {
-                return ArenaOutcome::OverBudget;
-            }
+        if let Some(outcome) = self.admit(key, total_ops, false) {
+            return outcome;
         }
-        let t0 = Instant::now();
-        let mut cores: Vec<Vec<TraceOp>> = Vec::with_capacity(n_cores as usize);
+        let mut readers = Vec::with_capacity(n_cores as usize);
         for core in 0..n_cores {
             let path = self.core_path(dir, key, core);
             let Ok(file) = File::open(&path) else {
                 return ArenaOutcome::Missing;
             };
-            let decoded = TraceReader::open(BufReader::new(file)).and_then(|mut reader| {
-                let mut ops = Vec::new();
-                reader.decode_all_into(&mut ops).map(|stats| (ops, stats))
-            });
-            match decoded {
-                Ok((ops, stats)) if stats.ops == per_core_ops => cores.push(ops),
-                // Corrupt, truncated, or a valid file of the wrong length
-                // (key tampering): quarantine and recapture.
+            match TraceReader::open(BufReader::new(file)) {
+                // The index is checked before any decode reserves memory
+                // for it: a valid file for a different run length can only
+                // appear through key tampering.
+                Ok(reader) if reader.total_ops() == per_core_ops => readers.push((path, reader)),
                 Ok(_) | Err(_) => {
                     self.quarantine(&path);
                     return ArenaOutcome::Missing;
                 }
             }
         }
-        let decode_s = t0.elapsed().as_secs_f64();
+        if let Some(outcome) = self.admit(key, total_ops, true) {
+            return outcome;
+        }
+        let t0 = Instant::now();
+        let mut cores: Vec<Vec<TraceOp>> = Vec::with_capacity(n_cores as usize);
+        for (path, mut reader) in readers {
+            let mut ops = Vec::new();
+            match reader.decode_all_into(&mut ops) {
+                Ok(_) => cores.push(ops),
+                // Corrupt or truncated: give the reservation back,
+                // quarantine and recapture.
+                Err(_) => {
+                    let mut cache = self.arenas.lock().unwrap();
+                    cache.map.remove(key);
+                    cache.live_ops -= total_ops;
+                    drop(cache);
+                    self.quarantine(&path);
+                    return ArenaOutcome::Missing;
+                }
+            }
+        }
         let arena = CachedArena {
             ops: Arc::new(cores),
-            decode_mips: mops_per_s(total_ops, decode_s),
+            decode_mips: mops_per_s(total_ops, t0.elapsed().as_secs_f64()),
         };
         let mut cache = self.arenas.lock().unwrap();
-        if let Some(existing) = cache.map.get(key) {
-            return ArenaOutcome::Hit(existing.clone());
-        }
-        if cache.total_ops + total_ops <= budget {
-            cache.total_ops += total_ops;
-            cache.map.insert(key.to_string(), arena.clone());
+        cache.decoded += 1;
+        if let Some(entry) = cache.map.get_mut(key) {
+            entry.arena = Some(arena.clone());
         }
         ArenaOutcome::Hit(arena)
+    }
+
+    /// The arena cache's verdict for `key` under the lock: a ready arena
+    /// is a hit; a decode in flight, or `total_ops` beyond the budget,
+    /// streams. Otherwise `None` — and with `reserve`, the ops are booked
+    /// and the key marked as decoding by the caller.
+    fn admit(&self, key: &str, total_ops: u64, reserve: bool) -> Option<ArenaOutcome> {
+        let mut cache = self.arenas.lock().unwrap();
+        if let Some(entry) = cache.map.get(key) {
+            return Some(match &entry.arena {
+                Some(arena) => ArenaOutcome::Hit(arena.clone()),
+                None => ArenaOutcome::Stream,
+            });
+        }
+        if cache.live_ops + total_ops > self.arena_budget {
+            return Some(ArenaOutcome::Stream);
+        }
+        if reserve {
+            cache.live_ops += total_ops;
+            cache.peak_ops = cache.peak_ops.max(cache.live_ops);
+            cache.map.insert(
+                key.to_string(),
+                ArenaEntry {
+                    ops: total_ops,
+                    arena: None,
+                },
+            );
+        }
+        None
     }
 
     /// Runs `spec` live, capturing the stream if this thread wins the
@@ -831,6 +985,163 @@ mod tests {
             streaming_store.arenas.lock().unwrap().map.is_empty(),
             "over-budget replays must not cache arenas"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An announced stream's arena lives while its runs do and is gone,
+    /// its ops returned to the budget, after the last one releases it.
+    #[test]
+    fn announced_arenas_are_dropped_after_the_last_release() {
+        let dir = tmp_dir("release");
+        let store = TraceStore::at(&dir);
+        let spec = spec();
+        let key = spec.trace_key();
+        let ops = spec.lengths.warm + spec.lengths.measure;
+        store.announce(&key, 3);
+
+        assert_eq!(store.execute(&spec).source, RunSource::Capture);
+        store.release(&key);
+        assert_eq!(store.execute(&spec).source, RunSource::Replay);
+        store.release(&key);
+        assert!(
+            store.arenas.lock().unwrap().map.contains_key(&key),
+            "the arena lives while its stream has runs left"
+        );
+        assert_eq!(store.execute(&spec).source, RunSource::Replay);
+        store.release(&key);
+        {
+            let cache = store.arenas.lock().unwrap();
+            assert!(cache.map.is_empty(), "the last release drops the arena");
+            assert_eq!(cache.live_ops, 0);
+            assert!(cache.pending.is_empty());
+        }
+        assert_eq!((store.arenas_decoded(), store.arena_peak_ops()), (1, ops));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Streams nobody announced keep their arena, and a stray release of
+    /// one is a no-op.
+    #[test]
+    fn unannounced_arenas_are_retained() {
+        let dir = tmp_dir("retain");
+        let store = TraceStore::at(&dir);
+        let spec = spec();
+        let key = spec.trace_key();
+        assert_eq!(store.execute(&spec).source, RunSource::Capture);
+        assert_eq!(store.execute(&spec).source, RunSource::Replay);
+        store.release(&key);
+        assert_eq!(store.execute(&spec).source, RunSource::Replay);
+        let cache = store.arenas.lock().unwrap();
+        assert!(cache.map.contains_key(&key));
+        assert_eq!(cache.live_ops, spec.lengths.warm + spec.lengths.measure);
+        assert_eq!(cache.decoded, 1, "a retained arena is decoded once");
+        drop(cache);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The budget bounds decoded ops live at once: a second stream that
+    /// does not fit beside a held arena streams, and decodes once the
+    /// first is released. A stream some worker is decoding is never
+    /// decoded a second time — its other runs stream.
+    #[test]
+    fn the_budget_is_hard_and_one_key_decodes_once() {
+        let dir = tmp_dir("budget");
+        let db = spec();
+        let mut web = spec();
+        web.workloads = WorkloadSet::homogeneous(Workload::Web);
+        let ops = db.lengths.warm + db.lengths.measure;
+        let live = (db.execute(), web.execute());
+
+        let mut store = TraceStore::at(&dir);
+        store.arena_budget = ops;
+        assert_eq!(store.execute(&db).source, RunSource::Capture);
+        assert_eq!(store.execute(&web).source, RunSource::Capture);
+        store.announce(&db.trace_key(), 1);
+        store.announce(&web.trace_key(), 1);
+        let db_run = store.execute(&db);
+        let web_run = store.execute(&web);
+        assert_eq!((db_run.summary, web_run.summary), live.clone());
+        assert_eq!(web_run.source, RunSource::Replay);
+        assert_eq!(store.arenas_decoded(), 1, "web did not fit beside db");
+        store.release(&db.trace_key());
+        store.release(&web.trace_key());
+        assert_eq!(store.execute(&web).summary, live.1);
+        assert_eq!(store.arenas_decoded(), 2, "web decodes once db is gone");
+        assert_eq!(store.arena_peak_ops(), ops);
+
+        // A decode in flight elsewhere: this run streams, no second arena.
+        let store = TraceStore::at(&dir);
+        store
+            .arenas
+            .lock()
+            .unwrap()
+            .map
+            .insert(db.trace_key(), ArenaEntry { ops, arena: None });
+        let streamed = store.execute(&db);
+        assert_eq!(streamed.source, RunSource::Replay);
+        assert_eq!(streamed.summary, live.0);
+        assert_eq!(store.arenas_decoded(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Rewrites a sealed trace file's index so block 0 claims `n_ops` ops,
+    /// with the index total and CRC re-sealed to match.
+    fn inflate_first_block(path: &Path, n_ops: u32) {
+        let mut bytes = fs::read(path).unwrap();
+        let len = bytes.len();
+        let footer = u64::from_le_bytes(bytes[len - 20..len - 12].try_into().unwrap()) as usize;
+        let body = footer + 8;
+        let n_blocks = u64::from_le_bytes(bytes[body..body + 8].try_into().unwrap()) as usize;
+        let entry = |i: usize| body + 8 + i * 12;
+        bytes[entry(0) + 8..entry(0) + 12].copy_from_slice(&n_ops.to_le_bytes());
+        let total: u64 = (0..n_blocks)
+            .map(|i| {
+                let at = entry(i) + 8;
+                u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()))
+            })
+            .sum();
+        let total_at = entry(n_blocks);
+        bytes[total_at..total_at + 8].copy_from_slice(&total.to_le_bytes());
+        let crc = ipsim_stream::crc32::crc32(&bytes[body..total_at + 8]);
+        bytes[total_at + 8..total_at + 12].copy_from_slice(&crc.to_le_bytes());
+        fs::write(path, bytes).unwrap();
+    }
+
+    /// A trace whose index passes its CRC but claims more ops than the
+    /// file can hold — or a valid trace of another run length under this
+    /// key — is quarantined before any decode and recaptured.
+    #[test]
+    fn crc_valid_lying_indexes_are_quarantined_and_recaptured() {
+        let dir = tmp_dir("inflated");
+        let spec = spec();
+        let live = spec.execute();
+        let store = TraceStore::at(&dir);
+        assert_eq!(store.execute(&spec).source, RunSource::Capture);
+        let path = store.core_path(&dir, &spec.trace_key(), 0);
+        inflate_first_block(&path, u32::MAX);
+
+        let store = TraceStore::at(&dir);
+        assert!(!store.replayable(&spec));
+        assert_eq!(store.quarantined(), 1);
+        // Put the crafted file back: a direct replay meets it at open.
+        fs::rename(path.with_extension("itrace.corrupt"), &path).unwrap();
+        let run = store.execute(&spec);
+        assert_eq!(
+            (run.source, run.summary),
+            (RunSource::Capture, live.clone())
+        );
+        assert_eq!(store.quarantined(), 2);
+        assert_eq!(store.execute(&spec).source, RunSource::Replay);
+
+        // A valid stream of another run length, planted under this key.
+        let mut longer = spec.clone();
+        longer.lengths.measure += 1;
+        assert_eq!(store.execute(&longer).source, RunSource::Capture);
+        let store = TraceStore::at(&dir);
+        fs::copy(store.core_path(&dir, &longer.trace_key(), 0), &path).unwrap();
+        let run = store.execute(&spec);
+        assert_eq!((run.source, run.summary), (RunSource::Capture, live));
+        assert_eq!((store.quarantined(), store.arenas_decoded()), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

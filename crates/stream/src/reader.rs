@@ -199,6 +199,16 @@ impl<R: Read + Seek> TraceReader<R> {
                 found: indexed_ops,
             });
         }
+        // Every op encodes to at least one payload byte, so a count above
+        // the file size is a lie the CRC cannot catch; rejecting it here
+        // keeps `decode_all_into`'s up-front reservation bounded by the
+        // file instead of by an attacker-chosen index.
+        if total_ops > file_bytes {
+            return Err(CodecError::CountMismatch {
+                expected: file_bytes,
+                found: total_ops,
+            });
+        }
 
         Ok(TraceReader {
             inner,

@@ -1,6 +1,6 @@
 //! Property tests for the trace codec and file format.
 //!
-//! Three properties, each over *arbitrary* op sequences (not just
+//! Four properties, each over *arbitrary* op sequences (not just
 //! walker-shaped ones — the writer's resync path must make any sequence
 //! encodable):
 //!
@@ -9,7 +9,9 @@
 //!    always detected),
 //! 3. no single bit flip can make a trace decode to a *different* op
 //!    sequence — corruption is either detected or harmless to content
-//!    (in practice: always detected, since every byte is CRC-covered).
+//!    (in practice: always detected, since every byte is CRC-covered),
+//! 4. an index re-sealed with a valid CRC but inflated block counts never
+//!    decodes — a count the file cannot hold is rejected at open.
 //!
 //! PCs and addresses stay below `1 << 60` because `Addr::offset` asserts
 //! against overflow in debug builds; real streams live far below that.
@@ -164,6 +166,86 @@ proptest! {
                         bit
                     ),
                 }
+            }
+        }
+    }
+}
+
+/// Rewrites a sealed trace's index so block 0 claims `n_ops` ops (and the
+/// index total agrees), re-sealing the index CRC: a crafted file every
+/// checksum accepts.
+fn inflate_first_block(bytes: &mut [u8], n_ops: u32) {
+    let len = bytes.len();
+    let footer = u64::from_le_bytes(bytes[len - 20..len - 12].try_into().unwrap()) as usize;
+    let body = footer + 8;
+    let n_blocks = u64::from_le_bytes(bytes[body..body + 8].try_into().unwrap()) as usize;
+    assert!(n_blocks >= 1, "needs a block to inflate");
+    let entry = |i: usize| body + 8 + i * 12;
+    bytes[entry(0) + 8..entry(0) + 12].copy_from_slice(&n_ops.to_le_bytes());
+    let total: u64 = (0..n_blocks)
+        .map(|i| {
+            u64::from(u32::from_le_bytes(
+                bytes[entry(i) + 8..entry(i) + 12].try_into().unwrap(),
+            ))
+        })
+        .sum();
+    let total_at = entry(n_blocks);
+    bytes[total_at..total_at + 8].copy_from_slice(&total.to_le_bytes());
+    let crc = ipsim_stream::crc32::crc32(&bytes[body..total_at + 8]);
+    bytes[total_at + 8..total_at + 12].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// An index whose CRC is valid but whose block counts claim more ops than
+/// the file could hold is rejected at open — before any decode could
+/// reserve memory for the claimed count.
+#[test]
+fn crc_valid_inflated_op_counts_are_rejected_at_open() {
+    let op = TraceOp {
+        pc: Addr(0x1000),
+        kind: OpKind::Other,
+    };
+    let mut bytes = encode(&[op], "inflated");
+    inflate_first_block(&mut bytes, u32::MAX);
+    match TraceReader::open(Cursor::new(&bytes)) {
+        Err(ipsim_types::CodecError::CountMismatch { expected, found }) => {
+            assert_eq!((expected, found), (bytes.len() as u64, u64::from(u32::MAX)));
+        }
+        Err(e) => panic!("wrong error for an inflated count: {e}"),
+        Ok(_) => panic!(
+            "an index claiming {} ops in {} bytes opened",
+            u32::MAX,
+            bytes.len()
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any count the file cannot hold is rejected at open; a count the
+    /// file could hold opens and is then caught by the block CRC check.
+    #[test]
+    fn inflated_op_counts_never_decode(
+        start_pc in 0u64..(1 << 40),
+        raw in prop::collection::vec((0u32..9, 0u64..(1 << 40), any::<bool>()), 1..64),
+        extra in 1u32..4_096,
+    ) {
+        // Chained ops never resync, so the stream is one block.
+        let ops = chained_ops(start_pc, raw);
+        let mut bytes = encode(&ops, "prop/inflate");
+        let reader = TraceReader::open(Cursor::new(&bytes)).unwrap();
+        prop_assert_eq!(reader.block_count(), 1);
+        let claimed = ops.len() as u32 + extra;
+        inflate_first_block(&mut bytes, claimed);
+        match TraceReader::open(Cursor::new(&bytes)) {
+            Err(ipsim_types::CodecError::CountMismatch { .. }) => {
+                prop_assert!(u64::from(claimed) > bytes.len() as u64);
+            }
+            Err(e) => prop_assert!(false, "unexpected error {}", e),
+            Ok(mut reader) => {
+                prop_assert!(u64::from(claimed) <= bytes.len() as u64);
+                let mut out = Vec::new();
+                prop_assert!(reader.decode_all_into(&mut out).is_err());
             }
         }
     }

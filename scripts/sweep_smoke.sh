@@ -12,7 +12,11 @@
 #      (the incremental manifest proves both outputs current);
 #   4. `report sweep --stable` over the two directories must produce
 #      identical bytes (the stable view is independent of how the sweep
-#      was executed).
+#      was executed);
+#   5. a replay-only sweep over the --jobs 2 directory's warm trace store,
+#      with its run cache removed and --force --jobs 2, must capture
+#      nothing, replay all 63 runs, and still match the goldens — two
+#      workers sharing and releasing replay arenas must not change a byte.
 #
 # Needs: target/release/{all_figures,report} (make build), sha256sum.
 set -euo pipefail
@@ -31,8 +35,10 @@ fail() {
     exit 1
 }
 
-run_sweep() { # $1 = tag, $2 = worker threads
+run_sweep() { # $1 = tag, $2 = worker threads, then extra flags
     local dir="${ROOT}/$1"
+    local workers=$2
+    shift 2
     mkdir -p "${dir}"
     (
         cd "${dir}"
@@ -40,7 +46,7 @@ run_sweep() { # $1 = tag, $2 = worker threads
         IPSIM_CACHE_DIR="${dir}/cache" \
         IPSIM_TRACE_DIR="${dir}/traces" \
         IPSIM_RUNLOG="${dir}/runlog.tsv" \
-            "${ALL_FIGURES}" --figures fig02,fig05 --jobs "$2" \
+            "${ALL_FIGURES}" --figures fig02,fig05 --jobs "${workers}" "$@" \
             2>"${dir}/stderr.txt"
     )
 }
@@ -64,12 +70,16 @@ for fig in fig02 fig05; do
     cmp -s "${ROOT}/serial/results/${fig}.txt" "${ROOT}/parallel/results/${fig}.txt" \
         || fail "${fig}: worker count changed the rendered bytes"
 done
-actual02=$(sha256sum "${ROOT}/parallel/results/fig02.txt" | cut -d' ' -f1)
-actual05=$(sha256sum "${ROOT}/parallel/results/fig05.txt" | cut -d' ' -f1)
-[ "${actual02}" = "${GOLDEN_FIG02}" ] \
-    || fail "fig02 golden mismatch: expected ${GOLDEN_FIG02}, got ${actual02}"
-[ "${actual05}" = "${GOLDEN_FIG05}" ] \
-    || fail "fig05 golden mismatch: expected ${GOLDEN_FIG05}, got ${actual05}"
+check_goldens() { # $1 = tag
+    local actual02 actual05
+    actual02=$(sha256sum "${ROOT}/$1/results/fig02.txt" | cut -d' ' -f1)
+    actual05=$(sha256sum "${ROOT}/$1/results/fig05.txt" | cut -d' ' -f1)
+    [ "${actual02}" = "${GOLDEN_FIG02}" ] \
+        || fail "$1: fig02 golden mismatch: expected ${GOLDEN_FIG02}, got ${actual02}"
+    [ "${actual05}" = "${GOLDEN_FIG05}" ] \
+        || fail "$1: fig05 golden mismatch: expected ${GOLDEN_FIG05}, got ${actual05}"
+}
+check_goldens parallel
 echo "sweep_smoke: figures byte-identical across worker counts, goldens OK"
 
 echo "sweep_smoke: warm re-run (must render nothing)..."
@@ -83,4 +93,12 @@ report_stable parallel > "${ROOT}/report_parallel.txt"
 cmp -s "${ROOT}/report_serial.txt" "${ROOT}/report_parallel.txt" \
     || fail "report sweep --stable differs between 1 and 2 workers"
 echo "sweep_smoke: stable sweep report identical across worker counts"
+
+echo "sweep_smoke: replay-only sweep over the warm store, 2 workers..."
+rm -rf "${ROOT}/parallel/cache"
+run_sweep parallel 2 --force > "${ROOT}/replay.out"
+grep -q "traces: 0 streams captured · 63 runs replayed" "${ROOT}/replay.out" \
+    || fail "replay-only sweep: $(grep 'traces:' "${ROOT}/replay.out" || echo 'no trace summary')"
+check_goldens parallel
+echo "sweep_smoke: replay-only sweep replayed every run, goldens OK"
 echo "sweep_smoke: PASS"
