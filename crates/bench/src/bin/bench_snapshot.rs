@@ -6,6 +6,8 @@
 //! and CI-checkable. The entries split a run's cost by layer:
 //!
 //! - `system/*`: whole-system runs (walker, core, caches, prefetcher);
+//! - `trace/*`: synthesis of the DB program, the largest of the four, in
+//!   ns per basic block;
 //! - `cache/*`: the set-associative cache's hit, miss+fill and probe
 //!   paths, at L1 and L2 scale;
 //! - `prefetch/*`: engine `on_fetch`, the prefetch queue and the
@@ -14,8 +16,8 @@
 //! - `telemetry/*`: the two large lifecycle-trace sinks, JSONL and the
 //!   Chrome trace, in ns per event.
 //!
-//! Trace synthesis, walker and stream-codec costs are reported per layer
-//! by perfbench's `--trace 1` breakdown (`trace.*`, `stream.*`).
+//! Walker and stream-codec costs are reported per layer by perfbench's
+//! `--trace 1` breakdown (`trace.*`, `stream.*`).
 //!
 //! ```text
 //! cargo run --release -p ipsim-bench --bin bench_snapshot            # regenerate
@@ -135,7 +137,7 @@ fn main() {
     let results = run_all(reps);
     for r in &results {
         eprintln!(
-            "  {:<38} {:>9.3} ms  {:>7.1} ns/op",
+            "  {:<40} {:>9.3} ms  {:>7.1} ns/op",
             r.name,
             r.min_ms,
             r.ns_per_op()
@@ -226,6 +228,7 @@ impl OpSource for SliceSource<'_> {
 /// Every bench, layer by layer, in snapshot order.
 fn run_all(reps: u32) -> Vec<BenchResult> {
     let mut results = system_benches(reps);
+    results.push(trace_bench(reps));
     results.extend(cache_benches(reps));
     results.extend(prefetch_benches(reps));
     results.extend(unit_benches(reps));
@@ -343,7 +346,34 @@ fn system_benches(reps: u32) -> Vec<BenchResult> {
                 walkers.iter_mut().map(|w| w as &mut dyn OpSource).collect();
             system.run(&mut sources, INSTRS / 4);
         }),
+        // The paper's flagship configuration: four cores sharing the
+        // discontinuity prefetcher's L2 with bypass, the runs where a
+        // figure sweep's time goes.
+        bench(
+            "system/cmp4_discontinuity_100k_per_core",
+            INSTRS,
+            reps,
+            || {
+                let mut system = SystemBuilder::cmp4()
+                    .prefetcher(PrefetcherKind::discontinuity_default())
+                    .install_policy(InstallPolicy::BypassL2UntilUseful)
+                    .build()
+                    .unwrap();
+                let mut walkers: Vec<TraceWalker<'_>> = (0..4).map(web_walker).collect();
+                let mut sources: Vec<&mut dyn OpSource> =
+                    walkers.iter_mut().map(|w| w as &mut dyn OpSource).collect();
+                system.run(&mut sources, INSTRS / 4);
+            },
+        ),
     ]
+}
+
+/// Synthesis of the DB program, timed per basic block built.
+fn trace_bench(reps: u32) -> BenchResult {
+    let blocks = Workload::Db.build_program(1).n_blocks();
+    bench("trace/build_program_db", u64::from(blocks), reps, || {
+        black_box(Workload::Db.build_program(1));
+    })
 }
 
 fn cache_benches(reps: u32) -> Vec<BenchResult> {
@@ -662,7 +692,7 @@ fn check_against(path: &str, results: &[BenchResult]) -> i32 {
     let mut failed = false;
     for r in results.iter().filter(|r| r.name.starts_with("system/")) {
         let Some((_, committed_ms)) = committed.iter().find(|(n, _)| n == r.name) else {
-            eprintln!("  {:<38} not in committed snapshot (new bench?)", r.name);
+            eprintln!("  {:<40} not in committed snapshot (new bench?)", r.name);
             continue;
         };
         let allowed_ms = committed_ms * (1.0 + tolerance_pct / 100.0);
@@ -670,13 +700,13 @@ fn check_against(path: &str, results: &[BenchResult]) -> i32 {
         if delta_pct > tolerance_pct {
             failed = true;
             eprintln!(
-                "  {:<38} committed {:>8.3} ms, now {:>8.3} ms ({:+.1}%) REGRESSED \
+                "  {:<40} committed {:>8.3} ms, now {:>8.3} ms ({:+.1}%) REGRESSED \
                  [band: <= {:.3} ms at {}% tolerance]",
                 r.name, committed_ms, r.min_ms, delta_pct, allowed_ms, tolerance_pct,
             );
         } else {
             eprintln!(
-                "  {:<38} committed {:>8.3} ms, now {:>8.3} ms ({:+.1}%) ok",
+                "  {:<40} committed {:>8.3} ms, now {:>8.3} ms ({:+.1}%) ok",
                 r.name, committed_ms, r.min_ms, delta_pct,
             );
         }

@@ -28,7 +28,10 @@
 //! into a shared in-memory arena. A sweep announces how many runs each
 //! stream has ([`TraceStore::announce`]); every run releases its stream
 //! once ([`TraceStore::release`]), and the arena is dropped with the last
-//! release, so a stream's decoded ops live only while its runs do.
+//! release, so a stream's decoded ops live only while its runs do. Its
+//! per-core buffers go to an idle pool, and the next stream decodes into
+//! them instead of fresh allocations, so the store's memory follows the
+//! arena budget rather than the allocator's reuse of freed blocks.
 //! Streams nobody announced (direct [`TraceStore::execute`] calls) keep
 //! their arenas for the store's lifetime.
 
@@ -228,9 +231,14 @@ pub struct TraceStore {
 struct ArenaCache {
     /// Arenas held or being decoded, by trace key; at most one per key.
     map: HashMap<String, ArenaEntry>,
-    /// Ops of every entry in `map`, decoding ones included; never above
-    /// the store's `arena_budget`.
+    /// Ops of every entry in `map`, decoding ones included; with
+    /// `idle_ops`, never above the store's `arena_budget`.
     live_ops: u64,
+    /// Per-core buffers of released arenas, cleared, waiting for the next
+    /// decode.
+    idle: Vec<Vec<TraceOp>>,
+    /// Capacity, in ops, of the buffers in `idle`.
+    idle_ops: u64,
     /// High-water mark of `live_ops`.
     peak_ops: u64,
     /// Arenas decoded so far.
@@ -333,8 +341,9 @@ impl TraceStore {
     }
 
     /// Marks one announced run over `key` finished, whatever its outcome.
-    /// The last release drops the stream's arena and returns its ops to
-    /// the budget. A key nobody announced is left alone, arena included.
+    /// The last release drops the stream's arena, returns its ops to the
+    /// budget and pools its buffers for the next decode. A key nobody
+    /// announced is left alone, arena included.
     pub(crate) fn release(&self, key: &str) {
         let mut cache = self.arenas.lock().unwrap();
         let Some(left) = cache.pending.get_mut(key) else {
@@ -347,14 +356,26 @@ impl TraceStore {
         cache.pending.remove(key);
         // A decode still in flight here belongs to a run nobody announced;
         // it finishes into a retained arena, as such runs' arenas are.
-        if let Some(ops) = cache
-            .map
-            .get(key)
-            .filter(|e| e.arena.is_some())
-            .map(|e| e.ops)
-        {
-            cache.map.remove(key);
-            cache.live_ops -= ops;
+        let Some(entry) = cache.map.get_mut(key) else {
+            return;
+        };
+        let Some(arena) = entry.arena.take() else {
+            return;
+        };
+        let ops = entry.ops;
+        cache.map.remove(key);
+        cache.live_ops -= ops;
+        // Pool the buffers unless a run nobody announced still reads them.
+        let Ok(cores) = Arc::try_unwrap(arena.ops) else {
+            return;
+        };
+        for mut buffer in cores {
+            let capacity = buffer.capacity() as u64;
+            if cache.live_ops + cache.idle_ops + capacity <= self.arena_budget {
+                buffer.clear();
+                cache.idle_ops += capacity;
+                cache.idle.push(buffer);
+            }
         }
     }
 
@@ -527,8 +548,7 @@ impl TraceStore {
     /// decode in flight already counts, and at most one worker decodes a
     /// key. A stream being decoded, or one that does not fit, streams.
     fn arena_for(&self, dir: &Path, key: &str, n_cores: u32, per_core_ops: u64) -> ArenaOutcome {
-        let total_ops = per_core_ops * u64::from(n_cores);
-        if let Some(outcome) = self.admit(key, total_ops, false) {
+        if let Some(outcome) = self.admit(key, n_cores, per_core_ops, None) {
             return outcome;
         }
         let mut readers = Vec::with_capacity(n_cores as usize);
@@ -548,27 +568,25 @@ impl TraceStore {
                 }
             }
         }
-        if let Some(outcome) = self.admit(key, total_ops, true) {
+        let mut cores = Vec::with_capacity(n_cores as usize);
+        if let Some(outcome) = self.admit(key, n_cores, per_core_ops, Some(&mut cores)) {
             return outcome;
         }
         let t0 = Instant::now();
-        let mut cores: Vec<Vec<TraceOp>> = Vec::with_capacity(n_cores as usize);
-        for (path, mut reader) in readers {
-            let mut ops = Vec::new();
-            match reader.decode_all_into(&mut ops) {
-                Ok(_) => cores.push(ops),
+        for ((path, mut reader), ops) in readers.into_iter().zip(&mut cores) {
+            if reader.decode_all_into(ops).is_err() {
                 // Corrupt or truncated: give the reservation back,
                 // quarantine and recapture.
-                Err(_) => {
-                    let mut cache = self.arenas.lock().unwrap();
-                    cache.map.remove(key);
-                    cache.live_ops -= total_ops;
-                    drop(cache);
-                    self.quarantine(&path);
-                    return ArenaOutcome::Missing;
+                let mut cache = self.arenas.lock().unwrap();
+                if let Some(entry) = cache.map.remove(key) {
+                    cache.live_ops -= entry.ops;
                 }
+                drop(cache);
+                self.quarantine(&path);
+                return ArenaOutcome::Missing;
             }
         }
+        let total_ops = per_core_ops * u64::from(n_cores);
         let arena = CachedArena {
             ops: Arc::new(cores),
             decode_mips: mops_per_s(total_ops, t0.elapsed().as_secs_f64()),
@@ -582,10 +600,19 @@ impl TraceStore {
     }
 
     /// The arena cache's verdict for `key` under the lock: a ready arena
-    /// is a hit; a decode in flight, or `total_ops` beyond the budget,
-    /// streams. Otherwise `None` — and with `reserve`, the ops are booked
-    /// and the key marked as decoding by the caller.
-    fn admit(&self, key: &str, total_ops: u64, reserve: bool) -> Option<ArenaOutcome> {
+    /// is a hit; a decode in flight, or the stream set's ops beyond what
+    /// live arenas leave of the budget, streams. Otherwise `None` — and
+    /// with `buffers`, the ops are booked, the key marked as decoding by
+    /// the caller, and `buffers` given one cleared buffer per core: a
+    /// pooled one where one is large enough, else a new one. Idle buffers
+    /// not taken are dropped as far as the reservation needs their room.
+    fn admit(
+        &self,
+        key: &str,
+        n_cores: u32,
+        per_core_ops: u64,
+        buffers: Option<&mut Vec<Vec<TraceOp>>>,
+    ) -> Option<ArenaOutcome> {
         let mut cache = self.arenas.lock().unwrap();
         if let Some(entry) = cache.map.get(key) {
             return Some(match &entry.arena {
@@ -593,20 +620,41 @@ impl TraceStore {
                 None => ArenaOutcome::Stream,
             });
         }
+        let total_ops = per_core_ops * u64::from(n_cores);
         if cache.live_ops + total_ops > self.arena_budget {
             return Some(ArenaOutcome::Stream);
         }
-        if reserve {
-            cache.live_ops += total_ops;
-            cache.peak_ops = cache.peak_ops.max(cache.live_ops);
-            cache.map.insert(
-                key.to_string(),
-                ArenaEntry {
-                    ops: total_ops,
-                    arena: None,
-                },
-            );
+        let buffers = buffers?;
+        // A reused buffer books its whole capacity.
+        let mut reserved = 0;
+        for _ in 0..n_cores {
+            let snuggest = (0..cache.idle.len())
+                .filter(|&i| cache.idle[i].capacity() as u64 >= per_core_ops)
+                .min_by_key(|&i| cache.idle[i].capacity());
+            let buffer = snuggest.map_or_else(Vec::new, |i| cache.idle.swap_remove(i));
+            cache.idle_ops -= buffer.capacity() as u64;
+            reserved += (buffer.capacity() as u64).max(per_core_ops);
+            buffers.push(buffer);
         }
+        if cache.live_ops + reserved > self.arena_budget {
+            // Oversized pooled buffers would breach the budget: decode
+            // into fresh ones.
+            buffers.iter_mut().for_each(|b| *b = Vec::new());
+            reserved = total_ops;
+        }
+        while cache.live_ops + reserved + cache.idle_ops > self.arena_budget {
+            let dropped = cache.idle.pop().expect("live arenas fit the budget");
+            cache.idle_ops -= dropped.capacity() as u64;
+        }
+        cache.live_ops += reserved;
+        cache.peak_ops = cache.peak_ops.max(cache.live_ops);
+        cache.map.insert(
+            key.to_string(),
+            ArenaEntry {
+                ops: reserved,
+                arena: None,
+            },
+        );
         None
     }
 
@@ -1016,6 +1064,90 @@ mod tests {
             assert!(cache.pending.is_empty());
         }
         assert_eq!((store.arenas_decoded(), store.arena_peak_ops()), (1, ops));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A released arena's buffers wait in the idle pool, counted against
+    /// the budget, and the next equal-sized stream decodes into them
+    /// instead of allocating.
+    #[test]
+    fn released_buffers_serve_the_next_decode() {
+        let dir = tmp_dir("pool");
+        let db = spec();
+        let mut web = spec();
+        web.workloads = WorkloadSet::homogeneous(Workload::Web);
+        let ops = db.lengths.warm + db.lengths.measure;
+        let store = TraceStore::at(&dir);
+        assert_eq!(store.execute(&db).source, RunSource::Capture);
+        assert_eq!(store.execute(&web).source, RunSource::Capture);
+        store.announce(&db.trace_key(), 1);
+        store.announce(&web.trace_key(), 1);
+
+        assert_eq!(store.execute(&db).source, RunSource::Replay);
+        store.release(&db.trace_key());
+        let pooled = {
+            let cache = store.arenas.lock().unwrap();
+            assert_eq!((cache.live_ops, cache.idle.len()), (0, 1));
+            assert!(cache.idle_ops >= ops && cache.idle_ops <= store.arena_budget);
+            cache.idle[0].as_ptr()
+        };
+
+        let web_run = store.execute(&web);
+        assert_eq!(
+            (web_run.source, web_run.summary),
+            (RunSource::Replay, web.execute())
+        );
+        {
+            let cache = store.arenas.lock().unwrap();
+            let arena = cache.map[&web.trace_key()].arena.as_ref().unwrap();
+            assert_eq!(
+                arena.ops[0].as_ptr(),
+                pooled,
+                "web decoded into db's buffer"
+            );
+            assert_eq!((cache.idle.len(), cache.idle_ops), (0, 0));
+        }
+        store.release(&web.trace_key());
+        assert_eq!(store.arenas_decoded(), 2);
+        assert_eq!(store.arena_peak_ops(), ops, "idle buffers are not live ops");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Idle buffers never make a run stream: a decode that needs their
+    /// room drops them, and one too small to reuse is not kept beside a
+    /// fresh buffer past the budget.
+    #[test]
+    fn idle_buffers_give_way_to_a_decode_that_needs_their_room() {
+        let dir = tmp_dir("giveway");
+        let full = spec();
+        let mut half = spec();
+        half.lengths = RunLengths {
+            warm: 500,
+            measure: 1_500,
+        };
+        let ops = full.lengths.warm + full.lengths.measure;
+        let mut store = TraceStore::at(&dir);
+        store.arena_budget = ops;
+        assert_eq!(store.execute(&full).source, RunSource::Capture);
+        assert_eq!(store.execute(&half).source, RunSource::Capture);
+        store.announce(&half.trace_key(), 1);
+        assert_eq!(store.execute(&half).source, RunSource::Replay);
+        store.release(&half.trace_key());
+        assert_eq!(store.arenas.lock().unwrap().idle.len(), 1);
+
+        store.announce(&full.trace_key(), 1);
+        let run = store.execute(&full);
+        assert_eq!(
+            (run.source, run.summary),
+            (RunSource::Replay, full.execute())
+        );
+        let cache = store.arenas.lock().unwrap();
+        assert!(
+            cache.map[&full.trace_key()].arena.is_some(),
+            "decoded, not streamed"
+        );
+        assert_eq!((cache.idle.len(), cache.live_ops), (0, ops));
+        drop(cache);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -6,16 +6,32 @@ use ipsim_types::{Addr, Rng64};
 
 use crate::profile::WorkloadProfile;
 use crate::program::TierSampler;
-use crate::program::{Block, FuncId, Function, Program, Terminator};
+use crate::program::{FuncId, Program, WalkBlock, WalkKind};
 
 /// Base address of synthesised code (keeps PC 0 invalid).
 const CODE_BASE: u64 = 0x1_0000;
-/// Upper bound on blocks per function.
+/// Cap on a function's blocks beyond its first (at most 64 in all).
 const MAX_BLOCKS: u64 = 63;
-/// Upper bound on instructions per block.
+/// Cap on a block's instructions beyond its first (at most 32 in all).
 const MAX_BLOCK_INSTRS: u64 = 31;
 /// First block index at which call sites may appear.
 const MIN_CALL_BLOCK: u32 = 2;
+/// Upper bound on blocks per trap handler (at least 2).
+const MAX_HANDLER_BLOCKS: u64 = 4;
+/// Upper bound on instructions per trap-handler block (at least 2).
+const MAX_HANDLER_BLOCK_INSTRS: u64 = 7;
+const RETURN: WalkBlock = WalkBlock::ending(WalkKind::Return, 0, 0.0);
+const FALL_THROUGH: WalkBlock = WalkBlock::ending(WalkKind::FallThrough, 0, 0.0);
+
+/// The highest code address (exclusive) any program built from `p` can
+/// reach, whatever the seed: every function at its block and instruction
+/// caps. [`WorkloadProfile::assert_valid`] keeps it within the 32-bit
+/// block start of the flat program table.
+pub(crate) fn max_code_end(p: &WorkloadProfile) -> u64 {
+    let per_fn = (MAX_BLOCKS + 1) * (MAX_BLOCK_INSTRS + 1) * INSTR_BYTES;
+    let per_handler = MAX_HANDLER_BLOCKS * MAX_HANDLER_BLOCK_INSTRS * INSTR_BYTES;
+    CODE_BASE + p.n_functions as u64 * per_fn + p.n_trap_handlers as u64 * per_handler
+}
 
 /// Builds a synthetic static program from a profile and a seed.
 ///
@@ -84,60 +100,51 @@ impl ProgramBuilder {
         let p_blocks = 1.0 / (1.0 + p.blocks_per_fn_mean);
         let p_instrs = 1.0 / (1.0 + p.instrs_per_block_mean);
 
-        let code_start = Addr(CODE_BASE);
-        let mut cursor = code_start;
-        let mut functions = Vec::with_capacity((n + p.n_trap_handlers) as usize);
+        let mut cursor = CODE_BASE as u32;
+        let mut walk = Vec::new();
+        let mut func_base = Vec::with_capacity((n + p.n_trap_handlers) as usize);
+        let mut indirect = Vec::new();
 
         for _ in 0..n {
             let nb = 1 + rng.geometric(p_blocks, MAX_BLOCKS) as u32;
-            let mut blocks = Vec::with_capacity(nb as usize);
+            func_base.push(walk.len() as u32);
             for b in 0..nb {
                 let ni = 1 + rng.geometric(p_instrs, MAX_BLOCK_INSTRS) as u32;
-                let terminator = if b == nb - 1 {
-                    Terminator::Return
+                let term = if b == nb - 1 {
+                    RETURN
                 } else {
-                    self.draw_terminator(&mut rng, b, nb, &by_rank, &call_targets)
+                    self.draw_terminator(&mut rng, b, nb, &by_rank, &call_targets, &mut indirect)
                 };
-                blocks.push(Block {
-                    start: cursor,
-                    n_instrs: ni,
-                    terminator,
-                });
-                cursor = cursor.offset(ni as u64 * INSTR_BYTES);
+                walk.push(term.at(cursor, ni));
+                cursor += ni * INSTR_BYTES as u32;
             }
-            functions.push(Function { blocks });
         }
 
         // Trap handlers: short straight-line functions at the top of the
         // code segment (far from regular code, like kernel trap vectors).
         for _ in 0..p.n_trap_handlers {
-            let nb = 2 + rng.range(3) as u32;
-            let mut blocks = Vec::with_capacity(nb as usize);
+            let nb = 2 + rng.range(MAX_HANDLER_BLOCKS - 1) as u32;
+            func_base.push(walk.len() as u32);
             for b in 0..nb {
-                let ni = 2 + rng.range(6) as u32;
-                let terminator = if b == nb - 1 {
-                    Terminator::Return
-                } else {
-                    Terminator::FallThrough
-                };
-                blocks.push(Block {
-                    start: cursor,
-                    n_instrs: ni,
-                    terminator,
-                });
-                cursor = cursor.offset(ni as u64 * INSTR_BYTES);
+                let ni = 2 + rng.range(MAX_HANDLER_BLOCK_INSTRS - 1) as u32;
+                let term = if b == nb - 1 { RETURN } else { FALL_THROUGH };
+                walk.push(term.at(cursor, ni));
+                cursor += ni * INSTR_BYTES as u32;
             }
-            functions.push(Function { blocks });
         }
+        walk.shrink_to_fit();
+        indirect.shrink_to_fit();
 
-        let program = Program::assemble(
-            functions,
-            code_start,
-            cursor.0 - code_start.0,
-            n,
+        let program = Program {
+            walk,
+            func_base,
+            indirect,
+            code_start: Addr(CODE_BASE),
+            code_bytes: cursor as u64 - CODE_BASE,
+            n_regular: n,
             by_rank,
             dispatch,
-        );
+        };
         debug_assert_eq!(program.validate(), Ok(()));
         program
     }
@@ -150,7 +157,8 @@ impl ProgramBuilder {
         nb: u32,
         by_rank: &[FuncId],
         popularity: &TierSampler,
-    ) -> Terminator {
+        indirect: &mut Vec<(FuncId, f32)>,
+    ) -> WalkBlock {
         let p = &self.profile;
         let r = rng.f64();
         let mut acc = p.cond_branch_frac;
@@ -162,9 +170,8 @@ impl ProgramBuilder {
             // Unconditional branches go forward (a `goto` past some
             // blocks, often to a merge point or cleanup code well ahead).
             let skip = 2 + rng.geometric(1.0 / (1.0 + p.fwd_skip_mean), 16);
-            return Terminator::UncondBranch {
-                target: (b + skip as u32).min(nb - 1),
-            };
+            let target = (b + skip as u32).min(nb - 1);
+            return WalkBlock::ending(WalkKind::UncondBranch, target, 0.0);
         }
         acc += p.call_frac;
         if r < acc {
@@ -173,36 +180,35 @@ impl ProgramBuilder {
             // functions). This also gives a prefetcher probing at function
             // entry enough lead time to cover an L2-resident callee.
             if b < MIN_CALL_BLOCK {
-                return Terminator::FallThrough;
+                return FALL_THROUGH;
             }
-            return Terminator::Call {
-                callee: by_rank[popularity.sample(rng) as usize],
-            };
+            let callee = by_rank[popularity.sample(rng) as usize];
+            return WalkBlock::ending(WalkKind::Call, callee.0, 0.0);
         }
         acc += p.indirect_call_frac;
         if r < acc && b < MIN_CALL_BLOCK {
-            return Terminator::FallThrough;
+            return FALL_THROUGH;
         }
         if r < acc {
-            let n_targets = 2 + rng.range(3) as usize;
-            let callees = (0..n_targets)
-                .map(|_| {
-                    (
-                        by_rank[popularity.sample(rng) as usize],
-                        0.2 + rng.f64() as f32 * 0.8,
-                    )
-                })
-                .collect();
-            return Terminator::IndirectCall { callees };
+            let n_targets = 2 + rng.range(3) as u8;
+            let at = indirect.len() as u32;
+            for _ in 0..n_targets {
+                let callee = by_rank[popularity.sample(rng) as usize];
+                indirect.push((callee, 0.2 + rng.f64() as f32 * 0.8));
+            }
+            return WalkBlock {
+                n_callees: n_targets,
+                ..WalkBlock::ending(WalkKind::IndirectCall, at, 0.0)
+            };
         }
         acc += p.early_return_frac;
         if r < acc {
-            return Terminator::Return;
+            return RETURN;
         }
-        Terminator::FallThrough
+        FALL_THROUGH
     }
 
-    fn draw_cond_branch(&self, rng: &mut Rng64, b: u32, nb: u32) -> Terminator {
+    fn draw_cond_branch(&self, rng: &mut Rng64, b: u32, nb: u32) -> WalkBlock {
         let p = &self.profile;
         if rng.chance(p.cond_fwd_frac) {
             if rng.chance(p.rare_branch_frac) {
@@ -211,27 +217,26 @@ impl ProgramBuilder {
                 // target line has almost always left the caches. These are
                 // the taken-forward branch misses of the paper's Figure 3.
                 let skip = 2 + rng.geometric(1.0 / (1.0 + p.fwd_skip_mean * 2.0), 24);
-                return Terminator::CondBranch {
-                    target: (b + skip as u32).min(nb - 1),
-                    taken_prob: (0.05 + rng.f64() * 0.17) as f32,
-                };
+                let target = (b + skip as u32).min(nb - 1);
+                return cond_branch(target, (0.05 + rng.f64() * 0.17) as f32);
             }
             let skip = 1 + rng.geometric(1.0 / (1.0 + (p.fwd_skip_mean - 1.0).max(0.0)), 12);
-            Terminator::CondBranch {
-                target: (b + skip as u32).min(nb - 1),
-                taken_prob: jitter(rng, p.fwd_taken_prob),
-            }
+            cond_branch((b + skip as u32).min(nb - 1), jitter(rng, p.fwd_taken_prob))
         } else {
             let span = 1 + rng.geometric(1.0 / (1.0 + (p.bwd_span_mean - 1.0).max(0.0)), 12);
             // Loop-continuation probability is capped: nested loops multiply
             // expected trip counts, and uncapped jitter produces functions
             // that trap the walker for millions of instructions.
-            Terminator::CondBranch {
-                target: b.saturating_sub(span as u32),
-                taken_prob: jitter(rng, p.bwd_taken_prob).min(0.72),
-            }
+            cond_branch(
+                b.saturating_sub(span as u32),
+                jitter(rng, p.bwd_taken_prob).min(0.72),
+            )
         }
     }
+}
+
+fn cond_branch(target: u32, taken_prob: f32) -> WalkBlock {
+    WalkBlock::ending(WalkKind::CondBranch, target, taken_prob)
 }
 
 /// Adds ±0.15 of per-site variation to a mean probability, clamped to
@@ -250,12 +255,7 @@ mod tests {
     fn build_is_deterministic() {
         let a = ProgramBuilder::new(Workload::Db.profile(), 9).build();
         let b = ProgramBuilder::new(Workload::Db.profile(), 9).build();
-        assert_eq!(a.code_bytes(), b.code_bytes());
-        assert_eq!(a.n_functions(), b.n_functions());
-        // Spot-check structural equality on a few functions.
-        for id in [0u32, 100, 5000] {
-            assert_eq!(a.function(FuncId(id)), b.function(FuncId(id)));
-        }
+        assert!(a == b, "same profile and seed built different programs");
     }
 
     #[test]
@@ -274,6 +274,7 @@ mod tests {
                 prog.n_functions(),
                 w.profile().n_functions + w.profile().n_trap_handlers
             );
+            assert!(max_code_end(&w.profile()) > prog.code_start().0 + prog.code_bytes());
         }
     }
 
@@ -297,14 +298,10 @@ mod tests {
     fn mean_block_and_function_sizes_track_profile() {
         let prof = Workload::Db.profile();
         let prog = ProgramBuilder::new(prof.clone(), 5).build();
-        let total_blocks: u64 = (0..prog.n_regular())
-            .map(|f| prog.function(FuncId(f)).blocks.len() as u64)
-            .sum();
-        let total_instrs: u64 = (0..prog.n_regular())
-            .map(|f| prog.function(FuncId(f)).n_instrs() as u64)
-            .sum();
-        let mean_blocks = total_blocks as f64 / prog.n_regular() as f64;
-        let mean_instrs = total_instrs as f64 / total_blocks as f64;
+        let regular = &prog.walk[..prog.func_base[prog.n_regular() as usize] as usize];
+        let total_instrs: u64 = regular.iter().map(|b| b.n_instrs as u64).sum();
+        let mean_blocks = regular.len() as f64 / prog.n_regular() as f64;
+        let mean_instrs = total_instrs as f64 / regular.len() as f64;
         assert!(
             (mean_blocks - (1.0 + prof.blocks_per_fn_mean)).abs() < 0.8,
             "mean blocks {mean_blocks}"
@@ -318,15 +315,76 @@ mod tests {
     #[test]
     fn trap_handlers_are_straight_line() {
         let prog = Workload::Web.build_program(6);
-        for f in prog.n_regular()..prog.n_functions() {
-            for (i, b) in prog.function(FuncId(f)).blocks.iter().enumerate() {
-                let last = i == prog.function(FuncId(f)).blocks.len() - 1;
-                if last {
-                    assert_eq!(b.terminator, Terminator::Return);
-                } else {
-                    assert_eq!(b.terminator, Terminator::FallThrough);
-                }
-            }
+        let handlers = &prog.walk[prog.func_base[prog.n_regular() as usize] as usize..];
+        let returns = handlers
+            .iter()
+            .filter(|b| b.kind == WalkKind::Return)
+            .count();
+        assert_eq!(returns as u32, prog.n_functions() - prog.n_regular());
+        assert!(handlers
+            .iter()
+            .all(|b| matches!(b.kind, WalkKind::FallThrough | WalkKind::Return)));
+        assert_eq!(handlers.last().map(|b| b.kind), Some(WalkKind::Return));
+    }
+
+    #[test]
+    fn indirect_call_sites_own_disjoint_candidate_runs() {
+        let prog = Workload::JApp.build_program(7);
+        let mut next = 0;
+        for b in prog
+            .walk
+            .iter()
+            .filter(|b| b.kind == WalkKind::IndirectCall)
+        {
+            assert_eq!(b.target, next, "candidate runs are laid out in site order");
+            assert!((2..=4).contains(&b.n_callees));
+            next += b.n_callees as u32;
         }
+        assert!(next > 0);
+        assert_eq!(next as usize, prog.indirect.len());
+    }
+
+    #[test]
+    fn validate_rejects_what_the_walker_cannot_follow() {
+        let good = Workload::Web.build_program(8);
+        let first_branch = good
+            .walk
+            .iter()
+            .position(|b| b.kind == WalkKind::UncondBranch)
+            .unwrap();
+        let mut bad = good.clone();
+        bad.walk[first_branch].target = 64;
+        assert!(bad.validate().unwrap_err().contains("bad target"));
+
+        let mut bad = good.clone();
+        let last_of_fn0 = bad.func_base[1] as usize - 1;
+        bad.walk[last_of_fn0].kind = WalkKind::FallThrough;
+        assert!(bad.validate().unwrap_err().contains("does not return"));
+
+        let mut bad = good.clone();
+        bad.walk[5].start += 4;
+        assert!(bad.validate().unwrap_err().contains("cursor"));
+
+        let mut bad = good.clone();
+        let site = bad
+            .walk
+            .iter()
+            .position(|b| b.kind == WalkKind::IndirectCall)
+            .unwrap();
+        bad.walk[site].target = bad.indirect.len() as u32;
+        assert!(bad.validate().unwrap_err().contains("no callees"));
+
+        let mut bad = good;
+        let handler_entry = bad.func_base[bad.n_regular() as usize] as usize;
+        bad.walk[handler_entry].kind = WalkKind::Call;
+        assert!(bad.validate().unwrap_err().contains("straight-line"));
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit addresses")]
+    fn profiles_whose_code_could_outgrow_the_table_are_rejected() {
+        let mut prof = Workload::Db.profile();
+        prof.n_functions = 600_000;
+        ProgramBuilder::new(prof, 1);
     }
 }

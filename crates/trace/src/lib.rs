@@ -23,7 +23,9 @@
 //! 1. [`WorkloadProfile`] — a named parameter set ([`Workload::Db`],
 //!    [`Workload::TpcW`], [`Workload::JApp`], [`Workload::Web`]),
 //! 2. [`ProgramBuilder`] — deterministically synthesises a static
-//!    [`Program`] (functions, basic blocks, branch/call structure, layout),
+//!    [`Program`] in one pass: one flat table of 16-byte basic-block
+//!    records (layout, branch/call structure), functions as runs of it,
+//!    plus a flat table of indirect-call candidates,
 //! 3. [`TraceWalker`] — walks the program with a call stack and a seeded
 //!    RNG, yielding a self-consistent [`TraceOp`](ipsim_types::TraceOp)
 //!    stream.
@@ -52,6 +54,6 @@ mod zipf;
 pub use builder::ProgramBuilder;
 pub use data::DataGen;
 pub use profile::{Workload, WorkloadProfile};
-pub use program::{Block, FuncId, Function, Program, Terminator};
+pub use program::{FuncId, Program};
 pub use walker::TraceWalker;
 pub use zipf::ZipfSampler;

@@ -350,8 +350,9 @@ impl WorkloadProfile {
     ///
     /// # Panics
     ///
-    /// Panics when a fraction lies outside `[0, 1]` or the terminator mix
-    /// exceeds 1.
+    /// Panics when a fraction lies outside `[0, 1]`, the terminator mix
+    /// exceeds 1, or the code could outgrow the program table's 32-bit
+    /// block addresses.
     pub fn assert_valid(&self) {
         let probs = [
             self.cond_branch_frac,
@@ -404,6 +405,11 @@ impl WorkloadProfile {
             self.data_hot_lines <= self.data_warm_lines
                 && self.data_warm_lines <= self.data_footprint_lines,
             "data tiers must nest"
+        );
+        assert!(
+            crate::builder::max_code_end(self) <= u32::MAX as u64,
+            "{} functions could lay out more code than the program table's 32-bit addresses reach",
+            self.n_functions
         );
     }
 }

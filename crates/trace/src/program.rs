@@ -1,5 +1,5 @@
-//! The static synthetic program: functions, basic blocks and control-flow
-//! structure, laid out in a flat address space.
+//! The static synthetic program: one flat table of 16-byte basic-block
+//! records, laid out contiguously in a flat address space.
 
 use ipsim_types::instr::INSTR_BYTES;
 use ipsim_types::{Addr, Rng64};
@@ -42,105 +42,80 @@ impl TierSampler {
 pub struct FuncId(pub u32);
 
 /// How a basic block ends.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Terminator {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub(crate) enum WalkKind {
     /// The block simply continues into the next block (the "terminator"
     /// slot holds an ordinary instruction).
     FallThrough,
-    /// A conditional PC-relative branch to `target` (a block index within
-    /// the same function), taken with probability `taken_prob` on each
-    /// dynamic execution.
-    CondBranch {
-        /// Target block index within the same function.
-        target: u32,
-        /// Per-execution probability the branch is taken.
-        taken_prob: f32,
-    },
+    /// A conditional PC-relative branch to block `target` of the same
+    /// function, taken with probability `prob` on each dynamic execution.
+    CondBranch,
     /// An unconditional PC-relative branch to block `target`.
-    UncondBranch {
-        /// Target block index within the same function.
-        target: u32,
-    },
-    /// A direct call; execution resumes at the next block on return.
-    Call {
-        /// The (single, fixed) callee — direct call targets are embedded in
-        /// the instruction, the property that makes most discontinuities
-        /// single-target.
-        callee: FuncId,
-    },
-    /// An indirect call (SPARC `jmpl`) through a register: one of several
-    /// possible callees, chosen per dynamic execution.
-    IndirectCall {
-        /// Candidate callees with selection weights.
-        callees: Vec<(FuncId, f32)>,
-    },
+    UncondBranch,
+    /// A direct call of function `target`; execution resumes at the next
+    /// block on return. Direct call targets are embedded in the
+    /// instruction, the property that makes most discontinuities
+    /// single-target.
+    Call,
+    /// An indirect call (SPARC `jmpl`) through a register: one of the
+    /// `n_callees` weighted candidates at offset `target` of the
+    /// program's candidate table, chosen per dynamic execution.
+    IndirectCall,
     /// Return to the caller.
     Return,
 }
 
-/// A basic block: `n_instrs` instructions at `start`, the last being the
-/// terminator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Block {
-    /// Address of the block's first instruction.
-    pub start: Addr,
-    /// Instruction count including the terminator slot (always ≥ 1).
-    pub n_instrs: u32,
-    /// How the block ends.
-    pub terminator: Terminator,
-}
-
-impl Block {
-    /// Address of the instruction at `idx` within this block.
-    #[inline]
-    pub fn instr_addr(&self, idx: u32) -> Addr {
-        debug_assert!(idx < self.n_instrs);
-        self.start.offset(idx as u64 * INSTR_BYTES)
-    }
-}
-
-/// One function: contiguous basic blocks; block 0 is the entry, the last
-/// block returns.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Function {
-    /// Basic blocks in layout order.
-    pub blocks: Vec<Block>,
-}
-
-impl Function {
-    /// The function's entry address.
-    pub fn entry(&self) -> Addr {
-        self.blocks[0].start
-    }
-
-    /// Total instructions across the function's blocks.
-    pub fn n_instrs(&self) -> u32 {
-        self.blocks.iter().map(|b| b.n_instrs).sum()
-    }
-}
-
-/// Compact terminator discriminant for the flat walk table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalkKind {
-    FallThrough,
-    CondBranch,
-    UncondBranch,
-    Call,
-    IndirectCall,
-    Return,
-}
-
-/// One basic block in the flat walk table: everything the walker's
-/// dispatch loop needs, in 24 bytes with no nested indirection. `target`
-/// is overloaded by `kind` — a block index (branches), a callee function
-/// (calls) or an index into the indirect-callee side table.
-#[derive(Debug, Clone, Copy)]
+/// One basic block: `n_instrs` instructions at `start`, the last being the
+/// terminator. Everything the walker's dispatch loop needs, in 16 bytes
+/// with no nested indirection. `target` is read by `kind`: a block index
+/// within the same function (branches), a callee function (direct calls)
+/// or an offset into the indirect-call candidate table.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct WalkBlock {
-    pub(crate) start: Addr,
-    pub(crate) n_instrs: u32,
+    /// Address of the block's first instruction (profiles whose code
+    /// could pass 4 GB are rejected by `WorkloadProfile::assert_valid`).
+    pub(crate) start: u32,
     pub(crate) target: u32,
+    /// Per-execution taken probability (conditional branches only).
     pub(crate) prob: f32,
+    /// Instruction count including the terminator slot (1 to 32).
+    pub(crate) n_instrs: u8,
     pub(crate) kind: WalkKind,
+    /// Candidate count at `target` (indirect calls only).
+    pub(crate) n_callees: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<WalkBlock>() == 16);
+
+impl WalkBlock {
+    /// A block ending in `kind`, not yet laid out (see [`WalkBlock::at`]).
+    pub(crate) const fn ending(kind: WalkKind, target: u32, prob: f32) -> WalkBlock {
+        WalkBlock {
+            start: 0,
+            target,
+            prob,
+            n_instrs: 0,
+            kind,
+            n_callees: 0,
+        }
+    }
+
+    /// This ending, laid out as a block of `n_instrs` at `start`.
+    pub(crate) fn at(self, start: u32, n_instrs: u32) -> WalkBlock {
+        debug_assert!((1..=u8::MAX as u32).contains(&n_instrs));
+        WalkBlock {
+            start,
+            n_instrs: n_instrs as u8,
+            ..self
+        }
+    }
+
+    /// Address of the block's first instruction.
+    #[inline]
+    pub(crate) fn start(&self) -> Addr {
+        Addr(self.start as u64)
+    }
 }
 
 /// A complete synthetic static program.
@@ -149,107 +124,70 @@ pub(crate) struct WalkBlock {
 /// [`TraceWalker`](crate::TraceWalker). Several walkers (one per simulated
 /// core) may share one `Program` — that is how we model multiple cores
 /// running the same binary with shared code but independent control flow.
-#[derive(Debug, Clone)]
+///
+/// The program is one flat table of 16-byte block records, every
+/// function's blocks concatenated in layout order, plus one flat table
+/// of indirect-call candidates. Functions are runs of the block table;
+/// trap handlers are the last `n_functions - n_regular` of them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Program {
-    pub(crate) functions: Vec<Function>,
+    /// Every function's blocks, concatenated in layout order.
+    pub(crate) walk: Vec<WalkBlock>,
+    /// `func_base[f]` is the index of function `f`'s first block in `walk`.
+    pub(crate) func_base: Vec<u32>,
+    /// Indirect-call candidates with selection weights, one run per call
+    /// site.
+    pub(crate) indirect: Vec<(FuncId, f32)>,
     pub(crate) code_start: Addr,
     pub(crate) code_bytes: u64,
-    /// Number of ordinary (non-trap-handler) functions; handlers occupy the
-    /// tail of `functions`.
+    /// Number of ordinary (non-trap-handler) functions.
     pub(crate) n_regular: u32,
     /// Popularity permutation: `by_rank[r]` is the function holding
     /// popularity rank `r` (rank 0 hottest).
     pub(crate) by_rank: Vec<FuncId>,
     /// Sampler over popularity ranks used for transaction dispatch.
     pub(crate) dispatch: TierSampler,
-    /// Flat walk table: every function's blocks, concatenated in layout
-    /// order. A pure access-path mirror of `functions` — the walker reads
-    /// one 24-byte record per control transfer instead of chasing two
-    /// `Vec`s into a 48-byte `Block` with an enum payload.
-    pub(crate) walk: Vec<WalkBlock>,
-    /// `func_base[f]` is the index of function `f`'s first block in `walk`.
-    pub(crate) func_base: Vec<u32>,
-    /// Indirect-call candidate tables, referenced by `WalkBlock::target`.
-    pub(crate) indirect: Vec<Vec<(FuncId, f32)>>,
 }
 
 impl Program {
-    /// Assembles a program from its structural parts, deriving the flat
-    /// walk table (the builder's single construction point).
-    pub(crate) fn assemble(
-        functions: Vec<Function>,
-        code_start: Addr,
-        code_bytes: u64,
-        n_regular: u32,
-        by_rank: Vec<FuncId>,
-        dispatch: TierSampler,
-    ) -> Program {
-        let mut func_base = Vec::with_capacity(functions.len());
-        let mut walk = Vec::new();
-        let mut indirect = Vec::new();
-        for f in &functions {
-            func_base.push(walk.len() as u32);
-            for b in &f.blocks {
-                let (kind, target, prob) = match &b.terminator {
-                    Terminator::FallThrough => (WalkKind::FallThrough, 0, 0.0),
-                    Terminator::CondBranch { target, taken_prob } => {
-                        (WalkKind::CondBranch, *target, *taken_prob)
-                    }
-                    Terminator::UncondBranch { target } => (WalkKind::UncondBranch, *target, 0.0),
-                    Terminator::Call { callee } => (WalkKind::Call, callee.0, 0.0),
-                    Terminator::IndirectCall { callees } => {
-                        indirect.push(callees.clone());
-                        (WalkKind::IndirectCall, (indirect.len() - 1) as u32, 0.0)
-                    }
-                    Terminator::Return => (WalkKind::Return, 0, 0.0),
-                };
-                walk.push(WalkBlock {
-                    start: b.start,
-                    n_instrs: b.n_instrs,
-                    target,
-                    prob,
-                    kind,
-                });
-            }
-        }
-        Program {
-            functions,
-            code_start,
-            code_bytes,
-            n_regular,
-            by_rank,
-            dispatch,
-            walk,
-            func_base,
-            indirect,
-        }
-    }
-
-    /// The walk-table record for block `block` of function `func`.
+    /// The block record for block `block` of function `func`.
     #[inline]
     pub(crate) fn walk_block(&self, func: u32, block: u32) -> &WalkBlock {
         &self.walk[(self.func_base[func as usize] + block) as usize]
     }
 
-    /// Entry address of function `id`, served from the walk table.
+    /// Entry address of function `id`.
     #[inline]
     pub(crate) fn entry_addr(&self, id: FuncId) -> Addr {
-        self.walk[self.func_base[id.0 as usize] as usize].start
+        self.walk[self.func_base[id.0 as usize] as usize].start()
     }
 
-    /// The function with id `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
+    /// The candidate callees of an indirect-call block.
     #[inline]
-    pub fn function(&self, id: FuncId) -> &Function {
-        &self.functions[id.0 as usize]
+    pub(crate) fn callees(&self, block: &WalkBlock) -> &[(FuncId, f32)] {
+        let at = block.target as usize;
+        &self.indirect[at..at + block.n_callees as usize]
+    }
+
+    /// Function `f`'s blocks, or `None` if its run of the block table is
+    /// empty or out of bounds.
+    fn blocks_of(&self, f: usize) -> Option<&[WalkBlock]> {
+        let base = self.func_base[f] as usize;
+        let end = self
+            .func_base
+            .get(f + 1)
+            .map_or(self.walk.len(), |&b| b as usize);
+        self.walk.get(base..end).filter(|blocks| !blocks.is_empty())
     }
 
     /// Total number of functions, including trap handlers.
     pub fn n_functions(&self) -> u32 {
-        self.functions.len() as u32
+        self.func_base.len() as u32
+    }
+
+    /// Total number of basic blocks, including trap handlers'.
+    pub fn n_blocks(&self) -> u32 {
+        self.walk.len() as u32
     }
 
     /// Number of ordinary (callable) functions.
@@ -293,70 +231,69 @@ impl Program {
     ///
     /// Panics if the program was built without trap handlers.
     pub fn trap_handler(&self, rng: &mut Rng64) -> FuncId {
-        let n_handlers = self.functions.len() as u32 - self.n_regular;
+        let n_handlers = self.n_functions() - self.n_regular;
         assert!(n_handlers > 0, "program has no trap handlers");
         FuncId(self.n_regular + rng.range(n_handlers as u64) as u32)
     }
 
-    /// Checks structural invariants; used by tests and the builder.
+    /// Checks the invariants the walker relies on; used by tests and the
+    /// builder.
     ///
-    /// Verified invariants: blocks are laid out contiguously and in order;
-    /// every branch target is a valid block index in its function; every
-    /// call target is a valid function; the last block of every function
-    /// returns; code addresses start at `code_start` and span `code_bytes`.
+    /// Verified invariants: every function is a non-empty run of the block
+    /// table, and blocks are laid out contiguously and in order from
+    /// `code_start` across `code_bytes`; every branch target is a valid
+    /// block index in its function; every call target is a valid regular
+    /// function with a positive weight; the last block of every function
+    /// returns; the trap handlers at the tail are straight-line code.
     pub fn validate(&self) -> Result<(), String> {
+        if self.func_base.first() != Some(&0) {
+            return Err("function 0 does not open the block table".to_string());
+        }
+        if self.n_regular > self.n_functions() {
+            return Err("more regular functions than functions".to_string());
+        }
         let mut cursor = self.code_start;
-        for (fi, f) in self.functions.iter().enumerate() {
-            if f.blocks.is_empty() {
+        for fi in 0..self.func_base.len() {
+            let Some(blocks) = self.blocks_of(fi) else {
                 return Err(format!("function {fi} has no blocks"));
-            }
-            for (bi, b) in f.blocks.iter().enumerate() {
-                if b.start != cursor {
-                    return Err(format!(
-                        "function {fi} block {bi}: start {} != cursor {}",
-                        b.start, cursor
-                    ));
+            };
+            let nb = blocks.len() as u32;
+            let handler = fi as u32 >= self.n_regular;
+            for (bi, b) in blocks.iter().enumerate() {
+                let err = |what: &str| Err(format!("function {fi} block {bi}: {what}"));
+                if b.start() != cursor {
+                    return err(&format!("start {} != cursor {cursor}", b.start()));
                 }
                 if b.n_instrs == 0 {
-                    return Err(format!("function {fi} block {bi} empty"));
+                    return err("empty");
                 }
                 cursor = cursor.offset(b.n_instrs as u64 * INSTR_BYTES);
-                let nb = f.blocks.len() as u32;
-                match &b.terminator {
-                    Terminator::CondBranch { target, taken_prob } => {
-                        if *target >= nb {
-                            return Err(format!("function {fi} block {bi}: bad target"));
-                        }
-                        if !(0.0..=1.0).contains(taken_prob) {
-                            return Err(format!("function {fi} block {bi}: bad prob"));
+                let bad = match b.kind {
+                    WalkKind::CondBranch if !(0.0..=1.0).contains(&b.prob) => Some("bad prob"),
+                    WalkKind::CondBranch | WalkKind::UncondBranch => {
+                        (b.target >= nb).then_some("bad target")
+                    }
+                    WalkKind::Call => (b.target >= self.n_regular).then_some("bad callee"),
+                    WalkKind::IndirectCall => {
+                        let at = b.target as usize;
+                        match self.indirect.get(at..at + b.n_callees as usize) {
+                            None | Some([]) => Some("no callees"),
+                            Some(callees) => callees
+                                .iter()
+                                .any(|(c, w)| c.0 >= self.n_regular || *w <= 0.0)
+                                .then_some("bad callee"),
                         }
                     }
-                    Terminator::UncondBranch { target } => {
-                        if *target >= nb {
-                            return Err(format!("function {fi} block {bi}: bad target"));
-                        }
-                    }
-                    Terminator::Call { callee } => {
-                        if callee.0 >= self.n_regular {
-                            return Err(format!("function {fi} block {bi}: bad callee"));
-                        }
-                    }
-                    Terminator::IndirectCall { callees } => {
-                        if callees.is_empty() {
-                            return Err(format!("function {fi} block {bi}: no callees"));
-                        }
-                        for (c, w) in callees {
-                            if c.0 >= self.n_regular || *w <= 0.0 {
-                                return Err(format!("function {fi} block {bi}: bad callee"));
-                            }
-                        }
-                    }
-                    Terminator::FallThrough | Terminator::Return => {}
+                    WalkKind::FallThrough | WalkKind::Return => None,
+                };
+                if let Some(what) = bad {
+                    return err(what);
                 }
-                // Non-final fall-through/branch blocks need a successor.
-                let is_last = bi as u32 == nb - 1;
-                if is_last && !matches!(b.terminator, Terminator::Return) {
-                    return Err(format!("function {fi}: last block does not return"));
+                if handler && !matches!(b.kind, WalkKind::FallThrough | WalkKind::Return) {
+                    return err("trap handler is not straight-line");
+                }
+                if bi as u32 == nb - 1 && b.kind != WalkKind::Return {
+                    return err("last block does not return");
                 }
             }
         }
@@ -367,8 +304,10 @@ impl Program {
                 self.code_bytes
             ));
         }
-        if self.by_rank.len() != self.n_regular as usize {
-            return Err("popularity permutation size mismatch".to_string());
+        if self.by_rank.len() != self.n_regular as usize
+            || self.by_rank.iter().any(|f| f.0 >= self.n_regular)
+        {
+            return Err("popularity permutation does not cover the regular functions".to_string());
         }
         Ok(())
     }

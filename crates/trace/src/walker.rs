@@ -141,17 +141,18 @@ impl<'p> TraceWalker<'p> {
     #[inline]
     fn goto_pos(&mut self, pos: Pos) {
         let block = self.prog.walk_block(pos.func, pos.block);
-        self.cur_start = block.start;
-        self.cur_n = block.n_instrs;
+        self.cur_start = block.start();
+        self.cur_n = block.n_instrs as u32;
         self.pos = pos;
     }
 
     /// Samples the next transaction's instruction budget (exponential with
-    /// the profile's mean, clamped to avoid degenerate extremes).
+    /// the profile's mean, clamped to `[64, max(64, 16 × mean)]` to avoid
+    /// degenerate extremes; a mean under 4 pins every budget at 64).
     fn sample_txn_budget(&mut self) -> i64 {
         let u = self.rng.f64().max(1e-9);
         let len = -u.ln() * self.txn_len_mean;
-        len.clamp(64.0, self.txn_len_mean * 16.0) as i64
+        len.clamp(64.0, (self.txn_len_mean * 16.0).max(64.0)) as i64
     }
 
     /// Starts a new transaction: samples its service window (centred on a
@@ -232,7 +233,7 @@ impl<'p> TraceWalker<'p> {
                         self.loop_takes = taken as u32;
                     }
                 }
-                let target_addr = prog.walk_block(self.pos.func, target).start;
+                let target_addr = prog.walk_block(self.pos.func, target).start();
                 let next_block = if taken { target } else { self.pos.block + 1 };
                 self.goto_pos(Pos {
                     func: self.pos.func,
@@ -250,7 +251,7 @@ impl<'p> TraceWalker<'p> {
             }
             WalkKind::UncondBranch => {
                 let target = block.target;
-                let target_addr = prog.walk_block(self.pos.func, target).start;
+                let target_addr = prog.walk_block(self.pos.func, target).start();
                 self.goto_pos(Pos {
                     func: self.pos.func,
                     block: target,
@@ -267,7 +268,7 @@ impl<'p> TraceWalker<'p> {
             }
             WalkKind::Call => self.enter(pc, FuncId(block.target), CtiClass::Call),
             WalkKind::IndirectCall => {
-                let callee = self.pick_weighted(&prog.indirect[block.target as usize]);
+                let callee = self.pick_weighted(prog.callees(&block));
                 self.enter(pc, callee, CtiClass::Jump)
             }
             WalkKind::Return => {
@@ -473,6 +474,7 @@ impl ipsim_stream::TraceSource for TraceWalker<'_> {
 mod tests {
     use super::*;
     use crate::profile::Workload;
+    use crate::ProgramBuilder;
     use ipsim_types::LineSize;
     use std::collections::HashSet;
 
@@ -613,6 +615,25 @@ mod tests {
                     let want = by_op.next_op();
                     assert_eq!(*got, want, "block={block} round={round} slot={k}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn short_transactions_are_walkable() {
+        // Any mean >= 1 is a valid profile; under 4 the budget's upper
+        // clamp (16 × mean) would fall below its floor of 64.
+        for mean in [1.0, 2.0, 3.9] {
+            let mut profile = Workload::Web.profile();
+            profile.txn_len_mean = mean;
+            profile.assert_valid();
+            let prog = ProgramBuilder::new(profile.clone(), 1).build();
+            let mut w = TraceWalker::new(&prog, profile, 0, 2);
+            let mut prev = w.next_op();
+            for _ in 0..20_000 {
+                let op = w.next_op();
+                assert_eq!(op.pc, prev.next_pc());
+                prev = op;
             }
         }
     }
