@@ -3,8 +3,7 @@
 
 .PHONY: build test lint figures bench-snapshot \
         bench-check sim-report sweep-report telemetry-check bakeoff \
-        bakeoff-smoke serve serve-load serve-smoke sweep-smoke \
-        ops-report metrics-smoke
+        bakeoff-smoke sweep-smoke ops-report
 
 build:
 	cargo build --release
@@ -61,35 +60,11 @@ bakeoff:
 bakeoff-smoke: build
 	bash scripts/bakeoff_smoke.sh
 
-# Long-running experiment daemon on 127.0.0.1:7791 (journal + run cache
-# under results/serve/; Ctrl-C drains gracefully). Submit jobs with curl
-# — see the README quickstart and DESIGN.md §11.
-serve:
-	cargo run --release -p ipsim-serve --bin ipsim_serve -- $(SERVE_FLAGS)
-
-# Closed-loop load test against a running daemon: concurrent clients,
-# submit + completion latency percentiles. Tune with SERVE_LOAD_FLAGS
-# (e.g. "--clients 16 --jobs 8").
-serve-load:
-	cargo run --release -p ipsim-serve --bin serve_load -- $(SERVE_LOAD_FLAGS)
-
-# End-to-end daemon smoke: byte-identity across cold daemons, cache
-# dedup, kill -9 + journal recovery, queue backpressure. Needs curl+jq.
-serve-smoke: build
-	bash scripts/serve_smoke.sh
-
-# Render a saved operational snapshot offline: counters/gauges, per
-# label-set histogram percentiles, span timing table. Point at a
-# /v1/metrics scrape and/or an exported spans.trace.json, e.g.
-# OPS_REPORT_FLAGS="--metrics scrape.prom --spans results/serve/spans.trace.json".
+# Span timing table (count, total, mean and max wall micros per span
+# name) from a Chrome-trace span file, e.g. one perfbench `--trace 1`
+# writes: OPS_REPORT_FLAGS="--spans .perfbench_out/figsweep_replay.spans.trace.json".
 ops-report:
 	cargo run --release -p ipsim-experiments --bin report -- ops $(OPS_REPORT_FLAGS)
-
-# End-to-end observability smoke: /v1/metrics exposition + required
-# families, histograms move under a real job, /v1/stats percentiles,
-# drain-time span export validated by `report check`. Needs curl+jq.
-metrics-smoke: build
-	bash scripts/metrics_smoke.sh
 
 # Sweep smoke: --jobs 1 vs --jobs 2 mini-sweeps, golden figure hashes,
 # warm-rerun manifest skip, stable-report byte-identity. Same script CI

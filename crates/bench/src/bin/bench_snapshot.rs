@@ -306,23 +306,18 @@ fn system_benches(reps: u32) -> Vec<BenchResult> {
             });
             run_100k(system, &mut web_walker(0));
         }),
-        // The baseline run with live [`ipsim_obs`] hooks at far above
-        // harness density: a counter/histogram/span bundle every 1 000
-        // instructions (the harness fires a handful per run). The gap to
-        // `single_core_baseline_100k` bounds what operational metrics cost
-        // when enabled; `tests/overhead.rs` guards the disabled path.
+        // The baseline run with live [`ipsim_obs`] spans at far above
+        // harness density: one span every 1 000 instructions (the harness
+        // opens a handful per run). The gap to `single_core_baseline_100k`
+        // bounds what spans cost when enabled; `tests/overhead.rs` guards
+        // the disabled path.
         bench("system/single_core_obs_100k", INSTRS, reps, || {
-            let m = ipsim_obs::metrics();
-            let counter = m.counter("ipsim_bench_snapshot_obs_total", &[]);
-            let hist = m.histogram("ipsim_bench_snapshot_obs_micros", &[]);
             let spans = ipsim_obs::spans();
             let mut system = single();
             let mut walker = web_walker(0);
-            for i in 0..INSTRS / 1_000 {
+            for _ in 0..INSTRS / 1_000 {
                 let _span = spans.span("bench.obs");
                 system.run(&mut [&mut walker], 1_000);
-                counter.inc();
-                hist.observe(i);
             }
             assert!(system.metrics().instructions() == INSTRS);
         }),

@@ -10,12 +10,12 @@
 //!   side is within the bound, so is the disabled path. It runs the
 //!   flagship configuration (discontinuity prefetcher, the noisiest
 //!   event source).
-//! - **[`ipsim_obs`] hooks.** With `ipsim_obs::set_enabled(false)` every
-//!   counter, gauge, histogram and span call must collapse to one relaxed
-//!   atomic load. The hooked side fires a full hook bundle every 1 000
-//!   instructions — hundreds per sample, where the harness fires a handful
-//!   per *run* — so a regression in the disabled path (say, a registry
-//!   lock on the hot side of the flag check) is amplified past the bound.
+//! - **[`ipsim_obs`] spans.** With `ipsim_obs::set_enabled(false)` every
+//!   span call must collapse to one relaxed atomic load. The hooked side
+//!   opens and closes a span every 1 000 instructions — hundreds per
+//!   sample, where the harness opens a handful per *run* — so a regression
+//!   in the disabled path (say, a clock read or the ring lock on the hot
+//!   side of the flag check) is amplified past the bound.
 //!
 //! Both use one method, [`paired_floor_pct`]: interleaved plain/hooked
 //! samples over identical instruction streams, and the estimator is the
@@ -37,7 +37,7 @@ use std::time::Instant;
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{System, SystemBuilder};
-use ipsim_obs::{Counter, Gauge, Histogram, SpanRecorder};
+use ipsim_obs::SpanRecorder;
 use ipsim_telemetry::TelemetryConfig;
 use ipsim_trace::{Program, TraceWalker, Workload};
 
@@ -45,8 +45,8 @@ use ipsim_trace::{Program, TraceWalker, Workload};
 /// scheduler jitter stay well under the few-percent effect measured).
 const INSTRS: u64 = 400_000;
 
-/// Instructions per lockstep slice; the obs guard's hooked side fires one
-/// hook bundle per slice.
+/// Instructions per lockstep slice; the obs guard's hooked side opens one
+/// span per slice.
 const SLICE: u64 = 1_000;
 
 /// Default overhead bound, percent.
@@ -64,26 +64,23 @@ struct Side<'p> {
     walker: TraceWalker<'p>,
     /// The telemetry guard's hooked side: telemetry armed.
     telemetry: bool,
-    /// The obs guard's hooked side: a disabled hook bundle per slice.
-    obs: Option<ObsBundle>,
-}
-
-/// A counter/gauge/histogram/span bundle, fired after every slice.
-struct ObsBundle {
-    counter: Counter,
-    gauge: Gauge,
-    hist: Histogram,
-    spans: &'static SpanRecorder,
+    /// The obs guard's hooked side: a disabled span per slice.
+    spans: Option<&'static SpanRecorder>,
 }
 
 impl<'p> Side<'p> {
-    fn new(prog: &'p Program, system: System, telemetry: bool, obs: Option<ObsBundle>) -> Self {
+    fn new(
+        prog: &'p Program,
+        system: System,
+        telemetry: bool,
+        spans: Option<&'static SpanRecorder>,
+    ) -> Self {
         let walker = TraceWalker::new(prog, Workload::Web.profile(), 0, 5);
         Side {
             system,
             walker,
             telemetry,
-            obs,
+            spans,
         }
     }
 
@@ -109,31 +106,21 @@ impl<'p> Side<'p> {
     }
 
     /// Both obs sides run the kernel in the same slices, so the slicing
-    /// overhead is common-mode; only the hooked side fires the bundle.
+    /// overhead is common-mode; only the hooked side opens spans.
     fn obs(prog: &'p Program, hooks: bool) -> Self {
-        let m = ipsim_obs::metrics();
-        let obs = hooks.then(|| ObsBundle {
-            counter: m.counter("ipsim_bench_obs_guard_total", &[]),
-            gauge: m.gauge("ipsim_bench_obs_guard_depth", &[]),
-            hist: m.histogram("ipsim_bench_obs_guard_micros", &[]),
-            spans: ipsim_obs::spans(),
-        });
         Side::new(
             prog,
             SystemBuilder::single_core().build().unwrap(),
             false,
-            obs,
+            hooks.then(ipsim_obs::spans),
         )
     }
 
-    /// Runs slice `i` of `INSTRS / SLICE`.
-    fn slice(&mut self, i: u64) {
+    /// Runs one slice.
+    fn slice(&mut self) {
         self.system.run(&mut [&mut self.walker], SLICE);
-        if let Some(b) = &self.obs {
-            let _span = b.spans.span("bench.obs_guard");
-            b.counter.inc();
-            b.gauge.add(1);
-            b.hist.observe(i);
+        if let Some(spans) = self.spans {
+            let _span = spans.span("bench.obs_guard");
         }
     }
 
@@ -162,7 +149,7 @@ fn paired_sample<'p>(make: &mut impl FnMut(bool) -> Side<'p>) -> (f64, f64) {
         let first = (i % 2) as usize;
         for k in [first, 1 - first] {
             let t0 = Instant::now();
-            sides[k].slice(i);
+            sides[k].slice();
             times[k].push(t0.elapsed().as_secs_f64());
         }
     }
@@ -241,18 +228,11 @@ fn disabled_hook_overhead_is_bounded() {
     );
 
     ipsim_obs::set_enabled(false);
-    let obs_pct = paired_floor_pct("disabled obs hook", max_pct, reps, |hooks| {
+    let obs_pct = paired_floor_pct("disabled span", max_pct, reps, |hooks| {
         Side::obs(&prog, hooks)
     });
-    // The hooks must be live code taking the disabled path, not
+    // The spans must be live code taking the disabled path, not
     // optimised out: nothing may have been recorded.
-    assert_eq!(
-        ipsim_obs::metrics()
-            .counter("ipsim_bench_obs_guard_total", &[])
-            .get(),
-        0,
-        "disabled counters must not advance"
-    );
     assert_eq!(
         ipsim_obs::spans().completed().len(),
         0,
@@ -260,7 +240,7 @@ fn disabled_hook_overhead_is_bounded() {
     );
     assert!(
         obs_pct <= max_pct,
-        "disabled obs hooks cost {obs_pct:.2}% (> {max_pct}%) at 100x+ real call density \
+        "disabled spans cost {obs_pct:.2}% (> {max_pct}%) at 100x+ real call density \
          — widen with IPSIM_BENCH_TOLERANCE on noisy machines"
     );
 }

@@ -66,8 +66,9 @@ impl Evicted {
 ///
 /// The cache stores no data — only presence and per-line flags — which is all
 /// a trace-driven simulator needs. Storage is three flat lanes (lines, flags,
-/// LRU stamps) covering every set contiguously; see [`crate::set`] for the
-/// layout and the argument that stamp order reproduces list-LRU exactly.
+/// LRU stamps) covering every set contiguously; the private `set` module
+/// documents the layout and the argument that stamp order reproduces
+/// list-LRU exactly.
 /// See the crate docs for an example.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {

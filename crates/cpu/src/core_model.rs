@@ -297,8 +297,8 @@ impl Core {
     ///
     /// Maximal runs of plain (non-CTI, non-memory) instructions that stay
     /// inside the currently fetched line are advanced in one batched
-    /// counter update instead of per-instruction calls — see
-    /// [`Core::advance_straight_line`] for why that is *exactly* what
+    /// counter update instead of per-instruction calls — see the private
+    /// `Core::advance_straight_line` for why that is *exactly* what
     /// [`Core::step`] would have computed. The equivalence is enforced by
     /// a property test driving random streams down both paths.
     pub fn step_block(&mut self, ops: &[TraceOp], mem: &mut MemSystem) {

@@ -6,10 +6,8 @@
 //! scheme's accuracy/timeliness numbers are measured under *contended*
 //! conditions — the regime the paper's Figure 9 trade-off lives in. The
 //! rendered table is built from the on-disk `zoo.tsv` telemetry
-//! artifacts, never from in-process state, which makes the report
-//! byte-identical whether the runs executed through the batch CLI
-//! (`report sim --bakeoff`) or through an `ipsim-serve` job — the
-//! equivalence the serve end-to-end test pins.
+//! artifacts, never from in-process state, so the report depends only
+//! on what the runs wrote to disk.
 
 use std::collections::BTreeMap;
 

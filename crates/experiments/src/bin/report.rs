@@ -9,8 +9,7 @@
 //!   `--bakeoff` prints the prefetcher-zoo bake-off table instead.
 //! * `report sweep` folds the runlog, run cache and telemetry artifacts
 //!   into one summary (see [`ipsim_experiments::report`]).
-//! * `report ops` renders a saved Prometheus scrape and/or a Chrome-trace
-//!   span file as tables; `--require` fails on a missing family.
+//! * `report ops` folds a Chrome-trace span file into a per-span table.
 //! * `report check` re-validates telemetry artifact directories and loose
 //!   Chrome traces with the exporters' own parsers.
 //!
@@ -43,8 +42,8 @@ use ipsim_harness::telemetry::{read_artifact, read_meta, read_pf_summary, META_F
 use ipsim_harness::{
     ProgressMode, RunCache, RunLengths, RunSpec, Summary, TelemetrySink, TraceStore,
 };
+use ipsim_obs::chrome;
 use ipsim_obs::json::Json;
-use ipsim_obs::{chrome, histogram_percentile, parse_text, Exposition};
 use ipsim_telemetry::sink::{parse_events_jsonl, parse_series_tsv};
 use ipsim_telemetry::{
     validate_lifecycle, ComponentCounters, PfComponent, PfEventKind, TelemetryConfig,
@@ -58,7 +57,7 @@ usage: report <command> [options]
           telemetry-enabled sweep
   sweep   totals, cache economics and per-scheme accuracy/coverage/
           timeliness from a finished sweep's runlog and stores
-  ops     tables from a saved /v1/metrics scrape and/or span trace
+  ops     per-span totals from a span trace
   check   validate telemetry artifact directories and Chrome traces
 
 `report <command> --help` lists a command's options. Exit status: 0 ok,
@@ -97,15 +96,11 @@ usage: report sweep [--runlog PATH] [--cache DIR] [--telemetry DIR] [--stable]
 ";
 
 const OPS_USAGE: &str = "\
-usage: report ops [--metrics FILE] [--spans FILE] [--require NAMES]
+usage: report ops --spans FILE
 
-  --metrics FILE    Prometheus text snapshot (e.g. a saved /v1/metrics scrape)
-  --spans FILE      Chrome-trace span file (e.g. results/serve/spans.trace.json)
-  --require NAMES   comma-separated metric families that must be present;
-                    missing families fail the report (exit 1)
-  --help            this text
-
-At least one of --metrics / --spans is required.
+  --spans FILE   Chrome-trace span file (e.g. perfbench's
+                 .perfbench_out/<workload>.spans.trace.json)
+  --help         this text
 ";
 
 const CHECK_USAGE: &str = "\
@@ -113,8 +108,8 @@ usage: report check [ROOT] [TRACE.json ...]
 
 Validates every telemetry artifact directory under ROOT (default:
 $IPSIM_TELEMETRY_DIR or results/telemetry). Arguments that are files
-are validated as loose Chrome-trace exports instead (e.g. the
-spans.trace.json the serving daemon writes on drain). Exits nonzero
+are validated as loose Chrome-trace exports instead (e.g. perfbench's
+.perfbench_out/<workload>.spans.trace.json). Exits nonzero
 if any artifact fails its format or lifecycle validation.
 ";
 
@@ -355,136 +350,22 @@ fn sweep(mut args: Args) {
 // ---------------------------------------------------------------- ops
 
 fn ops(mut args: Args) {
-    let mut metrics: Option<PathBuf> = None;
     let mut spans: Option<PathBuf> = None;
-    let mut require: Vec<String> = Vec::new();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--metrics" => metrics = Some(args.value("--metrics").into()),
             "--spans" => spans = Some(args.value("--spans").into()),
-            "--require" => require.extend(
-                args.value("--require")
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string),
-            ),
             other => args.fail(&format!("unknown argument `{other}`")),
         }
     }
-    if metrics.is_none() && spans.is_none() {
-        args.fail("nothing to report: pass --metrics and/or --spans");
-    }
-    if metrics.is_none() && !require.is_empty() {
-        args.fail("--require needs --metrics");
-    }
-
-    let read = |path: &Path| {
-        std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die("ops", format!("cannot read {}: {e}", path.display())))
+    let Some(path) = spans else {
+        args.fail("nothing to report: pass --spans");
     };
-    let mut failed = false;
-    if let Some(path) = &metrics {
-        match parse_text(&read(path)) {
-            Ok(exposition) => {
-                print!("{}", metrics_tables(&exposition));
-                for name in &require {
-                    if exposition.family(name).is_none() {
-                        eprintln!("report ops: required family `{name}` is missing");
-                        failed = true;
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "report ops: {} is not valid exposition: {e}",
-                    path.display()
-                );
-                failed = true;
-            }
-        }
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| die("ops", format!("cannot read {}: {e}", path.display())));
+    match span_table(&text) {
+        Ok(table) => print!("{table}"),
+        Err(e) => die("ops", format!("{}: {e}", path.display())),
     }
-    if let Some(path) = &spans {
-        match span_table(&read(path)) {
-            Ok(table) => print!("{table}"),
-            Err(e) => {
-                eprintln!("report ops: {}: {e}", path.display());
-                failed = true;
-            }
-        }
-    }
-    if failed {
-        exit(1);
-    }
-}
-
-/// Renders the counter/gauge table and the histogram percentile table.
-fn metrics_tables(exposition: &Exposition) -> String {
-    let mut out = String::new();
-    let mut scalars: Vec<Vec<String>> = Vec::new();
-    let mut histograms: Vec<Vec<String>> = Vec::new();
-    for family in &exposition.families {
-        match family.kind.as_str() {
-            "counter" | "gauge" => {
-                for sample in &family.samples {
-                    scalars.push(vec![
-                        family.name.clone(),
-                        family.kind.clone(),
-                        label_string(&sample.labels),
-                        trim_float(sample.value),
-                    ]);
-                }
-            }
-            "histogram" => {
-                // One percentile row per distinct label-set (minus `le`).
-                let mut label_sets: Vec<Vec<(String, String)>> = Vec::new();
-                for sample in &family.samples {
-                    let mut labels: Vec<(String, String)> = sample
-                        .labels
-                        .iter()
-                        .filter(|(k, _)| k != "le")
-                        .cloned()
-                        .collect();
-                    labels.sort();
-                    if !label_sets.contains(&labels) {
-                        label_sets.push(labels);
-                    }
-                }
-                for labels in label_sets {
-                    let want: Vec<(&str, &str)> = labels
-                        .iter()
-                        .map(|(k, v)| (k.as_str(), v.as_str()))
-                        .collect();
-                    let buckets = exposition.histogram_buckets(&family.name, &want);
-                    let count = buckets.last().map_or(0.0, |&(_, n)| n);
-                    let p = |p: f64| trim_float(histogram_percentile(&buckets, p));
-                    histograms.push(vec![
-                        family.name.clone(),
-                        label_string(&labels),
-                        trim_float(count),
-                        p(50.0),
-                        p(90.0),
-                        p(99.0),
-                    ]);
-                }
-            }
-            _ => {}
-        }
-    }
-    if !scalars.is_empty() {
-        out.push_str("== counters and gauges ==\n");
-        out.push_str(&table_string(
-            &["family", "kind", "labels", "value"],
-            &scalars,
-        ));
-    }
-    if !histograms.is_empty() {
-        out.push_str("\n== histograms ==\n");
-        out.push_str(&table_string(
-            &["family", "labels", "count", "p50", "p90", "p99"],
-            &histograms,
-        ));
-    }
-    out
 }
 
 /// Folds a Chrome-trace span file into per-name totals: spans, total and
@@ -520,7 +401,7 @@ fn span_table(text: &str) -> Result<String, String> {
             ]
         })
         .collect();
-    let mut out = String::from("\n== spans ==\n");
+    let mut out = String::from("== spans ==\n");
     if rows.is_empty() {
         out.push_str("(no complete spans in the trace)\n");
     } else {
@@ -530,27 +411,6 @@ fn span_table(text: &str) -> Result<String, String> {
         ));
     }
     Ok(out)
-}
-
-fn label_string(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return "-".to_string();
-    }
-    labels
-        .iter()
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Integer-valued floats print without the trailing `.0` the exposition
-/// format writes.
-fn trim_float(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
 }
 
 // -------------------------------------------------------------- check

@@ -226,11 +226,8 @@ pub fn render_report(opts: &ReportOptions) -> Result<String, String> {
                 sim_s,
             );
         }
-        // Per-run kernel throughput distribution, through the same log₂
-        // histogram `/v1/metrics` exposes (`ipsim_kernel_sim_mips`), so a
-        // runlog report and a live metrics scrape quote comparable
-        // percentiles.
-        let dist = ipsim_obs::Histogram::new();
+        // Per-run kernel throughput distribution over the log₂ histogram.
+        let mut dist = ipsim_obs::Histogram::new();
         let executed = rows.iter().filter(|r| r.sim_mips > 0.0).count();
         for row in rows.iter().filter(|r| r.sim_mips > 0.0) {
             dist.observe(row.sim_mips.round() as u64);

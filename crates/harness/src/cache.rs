@@ -104,20 +104,17 @@ impl RunCache {
             Ok(bytes) => bytes,
             Err(_) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::obs::obs().cache_miss.inc();
                 return None;
             }
         };
         match parse_entry(&bytes) {
             Some(summary) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                crate::obs::obs().cache_hit.inc();
                 Some(summary)
             }
             None => {
                 self.quarantine(&path);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::obs::obs().cache_miss.inc();
                 None
             }
         }
@@ -146,7 +143,6 @@ impl RunCache {
     /// Moves a corrupt entry aside, preserving it for inspection.
     fn quarantine(&self, path: &Path) {
         self.quarantined.fetch_add(1, Ordering::Relaxed);
-        crate::obs::obs().cache_quarantined.inc();
         let mut quarantined = path.as_os_str().to_owned();
         quarantined.push(".corrupt");
         if fs::rename(path, PathBuf::from(quarantined)).is_err() {

@@ -45,7 +45,6 @@ pub mod cache;
 pub mod figure;
 pub mod hash;
 pub mod manifest;
-pub mod obs;
 pub mod pool;
 pub mod progress;
 pub mod runlog;
@@ -54,7 +53,6 @@ pub mod summary;
 pub mod sweep;
 pub mod telemetry;
 pub mod traces;
-pub mod wire;
 
 pub use args::HarnessArgs;
 pub use cache::RunCache;
@@ -66,7 +64,6 @@ pub use summary::Summary;
 pub use sweep::{run_sweep, FigureReport, SweepOptions, SweepReport};
 pub use telemetry::TelemetrySink;
 pub use traces::{RunSource, SystemSlot, TraceStore};
-pub use wire::{JobSpec, WireRun};
 
 /// Run-length configuration shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

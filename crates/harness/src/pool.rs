@@ -142,7 +142,6 @@ fn run_one(
     let need_artifact = telemetry.is_some_and(|sink| !sink.has(&key));
     if !need_artifact {
         if let Some(summary) = cache.lookup(spec) {
-            let l1i_mpi = summary.l1i_mpi;
             let record = RunRecord {
                 key,
                 label,
@@ -154,13 +153,10 @@ fn run_one(
                 sim_mips: 0.0,
                 sim_s: 0.0,
                 decode_mips: 0.0,
-                l1i_mpi,
+                l1i_mpi: summary.l1i_mpi,
                 iv_mpki: 0.0,
                 telemetry_events: 0,
             };
-            crate::obs::obs()
-                .run_wall
-                .observe((record.wall_s * 1e6) as u64);
             return (Ok(summary), record);
         }
     }
@@ -213,16 +209,6 @@ fn run_one(
         iv_mpki,
         telemetry_events,
     };
-    // Kernel-boundary distributions: one observation per executed run, so
-    // sim-MIPS percentiles are recoverable from a metrics snapshot.
-    let obs = crate::obs::obs();
-    obs.run_wall.observe((wall_s * 1e6) as u64);
-    if record.sim_mips > 0.0 {
-        obs.sim_mips.observe(record.sim_mips.round() as u64);
-    }
-    if record.decode_mips > 0.0 {
-        obs.decode_mips.observe(record.decode_mips.round() as u64);
-    }
     (result, record)
 }
 

@@ -3,7 +3,7 @@
 //!
 //! With the trace store enabled, execution is two-phased. Each distinct
 //! instruction stream ([`RunSpec::trace_key`]) is first checked for
-//! replay ([`TraceStore::replayable`]: present, CRC-valid, the right
+//! replay (`TraceStore::replayable`: present, CRC-valid, the right
 //! length; a corrupt file is quarantined) — unless every run over it will
 //! be served from the run cache, in which case it is not read at all.
 //! Only for a stream that cannot

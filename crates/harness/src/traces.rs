@@ -26,9 +26,9 @@
 //!
 //! Replays that fit [`DEFAULT_ARENA_OPS`] decode their stream set once
 //! into a shared in-memory arena. A sweep announces how many runs each
-//! stream has ([`TraceStore::announce`]); every run releases its stream
-//! once ([`TraceStore::release`]), and the arena is dropped with the last
-//! release, so a stream's decoded ops live only while its runs do. Its
+//! stream has (the crate-private `TraceStore::announce`); every run
+//! releases its stream once (`TraceStore::release`), and the arena is
+//! dropped with the last release, so a stream's decoded ops live only while its runs do. Its
 //! per-core buffers go to an idle pool, and the next stream decodes into
 //! them instead of fresh allocations, so the store's memory follows the
 //! arena budget rather than the allocator's reuse of freed blocks.

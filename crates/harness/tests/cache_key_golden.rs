@@ -1,185 +1,123 @@
 //! Golden test: pins the FNV-1a cache keys of a fixed spec corpus.
 //!
-//! The run cache, the trace store, the telemetry artifact directories and
-//! the serve-job journal all address results by [`RunSpec::cache_key`]. A
-//! silent change to the key derivation orphans every cached result and
-//! artifact on disk — this test makes such a change loud: if a key moves
-//! on purpose, bump the descriptor version in `spec.rs`, update these
-//! literals, and expect a cold cache everywhere.
+//! The run cache, the trace store and the telemetry artifact directories
+//! all address results by [`RunSpec::cache_key`]. A silent change to the
+//! key derivation orphans every cached result and artifact on disk — this
+//! test makes such a change loud: if a key moves on purpose, bump the
+//! descriptor version in `spec.rs`, update these literals, and expect a
+//! cold cache everywhere.
 
-use ipsim_harness::wire::JobSpec;
-use ipsim_harness::RunSpec;
+use ipsim_cache::InstallPolicy::{self, BypassL2UntilUseful as Bypass, InstallBoth};
+use ipsim_cpu::{LimitSpec, WorkloadSet};
+use ipsim_harness::{RunLengths, RunSpec};
+use ipsim_prefetch::Scheme;
+use ipsim_trace::Workload::{self, Db, JApp, TpcW, Web};
+use ipsim_types::SystemConfig;
 
-/// One corpus entry: a wire-encoded run (the stable client-facing
-/// encoding) and the cache key its lowered [`RunSpec`] must hash to.
-const GOLDEN: &[(&str, &str)] = &[
-    (
-        "single_core\tdb\tnone\tinstall_both\t-\t10000000\t20000000",
-        "362fd776329978dd",
-    ),
-    (
-        "cmp4\tmixed\tnl_tagged\tbypass\t-\t2000000\t4000000",
-        "2d3ce901470cf2ad",
-    ),
-    (
-        "cmp4\tdb\tdisc:8192:4\tinstall_both\t-\t2000000\t4000000",
-        "72c93892aa9aac45",
-    ),
-    (
-        "cmp4\tweb\tdisc_gated:8192:4:2\tbypass\t-\t2000000\t4000000",
-        "a1773e690226ee7f",
-    ),
-    (
-        "single_core\ttpcw\tnnl:2\tinstall_both\t-\t2000000\t4000000",
-        "57a5afb123d0cc29",
-    ),
-    (
-        "single_core\tjapp\tlookahead:4\tinstall_both\t-\t2000000\t4000000",
-        "fc16155280620ae1",
-    ),
-    (
-        "cmp4\tdb\tmarkov:4096:2\tinstall_both\t-\t2000000\t4000000",
-        "b29a153d4a70aade",
-    ),
-    (
-        "cmp4\ttpcw\ttarget:4096\tbypass\t-\t2000000\t4000000",
-        "6a286a849d3421c8",
-    ),
-    (
-        "single_core\tweb\twrong_path+nl\tinstall_both\t-\t2000000\t4000000",
-        "7602eb4e2c652f60",
-    ),
-    (
-        "single_core\tdb\tnone\tinstall_both\tseq+br+call\t2000000\t4000000",
-        "103479c891cfa60d",
-    ),
-    // v2 zoo-bearing specs: the plan's canonical form is part of the key.
-    (
-        "single_core\tweb\tzoo:nl+disc\tinstall_both\t-\t2000000\t4000000",
-        "0c572f02b1d874cf",
-    ),
-    (
-        "single_core\tweb\tzoo:nl+disc:ahead=2\tinstall_both\t-\t2000000\t4000000",
-        "80b9a2b4c95ec38b",
-    ),
-    (
-        "cmp4\tmixed\tzoo:nl+nnl+disc+stream+mana+pmap\tbypass\t-\t2000000\t4000000",
-        "602e5d292ead99fa",
-    ),
-    (
-        "cmp4\tdb\tzoo:mana:degree=4,region_lines=16+pmap:depth=2\tinstall_both\t-\t2000000\t4000000",
-        "43c8f0778eb91a0d",
-    ),
-];
-
-/// The same 14 runs as [`GOLDEN`], their prefetcher column re-spelled as
-/// v3 scheme text (registry specs, `zoo:` plans): every spelling of a run
-/// must hash to the same key.
-const GOLDEN_V3: &[(&str, &str)] = &[
-    (
-        "single_core\tdb\tnone\tinstall_both\t-\t10000000\t20000000",
-        "362fd776329978dd",
-    ),
-    (
-        "cmp4\tmixed\tnl\tbypass\t-\t2000000\t4000000",
-        "2d3ce901470cf2ad",
-    ),
-    (
-        "cmp4\tdb\tdisc\tinstall_both\t-\t2000000\t4000000",
-        "72c93892aa9aac45",
-    ),
-    (
-        "cmp4\tweb\tdisc:min_confidence=2\tbypass\t-\t2000000\t4000000",
-        "a1773e690226ee7f",
-    ),
-    (
-        "single_core\ttpcw\tnnl:n=2\tinstall_both\t-\t2000000\t4000000",
-        "57a5afb123d0cc29",
-    ),
-    (
-        "single_core\tjapp\tlookahead:n=4\tinstall_both\t-\t2000000\t4000000",
-        "fc16155280620ae1",
-    ),
-    (
-        "cmp4\tdb\tmarkov:table_entries=4096,ahead=2\tinstall_both\t-\t2000000\t4000000",
-        "b29a153d4a70aade",
-    ),
-    (
-        "cmp4\ttpcw\ttarget\tbypass\t-\t2000000\t4000000",
-        "6a286a849d3421c8",
-    ),
-    (
-        "single_core\tweb\twrong_path:next_line=1\tinstall_both\t-\t2000000\t4000000",
-        "7602eb4e2c652f60",
-    ),
-    (
-        "single_core\tdb\tnone\tinstall_both\tseq+br+call\t2000000\t4000000",
-        "103479c891cfa60d",
-    ),
-    (
-        "single_core\tweb\tzoo:nl+disc\tinstall_both\t-\t2000000\t4000000",
-        "0c572f02b1d874cf",
-    ),
-    (
-        "single_core\tweb\tzoo:nl+disc:ahead=2\tinstall_both\t-\t2000000\t4000000",
-        "80b9a2b4c95ec38b",
-    ),
-    (
-        "cmp4\tmixed\tzoo:nl+nnl+disc+stream+mana+pmap\tbypass\t-\t2000000\t4000000",
-        "602e5d292ead99fa",
-    ),
-    (
-        "cmp4\tdb\tzoo:mana:degree=4,region_lines=16+pmap:depth=2\tinstall_both\t-\t2000000\t4000000",
-        "43c8f0778eb91a0d",
-    ),
-];
-
-/// Decodes each corpus line under the TSV header of wire `version`.
-fn corpus_specs(golden: &[(&str, &str)], version: u32) -> Vec<(String, RunSpec)> {
-    golden
-        .iter()
-        .map(|(wire, _)| {
-            let body = format!("{}{version}\n{}\n", ipsim_harness::wire::TSV_PREFIX, wire);
-            let spec = JobSpec::from_tsv(&body)
-                .unwrap_or_else(|e| panic!("corpus line `{wire}` no longer parses: {e}"));
-            (wire.to_string(), spec.to_run_specs().unwrap().remove(0))
-        })
-        .collect()
+/// Builds one corpus run in-process: core count (1 = the single-core
+/// system, else CMP), workload (`None` = Mixed), scheme text and L2
+/// install policy, at the quick windows.
+fn run(cores: u32, workload: Option<Workload>, scheme: &str, policy: InstallPolicy) -> RunSpec {
+    let config = if cores == 1 {
+        SystemConfig::single_core()
+    } else {
+        SystemConfig::cmp4()
+    };
+    let workloads = workload.map_or_else(WorkloadSet::mixed, WorkloadSet::homogeneous);
+    let mut spec = RunSpec::new(config, workloads, RunLengths::quick()).policy(policy);
+    spec.scheme =
+        Scheme::parse(scheme).unwrap_or_else(|e| panic!("scheme `{scheme}` no longer parses: {e}"));
+    spec
 }
 
-fn assert_keys_match(golden: &[(&str, &str)], version: u32) {
+/// The corpus and the cache key each run must hash to: paper schemes by
+/// registry spec, one full-window run, a limit study, and zoo plans,
+/// whose canonical form is part of the key.
+fn corpus() -> Vec<(RunSpec, &'static str)> {
+    let mut full = run(1, Some(Db), "none", InstallBoth);
+    full.lengths = RunLengths::full();
+    let limit = run(1, Some(Db), "none", InstallBoth).limit(LimitSpec {
+        sequential: true,
+        branch: true,
+        function_call: true,
+    });
+    vec![
+        (full, "362fd776329978dd"),
+        (run(4, None, "nl", Bypass), "2d3ce901470cf2ad"),
+        (run(4, Some(Db), "disc", InstallBoth), "72c93892aa9aac45"),
+        (
+            run(4, Some(Web), "disc:min_confidence=2", Bypass),
+            "a1773e690226ee7f",
+        ),
+        (
+            run(1, Some(TpcW), "nnl:n=2", InstallBoth),
+            "57a5afb123d0cc29",
+        ),
+        (
+            run(1, Some(JApp), "lookahead:n=4", InstallBoth),
+            "fc16155280620ae1",
+        ),
+        (
+            run(
+                4,
+                Some(Db),
+                "markov:table_entries=4096,ahead=2",
+                InstallBoth,
+            ),
+            "b29a153d4a70aade",
+        ),
+        (run(4, Some(TpcW), "target", Bypass), "6a286a849d3421c8"),
+        (
+            run(1, Some(Web), "wrong_path:next_line=1", InstallBoth),
+            "7602eb4e2c652f60",
+        ),
+        (limit, "103479c891cfa60d"),
+        (
+            run(1, Some(Web), "zoo:nl+disc", InstallBoth),
+            "0c572f02b1d874cf",
+        ),
+        (
+            run(1, Some(Web), "zoo:nl+disc:ahead=2", InstallBoth),
+            "80b9a2b4c95ec38b",
+        ),
+        (
+            run(4, None, "zoo:nl+nnl+disc+stream+mana+pmap", Bypass),
+            "602e5d292ead99fa",
+        ),
+        (
+            run(
+                4,
+                Some(Db),
+                "zoo:mana:degree=4,region_lines=16+pmap:depth=2",
+                InstallBoth,
+            ),
+            "43c8f0778eb91a0d",
+        ),
+    ]
+}
+
+#[test]
+fn cache_keys_match_the_pinned_golden_values() {
     let mut mismatches = Vec::new();
-    for ((wire, spec), (_, want)) in corpus_specs(golden, version).iter().zip(golden) {
+    for (spec, want) in corpus() {
         let got = spec.cache_key();
-        if got != *want {
-            mismatches.push(format!("    (\"{wire}\", \"{got}\"),"));
+        if got != want {
+            mismatches.push(format!("    {}: \"{got}\"", spec.label()));
         }
     }
     assert!(
         mismatches.is_empty(),
-        "cache keys moved — on-disk caches, traces, telemetry and journals \
-         will all go cold. If intentional, update the corpus to:\n{}",
+        "cache keys moved — on-disk caches, traces and telemetry will all \
+         go cold. If intentional, update the corpus keys to:\n{}",
         mismatches.join("\n")
     );
 }
 
 #[test]
-fn cache_keys_match_the_pinned_golden_values() {
-    assert_keys_match(GOLDEN, 2);
-}
-
-#[test]
-fn v3_spellings_hash_to_the_same_golden_keys() {
-    assert_keys_match(GOLDEN_V3, 3);
-}
-
-#[test]
 fn corpus_keys_are_unique() {
-    let mut keys: Vec<String> = corpus_specs(GOLDEN, 2)
-        .iter()
-        .map(|(_, s)| s.cache_key())
-        .collect();
+    let corpus = corpus();
+    let mut keys: Vec<String> = corpus.iter().map(|(s, _)| s.cache_key()).collect();
     keys.sort();
     keys.dedup();
-    assert_eq!(keys.len(), GOLDEN.len(), "corpus keys collide");
+    assert_eq!(keys.len(), corpus.len(), "corpus keys collide");
 }

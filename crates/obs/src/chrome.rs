@@ -1,5 +1,5 @@
 //! The workspace's one Chrome `trace_event` writer and validator. The
-//! simulator's lifecycle trace (`ipsim_telemetry::sink`) and the daemon's
+//! simulator's lifecycle trace (`ipsim_telemetry::sink`) and the sweep's
 //! spans ([`SpanRecorder`](crate::SpanRecorder)) both write through
 //! [`ChromeTrace`], which fixes the envelope, field order and escaping;
 //! [`validate`] checks what either wrote.
@@ -441,7 +441,7 @@ mod tests {
 
     #[test]
     fn validator_requires_timing_and_args() {
-        let ok = r#"{"traceEvents":[{"name":"serve.request","cat":"obs","ph":"X","ts":12,"dur":340,"pid":1,"tid":2,"args":{"id":1,"parent":0}}],"displayTimeUnit":"ns"}"#;
+        let ok = r#"{"traceEvents":[{"name":"harness.run","cat":"obs","ph":"X","ts":12,"dur":340,"pid":1,"tid":2,"args":{"id":1,"parent":0}}],"displayTimeUnit":"ns"}"#;
         assert_eq!(validate(ok).unwrap().len(), 1);
         for (bad, why) in [
             (

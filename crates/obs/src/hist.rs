@@ -5,12 +5,12 @@
 //! range is split into 4 linear sub-buckets, so every bucket's width is
 //! at most 25% of its lower bound. A recorded value therefore reports a
 //! percentile within ~25% of the exact answer at any magnitude, which is
-//! plenty for latency distributions spanning microseconds to minutes —
-//! while `observe` stays three relaxed atomic adds with no allocation and
-//! no locks, safe to call from every worker thread at once.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! plenty for distributions spanning several orders of magnitude —
+//! while `observe` stays three adds with no allocation.
+//!
+//! A histogram is report data, not an instrumentation hook: a plain
+//! value that records whether or not [`crate::set_enabled`] has switched
+//! spans off.
 
 /// Linear sub-bucket bits per power-of-two range.
 const SUB_BITS: u32 = 2;
@@ -50,16 +50,13 @@ pub fn bucket_upper(idx: usize) -> u64 {
     }
 }
 
-struct HistCore {
-    buckets: [AtomicU64; BUCKET_COUNT],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// A shared histogram handle; clones observe into the same buckets.
-#[derive(Clone)]
+/// A log₂-bucketed histogram of `u64` observations.
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    core: Arc<HistCore>,
+    /// Observation count per bucket, indexed by [`bucket_index`].
+    buckets: Vec<u64>,
+    count: u64,
+    sum: u64,
 }
 
 impl Default for Histogram {
@@ -72,76 +69,38 @@ impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Histogram {
         Histogram {
-            core: Arc::new(HistCore {
-                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-            }),
+            buckets: vec![0; BUCKET_COUNT],
+            count: 0,
+            sum: 0,
         }
     }
 
-    /// Records one observation. No-op while instrumentation is disabled.
-    pub fn observe(&self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.core.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.core.count.fetch_add(1, Ordering::Relaxed);
-        self.core.sum.fetch_add(v, Ordering::Relaxed);
+    /// Records one observation. The sum wraps on overflow.
+    pub fn observe(&mut self, v: u64) {
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
     }
 
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
+        self.count
     }
 
     /// Sum of all recorded values.
     pub fn sum(&self) -> u64 {
-        self.core.sum.load(Ordering::Relaxed)
+        self.sum
+    }
+
+    /// Observation count per bucket, indexed by [`bucket_index`].
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
     }
 
     /// Nearest-rank percentile estimate (`p` in 0..=100): the inclusive
     /// upper bound of the bucket holding the rank-th observation, i.e.
     /// within one bucket (≤25%) of the exact order statistic. Returns 0
     /// for an empty histogram.
-    pub fn percentile(&self, p: f64) -> u64 {
-        self.snapshot().percentile(p)
-    }
-
-    /// A point-in-time copy of the buckets for rendering. Taken bucket
-    /// by bucket with relaxed loads: concurrent observers may straddle
-    /// the snapshot, so `count` is recomputed as the bucket sum to keep
-    /// the snapshot internally consistent.
-    pub fn snapshot(&self) -> HistSnapshot {
-        let buckets: Vec<u64> = self
-            .core
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = buckets.iter().sum();
-        HistSnapshot {
-            buckets,
-            count,
-            sum: self.core.sum.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// An immutable copy of a histogram's state.
-#[derive(Debug, Clone)]
-pub struct HistSnapshot {
-    /// Observation count per bucket, indexed by [`bucket_index`].
-    pub buckets: Vec<u64>,
-    /// Total observations (sum of `buckets`).
-    pub count: u64,
-    /// Sum of observed values.
-    pub sum: u64,
-}
-
-impl HistSnapshot {
-    /// Nearest-rank percentile over the snapshot; see
-    /// [`Histogram::percentile`].
     pub fn percentile(&self, p: f64) -> u64 {
         if self.count == 0 {
             return 0;
@@ -156,18 +115,6 @@ impl HistSnapshot {
             }
         }
         bucket_upper(BUCKET_COUNT - 1)
-    }
-
-    /// Non-empty buckets as `(inclusive_upper_bound, count)` pairs, in
-    /// ascending bound order — the shape Prometheus exposition and
-    /// report tables want.
-    pub fn nonzero(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_upper(i), n))
-            .collect()
     }
 }
 
@@ -214,7 +161,7 @@ mod tests {
 
     #[test]
     fn percentiles_of_a_known_distribution() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         for v in 1..=100u64 {
             h.observe(v);
         }
@@ -234,12 +181,12 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.percentile(50.0), 0);
         assert_eq!(h.count(), 0);
-        assert!(h.snapshot().nonzero().is_empty());
+        assert!(h.buckets().iter().all(|&n| n == 0));
     }
 
     #[test]
     fn extreme_values_do_not_overflow() {
-        let h = Histogram::new();
+        let mut h = Histogram::new();
         h.observe(u64::MAX);
         h.observe(0);
         assert_eq!(h.count(), 2);

@@ -1,9 +1,9 @@
 //! The workspace's one JSON parser and string escaper (no serde: see
-//! README "Offline builds and dependencies"). It reads artifacts back for
-//! validation and parses *untrusted daemon input* — job specs posted to
-//! `ipsim_serve`, journal lines after a crash — so any input yields `Ok`
-//! or `Err`, never a panic: nesting beyond [`MAX_DEPTH`] is an error, not
-//! a deeper recursion. Numbers parse as `f64`, so writers encode 64-bit
+//! README "Offline builds and dependencies"). It reads telemetry and
+//! span artifacts back for validation, and those files are untrusted
+//! too — truncated by a crash, edited, or from another build — so any
+//! input yields `Ok` or `Err`, never a panic: nesting beyond
+//! [`MAX_DEPTH`] is an error, not a deeper recursion. Numbers parse as `f64`, so writers encode 64-bit
 //! line addresses as hex strings.
 
 /// Deepest array/object nesting [`parse`] accepts: far above anything

@@ -4,17 +4,16 @@
 //! the RAII [`SpanGuard`] from [`SpanRecorder::span`]: it stamps the
 //! start on creation, records the completed interval on drop, and uses a
 //! thread-local stack so nested guards are parented automatically. For
-//! intervals that start on one thread and end on another (a job's queue
-//! wait: enqueued by the acceptor, claimed by a worker),
-//! [`SpanRecorder::record`] takes explicit start/duration and parent.
+//! intervals measured elsewhere, [`SpanRecorder::record`] takes explicit
+//! start/duration and parent.
 //!
 //! Completed spans land in a mutex-guarded ring that drops its oldest
-//! entry when full — a long-lived daemon keeps the most recent window
-//! and counts what it shed ([`SpanRecorder::dropped`]) instead of
+//! entry when full — a long sweep keeps the most recent window and
+//! counts what it shed ([`SpanRecorder::dropped`]) instead of
 //! growing without bound. Export goes through the one
 //! [`chrome`](crate::chrome) writer `ipsim-telemetry` also uses, as
 //! complete events (`ph:"X"`, `ts` + `dur` in microseconds), so one trace
-//! viewer shows daemon orchestration above sim-level telemetry.
+//! viewer shows sweep orchestration above sim-level telemetry.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -35,7 +34,7 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span, if any.
     pub parent: Option<u64>,
-    /// Span name, e.g. `"serve.request"` or `"harness.run"`.
+    /// Span name, e.g. `"harness.run"` or `"cache.probe"`.
     pub name: String,
     /// Start, in microseconds since the recorder's epoch.
     pub start_micros: u64,
@@ -303,7 +302,7 @@ mod tests {
     #[test]
     fn chrome_export_bytes_are_pinned() {
         let rec = SpanRecorder::new(8);
-        rec.record("serve.request", 5, 10, None);
+        rec.record("harness.run", 5, 10, None);
         rec.record("quote\"back\\slash", 7, 0, Some(1));
         let tid = rec.completed()[0].tid;
         let mut buf = Vec::new();
@@ -311,7 +310,7 @@ mod tests {
         let want = format!(
             concat!(
                 r#"{{"traceEvents":["#,
-                r#"{{"name":"serve.request","cat":"obs","ph":"X","ts":5,"dur":10,"pid":1,"tid":{tid},"args":{{"id":1,"parent":0}}}},"#,
+                r#"{{"name":"harness.run","cat":"obs","ph":"X","ts":5,"dur":10,"pid":1,"tid":{tid},"args":{{"id":1,"parent":0}}}},"#,
                 r#"{{"name":"quote\"back\\slash","cat":"obs","ph":"X","ts":7,"dur":0,"pid":1,"tid":{tid},"args":{{"id":2,"parent":1}}}}"#,
                 r#"],"displayTimeUnit":"ns"}}"#
             ),
@@ -325,10 +324,10 @@ mod tests {
     fn span_export_passes_the_shared_validator() {
         let rec = SpanRecorder::new(64);
         {
-            let _outer = rec.span("serve.request");
-            let _inner = rec.span("serve.execute");
+            let _outer = rec.span("harness.run");
+            let _inner = rec.span("cache.probe");
         }
-        rec.record("serve.queue_wait", 3, 40, None);
+        rec.record("trace.replay", 3, 40, None);
         rec.record("odd name \"quoted\"\\slash", 0, 1, Some(1));
         let mut buf = Vec::new();
         rec.write_chrome_trace(&mut buf).unwrap();

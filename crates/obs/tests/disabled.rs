@@ -1,24 +1,19 @@
-//! The disabled path: after `set_enabled(false)` every instrument call
-//! must record nothing. Lives in its own integration test binary (own
+//! The disabled path: after `set_enabled(false)` every span call must
+//! record nothing, while a [`Histogram`] — report data, not a hook —
+//! keeps recording. Lives in its own integration test binary (own
 //! process) because it flips the process-global switch that the
 //! enabled-path tests rely on.
 
-use ipsim_obs::{Registry, SpanRecorder};
+use ipsim_obs::{Histogram, SpanRecorder};
 
 #[test]
-fn disabled_instrumentation_records_nothing() {
+fn disabled_instrumentation_records_no_spans() {
     assert!(ipsim_obs::enabled(), "instrumentation defaults to on");
-    let r = Registry::new();
     let rec = SpanRecorder::new(8);
-    let counter = r.counter("ipsim_test_total", &[]);
-    let gauge = r.gauge("ipsim_test_depth", &[]);
-    let hist = r.histogram("ipsim_test_micros", &[]);
-    counter.inc();
+    let mut hist = Histogram::new();
     hist.observe(10);
 
     ipsim_obs::set_enabled(false);
-    counter.add(100);
-    gauge.set(42);
     hist.observe(99);
     {
         let g = rec.span("ghost");
@@ -26,20 +21,16 @@ fn disabled_instrumentation_records_nothing() {
     }
     assert_eq!(rec.record("ghost", 0, 1, None), 0);
 
-    assert_eq!(counter.get(), 1, "counter froze while disabled");
-    assert_eq!(gauge.get(), 0, "gauge froze while disabled");
-    assert_eq!(hist.count(), 1, "histogram froze while disabled");
+    assert_eq!(hist.count(), 2, "histograms record while disabled");
     assert!(
         rec.completed().is_empty(),
         "no spans recorded while disabled"
     );
     assert_eq!(rec.dropped(), 0);
 
-    // Pre-disable state still renders.
-    let page = r.render_prometheus();
-    assert!(page.contains("ipsim_test_total 1"));
-
     ipsim_obs::set_enabled(true);
-    counter.inc();
-    assert_eq!(counter.get(), 2, "re-enabling resumes recording");
+    {
+        let _g = rec.span("live");
+    }
+    assert_eq!(rec.completed().len(), 1, "re-enabling resumes recording");
 }

@@ -19,7 +19,7 @@
 //!   ([`PrefetcherSpec::kind`], inverted by [`PrefetcherSpec::from_kind`]);
 //! * [`Scheme`] — what a run configures, one kind or a zoo plan, whose
 //!   text form (`disc:ahead=2`, `zoo:nl+mana`) is the one spelling the
-//!   CLI and the serve wire take;
+//!   CLI takes;
 //! * three rival schemes: [`StreamPrefetcher`], [`ManaPrefetcher`]
 //!   (arXiv 2102.01764) and [`ProgramMapPrefetcher`] (arXiv 2406.06738).
 //!

@@ -1,7 +1,7 @@
 //! The string-keyed scheme registry: every prefetcher in the zoo is
 //! constructed from a `name[:knob=value,…]` spec, validated against the
 //! scheme's declared knobs, and carries a canonical string form that is
-//! stable enough to live in run cache keys and the serve wire codec.
+//! stable enough to live in run cache keys.
 
 use std::fmt;
 
@@ -631,8 +631,8 @@ impl fmt::Display for ZooPlan {
 /// The prefetching a run configures: one paper mechanism, or a zoo of
 /// registry schemes side by side with per-scheme attribution.
 ///
-/// Its text form is the one spelling of a scheme that the `ipsim` CLI and
-/// the serve wire take: a registry spec (`disc:ahead=2`) for
+/// Its text form is the one spelling of a scheme that the `ipsim` CLI
+/// takes: a registry spec (`disc:ahead=2`) for
 /// [`Scheme::Single`], `zoo:<plan>` (`zoo:nl+mana`) for [`Scheme::Zoo`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Scheme {
@@ -728,6 +728,64 @@ mod tests {
         assert_eq!(PrefetcherSpec::parse(&spec.canonical()).unwrap(), spec);
         // Defaults stay implicit.
         assert_eq!(PrefetcherSpec::parse("disc").unwrap().canonical(), "disc");
+    }
+
+    /// kind → spec → `PrefetcherSpec::parse` → `kind()` is the identity on
+    /// every kind the registry can name, and the spec writes no default.
+    /// Runs over every paper kind at sizes and counts on, inside and past
+    /// the knobs' ranges.
+    #[test]
+    fn specs_round_trip_every_nameable_kind() {
+        const SIZES: &[usize] = &[0, 1, 63, 64, 100, 1024, 4096, 8192, 1 << 20, (1 << 20) + 1];
+        const COUNTS: &[u32] = &[0, 1, 2, 3, 4, 7, 64, 65, u32::MAX];
+        const CONFIDENCE: &[u8] = &[0, 1, 2, 3, 4, 200];
+        let mut kinds = vec![
+            PrefetcherKind::None,
+            PrefetcherKind::NextLineAlways,
+            PrefetcherKind::NextLineOnMiss,
+            PrefetcherKind::NextLineTagged,
+            PrefetcherKind::WrongPath { next_line: false },
+            PrefetcherKind::WrongPath { next_line: true },
+        ];
+        for &table_entries in SIZES {
+            kinds.push(PrefetcherKind::Target { table_entries });
+            for &ahead in COUNTS {
+                kinds.push(PrefetcherKind::Discontinuity {
+                    table_entries,
+                    ahead,
+                });
+                kinds.push(PrefetcherKind::Markov {
+                    table_entries,
+                    ahead,
+                });
+                for &min_confidence in CONFIDENCE {
+                    kinds.push(PrefetcherKind::DiscontinuityGated {
+                        table_entries,
+                        ahead,
+                        min_confidence,
+                    });
+                }
+            }
+        }
+        for &n in COUNTS {
+            kinds.push(PrefetcherKind::NextNLineTagged { n });
+            kinds.push(PrefetcherKind::Lookahead { n });
+        }
+        let mut named = 0;
+        for kind in kinds {
+            let Some(spec) = PrefetcherSpec::from_kind(kind) else {
+                continue;
+            };
+            named += 1;
+            let parsed = PrefetcherSpec::parse(&spec.canonical()).unwrap();
+            assert_eq!(parsed.kind(), Some(kind));
+            assert_eq!(parsed, spec);
+            let def = find_scheme(spec.name()).unwrap();
+            for (knob, value) in spec.knobs() {
+                assert_ne!(def.knob(knob).unwrap().default, *value, "{kind:?}");
+            }
+        }
+        assert!(named > 100, "only {named} kinds were nameable");
     }
 
     #[test]

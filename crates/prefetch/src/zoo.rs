@@ -7,7 +7,7 @@ use ipsim_types::LineAddr;
 
 use crate::stats::SchemeCounters;
 
-/// Maximum schemes a zoo can host. Slots are `u8` on the wire
+/// Maximum schemes a zoo can host. Slots are `u8` in every request
 /// ([`PrefetchRequest::scheme`]); eight is far past any realistic
 /// side-by-side study and keeps per-event fan-out bounded.
 pub const MAX_SCHEMES: usize = 8;

@@ -5,7 +5,7 @@
 //! needs (`signal`, `raise`) directly — std already links libc on every
 //! supported platform. The handler does the only async-signal-safe thing
 //! possible: it sets an atomic flag that long-running loops poll at safe
-//! points (between runs, between accepted connections).
+//! points (between runs).
 //!
 //! Semantics:
 //!
@@ -68,8 +68,7 @@ pub fn triggered() -> bool {
     TRIGGERED.load(Ordering::SeqCst)
 }
 
-/// Clears the flag. Intended for tests (and for daemons that survive a
-/// drain and want to arm the handler again).
+/// Clears the flag. Intended for tests.
 pub fn reset() {
     TRIGGERED.store(false, Ordering::SeqCst);
 }
@@ -88,8 +87,9 @@ mod tests {
 
     /// One test exercises the whole lifecycle: the flag flips on the
     /// first signal and `reset` clears it. (Separate tests would race on
-    /// the global flag; the second-signal kill path is exercised by the
-    /// serve smoke script, not here, since it terminates the process.)
+    /// the global flag; the second-signal kill path terminates its
+    /// process, so [`second_signal_kills_the_process`] runs it in a
+    /// child.)
     #[test]
     fn flag_lifecycle() {
         install();
@@ -100,5 +100,35 @@ mod tests {
         assert!(!triggered());
         // Re-arm for any test binary code that runs after this.
         install();
+    }
+
+    /// Set in the child process that [`second_signal_kills_the_process`]
+    /// spawns from this test binary.
+    const CHILD_ENV: &str = "IPSIM_SIGNAL_TEST_CHILD";
+
+    /// A second signal restores the default disposition and re-raises:
+    /// the process dies *by* that signal instead of draining. Runs in a
+    /// child (this test binary, filtered to this test) because it ends
+    /// the process it runs in.
+    #[test]
+    fn second_signal_kills_the_process() {
+        use std::os::unix::process::ExitStatusExt;
+        use std::process::{Command, Stdio};
+
+        if std::env::var_os(CHILD_ENV).is_some() {
+            install();
+            raise_self(SIGINT);
+            assert!(triggered(), "the first signal only sets the flag");
+            raise_self(SIGINT);
+            std::process::exit(0);
+        }
+        let status = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::second_signal_kills_the_process"])
+            .env(CHILD_ENV, "1")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .unwrap();
+        assert_eq!(status.signal(), Some(SIGINT), "{status:?}");
     }
 }

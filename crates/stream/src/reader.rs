@@ -373,7 +373,7 @@ impl<R: Read + Seek> TraceReader<R> {
 
     /// Decodes the whole trace into `out` in one pass — the arena decode
     /// feeding [`ArenaSource`](crate::ArenaSource). Every block CRC is
-    /// still verified (by [`load_block`](Self::load_block)) before its ops
+    /// still verified (by the private `load_block`) before its ops
     /// are surfaced, and the total is reconciled against the index, so
     /// this is as safe as `verify_blocks` + streaming decode while paying
     /// the codec exactly once per trace instead of once per replay.

@@ -23,7 +23,7 @@
 //! each of which has a matching parser/validator used by tests and the CI
 //! smoke job. The JSON parser and the Chrome `trace_event` writer and
 //! validator are not this crate's: they are the workspace-wide ones in
-//! `ipsim_obs::{json, chrome}`, which the daemon's span export shares.
+//! `ipsim_obs::{json, chrome}`, which the sweep's span export shares.
 //!
 //! Nothing in this crate touches simulation semantics: the golden-hash
 //! figure test and the `telemetry_determinism` test prove that metrics
