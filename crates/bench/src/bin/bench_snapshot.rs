@@ -5,7 +5,8 @@
 //! one line of a JSON file so the simulator's perf trajectory is diffable
 //! and CI-checkable. The entries split a run's cost by layer:
 //!
-//! - `system/*`: whole-system runs (walker, core, caches, prefetcher);
+//! - `system/*`: whole-system runs (walker, core, caches, prefetcher),
+//!   and the trace store's cohort replay of three runs over one stream;
 //! - `trace/*`: synthesis of the DB program, the largest of the four, in
 //!   ns per basic block;
 //! - `cache/*`: the set-associative cache's hit, miss+fill and probe
@@ -47,7 +48,8 @@ use ipsim_core::{
     DiscontinuityConfig, DiscontinuityPrefetcher, FetchEvent, NextNLinePrefetcher, PrefetchEngine,
     PrefetchQueue, PrefetchRequest, PrefetcherKind, RecentFetchFilter,
 };
-use ipsim_cpu::{BranchUnit, Bus, OpSource, System, SystemBuilder, Tlb};
+use ipsim_cpu::{BranchUnit, Bus, OpSource, System, SystemBuilder, Tlb, WorkloadSet};
+use ipsim_harness::{RunLengths, RunSpec, SystemSlot, TraceStore};
 use ipsim_obs::json::{self, Json};
 use ipsim_stream::{ArenaSource, TraceSource};
 use ipsim_telemetry::sink::{write_chrome_trace, write_events_jsonl};
@@ -64,12 +66,13 @@ const DEFAULT_PATH: &str = "BENCH_sim_kernel.json";
 /// Environment override for the snapshot path.
 const BASELINE_ENV: &str = "IPSIM_BENCH_BASELINE";
 
-const USAGE: &str = "usage: bench_snapshot [--check] [--quick] [--out PATH]
+const USAGE: &str = "usage: bench_snapshot [--check] [--quick] [--out PATH] [--help]
   (no flags)  re-measure and rewrite the snapshot (its \"baseline\" block is kept)
   --check     re-measure and exit 1 if a system/* bench is more than
               IPSIM_BENCH_TOLERANCE percent (default 10) slower than the snapshot
   --quick     5 samples per bench instead of 9 (IPSIM_BENCH_REPS overrides both)
-  --out PATH  snapshot path (default: $IPSIM_BENCH_BASELINE, else BENCH_sim_kernel.json)";
+  --out PATH  snapshot path (default: $IPSIM_BENCH_BASELINE, else BENCH_sim_kernel.json)
+  --help, -h  print this usage and exit";
 
 /// Instructions per sample for the system benches.
 const INSTRS: u64 = 100_000;
@@ -115,6 +118,10 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--check" => check = true,
             "--quick" => quick = true,
             "--out" => match args.next() {
@@ -360,7 +367,46 @@ fn system_benches(reps: u32) -> Vec<BenchResult> {
                 system.run(&mut sources, INSTRS / 4);
             },
         ),
+        cohort_bench(reps),
     ]
+}
+
+/// Three CMP-4 runs at 1, 2 and 4 MB of L2 over one captured Web stream
+/// ([`INSTRS`] ops, a quarter per core), replayed as one trace-store
+/// cohort: the window decodes the stream once and the three systems take
+/// turns over it. One sample is the whole cohort — system builds, decode
+/// and all three simulations — so ns/op is per simulated instruction of
+/// the three runs.
+fn cohort_bench(reps: u32) -> BenchResult {
+    let dir = std::env::temp_dir().join(format!("ipsim-bench-cohort-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = TraceStore::at(&dir);
+    let lengths = RunLengths {
+        warm: 0,
+        measure: INSTRS / 4,
+    };
+    let specs: Vec<RunSpec> = [1u64, 2, 4]
+        .iter()
+        .map(|mb| {
+            let mut config = ipsim_types::SystemConfig::cmp4();
+            config.mem.l2 = CacheConfig::new(mb << 20, 4, 64).expect("valid geometry");
+            RunSpec::new(config, WorkloadSet::homogeneous(Workload::Web), lengths)
+        })
+        .collect();
+    store.execute(&specs[0]);
+    let members: Vec<&RunSpec> = specs.iter().collect();
+    let result = bench("system/cohort_replay_cmp4_x3", 3 * INSTRS, reps, || {
+        let mut finished = 0;
+        store.execute_cohort(&members, None, &mut SystemSlot::new(), &mut |_, run| {
+            let run = run.expect("cohort member runs");
+            assert!(run.summary.instructions == INSTRS);
+            finished += 1;
+        });
+        assert!(finished == members.len());
+    });
+    assert!(store.captured() == 1 && store.detached() == 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    result
 }
 
 /// Synthesis of the DB program, timed per basic block built.

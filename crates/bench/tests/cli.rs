@@ -1,5 +1,6 @@
 //! `bench_snapshot` rejects a bad command line before it measures or
-//! writes anything, so a typo never overwrites the committed snapshot.
+//! writes anything, so a typo never overwrites the committed snapshot,
+//! and answers a help request with its usage.
 
 use std::process::Command;
 
@@ -31,4 +32,32 @@ fn bad_arguments_exit_2_without_writing() {
     assert_rejected("typo", &["--chek"]);
     assert_rejected("dangling", &["--out"]);
     assert_rejected("flag-as-path", &["--out", "--check"]);
+}
+
+/// A help request is not misuse: `--help` and `-h` print the usage on
+/// stdout and exit 0, measuring and writing nothing.
+#[test]
+fn help_prints_usage_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        let snapshot = std::env::temp_dir().join(format!(
+            "ipsim-bench-cli-{}-help{flag}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&snapshot);
+        let out = Command::new(env!("CARGO_BIN_EXE_bench_snapshot"))
+            .args(["--out", &snapshot.display().to_string(), flag])
+            .env("IPSIM_BENCH_REPS", "1")
+            .output()
+            .expect("spawn bench_snapshot");
+        let written = snapshot.exists();
+        let _ = std::fs::remove_file(&snapshot);
+        assert_eq!(out.status.code(), Some(0), "{flag} must exit 0");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.starts_with("usage: bench_snapshot"),
+            "{flag}: {stdout}"
+        );
+        assert!(out.stderr.is_empty(), "{flag} measured something");
+        assert!(!written, "{flag} must not write a snapshot");
+    }
 }

@@ -64,5 +64,5 @@ pub use limit::LimitSpec;
 pub use memsys::{MemStats, MemSystem};
 pub use metrics::{CoreMetrics, SystemMetrics};
 pub use mlp::MlpWindow;
-pub use system::{OpSource, System, SystemBuilder, WorkloadSet};
+pub use system::{OpSource, System, SystemBuilder, WorkloadRun, WorkloadSet};
 pub use tlb::{Tlb, TlbStats};

@@ -381,23 +381,48 @@ impl System {
     }
 
     /// Runs every core for `instrs_per_core` further instructions, feeding
-    /// core `i` from `sources[i]`. Cores are interleaved smallest-clock
-    /// first, so shared-resource contention is deterministic.
+    /// core `i` from `sources[i]`: [`System::run_toward`] with no step
+    /// limit.
     ///
     /// # Panics
     ///
     /// Panics unless `sources.len()` equals the core count.
     pub fn run(&mut self, sources: &mut [&mut dyn OpSource], instrs_per_core: u64) {
-        assert_eq!(
-            sources.len(),
-            self.cores.len(),
-            "need exactly one op source per core"
-        );
         let targets: Vec<u64> = self
             .cores
             .iter()
             .map(|c| c.executed() + instrs_per_core)
             .collect();
+        self.run_toward(sources, &targets, &mut { u64::MAX });
+    }
+
+    /// Runs cores toward the absolute per-core instruction counts
+    /// `targets` (compared against [`Core::executed`]), feeding core `i`
+    /// from `sources[i]`, for at most `*quanta` scheduling quanta. Cores
+    /// are interleaved smallest-clock first, so shared-resource contention
+    /// is deterministic. `*quanta` is decreased by the quanta run; returns
+    /// whether every core reached its target.
+    ///
+    /// The scheduler's pick depends only on core state, so a run split
+    /// into any number of calls toward the same targets steps exactly as
+    /// one call does: this is what lets several systems take turns over
+    /// one decoded stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `sources` and `targets` hold one entry per core.
+    pub fn run_toward(
+        &mut self,
+        sources: &mut [&mut dyn OpSource],
+        targets: &[u64],
+        quanta: &mut u64,
+    ) -> bool {
+        assert_eq!(
+            sources.len(),
+            self.cores.len(),
+            "need exactly one op source per core"
+        );
+        assert_eq!(targets.len(), self.cores.len(), "one target per core");
         // Ops are pulled a quantum at a time through one virtual call,
         // then dispatched to the core with static calls — identical
         // per-core op order and identical quantum-granular interleaving to
@@ -411,12 +436,13 @@ impl System {
             kind: ipsim_types::instr::OpKind::Other,
         }; MAX_SCHED_QUANTUM as usize];
         let single_core = self.cores.len() == 1;
-        loop {
+        let mut left = *quanta;
+        let done = loop {
             // Pick the unfinished core with the smallest local clock. With
             // one core the pick is trivially core 0 until it finishes.
             let i = if single_core {
                 if self.cores[0].executed() >= targets[0] {
-                    break;
+                    break true;
                 }
                 0
             } else {
@@ -429,10 +455,14 @@ impl System {
                     }
                 }
                 let Some(i) = next else {
-                    break;
+                    break true;
                 };
                 i
             };
+            if left == 0 {
+                break false;
+            }
+            left -= 1;
             let core = &mut self.cores[i];
             let quantum = sched_quantum.min(targets[i] - core.executed()) as usize;
             match sources[i].next_slice(quantum) {
@@ -453,7 +483,9 @@ impl System {
                     state.sampler.record(executed, row);
                 }
             }
-        }
+        };
+        *quanta = left;
+        done
     }
 
     /// Builds walkers for `workloads`, warms the system for `warm_instrs`
@@ -477,7 +509,7 @@ impl System {
     /// Warms for `warm_instrs` and measures for `measure_instrs` per core,
     /// feeding core `i` from `sources[i]`. [`System::run_workload`] is this
     /// over freshly-built walkers; the harness calls it directly with
-    /// capture tees or replay sources instead.
+    /// capture tees, and steps a [`WorkloadRun`] itself to replay.
     ///
     /// Each core consumes exactly `warm_instrs + measure_instrs` ops from
     /// its source, in an order fixed per core regardless of how the
@@ -489,16 +521,9 @@ impl System {
         warm_instrs: u64,
         measure_instrs: u64,
     ) -> SystemMetrics {
-        if warm_instrs > 0 {
-            self.run(sources, warm_instrs);
-        }
-        self.reset_stats();
-        let t0 = std::time::Instant::now();
-        self.run(sources, measure_instrs);
-        let wall = t0.elapsed().as_secs_f64();
-        let mut metrics = self.metrics();
-        metrics.sim_wall_seconds = wall;
-        metrics
+        WorkloadRun::new(self, warm_instrs, measure_instrs)
+            .advance(self, sources, &mut { u64::MAX })
+            .expect("a run without a step limit finishes")
     }
 
     /// Resets all measurement counters; caches, predictors and prefetcher
@@ -546,6 +571,74 @@ impl System {
             bus_queue_cycles: self.mem.bus().queue_cycles(),
             sim_wall_seconds: 0.0,
         }
+    }
+}
+
+/// A warm-up then measurement run that can stop after any number of
+/// scheduling quanta and resume where it stopped: what
+/// [`System::run_workload_from`] does in one call, in slices.
+///
+/// The run keeps absolute per-core targets ([`System::run_toward`]), so
+/// slices of any size — one straddling the warm→measure boundary
+/// included — step the system exactly as one call does, and the metrics
+/// are the same; [`SystemMetrics::sim_wall_seconds`] sums the host time
+/// of the measured slices.
+#[derive(Debug, Clone)]
+pub struct WorkloadRun {
+    targets: Vec<u64>,
+    /// Measured instructions per core; `None` once the warm-up is over.
+    measure: Option<u64>,
+    measured_s: f64,
+}
+
+impl WorkloadRun {
+    /// A run of `system` warming for `warm_instrs` and measuring for
+    /// `measure_instrs` further instructions per core.
+    pub fn new(system: &System, warm_instrs: u64, measure_instrs: u64) -> WorkloadRun {
+        WorkloadRun {
+            targets: system
+                .cores
+                .iter()
+                .map(|c| c.executed() + warm_instrs)
+                .collect(),
+            measure: Some(measure_instrs),
+            measured_s: 0.0,
+        }
+    }
+
+    /// Whether the warm-up is over and the run is measuring.
+    pub fn measuring(&self) -> bool {
+        self.measure.is_none()
+    }
+
+    /// Steps `system` (which must be the one given to
+    /// [`WorkloadRun::new`]) for at most `*quanta` scheduling quanta,
+    /// decreasing `*quanta` by the quanta run. At the end of the warm-up
+    /// the system's statistics are reset and the slice goes on measuring.
+    /// Returns the metrics over the measured window once the run is
+    /// complete, `None` while it is not.
+    pub fn advance(
+        &mut self,
+        system: &mut System,
+        sources: &mut [&mut dyn OpSource],
+        quanta: &mut u64,
+    ) -> Option<SystemMetrics> {
+        if let Some(measure) = self.measure {
+            if !system.run_toward(sources, &self.targets, quanta) {
+                return None;
+            }
+            system.reset_stats();
+            self.targets.iter_mut().for_each(|t| *t += measure);
+            self.measure = None;
+        }
+        let t0 = std::time::Instant::now();
+        let done = system.run_toward(sources, &self.targets, quanta);
+        self.measured_s += t0.elapsed().as_secs_f64();
+        done.then(|| {
+            let mut metrics = system.metrics();
+            metrics.sim_wall_seconds = self.measured_s;
+            metrics
+        })
     }
 }
 

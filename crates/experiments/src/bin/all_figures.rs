@@ -91,11 +91,21 @@ fn main() {
     }
     if report.traces_captured + report.traces_replayed + report.traces_quarantined > 0 {
         println!(
-            "traces: {} stream{} captured · {} run{} replayed{}",
+            "traces: {} stream{} captured · {} run{} replayed{}{}",
             report.traces_captured,
             if report.traces_captured == 1 { "" } else { "s" },
             report.traces_replayed,
             if report.traces_replayed == 1 { "" } else { "s" },
+            if report.streams_decoded > 0 {
+                format!(
+                    " · {} stream{} decoded, window peak {} ops",
+                    report.streams_decoded,
+                    if report.streams_decoded == 1 { "" } else { "s" },
+                    report.window_peak_ops
+                )
+            } else {
+                String::new()
+            },
             if report.traces_quarantined > 0 {
                 format!(
                     " · {} corrupt trace file(s) quarantined",

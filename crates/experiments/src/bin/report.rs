@@ -217,7 +217,12 @@ fn sim(mut args: Args) {
     let traces = TraceStore::from_env();
     let sink = TelemetrySink::from_env(TelemetryConfig::default());
     let progress = Progress::new(ProgressMode::Auto, specs.len());
-    let report = pool::execute(&specs, workers, &cache, &traces, Some(&sink), &progress);
+    // Each stream's runs share one cohort, so a warm stream decodes once.
+    let groups = pool::cohort_groups(&specs, workers, Some(sink.config()), |spec| {
+        cache.contains(spec) && sink.has(&spec.cache_key())
+    });
+    let groups: Vec<&[RunSpec]> = groups.iter().map(Vec::as_slice).collect();
+    let report = pool::execute_groups(&groups, workers, &cache, &traces, Some(&sink), &progress);
     progress.finish();
 
     let resolve = |spec: &RunSpec| -> Summary {

@@ -97,11 +97,10 @@ fn trace_file_stats(path: &str) -> Result<(), String> {
             file_bytes as f64 / ops as f64
         );
     }
-    // Decode throughput, both ways through the same file. A streaming
-    // replay pays the buffered per-op rate on every run; the arena path
-    // pays the one-shot decode rate once, then replays at memcpy speed.
-    // The two rates are close by construction (same codec underneath) —
-    // the arena's win is amortisation, not a faster decoder.
+    // Decode throughput, both ways through the same file: per op, as a
+    // cohort window or a detached replay reads it, and in one pass into
+    // a whole-trace arena (`decode_all_into`, what `ArenaSource` replays).
+    // The two rates are close by construction (same codec underneath).
     if ops > 0 {
         reader.rewind().map_err(|e| e.to_string())?;
         let t0 = std::time::Instant::now();
@@ -112,8 +111,7 @@ fn trace_file_stats(path: &str) -> Result<(), String> {
         let buffered_s = t0.elapsed().as_secs_f64();
 
         // Pre-fault the arena allocation (resize touches every page) so the
-        // timing compares decode paths, not first-touch page faults — the
-        // harness amortises the allocation across every replay of the run.
+        // timing compares decode paths, not first-touch page faults.
         let filler = ipsim_types::instr::TraceOp {
             pc: ipsim_types::Addr(0),
             kind: OpKind::Other,

@@ -19,8 +19,10 @@ use std::process::Command;
 
 use ipsim_experiments::report::{render_report, ReportOptions};
 use ipsim_harness::hash::fnv1a64;
-use ipsim_harness::traces::DEFAULT_ARENA_OPS;
-use ipsim_harness::{run_sweep, Figure, ProgressMode, RunLengths, SweepOptions, SweepReport};
+use ipsim_harness::traces::WINDOW_CAP_OPS;
+use ipsim_harness::{
+    pool, run_sweep, Figure, ProgressMode, RunLengths, RunSpec, SweepOptions, SweepReport,
+};
 use ipsim_telemetry::TelemetryConfig;
 
 /// Golden output hashes at warm=10_000 / measure=20_000, captured from the
@@ -61,24 +63,21 @@ fn cold_sweep(
     (run_sweep(figures, &opts), base)
 }
 
-/// The decoded size (ops over all cores) of every stream a cold sweep of
-/// `figures` replays: each stream with more than one unique run, since
-/// its first run captures it and the rest replay.
-fn replayed_stream_ops(figures: &[Figure]) -> Vec<u64> {
-    let mut streams: BTreeMap<String, (u64, BTreeSet<String>)> = BTreeMap::new();
+/// The unique runs of every stream a cold sweep of `figures` replays:
+/// each stream with more than one unique run, since its first run
+/// captures it and the rest replay.
+fn replayed_streams(figures: &[Figure]) -> Vec<Vec<RunSpec>> {
+    let mut streams: BTreeMap<String, BTreeMap<String, RunSpec>> = BTreeMap::new();
     for figure in figures {
         for spec in figure.jobs(LENGTHS).expect("jobs enumerate") {
-            let ops = u64::from(spec.config.n_cores) * (LENGTHS.warm + LENGTHS.measure);
-            let entry = streams
-                .entry(spec.trace_key())
-                .or_insert_with(|| (ops, BTreeSet::new()));
-            entry.1.insert(spec.cache_key());
+            let runs = streams.entry(spec.trace_key()).or_default();
+            runs.insert(spec.cache_key(), spec);
         }
     }
     streams
         .into_values()
-        .filter(|(_, runs)| runs.len() > 1)
-        .map(|(ops, _)| ops)
+        .filter(|runs| runs.len() > 1)
+        .map(|runs| runs.into_values().collect())
         .collect()
 }
 
@@ -177,29 +176,35 @@ fn figure_output_is_byte_identical_across_worker_counts() {
         );
     }
 
-    // Replay arenas: each replayed stream is decoded once, whatever the
-    // worker count, and the decoded ops live at once stay within the
-    // budget. One worker runs one stream's group at a time, so its peak
-    // is exactly the largest stream.
-    let replayed = replayed_stream_ops(&figures);
+    // Cohort replay: each replay cohort decodes its stream once. One
+    // worker runs each replayed stream as one cohort; four split a stream
+    // only where its replays are more than a quarter of the work. A
+    // cohort's window holds a sliding stretch of its stream — never more
+    // than the cap, and less than the largest stream.
+    let replayed = replayed_streams(&figures);
     assert!(!replayed.is_empty());
+    let stream_ops =
+        |runs: &[RunSpec]| u64::from(runs[0].config.n_cores) * (LENGTHS.warm + LENGTHS.measure);
+    let largest = replayed.iter().map(|runs| stream_ops(runs)).max().unwrap();
+    let replays: Vec<RunSpec> = replayed
+        .iter()
+        .flat_map(|runs| runs[1..].to_vec())
+        .collect();
     for (report, workers) in [(&serial, 1), (&parallel, 4)] {
+        let cohorts = pool::cohort_groups(&replays, workers, None, |_| false).len();
+        if workers == 1 {
+            assert_eq!(cohorts, replayed.len());
+        }
         assert_eq!(
-            report.arenas_decoded,
-            replayed.len() as u64,
-            "{workers} worker(s): a replayed stream was decoded more than once (or never)"
+            report.streams_decoded, cohorts as u64,
+            "{workers} worker(s): a replay cohort decoded its stream more than once (or never)"
         );
         assert!(
-            report.arena_peak_ops <= DEFAULT_ARENA_OPS,
-            "{workers} worker(s): {} arena ops live at once",
-            report.arena_peak_ops
+            report.window_peak_ops <= WINDOW_CAP_OPS && report.window_peak_ops < largest,
+            "{workers} worker(s): a window held {} ops (largest stream {largest})",
+            report.window_peak_ops
         );
     }
-    assert_eq!(
-        serial.arena_peak_ops,
-        *replayed.iter().max().unwrap(),
-        "one worker held more than one stream's arena at a time"
-    );
 
     // Both worker counts logged the same run set, and the stable report
     // over their stores is byte-identical.

@@ -14,15 +14,16 @@
 //!   `std::thread` workers (zero runtime dependencies), and renders each
 //!   figure sequentially — output is byte-identical for any worker count.
 //!   The pool is a sweep's only parallelism: its threads share one
-//!   decoded trace arena, which separate processes could not.
+//!   trace store and run cache.
 //! * [`cache::RunCache`] persists summaries with schema-versioned headers,
 //!   atomic writes, and quarantine-and-rerun for corrupt entries.
 //! * [`traces::TraceStore`] captures each workload's instruction stream to
 //!   disk once (`ipsim-stream` format) and replays it for every other
 //!   configuration sharing it, with CRC-validated files, quarantine-and-
 //!   fall-back for corrupt traces, and captains-first scheduling so a
-//!   sweep generates each stream exactly once. A stream's decoded replay
-//!   arena lives only while the sweep's runs over it do.
+//!   sweep generates each stream exactly once. A stream's replays run
+//!   together as cohorts over a sliding decoded window, so each cohort
+//!   decodes the stream once, within a fixed memory cap.
 //! * [`runlog`] and [`progress`] provide run-level observability: per-run
 //!   wall time, simulated MIPS, stream provenance (`cache` / `live` /
 //!   `capture` / `replay`) and trace-decode throughput, cache hit/miss

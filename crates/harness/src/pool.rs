@@ -1,20 +1,25 @@
-//! The deterministic worker pool: unique runs fan out across hand-rolled
-//! `std::thread` workers (no runtime dependencies).
+//! The deterministic worker pool: jobs fan out across hand-rolled
+//! `std::thread` workers (no runtime dependencies). A job is a group of
+//! runs over one instruction stream, which the trace store executes as one
+//! cohort ([`TraceStore::execute_cohort`]); [`execute`] makes every run
+//! its own job.
 //!
 //! Determinism argument: each simulation is single-threaded and fully
 //! seeded, every [`RunSpec`] in a batch is unique (the scheduler dedups by
 //! cache key before calling [`execute`]), and results are collected into
-//! per-job slots by index. Replay feeds a core the same stream live
-//! generation would (enforced by the stream integration test), so the
-//! trace store affects only wall time too. Worker count and trace
-//! availability therefore never change results — which the determinism
-//! integration test pins down.
+//! per-run slots by index. Replay feeds a core the same stream live
+//! generation would (enforced by the stream integration test), and a
+//! cohort member steps exactly as a lone run does, so the trace store
+//! affects only wall time too. Worker count and trace availability
+//! therefore never change results — which the determinism integration
+//! test pins down.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use ipsim_telemetry::TelemetryConfig;
 
 use crate::cache::RunCache;
 use crate::progress::Progress;
@@ -22,7 +27,7 @@ use crate::runlog::RunRecord;
 use crate::spec::RunSpec;
 use crate::summary::Summary;
 use crate::telemetry::TelemetrySink;
-use crate::traces::{RunSource, SystemSlot, TraceStore};
+use crate::traces::{RunSource, SystemSlot, TraceStore, TracedRun};
 
 /// Outcome of executing one batch of unique specs.
 pub struct ExecReport {
@@ -35,26 +40,16 @@ pub struct ExecReport {
     /// Wall time of the whole batch.
     pub wall: Duration,
     /// Whether a shutdown signal cut the batch short ([`ipsim_signal`]):
-    /// in-flight runs were completed, unclaimed runs were never started.
+    /// runs in flight that were measuring finished, and runs still
+    /// warming up or never claimed were never recorded.
     pub interrupted: bool,
 }
 
-/// A job's result slot: filled exactly once by the worker that claims it.
-type JobSlot = Mutex<Option<(Result<Summary, String>, RunRecord)>>;
+/// A run's result slot: filled exactly once by the worker that runs it.
+type RunSlot = Mutex<Option<(Result<Summary, String>, RunRecord)>>;
 
-/// Runs every spec (assumed unique) across `workers` threads, consulting
-/// and updating `cache`, and capturing/replaying instruction streams
-/// through `traces`. With a `telemetry` sink, every run additionally
-/// collects telemetry and writes a per-run artifact — a run whose
-/// artifact is missing bypasses the run cache so there is something to
-/// write. Panicking simulations are contained: they mark their own spec
-/// failed and the batch continues.
-///
-/// When a shutdown signal arrives ([`ipsim_signal::triggered`]), workers
-/// finish the run they have claimed — summaries land in the cache as
-/// usual — but claim no further runs; the report carries a record for
-/// every completed run and `interrupted = true`, so the caller can flush
-/// the runlog tail before exiting.
+/// Runs every spec (assumed unique) across `workers` threads, each as its
+/// own job: [`execute_groups`] over groups of one.
 pub fn execute(
     specs: &[RunSpec],
     workers: usize,
@@ -63,31 +58,150 @@ pub fn execute(
     telemetry: Option<&TelemetrySink>,
     progress: &Progress,
 ) -> ExecReport {
+    let groups: Vec<&[RunSpec]> = specs.chunks(1).collect();
+    execute_groups(&groups, workers, cache, traces, telemetry, progress)
+}
+
+/// Most telemetry events the members of one cohort may buffer together,
+/// summed over their cores' [`TelemetryConfig::max_events_per_core`]:
+/// 2 Mi events, 48 MiB of `PfEvent`s. Every member of a cohort is alive
+/// until it ends, so with telemetry on [`cohort_groups`] caps a cohort at
+/// this many events' worth of members — two CMP-4 or eight single-core
+/// runs at the default 262 144 events per core — where a lone run holds
+/// one run's buffers.
+pub const COHORT_TELEMETRY_EVENTS: u64 = 1 << 21;
+
+/// Groups `specs` into cohort jobs for [`execute_groups`]: one group per
+/// stream ([`RunSpec::trace_key`], in first-seen order), split into
+/// consecutive near-equal parts when the stream's uncached work is more
+/// than a `1/workers` share of the batch's, or when `telemetry` is on and
+/// its runs' event buffers would pass [`COHORT_TELEMETRY_EVENTS`]. A
+/// run's work is its op count over all cores; a run `cached` serves
+/// costs nothing and joins its stream's first part. So a pool with more
+/// workers than streams still has a job for every worker, and no job
+/// carries more than its share unless it is a single run; each part
+/// decodes the stream once, so without telemetry a batch decodes at most
+/// `streams + workers` times. One worker never splits a stream for work.
+pub fn cohort_groups(
+    specs: &[RunSpec],
+    workers: usize,
+    telemetry: Option<&TelemetryConfig>,
+    cached: impl Fn(&RunSpec) -> bool,
+) -> Vec<Vec<RunSpec>> {
+    // Each stream's (cached, uncached) specs, in first-seen stream order.
+    let mut streams: Vec<(Vec<RunSpec>, Vec<RunSpec>)> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    for spec in specs {
+        let at = *index.entry(spec.trace_key()).or_insert_with(|| {
+            streams.push((Vec::new(), Vec::new()));
+            streams.len() - 1
+        });
+        let (hits, misses) = &mut streams[at];
+        if cached(spec) {
+            hits.push(spec.clone());
+        } else {
+            misses.push(spec.clone());
+        }
+    }
+    // A stream's specs share core count and run lengths, so its uncached
+    // runs cost the same.
+    let run_ops = |spec: &RunSpec| {
+        u64::from(spec.config.n_cores) * (spec.lengths.warm + spec.lengths.measure)
+    };
+    let work = |misses: &[RunSpec]| misses.first().map_or(0, run_ops) * misses.len() as u64;
+    let total: u64 = streams.iter().map(|(_, misses)| work(misses)).sum();
+    let workers = workers.max(1) as u64;
+    let mut groups = Vec::with_capacity(streams.len());
+    for (mut hits, misses) in streams {
+        // ceil(work / (total / workers)), at least 1.
+        let share = if total == 0 {
+            1
+        } else {
+            (work(&misses) * workers).div_ceil(total).max(1)
+        };
+        let members = telemetry
+            .zip(misses.first())
+            .map_or(u64::MAX, |(config, spec)| {
+                let events = u64::from(spec.config.n_cores) * config.max_events_per_core as u64;
+                (COHORT_TELEMETRY_EVENTS / events.max(1)).max(1)
+            });
+        let runs = misses.len().max(1) as u64;
+        let parts = share.max(runs.div_ceil(members)).min(runs) as usize;
+        let (size, extra) = (misses.len() / parts, misses.len() % parts);
+        let mut rest = &misses[..];
+        for part in 0..parts {
+            let (head, tail) = rest.split_at(size + usize::from(part < extra));
+            rest = tail;
+            let mut group = std::mem::take(&mut hits);
+            group.extend_from_slice(head);
+            groups.push(group);
+        }
+    }
+    groups
+}
+
+/// Runs every group (specs assumed unique; a group's specs share one
+/// [`RunSpec::trace_key`]) across `workers` threads, one job per group,
+/// consulting and updating `cache`, and capturing/replaying instruction
+/// streams through `traces`: a group's uncached specs run as one cohort.
+/// With a `telemetry` sink, every run additionally collects telemetry and
+/// writes a per-run artifact — a run whose artifact is missing bypasses
+/// the run cache so there is something to write. Panicking simulations
+/// are contained: they mark their own spec failed and the batch
+/// continues. Results and records follow the groups' flattened order.
+///
+/// When a shutdown signal arrives ([`ipsim_signal::triggered`]), workers
+/// claim no further jobs, and a cohort in flight finishes only its
+/// members already measuring ([`TraceStore::execute_cohort`]): runs that
+/// finished are cached and recorded as usual, the report
+/// carries a record for every completed run and `interrupted = true`, so
+/// the caller can flush the runlog tail before exiting.
+pub fn execute_groups(
+    groups: &[&[RunSpec]],
+    workers: usize,
+    cache: &RunCache,
+    traces: &TraceStore,
+    telemetry: Option<&TelemetrySink>,
+    progress: &Progress,
+) -> ExecReport {
     let started = Instant::now();
-    let n = specs.len();
-    let slots: Vec<JobSlot> = (0..n).map(|_| Mutex::new(None)).collect();
+    let mut offsets = Vec::with_capacity(groups.len());
+    let mut n = 0;
+    for group in groups {
+        offsets.push(n);
+        n += group.len();
+    }
+    let slots: Vec<RunSlot> = (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    let workers = workers.clamp(1, n.max(1));
+    let workers = workers.clamp(1, groups.len().max(1));
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                // One reusable simulator per worker: consecutive runs over
-                // the same system configuration reset in place instead of
-                // re-allocating. A panicking run abandons the slot's
-                // system, so the next run builds fresh.
+                // One reusable simulator per worker: a run over the same
+                // system configuration as the last one handed back resets
+                // it in place instead of re-allocating. A panicking run
+                // abandons its system, so a later run builds fresh.
                 let mut slot = SystemSlot::new();
                 loop {
                     if ipsim_signal::triggered() {
                         break;
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    let g = next.fetch_add(1, Ordering::Relaxed);
+                    if g >= groups.len() {
                         break;
                     }
-                    let outcome = run_one(&specs[i], cache, traces, telemetry, &mut slot);
-                    progress.on_run(&outcome.1);
-                    *slots[i].lock().unwrap() = Some(outcome);
+                    run_group(
+                        groups[g],
+                        cache,
+                        traces,
+                        telemetry,
+                        &mut slot,
+                        &mut |i, outcome| {
+                            progress.on_run(&outcome.1);
+                            *slots[offsets[g] + i].lock().unwrap() = Some(outcome);
+                        },
+                    );
                 }
             });
         }
@@ -95,18 +209,15 @@ pub fn execute(
 
     let mut results = HashMap::with_capacity(n);
     let mut records = Vec::with_capacity(n);
-    let mut completed = 0usize;
     for slot in slots {
-        // On an interrupted batch, claimed-but-unfinished indices never
-        // existed (claiming and running are one step) — only unclaimed
-        // slots are empty.
+        // On an interrupted batch, only runs never claimed or never
+        // finished leave their slots empty.
         if let Some((result, record)) = slot.into_inner().unwrap() {
             results.insert(record.key.clone(), result);
             records.push(record);
-            completed += 1;
         }
     }
-    let interrupted = completed < n;
+    let interrupted = records.len() < n;
     if interrupted {
         debug_assert!(
             ipsim_signal::triggered(),
@@ -121,60 +232,82 @@ pub fn execute(
     }
 }
 
-/// Executes one spec: cache lookup, else simulate through the trace store
-/// (containing panics), store the summary, and — when a telemetry sink is
-/// active — write the run's artifact. A cache hit is only taken when the
-/// sink already has this run's artifact (or there is no sink): summaries
-/// are cacheable, telemetry is not. However the run ends, it releases its
-/// stream in `traces` once on the way out.
-fn run_one(
-    spec: &RunSpec,
+/// Executes one group: a cache lookup per spec, then every spec without a
+/// usable cache entry as one cohort through the trace store; each run
+/// that ends stores its summary and — when a telemetry sink is active —
+/// writes its artifact. A cache hit is only taken when the sink already
+/// has this run's artifact (or there is no sink): summaries are
+/// cacheable, telemetry is not. `emit(index in group, outcome)` is called
+/// once per run as it ends.
+fn run_group(
+    specs: &[RunSpec],
     cache: &RunCache,
     traces: &TraceStore,
     telemetry: Option<&TelemetrySink>,
     slot: &mut SystemSlot,
-) -> (Result<Summary, String>, RunRecord) {
+    emit: &mut dyn FnMut(usize, (Result<Summary, String>, RunRecord)),
+) {
     let _run_span = ipsim_obs::spans().span("harness.run");
-    let _release = StreamRelease::new(spec, traces);
+    let mut cohort: Vec<usize> = Vec::with_capacity(specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        let t0 = Instant::now();
+        let key = spec.cache_key();
+        let need_artifact = telemetry.is_some_and(|sink| !sink.has(&key));
+        let hit = if need_artifact {
+            None
+        } else {
+            cache.lookup(spec)
+        };
+        let Some(summary) = hit else {
+            cohort.push(i);
+            continue;
+        };
+        let record = RunRecord {
+            key,
+            label: spec.label(),
+            source: RunSource::Cache,
+            ok: true,
+            wall_s: t0.elapsed().as_secs_f64(),
+            sim_instructions: 0,
+            mips: 0.0,
+            sim_mips: 0.0,
+            sim_s: 0.0,
+            decode_mips: 0.0,
+            l1i_mpi: summary.l1i_mpi,
+            iv_mpki: 0.0,
+            telemetry_events: 0,
+        };
+        emit(i, (Ok(summary), record));
+    }
+    let members: Vec<&RunSpec> = cohort.iter().map(|&i| &specs[i]).collect();
+    let config = telemetry.map(|sink| sink.config().clone());
+    traces.execute_cohort(&members, config.as_ref(), slot, &mut |m, run| {
+        let i = cohort[m];
+        emit(i, finish_run(&specs[i], run, cache, telemetry));
+    });
+}
+
+/// Stores an executed run's summary and telemetry artifact and builds its
+/// record.
+fn finish_run(
+    spec: &RunSpec,
+    run: Result<TracedRun, String>,
+    cache: &RunCache,
+    telemetry: Option<&TelemetrySink>,
+) -> (Result<Summary, String>, RunRecord) {
     let t0 = Instant::now();
     let key = spec.cache_key();
-    let label = spec.label();
-    let need_artifact = telemetry.is_some_and(|sink| !sink.has(&key));
-    if !need_artifact {
-        if let Some(summary) = cache.lookup(spec) {
-            let record = RunRecord {
-                key,
-                label,
-                source: RunSource::Cache,
-                ok: true,
-                wall_s: t0.elapsed().as_secs_f64(),
-                sim_instructions: 0,
-                mips: 0.0,
-                sim_mips: 0.0,
-                sim_s: 0.0,
-                decode_mips: 0.0,
-                l1i_mpi: summary.l1i_mpi,
-                iv_mpki: 0.0,
-                telemetry_events: 0,
-            };
-            return (Ok(summary), record);
-        }
-    }
-    let config = telemetry.map(|sink| sink.config().clone());
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        traces.execute_in(spec, config.as_ref(), slot)
-    }))
-    .map_err(|panic| panic_message(&*panic));
-    let (result, source, sim_mips, sim_s, decode_mips, collected) = match run {
+    let (result, source, sim_mips, sim_s, decode_mips, run_s, collected) = match run {
         Ok(run) => (
             Ok(run.summary),
             run.source,
             run.sim_mips,
             run.sim_seconds,
             run.decode_mips,
+            run.run_seconds,
             run.telemetry,
         ),
-        Err(e) => (Err(e), RunSource::Live, 0.0, 0.0, 0.0, None),
+        Err(e) => (Err(e), RunSource::Live, 0.0, 0.0, 0.0, 0.0, None),
     };
     if let Ok(summary) = &result {
         cache.store(spec, summary);
@@ -187,12 +320,12 @@ fn run_one(
             eprintln!("warning: could not write telemetry artifact for {key}: {e}");
         }
     }
-    let wall_s = t0.elapsed().as_secs_f64();
+    let wall_s = run_s + t0.elapsed().as_secs_f64();
     let sim_instructions =
         (spec.lengths.warm + spec.lengths.measure) * u64::from(spec.config.n_cores);
     let record = RunRecord {
         key,
-        label,
+        label: spec.label(),
         source,
         ok: result.is_ok(),
         wall_s,
@@ -210,32 +343,6 @@ fn run_one(
         telemetry_events,
     };
     (result, record)
-}
-
-/// Releases a run's stream in the trace store when dropped
-/// ([`TraceStore::release`]), so every run releases exactly once — after
-/// a cache hit, a replay, a capture, a live run or a panic alike — and an
-/// announced stream's arena is freed when its last run ends.
-struct StreamRelease<'a> {
-    traces: &'a TraceStore,
-    key: Option<String>,
-}
-
-impl<'a> StreamRelease<'a> {
-    fn new(spec: &RunSpec, traces: &'a TraceStore) -> StreamRelease<'a> {
-        StreamRelease {
-            traces,
-            key: traces.enabled().then(|| spec.trace_key()),
-        }
-    }
-}
-
-impl Drop for StreamRelease<'_> {
-    fn drop(&mut self) {
-        if let Some(key) = &self.key {
-            self.traces.release(key);
-        }
-    }
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -350,8 +457,6 @@ mod tests {
 
     #[test]
     fn telemetry_bypasses_cache_until_the_artifact_exists() {
-        use ipsim_telemetry::TelemetryConfig;
-
         let spec = RunSpec::new(
             SystemConfig::single_core(),
             WorkloadSet::homogeneous(Workload::Db),
@@ -399,56 +504,102 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// Every run of an announced stream releases it exactly once — a
-    /// cache hit, a panicking run and a replay alike — so the arena lives
-    /// exactly as long as the announced runs.
+    /// A stream is one job unless its uncached runs are more than a
+    /// `1/workers` share of the batch: then it splits into near-equal
+    /// parts, cached runs joining the first.
     #[test]
-    fn every_run_releases_its_stream_once_whatever_its_outcome() {
+    fn cohort_groups_split_a_stream_only_past_its_share() {
+        let variants = |w: Workload, n: u64| -> Vec<RunSpec> {
+            (1..=n)
+                .map(|q| {
+                    let mut spec = RunSpec::new(
+                        SystemConfig::single_core(),
+                        WorkloadSet::homogeneous(w),
+                        RunLengths {
+                            warm: 2_000,
+                            measure: 5_000,
+                        },
+                    );
+                    spec.config.sched_quantum = q;
+                    spec
+                })
+                .collect()
+        };
+        let (a, b) = (variants(Workload::Db, 12), variants(Workload::Web, 2));
+        let specs: Vec<RunSpec> = a.iter().chain(&b).cloned().collect();
+        let shape =
+            |groups: &[Vec<RunSpec>]| -> Vec<usize> { groups.iter().map(Vec::len).collect() };
+        let none = |_: &RunSpec| false;
+        for workers in [1, 2, 4, 16] {
+            let groups = cohort_groups(&specs, workers, None, none);
+            for group in &groups {
+                assert!(group.iter().all(|s| s.trace_key() == group[0].trace_key()));
+            }
+            let flat: Vec<String> = groups.iter().flatten().map(RunSpec::cache_key).collect();
+            let want: Vec<String> = specs.iter().map(RunSpec::cache_key).collect();
+            assert_eq!(flat, want, "{workers} workers reordered the runs");
+        }
+        assert_eq!(shape(&cohort_groups(&specs, 1, None, none)), [12, 2]);
+        assert_eq!(shape(&cohort_groups(&specs, 2, None, none)), [6, 6, 2]);
+        assert_eq!(
+            shape(&cohort_groups(&specs, 4, None, none)),
+            [3, 3, 3, 3, 2]
+        );
+        assert_eq!(shape(&cohort_groups(&specs, 16, None, none)), [1; 14]);
+        // Half of the big stream is cached: its work halves.
+        let cached = |s: &RunSpec| s.trace_key() == a[0].trace_key() && s.config.sched_quantum <= 6;
+        let groups = cohort_groups(&specs, 4, None, cached);
+        assert_eq!(shape(&groups), [8, 2, 2, 2]);
+        assert!(groups[0][..6].iter().all(cached));
+        // Telemetry caps a single-core cohort at eight members' buffers.
+        let telemetry = TelemetryConfig::default();
+        let groups = cohort_groups(&specs, 1, Some(&telemetry), none);
+        assert_eq!(shape(&groups), [6, 6, 2]);
+    }
+
+    /// A group runs as one cohort: a member that panics is recorded
+    /// failed, and the others finish, replay and are cached.
+    #[test]
+    fn a_panicking_cohort_member_fails_alone() {
         let base = tiny_specs().swap_remove(0);
         let mut broken = base.clone();
         broken.config.core.issue_width = 0;
-        let replay = base
+        let nl = base
             .clone()
             .prefetcher(ipsim_core::PrefetcherKind::NextLineTagged);
-        let key = base.trace_key();
-        assert_eq!(
-            (broken.trace_key(), replay.trace_key()),
-            (key.clone(), key.clone())
-        );
+        assert_eq!(broken.trace_key(), base.trace_key());
+        assert_eq!(nl.trace_key(), base.trace_key());
 
-        let dir = std::env::temp_dir().join(format!("ipsim-pool-release-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("ipsim-pool-cohort-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let cache = tmp_cache("release");
+        let cache = tmp_cache("cohort");
         let traces = TraceStore::at(&dir);
         let p = Progress::new(ProgressMode::Silent, 1);
         let first = execute(std::slice::from_ref(&base), 1, &cache, &traces, None, &p);
         assert_eq!(first.records[0].source, RunSource::Capture);
 
-        // One run more than the batch holds: a run releasing twice would
-        // drop the arena early, one never releasing would leave two.
-        traces.announce(&key, 4);
-        let batch = [base, broken, replay];
-        let p = Progress::new(ProgressMode::Silent, batch.len());
-        let report = execute(&batch, 1, &cache, &traces, None, &p);
-        let sources: Vec<RunSource> = report.records.iter().map(|r| r.source).collect();
+        let group = [base.clone(), broken.clone(), nl.clone()];
+        let p = Progress::new(ProgressMode::Silent, group.len());
+        let report = execute_groups(&[&group[..]], 1, &cache, &traces, None, &p);
+        let sources: Vec<(RunSource, bool)> =
+            report.records.iter().map(|r| (r.source, r.ok)).collect();
         assert_eq!(
             sources,
-            [RunSource::Cache, RunSource::Live, RunSource::Replay]
+            [
+                (RunSource::Cache, true),
+                (RunSource::Live, false),
+                (RunSource::Replay, true)
+            ]
         );
-        assert!(
-            report.results[&batch[1].cache_key()].is_err(),
-            "the broken run panicked"
+        let err = report.results[&broken.cache_key()].as_ref().unwrap_err();
+        assert!(err.contains("experiment configuration is valid"), "{err}");
+        assert_eq!(
+            report.results[&nl.cache_key()].as_ref().unwrap(),
+            &nl.execute()
         );
-        assert_eq!(traces.arenas_decoded(), 1);
-        assert!(
-            traces.holds_arena(&key),
-            "one announced run is still to come"
-        );
-        traces.release(&key);
-        assert!(
-            !traces.holds_arena(&key),
-            "the last release drops the arena"
-        );
+        assert!(cache.contains(&nl), "the surviving member was cached");
+        assert!(!cache.contains(&broken));
+        assert_eq!((traces.streams_decoded(), traces.replayed()), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(cache.dir());
     }

@@ -3,20 +3,28 @@
 //!
 //! With the trace store enabled, execution is two-phased. Each distinct
 //! instruction stream ([`RunSpec::trace_key`]) is first checked for
-//! replay (`TraceStore::replayable`: present, CRC-valid, the right
-//! length; a corrupt file is quarantined) — unless every run over it will
-//! be served from the run cache, in which case it is not read at all.
-//! Only for a stream that cannot
-//! be replayed does the first spec needing it — its *captain* — run in
-//! phase one and capture the stream to disk. Phase two runs every other
-//! spec grouped by stream, in first-seen stream order, and replays. Walker
-//! generation therefore happens once per workload stream per sweep, no
-//! matter how many configurations share it.
+//! replay (present, CRC-valid, the right length; a corrupt file is
+//! quarantined) — unless every run over it will be served from the run
+//! cache, in which case it is not read at all. Only for a stream that
+//! cannot be replayed does the first spec needing it — its *captain* —
+//! run in phase one and capture the stream to disk. Phase two submits
+//! one pool job per stream, in first-seen stream order, holding every
+//! other spec over it; the job runs the specs the run cache cannot serve
+//! as one cohort ([`TraceStore::execute_cohort`]), which steps them
+//! together over one sliding decoded window. Walker generation therefore
+//! happens once per workload stream per sweep, and trace decode once per
+//! cohort, no matter how many configurations share the stream. A stream
+//! is split into more than one cohort only when its uncached runs are
+//! more than a `1/workers` share of the phase's work
+//! ([`pool::cohort_groups`]), so a pool with more workers than streams
+//! keeps every worker busy; one worker never splits a stream. A member
+//! also decodes on its own when it detaches from a window that would
+//! pass its cap.
 //!
-//! The sweep announces each stream's run count to the store, and every
-//! run releases its stream when it ends, so a decoded replay arena lives
-//! only while its stream's group runs: a one-worker sweep holds one
-//! stream's arena at a time, however many streams it replays.
+//! A window holds only the stretch between its slowest and fastest
+//! member, never more than [`crate::traces::WINDOW_CAP_OPS`] ops, and
+//! lives only while its job runs: a sweep holds at most one window per
+//! worker, however many streams it replays.
 
 use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
@@ -170,12 +178,11 @@ pub struct SweepReport {
     /// figures whose runs are incomplete report errors rather than
     /// rendering from partial data. Callers should exit with code 130.
     pub interrupted: bool,
-    /// Stream sets decoded into replay arenas (at most one per replayed
-    /// stream: an arena is dropped only after its stream's last run).
-    pub arenas_decoded: u64,
-    /// Most decoded arena ops held at once, in-flight decodes included;
-    /// never above [`crate::traces::DEFAULT_ARENA_OPS`].
-    pub arena_peak_ops: u64,
+    /// Streams decoded through a cohort window: one per replayed stream.
+    pub streams_decoded: u64,
+    /// Most decoded ops one cohort window held at once; never above
+    /// [`crate::traces::WINDOW_CAP_OPS`].
+    pub window_peak_ops: u64,
 }
 
 impl SweepReport {
@@ -245,8 +252,7 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
     drop(plan_span);
 
     // Phase 3: execute unique runs across the pool, captains of streams
-    // that cannot be replayed first, then everything else grouped by
-    // stream (see module docs).
+    // that cannot be replayed first, then cohort jobs (see module docs).
     let cache = match &opts.cache_dir {
         Some(dir) => RunCache::at(dir.clone()),
         None => RunCache::from_env(),
@@ -368,18 +374,18 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
         aggregate_sim_mips: progress.aggregate_sim_mips(),
         wall: exec.wall,
         interrupted,
-        arenas_decoded: traces.arenas_decoded(),
-        arena_peak_ops: traces.arena_peak_ops(),
+        streams_decoded: traces.streams_decoded(),
+        window_peak_ops: traces.window_peak_ops(),
     }
 }
 
 /// Executes `unique` in two phases when the trace store is live: phase
 /// one runs the captain of every stream that cannot be replayed (it
-/// captures), phase two runs every other spec grouped by stream, in
-/// first-seen stream order, so each stream's replays run back to back.
-/// Each stream's run count is announced to the store first, so its arena
-/// is dropped after its last run. Records are re-ordered to match the
-/// input, so phasing is invisible everywhere downstream.
+/// captures), phase two runs every other spec as cohort jobs, in
+/// first-seen stream order: one per stream, split further only to give
+/// every worker a job ([`pool::cohort_groups`]).
+/// Records are re-ordered to match the input, so phasing is invisible
+/// everywhere downstream.
 fn execute_phased(
     unique: &[RunSpec],
     workers: usize,
@@ -393,39 +399,44 @@ fn execute_phased(
         return pool::execute(unique, workers, cache, traces, telemetry, progress);
     }
     // Each stream's specs, in first-seen stream order.
-    let mut streams: Vec<(String, Vec<&RunSpec>)> = Vec::new();
+    let mut streams: Vec<Vec<RunSpec>> = Vec::new();
     let mut index: HashMap<String, usize> = HashMap::new();
     for spec in unique {
-        let key = spec.trace_key();
-        let at = *index.entry(key.clone()).or_insert_with(|| {
-            streams.push((key, Vec::new()));
+        let at = *index.entry(spec.trace_key()).or_insert_with(|| {
+            streams.push(Vec::new());
             streams.len() - 1
         });
-        streams[at].1.push(spec);
+        streams[at].push(spec.clone());
     }
-    let mut captains: Vec<RunSpec> = Vec::new();
+    let cached = |spec: &RunSpec| {
+        cache.contains(spec) && telemetry.is_none_or(|sink| sink.has(&spec.cache_key()))
+    };
+    let mut captains: Vec<&[RunSpec]> = Vec::new();
     let mut replays: Vec<RunSpec> = Vec::new();
     {
         let _check = ipsim_obs::spans().span("trace.verify");
-        for (key, specs) in &streams {
-            traces.announce(key, specs.len() as u64);
+        for specs in &streams {
             // A stream whose runs will all be served from the run cache is
             // never read, so it is not checked either.
-            let cached = specs.iter().all(|spec| {
-                cache.contains(spec) && telemetry.is_none_or(|sink| sink.has(&spec.cache_key()))
-            });
-            let rest = if cached || traces.replayable(specs[0]) {
+            let rest = if specs.iter().all(cached) || traces.replayable(&specs[0]) {
                 &specs[..]
             } else {
-                captains.push(specs[0].clone());
+                captains.push(&specs[..1]);
                 &specs[1..]
             };
-            replays.extend(rest.iter().map(|&spec| spec.clone()));
+            replays.extend_from_slice(rest);
         }
     }
+    let cohorts = pool::cohort_groups(
+        &replays,
+        workers,
+        telemetry.map(TelemetrySink::config),
+        cached,
+    );
+    let cohorts: Vec<&[RunSpec]> = cohorts.iter().map(Vec::as_slice).collect();
 
     let mut phases: Vec<ExecReport> = Vec::new();
-    for batch in [captains, replays] {
+    for batch in [captains, cohorts] {
         if batch.is_empty() {
             continue;
         }
@@ -434,7 +445,7 @@ fn execute_phased(
             // are simply never claimed.
             break;
         }
-        phases.push(pool::execute(
+        phases.push(pool::execute_groups(
             &batch, workers, cache, traces, telemetry, progress,
         ));
     }

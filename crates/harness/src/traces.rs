@@ -17,37 +17,62 @@
 //!
 //! * captures write to pid-suffixed temp files and rename into place, so
 //!   an interrupted capture never leaves a plausible-looking trace;
-//! * replay verifies every block CRC before the simulation starts (at
-//!   checksum speed, no decode), so a corrupt file is quarantined to
-//!   `*.corrupt` (evidence, not deleted) and the run transparently falls
-//!   back to live generation — there is no mid-run failure path;
+//! * replay verifies every block CRC and the op count before the
+//!   simulation starts (at checksum speed, no decode), so a corrupt file
+//!   is quarantined to `*.corrupt` (evidence, not deleted) and the run
+//!   transparently falls back to capture or live generation;
 //! * capture I/O errors degrade the run to plain live generation
 //!   (the simulation result is identical either way).
 //!
-//! Replays that fit [`DEFAULT_ARENA_OPS`] decode their stream set once
-//! into a shared in-memory arena. A sweep announces how many runs each
-//! stream has (the crate-private `TraceStore::announce`); every run
-//! releases its stream once (`TraceStore::release`), and the arena is
-//! dropped with the last release, so a stream's decoded ops live only while its runs do. Its
-//! per-core buffers go to an idle pool, and the next stream decodes into
-//! them instead of fresh allocations, so the store's memory follows the
-//! arena budget rather than the allocator's reuse of freed blocks.
-//! Streams nobody announced (direct [`TraceStore::execute`] calls) keep
-//! their arenas for the store's lifetime.
+//! # Cohort replay
+//!
+//! There is one replay path: [`TraceStore::execute_cohort`] runs every
+//! run over one stream together, as a *cohort* (a single run is a cohort
+//! of one). Each member owns its [`System`] and a resumable
+//! [`WorkloadRun`]; members take turns of [`TURN_QUANTA`] scheduling
+//! quanta in round-robin order, so their per-core positions in the
+//! stream stay close. They all read one *window* per core: a queue of
+//! decoded chunks of [`CHUNK_OPS`] ops. A member that runs past the
+//! decoded end decodes the next chunk, and after every turn the chunks
+//! below the slowest member's position are dropped — each block of the
+//! stream is decoded once, however many members read it, and only the
+//! stretch between the slowest and the fastest member is held.
+//!
+//! *Memory bound.* Before a member's turn the store bounds what the turn
+//! could decode: nothing if the member has [`TURN_QUANTA`] quanta of ops
+//! decoded ahead on every core, else at most a turn's ops beyond its
+//! nearest decoded end plus one chunk per core. When the window's held
+//! ops plus that bound would exceed [`WINDOW_CAP_OPS`], the member
+//! *detaches*: it opens its own readers positioned at its offsets and
+//! finishes with per-op decode, so the window never holds more than the
+//! cap. Output is identical either way: every member consumes exactly its
+//! stream, in order, and a run split into turns steps as one call does.
+//! Members stay independent — warm-up, statistics reset, timing,
+//! telemetry and panics are per member, so a failing member is reported
+//! and the rest finish. Every member's system (and telemetry buffers) is
+//! alive until it ends, so a cohort's memory beyond the window grows with
+//! its size; the pool sizes cohorts ([`crate::pool::cohort_groups`]).
+//!
+//! *Shutdown.* On a shutdown signal a cohort drops the members still
+//! warming up, unreported, and steps those already measuring to their
+//! end, so their work is kept.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashSet, VecDeque};
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
-use ipsim_cpu::{OpSource, System, SystemMetrics};
-use ipsim_stream::{ArenaSource, ReplaySource, Tee, TraceReader, TraceWriter};
+use ipsim_cpu::{OpSource, System, SystemMetrics, WorkloadRun};
+use ipsim_stream::{ReplaySource, Tee, TraceReader, TraceSource, TraceWriter};
 use ipsim_telemetry::{TelemetryConfig, TelemetryRun};
 use ipsim_types::instr::TraceOp;
+use ipsim_types::CodecError;
 
+use crate::pool::panic_message;
 use crate::spec::RunSpec;
 use crate::summary::Summary;
 
@@ -58,24 +83,33 @@ pub const TRACE_DIR_ENV: &str = "IPSIM_TRACE_DIR";
 /// Default trace directory, relative to the working directory.
 pub const DEFAULT_TRACE_DIR: &str = "results/traces";
 
-/// The in-memory arena budget: decoded ops live at once, summed over every
-/// arena a store holds or is decoding — 16 million ops (~a few hundred MB
-/// at `TraceOp` width), far below a machine-threatening allocation. It is
-/// a hard bound: ops are reserved under the store's lock before a decode
-/// starts, and a replay whose stream set does not fit — every full-length
-/// run at 30M ops per core, for one — streams through the codec instead.
-pub const DEFAULT_ARENA_OPS: u64 = 16_000_000;
+/// Scheduling quanta a cohort member runs per turn before the next member
+/// takes over: at the default 16-op quantum, 65 536 ops per turn. Small
+/// enough that members stay close in the stream (a single-core cohort
+/// holds one turn of ops), large enough that refilling the host's caches
+/// with the next member's system costs only a few percent of replay time
+/// (EXPERIMENTS.md, "Cohort replay").
+pub const TURN_QUANTA: u64 = 4_096;
 
-/// A reusable simulator slot: keeps the last [`System`] built for a
+/// Ops per window chunk: the unit a cohort decodes, holds and drops
+/// (96 KiB at `TraceOp` width). A power of two, so a position splits into
+/// chunk and offset with a shift and a mask.
+pub const CHUNK_OPS: u64 = 4_096;
+
+/// Most decoded ops one cohort's window holds at once, summed over cores:
+/// 1 Mi ops, 24 MiB at `TraceOp` width. A member whose turn could push
+/// the window past it detaches onto its own readers.
+pub const WINDOW_CAP_OPS: u64 = 1 << 20;
+
+/// A reusable simulator slot: keeps the last [`System`] handed back for a
 /// [`RunSpec::system_key`] and serves it back reset-in-place
 /// ([`System::reset_cold`]) instead of re-allocating caches, predictors
-/// and queues for every run. A sweep varies workloads far more often than
-/// systems, so the common case is a key hit.
+/// and queues for every run.
 ///
 /// The slot is ownership-transfer, not borrowing: [`SystemSlot::take`]
-/// moves the system out and [`SystemSlot::put`] returns it. If a run
-/// panics between the two, the system is simply never returned and the
-/// next `take` builds fresh — a poisoned simulator can never leak into a
+/// moves the system out and [`SystemSlot::put`] returns one. If a run
+/// panics between the two, its system is simply never returned and a
+/// later `take` builds fresh — a poisoned simulator can never leak into a
 /// later run. One slot per pool worker; slots are not `Sync`.
 #[derive(Default)]
 pub struct SystemSlot {
@@ -93,55 +127,21 @@ impl SystemSlot {
     /// [`RunSpec::system_key`] matches, a fresh build otherwise.
     pub fn take(&mut self, spec: &RunSpec) -> System {
         let want = spec.system_key();
-        let system = match (self.key.as_deref(), self.system.take()) {
+        match (self.key.take(), self.system.take()) {
             (Some(have), Some(mut system)) if have == want => {
                 system.reset_cold();
                 system
             }
             _ => spec.build_system(),
-        };
-        self.key = Some(want);
-        system
+        }
     }
 
-    /// Returns a system taken with [`SystemSlot::take`] for reuse. Only
-    /// hand back the system from the matching `take` — the slot assumes
-    /// it corresponds to the key recorded there.
-    pub fn put(&mut self, system: System) {
+    /// Keeps `system`, which ran `spec`, for a later
+    /// [`SystemSlot::take`]; it replaces whatever the slot held.
+    pub fn put(&mut self, spec: &RunSpec, system: System) {
+        self.key = Some(spec.system_key());
         self.system = Some(system);
     }
-}
-
-/// One fully decoded stream set (all cores of one trace key) plus the
-/// decode throughput observed while building it.
-#[derive(Debug, Clone)]
-struct CachedArena {
-    ops: Arc<Vec<Vec<TraceOp>>>,
-    decode_mips: f64,
-}
-
-/// Per-core view into a shared arena, so each core's [`ArenaSource`] can
-/// borrow its slice while all cores share one `Arc`.
-struct CoreOps {
-    arena: Arc<Vec<Vec<TraceOp>>>,
-    core: usize,
-}
-
-impl AsRef<[TraceOp]> for CoreOps {
-    fn as_ref(&self) -> &[TraceOp] {
-        &self.arena[self.core]
-    }
-}
-
-/// Arena admission outcome for one replay attempt.
-enum ArenaOutcome {
-    /// Decoded (or already cached) streams, ready to serve zero-copy.
-    Hit(CachedArena),
-    /// A per-core file is missing or corrupt — capture instead.
-    Missing,
-    /// The run's streams don't fit the arena budget, or another worker is
-    /// decoding them right now — stream the replay through the codec.
-    Stream,
 }
 
 /// Where a run's result (and instruction stream) came from.
@@ -176,17 +176,16 @@ pub struct TracedRun {
     pub summary: Summary,
     /// How the instruction stream was produced.
     pub source: RunSource,
-    /// Trace throughput before a replay (million ops per second); 0 for
-    /// non-replay runs. On the arena path it is the full decode of the
-    /// run's streams into memory (measured once, when the arena is built,
-    /// and repeated for every replay it serves); on the streaming path it
-    /// is the CRC verification scan of every block, with no decode. A drop
-    /// means trace I/O, checksumming or decoding got slower, independent
-    /// of simulation speed.
+    /// Trace decode throughput of the run's cohort (million ops per
+    /// second of decode), as of the run's end; 0 for non-replay runs. A
+    /// drop means trace I/O, checksumming or decoding got slower,
+    /// independent of simulation speed.
     pub decode_mips: f64,
     /// Kernel-only simulation throughput (million simulated instructions
     /// per host second over the *measured* window, excluding system
-    /// construction, warm-up, trace validation and capture I/O); 0 for
+    /// construction, warm-up, trace validation, capture I/O and a cohort
+    /// window's chunk decodes — a detached member's per-op decode stays
+    /// in); 0 for
     /// cache hits. Compare against the run-level `mips` to see how much
     /// wall time goes to overhead around the simulation loop.
     pub sim_mips: f64,
@@ -196,6 +195,9 @@ pub struct TracedRun {
     /// total measured instructions over total kernel seconds rather than
     /// an unweighted mean of rates.
     pub sim_seconds: f64,
+    /// Host seconds spent on this run itself: drawing its system, warm-up
+    /// and measurement — in a cohort, its own turns only.
+    pub run_seconds: f64,
     /// Telemetry collected over the measurement window; `Some` iff the
     /// run was executed with a [`TelemetryConfig`]. Replay, capture and
     /// live paths all collect identically — telemetry observes the
@@ -214,45 +216,27 @@ pub struct TraceStore {
     captured: AtomicU64,
     replayed: AtomicU64,
     quarantined: AtomicU64,
+    streams_decoded: AtomicU64,
+    window_peak_ops: AtomicU64,
+    detached: AtomicU64,
     /// Trace keys some thread is currently capturing (or has captured)
     /// this process; prevents two workers racing to write the same files.
     claims: Mutex<HashSet<String>>,
-    /// Decoded streams, keyed by trace key and shared across the worker
-    /// pool, with the announced-run counts that decide when each is
-    /// dropped.
-    arenas: Mutex<ArenaCache>,
-    /// Decoded ops the arenas may hold or be decoding at once
-    /// ([`DEFAULT_ARENA_OPS`]); a replay that would exceed it streams
-    /// through the codec instead.
-    arena_budget: u64,
+    /// Turn, chunk and cap sizes of every cohort this store runs.
+    shape: WindowShape,
+    /// Ops each detached member had consumed, summed over cores, when it
+    /// detached.
+    #[cfg(test)]
+    detached_at: Mutex<Vec<u64>>,
 }
 
-#[derive(Debug, Default)]
-struct ArenaCache {
-    /// Arenas held or being decoded, by trace key; at most one per key.
-    map: HashMap<String, ArenaEntry>,
-    /// Ops of every entry in `map`, decoding ones included; with
-    /// `idle_ops`, never above the store's `arena_budget`.
-    live_ops: u64,
-    /// Per-core buffers of released arenas, cleared, waiting for the next
-    /// decode.
-    idle: Vec<Vec<TraceOp>>,
-    /// Capacity, in ops, of the buffers in `idle`.
-    idle_ops: u64,
-    /// High-water mark of `live_ops`.
-    peak_ops: u64,
-    /// Arenas decoded so far.
-    decoded: u64,
-    /// Announced runs per trace key that have not yet released it.
-    pending: HashMap<String, u64>,
-}
-
-#[derive(Debug)]
-struct ArenaEntry {
-    /// Decoded ops reserved for the stream set (all cores).
-    ops: u64,
-    /// `None` while one worker decodes it; runs arriving meanwhile stream.
-    arena: Option<CachedArena>,
+/// The cohort window's sizes: [`TURN_QUANTA`], [`CHUNK_OPS`] and
+/// [`WINDOW_CAP_OPS`] outside this module's tests.
+#[derive(Debug, Clone, Copy)]
+struct WindowShape {
+    turn_quanta: u64,
+    chunk_ops: u64,
+    cap_ops: u64,
 }
 
 impl TraceStore {
@@ -262,9 +246,17 @@ impl TraceStore {
             captured: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
+            streams_decoded: AtomicU64::new(0),
+            window_peak_ops: AtomicU64::new(0),
+            detached: AtomicU64::new(0),
             claims: Mutex::new(HashSet::new()),
-            arenas: Mutex::new(ArenaCache::default()),
-            arena_budget: DEFAULT_ARENA_OPS,
+            shape: WindowShape {
+                turn_quanta: TURN_QUANTA,
+                chunk_ops: CHUNK_OPS,
+                cap_ops: WINDOW_CAP_OPS,
+            },
+            #[cfg(test)]
+            detached_at: Mutex::new(Vec::new()),
         }
     }
 
@@ -313,81 +305,22 @@ impl TraceStore {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Stream sets decoded into an arena by this instance.
-    pub fn arenas_decoded(&self) -> u64 {
-        self.arenas.lock().unwrap().decoded
+    /// Streams decoded through a cohort window by this instance: one per
+    /// cohort that replayed.
+    pub fn streams_decoded(&self) -> u64 {
+        self.streams_decoded.load(Ordering::Relaxed)
     }
 
-    /// Most decoded ops this instance held (or was decoding) at once;
-    /// never above [`DEFAULT_ARENA_OPS`].
-    pub fn arena_peak_ops(&self) -> u64 {
-        self.arenas.lock().unwrap().peak_ops
+    /// Most decoded ops one cohort's window held at once; never above
+    /// [`WINDOW_CAP_OPS`].
+    pub fn window_peak_ops(&self) -> u64 {
+        self.window_peak_ops.load(Ordering::Relaxed)
     }
 
-    /// Announces `runs` more runs over the stream `key`
-    /// ([`RunSpec::trace_key`]). Each must later call
-    /// [`TraceStore::release`] once; the stream's arena is dropped when
-    /// the last of them has.
-    pub(crate) fn announce(&self, key: &str, runs: u64) {
-        if runs > 0 {
-            *self
-                .arenas
-                .lock()
-                .unwrap()
-                .pending
-                .entry(key.to_string())
-                .or_default() += runs;
-        }
-    }
-
-    /// Marks one announced run over `key` finished, whatever its outcome.
-    /// The last release drops the stream's arena, returns its ops to the
-    /// budget and pools its buffers for the next decode. A key nobody
-    /// announced is left alone, arena included.
-    pub(crate) fn release(&self, key: &str) {
-        let mut cache = self.arenas.lock().unwrap();
-        let Some(left) = cache.pending.get_mut(key) else {
-            return;
-        };
-        *left -= 1;
-        if *left > 0 {
-            return;
-        }
-        cache.pending.remove(key);
-        // A decode still in flight here belongs to a run nobody announced;
-        // it finishes into a retained arena, as such runs' arenas are.
-        let Some(entry) = cache.map.get_mut(key) else {
-            return;
-        };
-        let Some(arena) = entry.arena.take() else {
-            return;
-        };
-        let ops = entry.ops;
-        cache.map.remove(key);
-        cache.live_ops -= ops;
-        // Pool the buffers unless a run nobody announced still reads them.
-        let Ok(cores) = Arc::try_unwrap(arena.ops) else {
-            return;
-        };
-        for mut buffer in cores {
-            let capacity = buffer.capacity() as u64;
-            if cache.live_ops + cache.idle_ops + capacity <= self.arena_budget {
-                buffer.clear();
-                cache.idle_ops += capacity;
-                cache.idle.push(buffer);
-            }
-        }
-    }
-
-    /// Whether a decoded arena for `key` is held right now.
-    #[cfg(test)]
-    pub(crate) fn holds_arena(&self, key: &str) -> bool {
-        self.arenas
-            .lock()
-            .unwrap()
-            .map
-            .get(key)
-            .is_some_and(|e| e.arena.is_some())
+    /// Cohort members that detached from an over-cap window onto their
+    /// own readers.
+    pub fn detached(&self) -> u64 {
+        self.detached.load(Ordering::Relaxed)
     }
 
     /// Whether `spec`'s stream can be replayed: every per-core file is
@@ -395,24 +328,34 @@ impl TraceStore {
     /// decode) and holds the run's op count. A file that fails is
     /// quarantined, so the run that follows re-captures the stream.
     pub(crate) fn replayable(&self, spec: &RunSpec) -> bool {
-        let Some(dir) = self.dir.as_deref() else {
-            return false;
-        };
+        self.dir.is_some() && self.open_verified(spec).is_some()
+    }
+
+    /// Opens and verifies every per-core file of `spec`'s stream
+    /// ([`TraceStore::replayable`]), quarantining the first that fails.
+    fn open_verified(&self, spec: &RunSpec) -> Option<Vec<CoreFile>> {
+        let dir = self.dir.as_deref()?;
         let key = spec.trace_key();
         let per_core_ops = spec.lengths.warm + spec.lengths.measure;
-        (0..spec.config.n_cores).all(|core| {
-            let path = self.core_path(dir, &key, core);
-            let Ok(file) = File::open(&path) else {
-                return false;
-            };
-            let verified = TraceReader::open(BufReader::new(file))
-                .and_then(|mut reader| reader.verify_blocks())
-                .is_ok_and(|stats| stats.ops == per_core_ops);
-            if !verified {
-                self.quarantine(&path);
-            }
-            verified
-        })
+        (0..spec.config.n_cores)
+            .map(|core| {
+                let path = self.core_path(dir, &key, core);
+                let file = File::open(&path).ok()?;
+                let verified = TraceReader::open(BufReader::new(file))
+                    .and_then(|mut reader| reader.verify_blocks().map(|stats| (reader, stats.ops)));
+                match verified {
+                    Ok((reader, ops)) if ops == per_core_ops => Some(CoreFile { path, reader }),
+                    // Bad header, CRC or count — a valid file for another
+                    // run length can only appear here through key
+                    // tampering: move the evidence aside so a capture can
+                    // rewrite the slot.
+                    _ => {
+                        self.quarantine(&path);
+                        None
+                    }
+                }
+            })
+            .collect()
     }
 
     /// Path of the per-core trace file for a trace key.
@@ -441,221 +384,243 @@ impl TraceStore {
     /// back-to-back runs over the same system configuration reset in
     /// place instead of rebuilding. Results are identical to a fresh
     /// build ([`System::reset_cold`] restores post-construction state
-    /// exactly); only construction cost changes.
+    /// exactly); only construction cost changes. This is a cohort of one
+    /// ([`TraceStore::execute_cohort`]); a panic in the run propagates.
     pub fn execute_in(
         &self,
         spec: &RunSpec,
         telemetry: Option<&TelemetryConfig>,
         slot: &mut SystemSlot,
     ) -> TracedRun {
-        let Some(dir) = self.dir.clone() else {
-            return live_run(spec, telemetry, slot);
-        };
-        let key = spec.trace_key();
-        match self.try_replay(&dir, spec, &key, telemetry, slot) {
-            Some(run) => run,
-            None => self.capture_or_live(&dir, spec, &key, telemetry, slot),
+        let mut outcome = None;
+        // A lone run is not interruptible: it is the whole unit of work.
+        self.cohort_until(&[spec], telemetry, slot, &|| false, &mut |_, run| {
+            outcome = Some(run)
+        });
+        match outcome.expect("a cohort reports every member") {
+            Ok(run) => run,
+            Err(message) => panic!("{message}"),
         }
     }
 
-    /// Attempts to serve `spec` from stored traces. Returns `None` when
-    /// any per-core file is missing or fails validation (corrupt files are
-    /// quarantined on the way out).
-    fn try_replay(
+    /// Executes `specs` — runs over one stream, all with the same
+    /// [`RunSpec::trace_key`] — as one cohort (see the module docs) and
+    /// reports each as it ends through `done(index into specs, outcome)`,
+    /// in completion order. A run that panics is reported as `Err` with
+    /// the panic message, and the others go on. Systems are drawn from
+    /// `slot`, and each run that succeeds hands its system back.
+    ///
+    /// When the stream cannot be replayed, the first run captures it (or
+    /// runs live when the store is disabled or another worker holds the
+    /// capture), and the rest replay the fresh capture — or run live, one
+    /// after another, when there is none.
+    ///
+    /// On a shutdown signal ([`ipsim_signal::triggered`]) the members
+    /// already measuring run to the end and are reported; members still
+    /// warming up, and live runs not yet started, are abandoned
+    /// unreported, like runs a worker never claimed. The members left
+    /// keep stepping round-robin, so the delay is at most the cohort's
+    /// remaining measured work; a second signal ends the process at once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the specs do not share one trace key.
+    pub fn execute_cohort(
         &self,
-        dir: &Path,
-        spec: &RunSpec,
-        key: &str,
+        specs: &[&RunSpec],
         telemetry: Option<&TelemetryConfig>,
         slot: &mut SystemSlot,
-    ) -> Option<TracedRun> {
-        let _replay = ipsim_obs::spans().span("trace.replay");
-        let n_cores = spec.config.n_cores;
-        let per_core_ops = spec.lengths.warm + spec.lengths.measure;
-        // Zero-copy fast path: decode the whole stream set once into a
-        // shared arena and lend the scheduler borrowed slices. Over-budget
-        // runs, and runs arriving while another worker decodes the same
-        // stream, fall through to the per-op streaming decoder below.
-        match self.arena_for(dir, key, n_cores, per_core_ops) {
-            ArenaOutcome::Hit(arena) => {
-                let mut sources: Vec<ArenaSource<CoreOps>> = (0..n_cores as usize)
-                    .map(|core| {
-                        ArenaSource::new(CoreOps {
-                            arena: arena.ops.clone(),
-                            core,
-                        })
-                    })
-                    .collect();
-                let mut system = instrumented(spec, telemetry, slot);
-                let mut dyns: Vec<&mut dyn OpSource> =
-                    sources.iter_mut().map(|s| s as &mut dyn OpSource).collect();
-                let metrics =
-                    system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
-                self.replayed.fetch_add(1, Ordering::Relaxed);
-                return Some(finish(
-                    system,
-                    slot,
-                    &metrics,
-                    RunSource::Replay,
-                    arena.decode_mips,
-                ));
-            }
-            ArenaOutcome::Missing => return None,
-            ArenaOutcome::Stream => {}
-        }
-        let mut sources: Vec<ReplaySource<BufReader<File>>> = Vec::with_capacity(n_cores as usize);
-        let t0 = Instant::now();
-        for core in 0..n_cores {
-            let path = self.core_path(dir, key, core);
-            let file = File::open(&path).ok()?;
-            let replay = match TraceReader::open(BufReader::new(file)).and_then(ReplaySource::new) {
-                Ok(replay) => replay,
-                Err(_) => {
-                    // Bad header, CRC or count: move the evidence aside so
-                    // the follow-up capture can rewrite the slot.
-                    self.quarantine(&path);
-                    return None;
+        done: &mut dyn FnMut(usize, Result<TracedRun, String>),
+    ) {
+        self.cohort_until(specs, telemetry, slot, &ipsim_signal::triggered, done);
+    }
+
+    /// [`TraceStore::execute_cohort`], stopping as on a shutdown signal
+    /// once `stop` returns true; it is polled before every turn and run.
+    fn cohort_until(
+        &self,
+        specs: &[&RunSpec],
+        telemetry: Option<&TelemetryConfig>,
+        slot: &mut SystemSlot,
+        stop: &dyn Fn() -> bool,
+        done: &mut dyn FnMut(usize, Result<TracedRun, String>),
+    ) {
+        let Some(first) = specs.first() else {
+            return;
+        };
+        let key = first.trace_key();
+        assert!(
+            specs.iter().all(|spec| spec.trace_key() == key),
+            "a cohort's runs share one stream"
+        );
+        let Some(dir) = self.dir.clone() else {
+            for (i, spec) in specs.iter().enumerate() {
+                if stop() {
+                    return;
                 }
-            };
-            if replay.stats().ops != per_core_ops {
-                // A valid file for a different run length can only appear
-                // here through key tampering; treat it as corrupt.
-                self.quarantine(&path);
-                return None;
+                done(i, contained(|| live_run(spec, telemetry, slot)));
             }
+            return;
+        };
+        let mut files = self.open_verified(first);
+        let mut start = 0;
+        if files.is_none() {
+            done(
+                0,
+                contained(|| self.capture_or_live(&dir, first, &key, telemetry, slot)),
+            );
+            start = 1;
+            if specs.len() > 1 {
+                files = self.open_verified(first);
+            }
+        }
+        match files {
+            Some(files) => {
+                let members = &specs[start..];
+                let done = &mut |i, run| done(start + i, run);
+                self.replay_cohort(files, members, telemetry, slot, stop, done);
+            }
+            None => {
+                for (i, spec) in specs.iter().enumerate().skip(start) {
+                    if stop() {
+                        return;
+                    }
+                    done(i, contained(|| live_run(spec, telemetry, slot)));
+                }
+            }
+        }
+    }
+
+    /// Steps `specs` round-robin over one window on the verified `files`
+    /// until every member has ended. Once `stop` returns true, only the
+    /// members already measuring go on.
+    fn replay_cohort(
+        &self,
+        files: Vec<CoreFile>,
+        specs: &[&RunSpec],
+        telemetry: Option<&TelemetryConfig>,
+        slot: &mut SystemSlot,
+        stop: &dyn Fn() -> bool,
+        done: &mut dyn FnMut(usize, Result<TracedRun, String>),
+    ) {
+        let _replay = ipsim_obs::spans().span("trace.replay");
+        let shape = self.shape;
+        let mut window = Window::new(files, shape.chunk_ops);
+        self.streams_decoded.fetch_add(1, Ordering::Relaxed);
+        let mut members = Vec::with_capacity(specs.len());
+        for (i, spec) in specs.iter().enumerate() {
+            let t0 = Instant::now();
+            match catch_unwind(AssertUnwindSafe(|| instrumented(spec, telemetry, slot))) {
+                Ok(system) => members.push(Member {
+                    index: i,
+                    spec,
+                    run: WorkloadRun::new(&system, spec.lengths.warm, spec.lengths.measure),
+                    pos: vec![0; window.cores.len()],
+                    system,
+                    detached: None,
+                    seconds: t0.elapsed().as_secs_f64(),
+                    measured_decode_s: 0.0,
+                }),
+                Err(panic) => done(i, Err(panic_message(&*panic))),
+            }
+        }
+
+        let mut next = 0;
+        let mut stopping = false;
+        while !members.is_empty() {
+            if !stopping && stop() {
+                // Shutdown: members still warming up are abandoned
+                // unreported; the measuring ones finish.
+                stopping = true;
+                members.retain(|member| member.run.measuring());
+                continue;
+            }
+            if next >= members.len() {
+                next = 0;
+            }
+            let member = &mut members[next];
+            if member.detached.is_none() && window.turn_could_exceed(member, shape) {
+                if let Err(e) = self.detach(&window, member) {
+                    let member = members.remove(next);
+                    done(member.index, Err(e));
+                    continue;
+                }
+            }
+            let (t0, measuring, decode_s) =
+                (Instant::now(), member.run.measuring(), window.decode_s());
+            let turn = catch_unwind(AssertUnwindSafe(|| {
+                member.turn(&mut window, shape.turn_quanta)
+            }));
+            member.seconds += t0.elapsed().as_secs_f64();
+            if measuring {
+                member.measured_decode_s += window.decode_s() - decode_s;
+            }
+            self.window_peak_ops
+                .fetch_max(window.held_ops(), Ordering::Relaxed);
+            match turn {
+                Ok(None) => next += 1,
+                Ok(Some(mut metrics)) => {
+                    let member = members.remove(next);
+                    // Kernel time excludes decode, as it excludes capture
+                    // I/O (a straddling turn's decode stays in).
+                    metrics.sim_wall_seconds =
+                        (metrics.sim_wall_seconds - member.measured_decode_s).max(0.0);
+                    self.replayed.fetch_add(1, Ordering::Relaxed);
+                    let decode_mips = window.decode_mips();
+                    let run = finish(
+                        member.spec,
+                        member.system,
+                        slot,
+                        &metrics,
+                        RunSource::Replay,
+                        decode_mips,
+                        member.seconds,
+                    );
+                    done(member.index, Ok(run));
+                }
+                Err(panic) => {
+                    let message = panic_message(&*panic);
+                    let member = members.remove(next);
+                    done(member.index, Err(message));
+                    if let Some((path, error)) = window.failure() {
+                        // The window cannot serve another op: every member
+                        // still reading it ends with the decode error.
+                        self.quarantine(&path);
+                        let (failed, rest) = members.into_iter().partition(Member::attached);
+                        members = rest;
+                        for member in failed {
+                            done(member.index, Err(error.clone()));
+                        }
+                    }
+                }
+            }
+            window.drop_below(members.iter().filter(|m| m.attached()).map(|m| &m.pos[..]));
+        }
+    }
+
+    /// Moves `member` off the window onto its own readers, positioned
+    /// where it stands in each core's stream.
+    fn detach(&self, window: &Window, member: &mut Member<'_>) -> Result<(), String> {
+        let open = |path: &Path, pos: u64| -> Result<_, CodecError> {
+            let file = File::open(path)?;
+            let mut replay = ReplaySource::new(TraceReader::open(BufReader::new(file))?)?;
+            replay.seek_to_op(pos)?;
+            Ok(replay)
+        };
+        let mut sources = Vec::with_capacity(window.cores.len());
+        for (core, &pos) in window.cores.iter().zip(&member.pos) {
+            let replay =
+                open(&core.path, pos).map_err(|e| format!("{}: {e}", core.path.display()))?;
             sources.push(replay);
         }
-        let decode_s = t0.elapsed().as_secs_f64();
-        let decoded_ops: u64 = sources.iter().map(|s| s.stats().ops).sum();
-        let mut system = instrumented(spec, telemetry, slot);
-        let mut dyns: Vec<&mut dyn OpSource> =
-            sources.iter_mut().map(|s| s as &mut dyn OpSource).collect();
-        let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
-        self.replayed.fetch_add(1, Ordering::Relaxed);
-        let decode_mips = mops_per_s(decoded_ops, decode_s);
-        Some(finish(
-            system,
-            slot,
-            &metrics,
-            RunSource::Replay,
-            decode_mips,
-        ))
-    }
-
-    /// Finds or builds the decoded arena for `key`. The per-core files are
-    /// opened and their indexed op counts checked first; then the stream
-    /// set's ops are reserved against the budget under the lock, so a
-    /// decode in flight already counts, and at most one worker decodes a
-    /// key. A stream being decoded, or one that does not fit, streams.
-    fn arena_for(&self, dir: &Path, key: &str, n_cores: u32, per_core_ops: u64) -> ArenaOutcome {
-        if let Some(outcome) = self.admit(key, n_cores, per_core_ops, None) {
-            return outcome;
-        }
-        let mut readers = Vec::with_capacity(n_cores as usize);
-        for core in 0..n_cores {
-            let path = self.core_path(dir, key, core);
-            let Ok(file) = File::open(&path) else {
-                return ArenaOutcome::Missing;
-            };
-            match TraceReader::open(BufReader::new(file)) {
-                // The index is checked before any decode reserves memory
-                // for it: a valid file for a different run length can only
-                // appear through key tampering.
-                Ok(reader) if reader.total_ops() == per_core_ops => readers.push((path, reader)),
-                Ok(_) | Err(_) => {
-                    self.quarantine(&path);
-                    return ArenaOutcome::Missing;
-                }
-            }
-        }
-        let mut cores = Vec::with_capacity(n_cores as usize);
-        if let Some(outcome) = self.admit(key, n_cores, per_core_ops, Some(&mut cores)) {
-            return outcome;
-        }
-        let t0 = Instant::now();
-        for ((path, mut reader), ops) in readers.into_iter().zip(&mut cores) {
-            if reader.decode_all_into(ops).is_err() {
-                // Corrupt or truncated: give the reservation back,
-                // quarantine and recapture.
-                let mut cache = self.arenas.lock().unwrap();
-                if let Some(entry) = cache.map.remove(key) {
-                    cache.live_ops -= entry.ops;
-                }
-                drop(cache);
-                self.quarantine(&path);
-                return ArenaOutcome::Missing;
-            }
-        }
-        let total_ops = per_core_ops * u64::from(n_cores);
-        let arena = CachedArena {
-            ops: Arc::new(cores),
-            decode_mips: mops_per_s(total_ops, t0.elapsed().as_secs_f64()),
-        };
-        let mut cache = self.arenas.lock().unwrap();
-        cache.decoded += 1;
-        if let Some(entry) = cache.map.get_mut(key) {
-            entry.arena = Some(arena.clone());
-        }
-        ArenaOutcome::Hit(arena)
-    }
-
-    /// The arena cache's verdict for `key` under the lock: a ready arena
-    /// is a hit; a decode in flight, or the stream set's ops beyond what
-    /// live arenas leave of the budget, streams. Otherwise `None` — and
-    /// with `buffers`, the ops are booked, the key marked as decoding by
-    /// the caller, and `buffers` given one cleared buffer per core: a
-    /// pooled one where one is large enough, else a new one. Idle buffers
-    /// not taken are dropped as far as the reservation needs their room.
-    fn admit(
-        &self,
-        key: &str,
-        n_cores: u32,
-        per_core_ops: u64,
-        buffers: Option<&mut Vec<Vec<TraceOp>>>,
-    ) -> Option<ArenaOutcome> {
-        let mut cache = self.arenas.lock().unwrap();
-        if let Some(entry) = cache.map.get(key) {
-            return Some(match &entry.arena {
-                Some(arena) => ArenaOutcome::Hit(arena.clone()),
-                None => ArenaOutcome::Stream,
-            });
-        }
-        let total_ops = per_core_ops * u64::from(n_cores);
-        if cache.live_ops + total_ops > self.arena_budget {
-            return Some(ArenaOutcome::Stream);
-        }
-        let buffers = buffers?;
-        // A reused buffer books its whole capacity.
-        let mut reserved = 0;
-        for _ in 0..n_cores {
-            let snuggest = (0..cache.idle.len())
-                .filter(|&i| cache.idle[i].capacity() as u64 >= per_core_ops)
-                .min_by_key(|&i| cache.idle[i].capacity());
-            let buffer = snuggest.map_or_else(Vec::new, |i| cache.idle.swap_remove(i));
-            cache.idle_ops -= buffer.capacity() as u64;
-            reserved += (buffer.capacity() as u64).max(per_core_ops);
-            buffers.push(buffer);
-        }
-        if cache.live_ops + reserved > self.arena_budget {
-            // Oversized pooled buffers would breach the budget: decode
-            // into fresh ones.
-            buffers.iter_mut().for_each(|b| *b = Vec::new());
-            reserved = total_ops;
-        }
-        while cache.live_ops + reserved + cache.idle_ops > self.arena_budget {
-            let dropped = cache.idle.pop().expect("live arenas fit the budget");
-            cache.idle_ops -= dropped.capacity() as u64;
-        }
-        cache.live_ops += reserved;
-        cache.peak_ops = cache.peak_ops.max(cache.live_ops);
-        cache.map.insert(
-            key.to_string(),
-            ArenaEntry {
-                ops: reserved,
-                arena: None,
-            },
-        );
-        None
+        #[cfg(test)]
+        self.detached_at
+            .lock()
+            .unwrap()
+            .push(member.pos.iter().sum());
+        member.detached = Some(sources);
+        self.detached.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Runs `spec` live, capturing the stream if this thread wins the
@@ -676,6 +641,7 @@ impl TraceStore {
             return live_run(spec, telemetry, slot);
         }
 
+        let t0 = Instant::now();
         let n_cores = spec.config.n_cores;
         let pid = std::process::id();
         let mut tmp_paths: Vec<PathBuf> = Vec::with_capacity(n_cores as usize);
@@ -705,11 +671,29 @@ impl TraceStore {
             .enumerate()
             .map(|(c, w)| Tee::new(spec.workloads.walker(&programs, c as u32), w))
             .collect();
-        let mut system = instrumented(spec, telemetry, slot);
+        // A system that fails to build must leave no temp files behind.
+        let mut system =
+            match catch_unwind(AssertUnwindSafe(|| instrumented(spec, telemetry, slot))) {
+                Ok(system) => system,
+                Err(panic) => {
+                    drop(tees);
+                    discard(&tmp_paths);
+                    std::panic::resume_unwind(panic);
+                }
+            };
         let mut dyns: Vec<&mut dyn OpSource> =
             tees.iter_mut().map(|t| t as &mut dyn OpSource).collect();
         let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
-        let mut run = finish(system, slot, &metrics, RunSource::Capture, 0.0);
+        let seconds = t0.elapsed().as_secs_f64();
+        let mut run = finish(
+            spec,
+            system,
+            slot,
+            &metrics,
+            RunSource::Capture,
+            0.0,
+            seconds,
+        );
 
         // Seal and publish. Any sink error (latched mid-run or at finish)
         // voids the whole capture but never the simulation result.
@@ -749,6 +733,266 @@ impl TraceStore {
     }
 }
 
+/// One verified per-core trace file, positioned at its first op.
+struct CoreFile {
+    path: PathBuf,
+    reader: TraceReader<BufReader<File>>,
+}
+
+/// A cohort's decoded window: one [`CoreWindow`] per core.
+struct Window {
+    cores: Vec<CoreWindow>,
+}
+
+/// One core's share of a cohort window: the decoded chunks covering ops
+/// `base..decoded` of its stream, and the reader that decodes more.
+struct CoreWindow {
+    path: PathBuf,
+    reader: TraceReader<BufReader<File>>,
+    chunks: VecDeque<Vec<TraceOp>>,
+    /// Ops per chunk, as a power of two.
+    chunk_shift: u32,
+    /// Stream offset of the first held op: a multiple of the chunk size,
+    /// as every chunk but the stream's last is full.
+    base: u64,
+    /// Ops decoded so far; the window holds `decoded - base` of them.
+    decoded: u64,
+    decode_s: f64,
+    /// The decode error that broke this window, if one did.
+    failed: Option<String>,
+}
+
+impl Window {
+    fn new(files: Vec<CoreFile>, chunk_ops: u64) -> Window {
+        assert!(
+            chunk_ops.is_power_of_two(),
+            "chunks hold a power of two ops"
+        );
+        Window {
+            cores: files
+                .into_iter()
+                .map(|file| CoreWindow {
+                    path: file.path,
+                    reader: file.reader,
+                    chunks: VecDeque::new(),
+                    chunk_shift: chunk_ops.trailing_zeros(),
+                    base: 0,
+                    decoded: 0,
+                    decode_s: 0.0,
+                    failed: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// Decoded ops held, summed over cores.
+    fn held_ops(&self) -> u64 {
+        self.cores.iter().map(|c| c.decoded - c.base).sum()
+    }
+
+    /// Whether `member`'s next turn could push the window past the cap: a
+    /// turn of `n` ops decodes nothing when the member has `n` ops
+    /// decoded ahead on every core, and otherwise at most `n` beyond its
+    /// nearest decoded end plus one partly used chunk per core.
+    fn turn_could_exceed(&self, member: &Member<'_>, shape: WindowShape) -> bool {
+        let turn_ops = shape.turn_quanta * member.system.config().sched_quantum;
+        let slack = self
+            .cores
+            .iter()
+            .zip(&member.pos)
+            .map(|(core, &pos)| core.decoded.saturating_sub(pos))
+            .min()
+            .unwrap_or(0);
+        let growth = match turn_ops.checked_sub(slack) {
+            Some(beyond) if beyond > 0 => beyond + self.cores.len() as u64 * shape.chunk_ops,
+            _ => 0,
+        };
+        self.held_ops() + growth > shape.cap_ops
+    }
+
+    /// Drops, on every core, the chunks wholly below the slowest of the
+    /// attached members' positions (`positions` yields one per-core
+    /// position list per member).
+    fn drop_below<'a>(&mut self, positions: impl Iterator<Item = &'a [u64]>) {
+        let mut lowest: Option<Vec<u64>> = None;
+        for pos in positions {
+            match &mut lowest {
+                Some(low) => low.iter_mut().zip(pos).for_each(|(l, &p)| *l = (*l).min(p)),
+                None => lowest = Some(pos.to_vec()),
+            }
+        }
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            let low = lowest.as_ref().map_or(u64::MAX, |low| low[i]);
+            while let Some(front) = core.chunks.front() {
+                let end = core.base + front.len() as u64;
+                if end > low {
+                    break;
+                }
+                core.base = end;
+                core.chunks.pop_front();
+            }
+        }
+    }
+
+    /// Host seconds spent decoding so far.
+    fn decode_s(&self) -> f64 {
+        self.cores.iter().map(|c| c.decode_s).sum()
+    }
+
+    /// Decode throughput so far, in million ops per second.
+    fn decode_mips(&self) -> f64 {
+        mops_per_s(self.cores.iter().map(|c| c.decoded).sum(), self.decode_s())
+    }
+
+    /// Takes the file and error of a core whose decode failed, if any.
+    fn failure(&mut self) -> Option<(PathBuf, String)> {
+        self.cores.iter_mut().find_map(|core| {
+            let error = core.failed.take()?;
+            Some((core.path.clone(), error))
+        })
+    }
+}
+
+impl CoreWindow {
+    /// Decodes the next chunk onto the back of the window.
+    ///
+    /// # Panics
+    ///
+    /// Panics — after recording the error, so the cohort can quarantine
+    /// the file and end the window's readers — when the verified trace
+    /// fails to decode, and when a read runs past its end (a harness bug:
+    /// the scheduler never asks past the agreed stream length).
+    fn decode_chunk(&mut self) {
+        let t0 = Instant::now();
+        let chunk_ops = 1usize << self.chunk_shift;
+        let mut chunk = Vec::with_capacity(chunk_ops);
+        while chunk.len() < chunk_ops {
+            match self.reader.next_op() {
+                Ok(Some(op)) => chunk.push(op),
+                Ok(None) => break,
+                Err(e) => {
+                    let error = format!("{}: {e}", self.path.display());
+                    self.failed = Some(error.clone());
+                    panic!("validated trace failed mid-replay: {error}");
+                }
+            }
+        }
+        assert!(!chunk.is_empty(), "replay ran past end of trace");
+        self.decoded += chunk.len() as u64;
+        self.chunks.push_back(chunk);
+        self.decode_s += t0.elapsed().as_secs_f64();
+    }
+
+    /// The chunk holding op `pos` and `pos`'s offset in it, decoding
+    /// chunks up to it first.
+    fn locate(&mut self, pos: u64) -> (&[TraceOp], usize) {
+        while pos >= self.decoded {
+            self.decode_chunk();
+        }
+        let at = pos - self.base;
+        let chunk = &self.chunks[(at >> self.chunk_shift) as usize];
+        (chunk, (at & ((1 << self.chunk_shift) - 1)) as usize)
+    }
+}
+
+/// A member's read position in one core's window, lent to its system for
+/// one turn.
+struct Cursor<'w> {
+    core: &'w mut CoreWindow,
+    pos: u64,
+}
+
+impl TraceSource for Cursor<'_> {
+    fn next_op(&mut self) -> TraceOp {
+        let (chunk, at) = self.core.locate(self.pos);
+        let op = chunk[at];
+        self.pos += 1;
+        op
+    }
+
+    fn next_block(&mut self, out: &mut [TraceOp]) {
+        let mut filled = 0;
+        while filled < out.len() {
+            let (chunk, at) = self.core.locate(self.pos);
+            let n = (chunk.len() - at).min(out.len() - filled);
+            out[filled..filled + n].copy_from_slice(&chunk[at..at + n]);
+            filled += n;
+            self.pos += n as u64;
+        }
+    }
+
+    fn next_slice(&mut self, n: usize) -> Option<&[TraceOp]> {
+        let pos = self.pos;
+        let (chunk, at) = self.core.locate(pos);
+        // A quantum that straddles two chunks is copied by `next_block`.
+        let ops = chunk.get(at..at + n)?;
+        self.pos = pos + n as u64;
+        Some(ops)
+    }
+}
+
+/// One run of a cohort: its system, its resumable run and where it stands
+/// in each core's stream.
+struct Member<'s> {
+    /// Index in the cohort's spec list.
+    index: usize,
+    spec: &'s RunSpec,
+    system: System,
+    run: WorkloadRun,
+    /// Ops consumed per core while attached to the window.
+    pos: Vec<u64>,
+    /// The member's own per-core readers, once it has detached.
+    detached: Option<Vec<ReplaySource<BufReader<File>>>>,
+    /// Host seconds of the member's own work so far.
+    seconds: f64,
+    /// Host seconds the window spent decoding during the member's
+    /// measuring turns, left out of its kernel time.
+    measured_decode_s: f64,
+}
+
+impl Member<'_> {
+    fn attached(&self) -> bool {
+        self.detached.is_none()
+    }
+
+    /// Runs one turn of at most `quanta` quanta; the metrics once the run
+    /// is complete.
+    fn turn(&mut self, window: &mut Window, quanta: u64) -> Option<SystemMetrics> {
+        let mut quanta = quanta;
+        match &mut self.detached {
+            Some(readers) => {
+                let mut sources: Vec<&mut dyn OpSource> =
+                    readers.iter_mut().map(|r| r as &mut dyn OpSource).collect();
+                self.run
+                    .advance(&mut self.system, &mut sources, &mut quanta)
+            }
+            None => {
+                let mut cursors: Vec<Cursor<'_>> = window
+                    .cores
+                    .iter_mut()
+                    .zip(&self.pos)
+                    .map(|(core, &pos)| Cursor { core, pos })
+                    .collect();
+                let mut sources: Vec<&mut dyn OpSource> =
+                    cursors.iter_mut().map(|c| c as &mut dyn OpSource).collect();
+                let metrics = self
+                    .run
+                    .advance(&mut self.system, &mut sources, &mut quanta);
+                drop(sources);
+                for (pos, cursor) in self.pos.iter_mut().zip(&cursors) {
+                    *pos = cursor.pos;
+                }
+                metrics
+            }
+        }
+    }
+}
+
+/// Runs `f`, turning a panic into `Err` with its message.
+fn contained(f: impl FnOnce() -> TracedRun) -> Result<TracedRun, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|panic| panic_message(&*panic))
+}
+
 /// Draws `spec`'s system from `slot` with telemetry armed when a config
 /// is given. ([`System::reset_cold`] disarms telemetry, so a reused
 /// system never inherits instrumentation from its previous run.)
@@ -770,19 +1014,23 @@ fn live_run(
     telemetry: Option<&TelemetryConfig>,
     slot: &mut SystemSlot,
 ) -> TracedRun {
+    let t0 = Instant::now();
     let mut system = instrumented(spec, telemetry, slot);
     let metrics = system.run_workload(&spec.workloads, spec.lengths.warm, spec.lengths.measure);
-    finish(system, slot, &metrics, RunSource::Live, 0.0)
+    let seconds = t0.elapsed().as_secs_f64();
+    finish(spec, system, slot, &metrics, RunSource::Live, 0.0, seconds)
 }
 
-/// Packages a finished simulation as a [`TracedRun`] and returns its
-/// system to `slot` for the next run.
+/// Packages a finished simulation that took `run_seconds` of host time
+/// as a [`TracedRun`] and returns its system to `slot` for the next run.
 fn finish(
+    spec: &RunSpec,
     mut system: System,
     slot: &mut SystemSlot,
     metrics: &SystemMetrics,
     source: RunSource,
     decode_mips: f64,
+    run_seconds: f64,
 ) -> TracedRun {
     let run = TracedRun {
         summary: Summary::from_metrics(metrics),
@@ -790,9 +1038,10 @@ fn finish(
         decode_mips,
         sim_mips: metrics.sim_mips(),
         sim_seconds: metrics.sim_wall_seconds,
+        run_seconds,
         telemetry: system.take_telemetry(),
     };
-    slot.put(system);
+    slot.put(spec, system);
     run
 }
 
@@ -911,6 +1160,24 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A capture whose system fails to build panics before it creates
+    /// any temp file, so the trace directory is left clean.
+    #[test]
+    fn a_capture_that_fails_to_build_leaves_no_temp_files() {
+        let dir = tmp_dir("buildfail");
+        let store = TraceStore::at(&dir);
+        let mut broken = spec();
+        broken.config.core.issue_width = 0;
+        let run = catch_unwind(AssertUnwindSafe(|| store.execute(&broken)));
+        assert!(run.is_err(), "an invalid configuration panics");
+        let left: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert!(left.is_empty(), "capture left {left:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn disabled_store_always_runs_live() {
         let store = TraceStore::disabled();
@@ -994,225 +1261,205 @@ mod tests {
         assert_eq!(with.summary, without.summary);
     }
 
-    /// Replays small enough for the arena budget decode once and serve
-    /// zero-copy; an over-budget store streams per-op instead. Both must
-    /// match live results exactly.
-    #[test]
-    fn arena_and_streaming_replay_agree_with_live() {
-        let dir = tmp_dir("arena");
-        let spec = spec();
-        let live = spec.execute();
-
-        let store = TraceStore::at(&dir);
-        assert_eq!(store.execute(&spec).source, RunSource::Capture);
-        let arena = store.execute(&spec);
-        assert_eq!(arena.source, RunSource::Replay);
-        assert_eq!(arena.summary, live);
-        assert!(
-            store
-                .arenas
-                .lock()
-                .unwrap()
-                .map
-                .contains_key(&spec.trace_key()),
-            "a budget-sized stream set is cached in the arena"
-        );
-        // Replays after the first reuse the cached arena (and report the
-        // decode throughput observed when it was built).
-        let again = store.execute(&spec);
-        assert_eq!(again.summary, live);
-        assert_eq!(again.decode_mips, arena.decode_mips);
-
-        // A zero budget disables arenas: same files, streaming decoder.
-        let mut streaming_store = TraceStore::at(&dir);
-        streaming_store.arena_budget = 0;
-        let streaming = streaming_store.execute(&spec);
-        assert_eq!(streaming.source, RunSource::Replay);
-        assert_eq!(streaming.summary, live);
-        assert!(
-            streaming_store.arenas.lock().unwrap().map.is_empty(),
-            "over-budget replays must not cache arenas"
-        );
-        let _ = fs::remove_dir_all(&dir);
+    /// Every byte a telemetry run serialises to, through each writer.
+    fn telemetry_bytes(run: &TelemetryRun) -> Vec<u8> {
+        use ipsim_telemetry::sink;
+        let mut bytes = Vec::new();
+        sink::write_events_jsonl(&mut bytes, run).unwrap();
+        sink::write_chrome_trace(&mut bytes, run).unwrap();
+        sink::write_series_tsv(&mut bytes, &run.samples).unwrap();
+        sink::write_component_summary_tsv(&mut bytes, run).unwrap();
+        sink::write_zoo_tsv(&mut bytes, &run.zoo).unwrap();
+        bytes
     }
 
-    /// An announced stream's arena lives while its runs do and is gone,
-    /// its ops returned to the budget, after the last one releases it.
-    #[test]
-    fn announced_arenas_are_dropped_after_the_last_release() {
-        let dir = tmp_dir("release");
-        let store = TraceStore::at(&dir);
-        let spec = spec();
-        let key = spec.trace_key();
-        let ops = spec.lengths.warm + spec.lengths.measure;
-        store.announce(&key, 3);
-
-        assert_eq!(store.execute(&spec).source, RunSource::Capture);
-        store.release(&key);
-        assert_eq!(store.execute(&spec).source, RunSource::Replay);
-        store.release(&key);
-        assert!(
-            store.arenas.lock().unwrap().map.contains_key(&key),
-            "the arena lives while its stream has runs left"
+    /// Runs `specs` as one cohort through `store`, returning each run's
+    /// outcome in spec order.
+    fn cohort(
+        store: &TraceStore,
+        specs: &[RunSpec],
+        telemetry: Option<&TelemetryConfig>,
+    ) -> Vec<TracedRun> {
+        let members: Vec<&RunSpec> = specs.iter().collect();
+        let mut runs: Vec<Option<TracedRun>> = specs.iter().map(|_| None).collect();
+        store.execute_cohort(
+            &members,
+            telemetry,
+            &mut SystemSlot::new(),
+            &mut |i, run| {
+                assert!(runs[i].is_none(), "member {i} reported twice");
+                runs[i] = Some(run.expect("no member fails"));
+            },
         );
-        assert_eq!(store.execute(&spec).source, RunSource::Replay);
-        store.release(&key);
-        {
-            let cache = store.arenas.lock().unwrap();
-            assert!(cache.map.is_empty(), "the last release drops the arena");
-            assert_eq!(cache.live_ops, 0);
-            assert!(cache.pending.is_empty());
-        }
-        assert_eq!((store.arenas_decoded(), store.arena_peak_ops()), (1, ops));
-        let _ = fs::remove_dir_all(&dir);
+        runs.into_iter()
+            .map(|r| r.expect("every member reports"))
+            .collect()
     }
 
-    /// A released arena's buffers wait in the idle pool, counted against
-    /// the budget, and the next equal-sized stream decodes into them
-    /// instead of allocating.
-    #[test]
-    fn released_buffers_serve_the_next_decode() {
-        let dir = tmp_dir("pool");
-        let db = spec();
-        let mut web = spec();
-        web.workloads = WorkloadSet::homogeneous(Workload::Web);
-        let ops = db.lengths.warm + db.lengths.measure;
-        let store = TraceStore::at(&dir);
-        assert_eq!(store.execute(&db).source, RunSource::Capture);
-        assert_eq!(store.execute(&web).source, RunSource::Capture);
-        store.announce(&db.trace_key(), 1);
-        store.announce(&web.trace_key(), 1);
-
-        assert_eq!(store.execute(&db).source, RunSource::Replay);
-        store.release(&db.trace_key());
-        let pooled = {
-            let cache = store.arenas.lock().unwrap();
-            assert_eq!((cache.live_ops, cache.idle.len()), (0, 1));
-            assert!(cache.idle_ops >= ops && cache.idle_ops <= store.arena_budget);
-            cache.idle[0].as_ptr()
-        };
-
-        let web_run = store.execute(&web);
-        assert_eq!(
-            (web_run.source, web_run.summary),
-            (RunSource::Replay, web.execute())
-        );
-        {
-            let cache = store.arenas.lock().unwrap();
-            let arena = cache.map[&web.trace_key()].arena.as_ref().unwrap();
+    /// Asserts each cohort run equals executing its spec alone, summary
+    /// and telemetry bytes alike.
+    fn assert_matches_alone(
+        specs: &[RunSpec],
+        runs: &[TracedRun],
+        config: Option<&TelemetryConfig>,
+    ) {
+        let alone = TraceStore::disabled();
+        for (spec, run) in specs.iter().zip(runs) {
+            let want = alone.execute_with(spec, config);
+            assert_eq!(run.source, RunSource::Replay, "{}", spec.label());
+            assert_eq!(run.summary, want.summary, "{}", spec.label());
+            assert!(run.sim_seconds > 0.0 && run.run_seconds >= run.sim_seconds);
             assert_eq!(
-                arena.ops[0].as_ptr(),
-                pooled,
-                "web decoded into db's buffer"
+                run.telemetry.as_ref().map(telemetry_bytes),
+                want.telemetry.as_ref().map(telemetry_bytes),
+                "{}: telemetry bytes differ",
+                spec.label()
             );
-            assert_eq!((cache.idle.len(), cache.idle_ops), (0, 0));
         }
-        store.release(&web.trace_key());
-        assert_eq!(store.arenas_decoded(), 2);
-        assert_eq!(store.arena_peak_ops(), ops, "idle buffers are not live ops");
-        let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Idle buffers never make a run stream: a decode that needs their
-    /// room drops them, and one too small to reuse is not kept beside a
-    /// fresh buffer past the budget.
+    /// Three single-core runs over one stream — a prefetcher on one —
+    /// stepped as a cohort in small turns give exactly the summaries and
+    /// telemetry of each run alone, with telemetry off and on; the
+    /// stream is decoded once and the window stays within one turn of
+    /// the members.
     #[test]
-    fn idle_buffers_give_way_to_a_decode_that_needs_their_room() {
-        let dir = tmp_dir("giveway");
-        let full = spec();
-        let mut half = spec();
-        half.lengths = RunLengths {
-            warm: 500,
-            measure: 1_500,
+    fn a_single_core_cohort_matches_each_run_alone() {
+        let dir = tmp_dir("cohort1");
+        let mut store = TraceStore::at(&dir);
+        store.shape = WindowShape {
+            turn_quanta: 8,
+            chunk_ops: 64,
+            cap_ops: WINDOW_CAP_OPS,
         };
-        let ops = full.lengths.warm + full.lengths.measure;
-        let mut store = TraceStore::at(&dir);
-        store.arena_budget = ops;
-        assert_eq!(store.execute(&full).source, RunSource::Capture);
-        assert_eq!(store.execute(&half).source, RunSource::Capture);
-        store.announce(&half.trace_key(), 1);
-        assert_eq!(store.execute(&half).source, RunSource::Replay);
-        store.release(&half.trace_key());
-        assert_eq!(store.arenas.lock().unwrap().idle.len(), 1);
-
-        store.announce(&full.trace_key(), 1);
-        let run = store.execute(&full);
-        assert_eq!(
-            (run.source, run.summary),
-            (RunSource::Replay, full.execute())
-        );
-        let cache = store.arenas.lock().unwrap();
+        let base = spec();
+        let mut l1i = base.clone();
+        l1i.config.core.l1i = ipsim_types::CacheConfig::new(16 << 10, 4, 64).unwrap();
+        let specs = [
+            base.clone(),
+            base.clone()
+                .prefetcher(ipsim_core::PrefetcherKind::discontinuity_default()),
+            l1i,
+        ];
+        assert_eq!(store.execute(&base).source, RunSource::Capture);
+        let config = TelemetryConfig {
+            interval: 500,
+            max_events_per_core: 4_096,
+        };
+        for telemetry in [None, Some(&config)] {
+            let runs = cohort(&store, &specs, telemetry);
+            assert_matches_alone(&specs, &runs, telemetry);
+        }
+        assert_eq!((store.streams_decoded(), store.detached()), (2, 0));
+        // Lockstep members: the window holds about one turn (8 quanta of
+        // 16 ops) plus a partly read chunk.
         assert!(
-            cache.map[&full.trace_key()].arena.is_some(),
-            "decoded, not streamed"
+            store.window_peak_ops() <= 8 * 16 + 2 * 64,
+            "{}",
+            store.window_peak_ops()
         );
-        assert_eq!((cache.idle.len(), cache.live_ops), (0, ops));
-        drop(cache);
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Streams nobody announced keep their arena, and a stray release of
-    /// one is a no-op.
+    /// CMP-4 runs at three L2 sizes drift apart in the stream; with the
+    /// cap forced small one member detaches mid-run onto its own readers,
+    /// and every summary still equals the run alone.
     #[test]
-    fn unannounced_arenas_are_retained() {
-        let dir = tmp_dir("retain");
-        let store = TraceStore::at(&dir);
-        let spec = spec();
-        let key = spec.trace_key();
-        assert_eq!(store.execute(&spec).source, RunSource::Capture);
-        assert_eq!(store.execute(&spec).source, RunSource::Replay);
-        store.release(&key);
-        assert_eq!(store.execute(&spec).source, RunSource::Replay);
-        let cache = store.arenas.lock().unwrap();
-        assert!(cache.map.contains_key(&key));
-        assert_eq!(cache.live_ops, spec.lengths.warm + spec.lengths.measure);
-        assert_eq!(cache.decoded, 1, "a retained arena is decoded once");
-        drop(cache);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// The budget bounds decoded ops live at once: a second stream that
-    /// does not fit beside a held arena streams, and decodes once the
-    /// first is released. A stream some worker is decoding is never
-    /// decoded a second time — its other runs stream.
-    #[test]
-    fn the_budget_is_hard_and_one_key_decodes_once() {
-        let dir = tmp_dir("budget");
-        let db = spec();
-        let mut web = spec();
-        web.workloads = WorkloadSet::homogeneous(Workload::Web);
-        let ops = db.lengths.warm + db.lengths.measure;
-        let live = (db.execute(), web.execute());
-
+    fn an_over_cap_cmp_member_detaches_mid_run_and_matches() {
+        let dir = tmp_dir("cohort4");
+        let lengths = RunLengths {
+            warm: 5_000,
+            measure: 15_000,
+        };
+        let specs: Vec<RunSpec> = [1u64, 2, 4]
+            .iter()
+            .map(|mb| {
+                let mut config = SystemConfig::cmp4();
+                config.mem.l2 = ipsim_types::CacheConfig::new(mb << 20, 4, 64).unwrap();
+                RunSpec::new(config, WorkloadSet::mixed(), lengths)
+            })
+            .collect();
+        let shape = WindowShape {
+            turn_quanta: 4,
+            chunk_ops: 16,
+            cap_ops: 1_000,
+        };
         let mut store = TraceStore::at(&dir);
-        store.arena_budget = ops;
-        assert_eq!(store.execute(&db).source, RunSource::Capture);
-        assert_eq!(store.execute(&web).source, RunSource::Capture);
-        store.announce(&db.trace_key(), 1);
-        store.announce(&web.trace_key(), 1);
-        let db_run = store.execute(&db);
-        let web_run = store.execute(&web);
-        assert_eq!((db_run.summary, web_run.summary), live.clone());
-        assert_eq!(web_run.source, RunSource::Replay);
-        assert_eq!(store.arenas_decoded(), 1, "web did not fit beside db");
-        store.release(&db.trace_key());
-        store.release(&web.trace_key());
-        assert_eq!(store.execute(&web).summary, live.1);
-        assert_eq!(store.arenas_decoded(), 2, "web decodes once db is gone");
-        assert_eq!(store.arena_peak_ops(), ops);
+        store.shape = shape;
+        assert_eq!(store.execute(&specs[0]).source, RunSource::Capture);
+        let runs = cohort(&store, &specs, None);
+        assert_matches_alone(&specs, &runs, None);
 
-        // A decode in flight elsewhere: this run streams, no second arena.
-        let store = TraceStore::at(&dir);
-        store
-            .arenas
-            .lock()
-            .unwrap()
-            .map
-            .insert(db.trace_key(), ArenaEntry { ops, arena: None });
-        let streamed = store.execute(&db);
-        assert_eq!(streamed.source, RunSource::Replay);
-        assert_eq!(streamed.summary, live.0);
-        assert_eq!(store.arenas_decoded(), 0);
+        let at = store.detached_at.lock().unwrap().clone();
+        let total = 4 * (lengths.warm + lengths.measure);
+        assert!(!at.is_empty(), "no member detached");
+        assert!(at.len() < specs.len(), "every member detached");
+        assert!(at.iter().all(|&ops| ops > 0 && ops < total), "{at:?}");
+        assert!(store.window_peak_ops() <= shape.cap_ops);
+        assert_eq!(store.streams_decoded(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An interrupted cohort records exactly its members that were
+    /// measuring when the stop came, each equal to its run alone; members
+    /// still warming up are abandoned unreported. A lone run ignores the
+    /// stop.
+    #[test]
+    fn an_interrupted_cohort_finishes_only_its_measuring_members() {
+        let dir = tmp_dir("interrupt");
+        let mut store = TraceStore::at(&dir);
+        store.shape = WindowShape {
+            turn_quanta: 8,
+            chunk_ops: 64,
+            cap_ops: WINDOW_CAP_OPS,
+        };
+        // A 64-op scheduling quantum moves a member four times as far per
+        // turn as the default 16, over the same stream: 512 ops a turn
+        // against 128, so it ends the 1 000-op warm-up in its second turn
+        // and the others in their eighth.
+        let base = spec();
+        let mut coarse = base.clone();
+        coarse.config.sched_quantum = 64;
+        let nl = base
+            .clone()
+            .prefetcher(ipsim_core::PrefetcherKind::NextLineTagged);
+        let specs = [base.clone(), coarse, nl];
+        assert_eq!(store.execute(&base).source, RunSource::Capture);
+
+        let members: Vec<&RunSpec> = specs.iter().collect();
+        // Stop polls come one per turn, round-robin: turn `n` of member
+        // `m` is poll `3 * (n - 1) + m + 1`.
+        for (polls_before_stop, want) in [(0, vec![]), (5, vec![1]), (24, vec![0, 1, 2])] {
+            let polls = std::cell::Cell::new(0);
+            let stop = || {
+                polls.set(polls.get() + 1);
+                polls.get() > polls_before_stop
+            };
+            let mut reported = Vec::new();
+            store.cohort_until(
+                &members,
+                None,
+                &mut SystemSlot::new(),
+                &stop,
+                &mut |i, run| {
+                    let run = run.expect("no member fails");
+                    assert_eq!(run.summary, specs[i].execute(), "{}", specs[i].label());
+                    reported.push(i);
+                },
+            );
+            reported.sort_unstable();
+            assert_eq!(reported, want, "stopped after {polls_before_stop} polls");
+        }
+        let mut slot = SystemSlot::new();
+        let mut lone = None;
+        store.cohort_until(&[&base], None, &mut slot, &|| true, &mut |_, run| {
+            lone = Some(run)
+        });
+        assert!(lone.is_none(), "a stopped cohort of one reports nothing");
+        assert_eq!(
+            store.execute_in(&base, None, &mut slot).summary,
+            base.execute()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1273,7 +1520,7 @@ mod tests {
         fs::copy(store.core_path(&dir, &longer.trace_key(), 0), &path).unwrap();
         let run = store.execute(&spec);
         assert_eq!((run.source, run.summary), (RunSource::Capture, live));
-        assert_eq!((store.quarantined(), store.arenas_decoded()), (1, 0));
+        assert_eq!((store.quarantined(), store.streams_decoded()), (1, 0));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -211,6 +211,12 @@ impl<R: Read + Seek> ReplaySource<R> {
     pub fn stats(&self) -> StreamStats {
         self.stats
     }
+
+    /// Repositions the replay so that the next op served is op number
+    /// `op` ([`TraceReader::seek_to_op`]).
+    pub fn seek_to_op(&mut self, op: u64) -> Result<(), CodecError> {
+        self.reader.seek_to_op(op)
+    }
 }
 
 /// Replays fully decoded, in-memory instructions as an infallible

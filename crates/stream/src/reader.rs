@@ -332,6 +332,29 @@ impl<R: Read + Seek> TraceReader<R> {
         Ok(())
     }
 
+    /// Repositions the stream so that the next op served is op number
+    /// `op` (0-based): seeks to the block holding it, then decodes and
+    /// discards the ops before it in that block. `op` equal to the total
+    /// positions at the end of the trace.
+    pub fn seek_to_op(&mut self, op: u64) -> Result<(), CodecError> {
+        if op > self.total_ops {
+            return Err(CodecError::CountMismatch {
+                expected: self.total_ops,
+                found: op,
+            });
+        }
+        let (mut idx, mut start) = (0, 0u64);
+        while idx < self.index.len() && start + u64::from(self.index[idx].n_ops) <= op {
+            start += u64::from(self.index[idx].n_ops);
+            idx += 1;
+        }
+        self.seek_to_block(idx)?;
+        for _ in start..op {
+            self.next_op()?;
+        }
+        Ok(())
+    }
+
     /// Rewinds to the first op.
     pub fn rewind(&mut self) -> Result<(), CodecError> {
         self.seek_to_block(0)

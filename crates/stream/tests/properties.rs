@@ -290,3 +290,26 @@ fn long_streams_split_into_indexed_blocks() {
     assert!(!tail.is_empty());
     assert_eq!(&ops[ops.len() - tail.len()..], tail.as_slice());
 }
+
+/// Seeking to any op offset — a block's first op, mid-block, the last op
+/// and the end — serves exactly the stream's tail from that op.
+#[test]
+fn seek_to_op_serves_the_tail_from_any_offset() {
+    let raw: Vec<(u32, u64, bool)> = (0..120_000u64)
+        .map(|i| ((i % 9) as u32, 0x4000_0000 + i * 64, i % 3 == 0))
+        .collect();
+    let ops = chained_ops(0x1_0000, raw);
+    let bytes = encode(&ops, "seek");
+    let mut reader = TraceReader::open(Cursor::new(&bytes)).unwrap();
+    assert!(reader.block_count() > 1, "expected multiple blocks");
+    let n = ops.len() as u64;
+    for at in [0, 1, 4_095, 60_001, n - 1, n] {
+        reader.seek_to_op(at).unwrap();
+        let mut tail = Vec::new();
+        while let Some(op) = reader.next_op().unwrap() {
+            tail.push(op);
+        }
+        assert_eq!(tail.as_slice(), &ops[at as usize..], "seek to {at}");
+    }
+    assert!(reader.seek_to_op(n + 1).is_err());
+}

@@ -13,10 +13,13 @@
 #   4. `report sweep --stable` over the two directories must produce
 #      identical bytes (the stable view is independent of how the sweep
 #      was executed);
-#   5. a replay-only sweep over the --jobs 2 directory's warm trace store,
-#      with its run cache removed and --force --jobs 2, must capture
-#      nothing, replay all 63 runs, and still match the goldens — two
-#      workers sharing and releasing replay arenas must not change a byte.
+#   5. a replay-only sweep over the --jobs 2 directory's warm trace store:
+#      its run cache, manifest and run log are deleted, its traces kept,
+#      and fig02+fig05 re-run with --jobs 2. It must capture nothing,
+#      replay all 63 runs (every run-log row reads source `replay`), match
+#      the goldens, and give the cold pass's `report sweep --stable` view —
+#      two workers each stepping a stream's runs as one cohort over a
+#      sliding decoded window must not change a byte.
 #
 # Needs: target/release/{all_figures,report} (make build), sha256sum.
 set -euo pipefail
@@ -95,10 +98,18 @@ cmp -s "${ROOT}/report_serial.txt" "${ROOT}/report_parallel.txt" \
 echo "sweep_smoke: stable sweep report identical across worker counts"
 
 echo "sweep_smoke: replay-only sweep over the warm store, 2 workers..."
-rm -rf "${ROOT}/parallel/cache"
-run_sweep parallel 2 --force > "${ROOT}/replay.out"
+rm -rf "${ROOT}/parallel/cache" "${ROOT}/parallel/results/figures/manifest.tsv" \
+    "${ROOT}/parallel/runlog.tsv"
+run_sweep parallel 2 > "${ROOT}/replay.out"
 grep -q "traces: 0 streams captured · 63 runs replayed" "${ROOT}/replay.out" \
     || fail "replay-only sweep: $(grep 'traces:' "${ROOT}/replay.out" || echo 'no trace summary')"
 check_goldens parallel
-echo "sweep_smoke: replay-only sweep replayed every run, goldens OK"
+not_replayed=$(grep -v '^#' "${ROOT}/parallel/runlog.tsv" | cut -f3 | grep -cvx replay || true)
+rows=$(grep -cv '^#' "${ROOT}/parallel/runlog.tsv" || true)
+[ "${rows}" = 63 ] && [ "${not_replayed}" = 0 ] \
+    || fail "replay-only sweep: ${rows} run-log rows, ${not_replayed} not from replay"
+report_stable parallel > "${ROOT}/report_replay.txt"
+cmp -s "${ROOT}/report_serial.txt" "${ROOT}/report_replay.txt" \
+    || fail "report sweep --stable of the replay-only sweep differs from the cold pass"
+echo "sweep_smoke: replay-only sweep replayed every run, goldens and stable report OK"
 echo "sweep_smoke: PASS"
