@@ -3,7 +3,7 @@
 
 .PHONY: build test lint figures bench-snapshot \
         bench-check sim-report sweep-report telemetry-check bakeoff \
-        bakeoff-smoke sweep-smoke ops-report
+        bakeoff-smoke sweep-smoke ops-report ab
 
 build:
 	cargo build --release
@@ -71,3 +71,11 @@ ops-report:
 # runs.
 sweep-smoke: build
 	bash scripts/sweep_smoke.sh
+
+# Interleaved A/B of the working tree against a parent commit (default
+# HEAD), both built in a scratch directory: medians, quartiles, k/n and
+# a sign-test p-value per metric. AB_ARGS names the command, e.g.
+# AB_ARGS="perfbench disc_cmp4_live --pairs 10 --seed 1" or
+# AB_ARGS="sweep replay --jobs 2 --lengths 200000/400000 --parent HEAD~1".
+ab:
+	python3 scripts/ab.py $(AB_ARGS)

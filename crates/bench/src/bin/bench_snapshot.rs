@@ -8,7 +8,8 @@
 //! - `system/*`: whole-system runs (walker, core, caches, prefetcher),
 //!   and the trace store's cohort replay of three runs over one stream;
 //! - `trace/*`: synthesis of the DB program, the largest of the four, in
-//!   ns per basic block;
+//!   ns per basic block, and the live walker over the four Mixed
+//!   programs, in ns per op;
 //! - `cache/*`: the set-associative cache's hit, miss+fill and probe
 //!   paths, at L1 and L2 scale;
 //! - `prefetch/*`: engine `on_fetch`, the prefetch queue and the
@@ -17,8 +18,8 @@
 //! - `telemetry/*`: the two large lifecycle-trace sinks, JSONL and the
 //!   Chrome trace, in ns per event.
 //!
-//! Walker and stream-codec costs are reported per layer by perfbench's
-//! `--trace 1` breakdown (`trace.*`, `stream.*`).
+//! Stream-codec costs are reported per layer by perfbench's `--trace 1`
+//! breakdown (`stream.*`), beside its own walker probe (`trace.*`).
 //!
 //! ```text
 //! cargo run --release -p ipsim-bench --bin bench_snapshot            # regenerate
@@ -236,6 +237,7 @@ impl OpSource for SliceSource<'_> {
 fn run_all(reps: u32) -> Vec<BenchResult> {
     let mut results = system_benches(reps);
     results.push(trace_bench(reps));
+    results.push(walk_bench(reps));
     results.extend(cache_benches(reps));
     results.extend(prefetch_benches(reps));
     results.extend(unit_benches(reps));
@@ -415,6 +417,37 @@ fn trace_bench(reps: u32) -> BenchResult {
     bench("trace/build_program_db", u64::from(blocks), reps, || {
         black_box(Workload::Db.build_program(1));
     })
+}
+
+/// The live walker over the four Mixed programs: `next_block` a CMP-4
+/// scheduling quantum at a time, round-robin over the cores as a live
+/// Mixed run pulls them, in ns per op.
+fn walk_bench(reps: u32) -> BenchResult {
+    let set = WorkloadSet::mixed();
+    let programs = set.programs(4);
+    let quantum = ipsim_types::SystemConfig::cmp4().sched_quantum as usize;
+    let mut walkers: Vec<TraceWalker> = (0..4).map(|c| set.walker(&programs, c)).collect();
+    let mut out = vec![
+        TraceOp {
+            pc: Addr(0),
+            kind: OpKind::Other
+        };
+        quantum
+    ];
+    let turns = MICRO_OPS as usize / quantum;
+    bench(
+        "trace/walk_mixed_1m",
+        (turns * quantum) as u64,
+        reps,
+        || {
+            let mut sum = 0u64;
+            for turn in 0..turns {
+                walkers[turn % 4].next_block(&mut out);
+                sum = sum.wrapping_add(out[quantum - 1].pc.0);
+            }
+            black_box(sum);
+        },
+    )
 }
 
 fn cache_benches(reps: u32) -> Vec<BenchResult> {

@@ -66,9 +66,9 @@ impl Evicted {
 ///
 /// The cache stores no data — only presence and per-line flags — which is all
 /// a trace-driven simulator needs. Storage is three flat lanes (lines, flags,
-/// LRU stamps) covering every set contiguously; the private `set` module
-/// documents the layout and the argument that stamp order reproduces
-/// list-LRU exactly.
+/// LRU stamps) covering every set contiguously, plus one stamp clock per
+/// set; the private `set` module documents the layout and the argument
+/// that stamp order reproduces list-LRU exactly.
 /// See the crate docs for an example.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
@@ -204,7 +204,7 @@ impl SetAssocCache {
         let idx = self.set_index(line);
         match self.sets.locate_for_fill(idx, line) {
             FillSlot::Resident(slot) => {
-                self.sets.promote(slot);
+                self.sets.promote(idx, slot);
                 let flags = self.sets.flags(slot);
                 let first_use = flags & (FLAG_PREFETCHED | FLAG_USED) == FLAG_PREFETCHED;
                 let mut updated = flags | FLAG_USED;
@@ -229,7 +229,7 @@ impl SetAssocCache {
                 };
                 self.count_fill(kind);
                 self.sets
-                    .install(slot, line, Self::miss_fill_flags(kind, write));
+                    .install(idx, slot, line, Self::miss_fill_flags(kind, write));
                 (Access::Miss, None)
             }
             FillSlot::Evict(slot) => {
@@ -248,7 +248,7 @@ impl SetAssocCache {
                     }
                 }
                 self.sets
-                    .install(slot, line, Self::miss_fill_flags(kind, write));
+                    .install(idx, slot, line, Self::miss_fill_flags(kind, write));
                 (Access::Miss, Some(victim))
             }
         }
@@ -286,7 +286,7 @@ impl SetAssocCache {
                 self.stats.redundant_fills += 1;
                 // Promote, and upgrade a resident prefetched line to demand
                 // on a demand fill (the demand stream has caught up with it).
-                self.sets.promote(slot);
+                self.sets.promote(idx, slot);
                 if kind == FillKind::Demand {
                     let flags = self.sets.flags(slot);
                     self.sets.set_flags(slot, flags | FLAG_USED);
@@ -295,7 +295,7 @@ impl SetAssocCache {
             }
             FillSlot::Vacant(slot) => {
                 self.count_fill(kind);
-                self.sets.install(slot, line, Self::fill_flags(kind));
+                self.sets.install(idx, slot, line, Self::fill_flags(kind));
                 None
             }
             FillSlot::Evict(slot) => {
@@ -309,7 +309,7 @@ impl SetAssocCache {
                         self.stats.useless_prefetch_evictions += 1;
                     }
                 }
-                self.sets.install(slot, line, Self::fill_flags(kind));
+                self.sets.install(idx, slot, line, Self::fill_flags(kind));
                 Some(victim)
             }
         }

@@ -6,15 +6,23 @@
 //!
 //! * `lines`  — full line addresses ([`INVALID_LINE`] marks an empty way),
 //! * `flags`  — per-line bookkeeping bits (prefetched / used / dirty),
-//! * `stamps` — LRU stamps from one monotonically increasing counter.
+//! * `stamps` — each way's LRU stamp, drawn from its set's clock,
 //!
-//! A set is the slice `[set * ways, set * ways + ways)` of each lane. Hits
-//! promote by writing a fresh stamp (one store, no data movement); the
-//! eviction victim is the minimum stamp. Because every insert and every
-//! promotion takes a unique, strictly increasing stamp, stamp order is
-//! exactly the recency order the old list maintained — the victim choice
-//! (and therefore every simulated figure) is bit-for-bit unchanged, which
-//! `tests/properties.rs` proves against a list-based reference model.
+//! plus one byte per set, `clocks`: the last stamp the set handed out. A
+//! set is the slice `[set * ways, set * ways + ways)` of each lane, so a
+//! slot costs 10 bytes and a set one more (a 2 MB 4-way L2 of 64-byte
+//! lines: 328 KiB).
+//!
+//! A hit promotes by taking its set's next stamp (two stores, no data
+//! movement); the eviction victim is the valid way with the minimum
+//! stamp. Within a set every promotion takes a stamp larger than any
+//! before it, so stamp order is exactly the recency order the old list
+//! kept. When a set's clock reaches `u8::MAX`, its valid ways are
+//! renumbered `0..valid` in stamp order and the clock restarts at
+//! `valid - 1`: the order, and so every victim, is unchanged. The victim
+//! choice (and therefore every simulated figure) is bit-for-bit list-LRU's,
+//! which `tests/properties.rs` proves against a list-based reference
+//! model at 1 to 16 ways, and the unit tests across many renumberings.
 
 use ipsim_types::LineAddr;
 
@@ -37,7 +45,8 @@ pub(crate) enum FillSlot {
     Resident(usize),
     /// The set has a free way at this slot.
     Vacant(usize),
-    /// The set is full; this slot holds the LRU victim.
+    /// The set is full; this slot holds the LRU victim (the minimum
+    /// stamp).
     Evict(usize),
 }
 
@@ -46,23 +55,33 @@ pub(crate) enum FillSlot {
 pub(crate) struct FlatSets {
     lines: Box<[LineAddr]>,
     flags: Box<[u8]>,
-    stamps: Box<[u64]>,
+    stamps: Box<[u8]>,
+    clocks: Box<[u8]>,
     ways: usize,
-    next_stamp: u64,
 }
 
 impl FlatSets {
+    /// `n_sets` empty sets of `ways` ways each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` exceeds the bits of the one-word way masks `find`
+    /// builds (`CacheConfig::new` rejects such geometries); renumbering
+    /// then always leaves a set's clock room below `u8::MAX`.
     pub(crate) fn new(n_sets: usize, ways: usize) -> FlatSets {
+        assert!(
+            ways <= usize::BITS as usize,
+            "{ways} ways exceed a way mask"
+        );
         let slots = n_sets * ways;
         FlatSets {
             lines: vec![INVALID_LINE; slots].into_boxed_slice(),
             flags: vec![0u8; slots].into_boxed_slice(),
-            stamps: vec![0u64; slots].into_boxed_slice(),
+            stamps: vec![0u8; slots].into_boxed_slice(),
+            clocks: vec![0u8; n_sets].into_boxed_slice(),
             ways,
-            next_stamp: 1,
         }
     }
-
     /// The line resident at `slot` ([`INVALID_LINE`] if the way is empty).
     #[inline]
     pub(crate) fn line(&self, slot: usize) -> LineAddr {
@@ -107,29 +126,58 @@ impl FlatSets {
         (mask != 0).then(|| base + mask.trailing_zeros() as usize)
     }
 
-    /// Empties every set and restarts the LRU stamp counter — exactly the
+    /// Empties every set and restarts every set's clock — exactly the
     /// state of a freshly built [`FlatSets`], with the lane allocations
     /// kept.
     pub(crate) fn clear(&mut self) {
         self.lines.fill(INVALID_LINE);
         self.flags.fill(0);
         self.stamps.fill(0);
-        self.next_stamp = 1;
+        self.clocks.fill(0);
     }
 
     /// Finds `line` in `set` and promotes it to MRU, returning its slot.
     #[inline]
     pub(crate) fn touch(&mut self, set: usize, line: LineAddr) -> Option<usize> {
         let slot = self.find(set, line)?;
-        self.promote(slot);
+        self.promote(set, slot);
         Some(slot)
     }
 
-    /// Stamps `slot` as the most recently used way of its set.
+    /// Stamps `slot`, a valid way of `set`, as the set's most recently
+    /// used way.
     #[inline]
-    pub(crate) fn promote(&mut self, slot: usize) {
-        self.stamps[slot] = self.next_stamp;
-        self.next_stamp += 1;
+    pub(crate) fn promote(&mut self, set: usize, slot: usize) {
+        let clock = self.clocks[set] + 1;
+        self.clocks[set] = clock;
+        self.stamps[slot] = clock;
+        if clock == u8::MAX {
+            self.renumber(set);
+        }
+    }
+
+    /// Renumbers `set`'s valid ways `0..valid` in stamp order and restarts
+    /// its clock at the highest of them: at most once per `256 - ways`
+    /// promotions of the set.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self, set: usize) {
+        let base = set * self.ways;
+        let lines = &self.lines[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        let mut old = [0u8; usize::BITS as usize];
+        let old = &mut old[..self.ways];
+        old.copy_from_slice(stamps);
+        let valid = |w: usize| lines[w] != INVALID_LINE;
+        let mut n_valid = 0;
+        for w in (0..self.ways).filter(|&w| valid(w)) {
+            n_valid += 1;
+            stamps[w] = (0..self.ways)
+                .filter(|&v| valid(v) && old[v] < old[w])
+                .count() as u8;
+        }
+        debug_assert!(n_valid > 0, "renumbering a set with no valid way");
+        self.clocks[set] = n_valid - 1;
     }
 
     /// One fused scan deciding where a fill of `line` lands: resident hit,
@@ -139,7 +187,7 @@ impl FlatSets {
         let base = set * self.ways;
         let mut vacant = usize::MAX;
         let mut lru_slot = base;
-        let mut lru_stamp = u64::MAX;
+        let mut lru_stamp = u8::MAX;
         for slot in base..base + self.ways {
             let resident = self.lines[slot];
             if resident == line {
@@ -161,15 +209,15 @@ impl FlatSets {
         }
     }
 
-    /// Writes `line` with `flags` into `slot` and stamps it MRU. The
-    /// previous occupant (if any) is simply overwritten — the caller reads
-    /// victim state out of the lanes first.
+    /// Writes `line` with `flags` into `slot`, a way of `set`, and stamps
+    /// it MRU. The previous occupant (if any) is simply overwritten — the
+    /// caller reads victim state out of the lanes first.
     #[inline]
-    pub(crate) fn install(&mut self, slot: usize, line: LineAddr, flags: u8) {
+    pub(crate) fn install(&mut self, set: usize, slot: usize, line: LineAddr, flags: u8) {
         debug_assert_ne!(line, INVALID_LINE, "installing the sentinel line");
         self.lines[slot] = line;
         self.flags[slot] = flags;
-        self.promote(slot);
+        self.promote(set, slot);
     }
 
     /// Removes `line` from `set` if resident, returning its flag bits.
@@ -178,7 +226,6 @@ impl FlatSets {
         let flags = self.flags[slot];
         self.lines[slot] = INVALID_LINE;
         self.flags[slot] = 0;
-        self.stamps[slot] = 0;
         Some(flags)
     }
 
@@ -200,6 +247,7 @@ impl FlatSets {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipsim_types::Rng64;
 
     /// Fills `line` into set 0 the way the cache does, returning the
     /// evicted line (if any).
@@ -207,12 +255,12 @@ mod tests {
         match s.locate_for_fill(0, LineAddr(line)) {
             FillSlot::Resident(_) => panic!("line {line} already resident"),
             FillSlot::Vacant(slot) => {
-                s.install(slot, LineAddr(line), 0);
+                s.install(0, slot, LineAddr(line), 0);
                 None
             }
             FillSlot::Evict(slot) => {
                 let victim = s.line(slot);
-                s.install(slot, LineAddr(line), 0);
+                s.install(0, slot, LineAddr(line), 0);
                 Some(victim)
             }
         }
@@ -271,6 +319,64 @@ mod tests {
         assert_eq!(insert(&mut s, 2), Some(LineAddr(1)));
     }
 
+    /// Thousands of promotions per set, so every set's clock wraps and
+    /// renumbers many times: after each operation the valid ways' stamps
+    /// are distinct and no later than their set's clock, and every fill
+    /// evicts the line a list-LRU reference evicts.
+    #[test]
+    fn renumbering_keeps_the_lru_order() {
+        for ways in [1, 2, 4, 8, 16] {
+            let mut s = FlatSets::new(2, ways);
+            let mut lists: [Vec<LineAddr>; 2] = Default::default();
+            let mut rng = Rng64::new(ways as u64);
+            for _ in 0..20_000 {
+                let line = LineAddr(rng.range(3 * ways as u64));
+                let set = (line.0 & 1) as usize;
+                let list = &mut lists[set];
+                let listed = list.iter().position(|&l| l == line);
+                match rng.range(4) {
+                    0 => {
+                        assert_eq!(s.invalidate(set, line).is_some(), listed.is_some());
+                        listed.map(|at| list.remove(at));
+                    }
+                    1 => {
+                        assert_eq!(s.touch(set, line).is_some(), listed.is_some());
+                        if let Some(at) = listed {
+                            list.remove(at);
+                            list.insert(0, line);
+                        }
+                    }
+                    _ => {
+                        match s.locate_for_fill(set, line) {
+                            FillSlot::Resident(slot) => s.promote(set, slot),
+                            FillSlot::Vacant(slot) => s.install(set, slot, line, 0),
+                            FillSlot::Evict(slot) => {
+                                assert_eq!(Some(s.line(slot)), list.pop(), "{ways} ways");
+                                s.install(set, slot, line, 0);
+                            }
+                        }
+                        if let Some(at) = list.iter().position(|&l| l == line) {
+                            list.remove(at);
+                        }
+                        list.insert(0, line);
+                    }
+                }
+                for (set, list) in lists.iter().enumerate() {
+                    let base = set * ways;
+                    let mut stamps: Vec<u8> = (base..base + ways)
+                        .filter(|&w| s.line(w) != INVALID_LINE)
+                        .map(|w| s.stamps[w])
+                        .collect();
+                    assert_eq!(stamps.len(), list.len());
+                    stamps.sort_unstable();
+                    stamps.dedup();
+                    assert_eq!(stamps.len(), list.len(), "{ways} ways: stamps collide");
+                    assert!(stamps.iter().all(|&t| t <= s.clocks[set]));
+                }
+            }
+        }
+    }
+
     #[test]
     fn flags_round_trip() {
         let mut s = FlatSets::new(1, 2);
@@ -278,7 +384,7 @@ mod tests {
             FillSlot::Vacant(slot) => slot,
             _ => unreachable!(),
         };
-        s.install(slot, LineAddr(7), FLAG_PREFETCHED);
+        s.install(0, slot, LineAddr(7), FLAG_PREFETCHED);
         assert_eq!(s.flags(slot), FLAG_PREFETCHED);
         s.set_flags(slot, FLAG_PREFETCHED | FLAG_USED | FLAG_DIRTY);
         assert_eq!(s.invalidate(0, LineAddr(7)), Some(0b111));

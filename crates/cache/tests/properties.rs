@@ -67,6 +67,21 @@ impl RefCache {
         let set = self.set(line);
         set.iter().any(|&l| l == line)
     }
+
+    /// Removes `line` if resident, reporting whether it was.
+    fn invalidate(&mut self, line: u64) -> bool {
+        let set = self.set(line);
+        let pos = set.iter().position(|&l| l == line);
+        pos.map(|pos| set.remove(pos)).is_some()
+    }
+}
+
+/// Every associativity the order properties run at, over 4 sets of
+/// 64-byte lines.
+const WAYS: [usize; 5] = [1, 2, 4, 8, 16];
+
+fn cache_of(ways: usize) -> SetAssocCache {
+    SetAssocCache::new(CacheConfig::new(4 * ways as u64 * 64, ways as u32, 64).unwrap())
 }
 
 #[derive(Debug, Clone)]
@@ -94,7 +109,7 @@ proptest! {
     #[test]
     fn cache_matches_reference_model(ops in prop::collection::vec(op_strategy(64), 1..400)) {
         // 4 sets x 2 ways.
-        let mut dut = SetAssocCache::new(CacheConfig::new(512, 2, 64).unwrap());
+        let mut dut = cache_of(2);
         let mut re = RefCache::new(4, 2);
         for op in ops {
             match op {
@@ -106,7 +121,7 @@ proptest! {
                     let kind = if p { FillKind::Prefetch } else { FillKind::Demand };
                     // The victim must be the exact line the list-LRU
                     // reference evicts — not just "some line of the set".
-                    // This is what makes stamp-based LRU provably
+                    // This is what makes per-set stamp LRU provably
                     // order-equivalent to the old `Vec`-based `Set`.
                     let victim = dut.fill(LineAddr(l), kind).map(|v| v.line.0);
                     prop_assert_eq!(victim, re.fill(l), "fill {} victim", l);
@@ -115,11 +130,8 @@ proptest! {
                     prop_assert_eq!(dut.probe(LineAddr(l)), re.probe(l), "probe {}", l);
                 }
                 Op::Invalidate(l) => {
-                    dut.invalidate(LineAddr(l));
-                    let set = re.set(l);
-                    if let Some(pos) = set.iter().position(|&x| x == l) {
-                        set.remove(pos);
-                    }
+                    let was = dut.invalidate(LineAddr(l)).is_some();
+                    prop_assert_eq!(was, re.invalidate(l), "invalidate {}", l);
                 }
             }
             prop_assert!(dut.resident_lines() <= 8);
@@ -130,28 +142,37 @@ proptest! {
         prop_assert_eq!(dut_lines, re.resident_sorted());
     }
 
-    /// Pure fill/touch streams (no invalidations) drive every set through
-    /// full-capacity churn; the eviction *sequence* must match the
-    /// reference model exactly, element for element.
+    /// Fill/touch streams with occasional invalidations drive every set
+    /// through full-capacity churn and through the gaps an invalidation
+    /// leaves; at every associativity the eviction *sequence* must match
+    /// the reference model exactly, element for element.
     #[test]
-    fn eviction_sequence_matches_reference(stream in prop::collection::vec(0u64..48, 1..600)) {
-        let mut dut = SetAssocCache::new(CacheConfig::new(512, 2, 64).unwrap());
-        let mut re = RefCache::new(4, 2);
-        let mut dut_evictions = Vec::new();
-        let mut ref_evictions = Vec::new();
-        for (i, &l) in stream.iter().enumerate() {
-            if i % 3 == 0 {
-                // Interleave demand accesses so LRU promotion order matters.
-                dut.access(LineAddr(l));
-                re.access(l);
-            } else if let Some(v) = dut.fill(LineAddr(l), FillKind::Demand) {
-                dut_evictions.push(v.line.0);
-                ref_evictions.push(re.fill(l).expect("reference also evicts"));
-            } else {
-                prop_assert_eq!(re.fill(l), None, "reference evicted but cache did not");
+    fn eviction_sequence_matches_reference(stream in prop::collection::vec(0u64..1 << 16, 1..600)) {
+        for ways in WAYS {
+            // Three lines per way of every set, so sets keep overflowing.
+            let span = 12 * ways as u64;
+            let mut dut = cache_of(ways);
+            let mut re = RefCache::new(4, ways);
+            let mut dut_evictions = Vec::new();
+            let mut ref_evictions = Vec::new();
+            for (i, &l) in stream.iter().enumerate() {
+                let l = l % span;
+                if i % 7 == 6 {
+                    let was = dut.invalidate(LineAddr(l)).is_some();
+                    prop_assert_eq!(was, re.invalidate(l), "{} ways: invalidate {}", ways, l);
+                } else if i % 3 == 0 {
+                    // Interleave demand accesses so LRU promotion order matters.
+                    dut.access(LineAddr(l));
+                    re.access(l);
+                } else if let Some(v) = dut.fill(LineAddr(l), FillKind::Demand) {
+                    dut_evictions.push(v.line.0);
+                    ref_evictions.push(re.fill(l).expect("reference also evicts"));
+                } else {
+                    prop_assert_eq!(re.fill(l), None, "{} ways: reference evicted but cache did not", ways);
+                }
             }
+            prop_assert_eq!(dut_evictions, ref_evictions, "{} ways", ways);
         }
-        prop_assert_eq!(dut_evictions, ref_evictions);
     }
 
     /// A prefetched line reports first-use exactly once, whatever happens
@@ -177,7 +198,7 @@ proptest! {
     /// cache was full at that set; fills = resident + evictions + invalidated.
     #[test]
     fn stats_identities_hold(ops in prop::collection::vec(op_strategy(32), 1..300)) {
-        let mut c = SetAssocCache::new(CacheConfig::new(512, 2, 64).unwrap());
+        let mut c = cache_of(2);
         let mut invalidated = 0u64;
         for op in ops {
             match op {

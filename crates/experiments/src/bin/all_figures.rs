@@ -133,7 +133,7 @@ fn main() {
     if report.interrupted {
         eprintln!(
             "interrupted: {} completed runs flushed to the runlog; rerun to resume from cache",
-            report.cache_hits + report.cache_misses,
+            report.runs_recorded,
         );
         exit(130);
     }

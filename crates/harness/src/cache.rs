@@ -120,6 +120,12 @@ impl RunCache {
         }
     }
 
+    /// Counts a miss without reading the entry: for a run that simulates
+    /// whatever the cache holds (a telemetry sweep lacking its artifact).
+    pub fn bypass(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Stores `summary` for `spec` atomically (temp file + rename).
     ///
     /// Failures are deliberately non-fatal: a read-only or full disk costs

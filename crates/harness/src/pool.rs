@@ -237,8 +237,9 @@ pub fn execute_groups(
 /// that ends stores its summary and — when a telemetry sink is active —
 /// writes its artifact. A cache hit is only taken when the sink already
 /// has this run's artifact (or there is no sink): summaries are
-/// cacheable, telemetry is not. `emit(index in group, outcome)` is called
-/// once per run as it ends.
+/// cacheable, telemetry is not, so a run without its artifact counts as
+/// a miss and simulates. `emit(index in group, outcome)` is called once
+/// per run as it ends.
 fn run_group(
     specs: &[RunSpec],
     cache: &RunCache,
@@ -254,6 +255,7 @@ fn run_group(
         let key = spec.cache_key();
         let need_artifact = telemetry.is_some_and(|sink| !sink.has(&key));
         let hit = if need_artifact {
+            cache.bypass();
             None
         } else {
             cache.lookup(spec)

@@ -154,8 +154,12 @@ pub struct SweepReport {
     pub figures_skipped: usize,
     /// Disk-cache hits.
     pub cache_hits: u64,
-    /// Disk-cache misses (simulated this sweep).
+    /// Disk-cache misses (simulated this sweep), runs of a telemetry sweep
+    /// that lacked their artifact included.
     pub cache_misses: u64,
+    /// Runs recorded in the runlog: cache hits and finished simulations.
+    /// Fewer than `unique_jobs` only when the sweep was interrupted.
+    pub runs_recorded: usize,
     /// Corrupt cache entries quarantined.
     pub quarantined: u64,
     /// Workload streams captured to the trace store.
@@ -366,6 +370,7 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
         figures_skipped,
         cache_hits: cache.hits(),
         cache_misses: cache.misses(),
+        runs_recorded: exec.records.len(),
         quarantined: cache.quarantined(),
         traces_captured: traces.captured(),
         traces_replayed: traces.replayed(),
@@ -783,5 +788,37 @@ mod tests {
 
         let _ = std::fs::remove_dir_all(root.parent().unwrap());
         let _ = std::fs::remove_dir_all(plain_opts.results_dir.as_ref().unwrap().parent().unwrap());
+    }
+
+    #[test]
+    fn telemetry_sweeps_count_every_run_as_cached_or_simulated() {
+        let mut opts = opts("telem-counts");
+        opts.telemetry = Some(TelemetryConfig {
+            interval: 500,
+            max_events_per_core: 1_024,
+        });
+
+        // Cold: no artifact and no cache entry, so every unique run is
+        // simulated.
+        let cold = run_sweep(&FIGS[..2], &opts);
+        assert!(cold.all_ok());
+        assert_eq!(cold.unique_jobs, 2);
+        assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
+        assert_eq!(cold.runs_recorded, 2);
+
+        // Warm with every artifact in place: every run is cached.
+        let warm = run_sweep(&FIGS[..2], &opts);
+        assert_eq!((warm.cache_hits, warm.cache_misses), (2, 0));
+        assert_eq!(warm.runs_recorded, 2);
+
+        // Cache entries present but artifacts gone: the runs simulate
+        // again to write them, and count as simulated.
+        let root = opts.telemetry_dir.as_ref().unwrap();
+        std::fs::remove_dir_all(root).unwrap();
+        let rewrite = run_sweep(&FIGS[..2], &opts);
+        assert_eq!((rewrite.cache_hits, rewrite.cache_misses), (0, 2));
+        assert_eq!(rewrite.telemetry_written, 2);
+
+        let _ = std::fs::remove_dir_all(root.parent().unwrap());
     }
 }

@@ -23,9 +23,10 @@
 //! 1. [`WorkloadProfile`] — a named parameter set ([`Workload::Db`],
 //!    [`Workload::TpcW`], [`Workload::JApp`], [`Workload::Web`]),
 //! 2. [`ProgramBuilder`] — deterministically synthesises a static
-//!    [`Program`] in one pass: one flat table of 16-byte basic-block
-//!    records (layout, branch/call structure), functions as runs of it,
-//!    plus a flat table of indirect-call candidates,
+//!    [`Program`] in one pass: one flat table of 8-byte basic-block
+//!    records (layout, branch/call structure), functions as runs of it
+//!    with one entry address each, plus a flat table of indirect-call
+//!    candidates,
 //! 3. [`TraceWalker`] — walks the program with a call stack and a seeded
 //!    RNG, yielding a self-consistent [`TraceOp`](ipsim_types::TraceOp)
 //!    stream.

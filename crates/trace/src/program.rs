@@ -1,4 +1,4 @@
-//! The static synthetic program: one flat table of 16-byte basic-block
+//! The static synthetic program: one flat table of 8-byte basic-block
 //! records, laid out contiguously in a flat address space.
 
 use ipsim_types::instr::INSTR_BYTES;
@@ -53,68 +53,160 @@ pub(crate) enum WalkKind {
     CondBranch,
     /// An unconditional PC-relative branch to block `target`.
     UncondBranch,
-    /// A direct call of function `target`; execution resumes at the next
+    /// A direct call of function `callee`; execution resumes at the next
     /// block on return. Direct call targets are embedded in the
     /// instruction, the property that makes most discontinuities
     /// single-target.
     Call,
     /// An indirect call (SPARC `jmpl`) through a register: one of the
-    /// `n_callees` weighted candidates at offset `target` of the
-    /// program's candidate table, chosen per dynamic execution.
+    /// weighted `candidates` (an offset into the program's candidate
+    /// table and a count), chosen per dynamic execution.
     IndirectCall,
     /// Return to the caller.
     Return,
 }
 
-/// One basic block: `n_instrs` instructions at `start`, the last being the
-/// terminator. Everything the walker's dispatch loop needs, in 16 bytes
-/// with no nested indirection. `target` is read by `kind`: a block index
-/// within the same function (branches), a callee function (direct calls)
-/// or an offset into the indirect-call candidate table.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Bit widths of a [`WalkBlock`]'s packed `head` word, low bits first:
+/// the block's offset from its function's entry in instructions, its
+/// instruction count, its ending, and a 12-bit field read by ending.
+pub(crate) const OFFSET_BITS: u32 = 11;
+pub(crate) const COUNT_BITS: u32 = 6;
+const KIND_BITS: u32 = 3;
+pub(crate) const FIELD_BITS: u32 = 12;
+const COUNT_SHIFT: u32 = OFFSET_BITS;
+const KIND_SHIFT: u32 = COUNT_SHIFT + COUNT_BITS;
+const FIELD_SHIFT: u32 = KIND_SHIFT + KIND_BITS;
+const _: () = assert!(FIELD_SHIFT + FIELD_BITS == u32::BITS);
+const _: () = assert!((WalkKind::Return as u32) < 1 << KIND_BITS);
+
+/// `WalkKind` by its 3-bit code; codes past `Return` are never written.
+const KINDS: [WalkKind; 1 << KIND_BITS] = [
+    WalkKind::FallThrough,
+    WalkKind::CondBranch,
+    WalkKind::UncondBranch,
+    WalkKind::Call,
+    WalkKind::IndirectCall,
+    WalkKind::Return,
+    WalkKind::Return,
+    WalkKind::Return,
+];
+
+/// One basic block: `n_instrs` instructions at `offset` instructions past
+/// its function's entry (`Program::func_start`), the last being the
+/// terminator. Everything the walker's dispatch loop needs, in 8 bytes
+/// with no nested indirection:
+///
+/// * `head` packs the offset, the instruction count, the ending and a
+///   12-bit field: a branch's target block within the same function, or
+///   an indirect call's candidate count;
+/// * `arg` holds, by ending, a conditional branch's `f32` taken
+///   probability (its bits), a direct call's callee function, or an
+///   indirect call's offset into the candidate table.
+///
+/// The builder's caps (`MAX_BLOCKS`, `MAX_BLOCK_INSTRS`) are tied to the
+/// widths by `const` assertions, so every field of every built program
+/// fits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WalkBlock {
-    /// Address of the block's first instruction (profiles whose code
-    /// could pass 4 GB are rejected by `WorkloadProfile::assert_valid`).
-    pub(crate) start: u32,
-    pub(crate) target: u32,
-    /// Per-execution taken probability (conditional branches only).
-    pub(crate) prob: f32,
-    /// Instruction count including the terminator slot (1 to 32).
-    pub(crate) n_instrs: u8,
-    pub(crate) kind: WalkKind,
-    /// Candidate count at `target` (indirect calls only).
-    pub(crate) n_callees: u8,
+    head: u32,
+    arg: u32,
 }
 
-const _: () = assert!(std::mem::size_of::<WalkBlock>() == 16);
+const _: () = assert!(std::mem::size_of::<WalkBlock>() == 8);
 
 impl WalkBlock {
-    /// A block ending in `kind`, not yet laid out (see [`WalkBlock::at`]).
-    pub(crate) const fn ending(kind: WalkKind, target: u32, prob: f32) -> WalkBlock {
+    /// A block ending in `kind` with its 12-bit `field` and `arg` word,
+    /// not yet laid out (see [`WalkBlock::at`]).
+    const fn ending(kind: WalkKind, field: u32, arg: u32) -> WalkBlock {
         WalkBlock {
-            start: 0,
-            target,
-            prob,
-            n_instrs: 0,
-            kind,
-            n_callees: 0,
+            head: (kind as u32) << KIND_SHIFT | field << FIELD_SHIFT,
+            arg,
         }
     }
 
-    /// This ending, laid out as a block of `n_instrs` at `start`.
-    pub(crate) fn at(self, start: u32, n_instrs: u32) -> WalkBlock {
-        debug_assert!((1..=u8::MAX as u32).contains(&n_instrs));
+    /// A block that falls through into the next one.
+    pub(crate) const FALL_THROUGH: WalkBlock = WalkBlock::ending(WalkKind::FallThrough, 0, 0);
+    /// A block that returns to its caller.
+    pub(crate) const RETURN: WalkBlock = WalkBlock::ending(WalkKind::Return, 0, 0);
+
+    /// A conditional branch to block `target`, taken with probability
+    /// `prob`.
+    pub(crate) fn cond_branch(target: u32, prob: f32) -> WalkBlock {
+        debug_assert!(target < 1 << FIELD_BITS);
+        WalkBlock::ending(WalkKind::CondBranch, target, prob.to_bits())
+    }
+
+    /// An unconditional branch to block `target`.
+    pub(crate) fn uncond_branch(target: u32) -> WalkBlock {
+        debug_assert!(target < 1 << FIELD_BITS);
+        WalkBlock::ending(WalkKind::UncondBranch, target, 0)
+    }
+
+    /// A direct call of `callee`.
+    pub(crate) fn call(callee: FuncId) -> WalkBlock {
+        WalkBlock::ending(WalkKind::Call, 0, callee.0)
+    }
+
+    /// An indirect call through the `n` candidates at offset `at` of the
+    /// candidate table.
+    pub(crate) fn indirect_call(at: u32, n: u32) -> WalkBlock {
+        debug_assert!(n < 1 << FIELD_BITS);
+        WalkBlock::ending(WalkKind::IndirectCall, n, at)
+    }
+
+    /// This ending, laid out as a block of `n_instrs` at `offset`
+    /// instructions past its function's entry.
+    pub(crate) fn at(self, offset: u32, n_instrs: u32) -> WalkBlock {
+        debug_assert!(offset < 1 << OFFSET_BITS);
+        debug_assert!((1..1 << COUNT_BITS).contains(&n_instrs));
         WalkBlock {
-            start,
-            n_instrs: n_instrs as u8,
+            head: self.head | offset | n_instrs << COUNT_SHIFT,
             ..self
         }
     }
 
-    /// Address of the block's first instruction.
+    /// How the block ends.
     #[inline]
-    pub(crate) fn start(&self) -> Addr {
-        Addr(self.start as u64)
+    pub(crate) fn kind(&self) -> WalkKind {
+        KINDS[(self.head >> KIND_SHIFT) as usize & ((1 << KIND_BITS) - 1)]
+    }
+
+    /// Offset of the block's first instruction from its function's
+    /// entry, in instructions.
+    #[inline]
+    pub(crate) fn offset(&self) -> u32 {
+        self.head & ((1 << OFFSET_BITS) - 1)
+    }
+
+    /// Instruction count including the terminator slot (1 to 32).
+    #[inline]
+    pub(crate) fn n_instrs(&self) -> u32 {
+        (self.head >> COUNT_SHIFT) & ((1 << COUNT_BITS) - 1)
+    }
+
+    /// Target block index within the same function (branches only).
+    #[inline]
+    pub(crate) fn target(&self) -> u32 {
+        self.head >> FIELD_SHIFT
+    }
+
+    /// Per-execution taken probability (conditional branches only).
+    #[inline]
+    pub(crate) fn prob(&self) -> f32 {
+        f32::from_bits(self.arg)
+    }
+
+    /// The callee (direct calls only).
+    #[inline]
+    pub(crate) fn callee(&self) -> FuncId {
+        FuncId(self.arg)
+    }
+
+    /// Offset into the candidate table and candidate count (indirect
+    /// calls only).
+    #[inline]
+    pub(crate) fn candidates(&self) -> (u32, u32) {
+        (self.arg, self.head >> FIELD_SHIFT)
     }
 }
 
@@ -125,16 +217,21 @@ impl WalkBlock {
 /// core) may share one `Program` — that is how we model multiple cores
 /// running the same binary with shared code but independent control flow.
 ///
-/// The program is one flat table of 16-byte block records, every
-/// function's blocks concatenated in layout order, plus one flat table
-/// of indirect-call candidates. Functions are runs of the block table;
-/// trap handlers are the last `n_functions - n_regular` of them.
+/// The program is one flat table of 8-byte block records, every
+/// function's blocks concatenated in layout order, a per-function table
+/// of entry addresses the records' offsets count from, and one flat
+/// table of indirect-call candidates. Functions are runs of the block
+/// table; trap handlers are the last `n_functions - n_regular` of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     /// Every function's blocks, concatenated in layout order.
     pub(crate) walk: Vec<WalkBlock>,
     /// `func_base[f]` is the index of function `f`'s first block in `walk`.
     pub(crate) func_base: Vec<u32>,
+    /// `func_start[f]` is function `f`'s entry address (profiles whose
+    /// code could pass 4 GB are rejected by
+    /// `WorkloadProfile::assert_valid`).
+    pub(crate) func_start: Vec<u32>,
     /// Indirect-call candidates with selection weights, one run per call
     /// site.
     pub(crate) indirect: Vec<(FuncId, f32)>,
@@ -156,17 +253,24 @@ impl Program {
         &self.walk[(self.func_base[func as usize] + block) as usize]
     }
 
+    /// Address of the first instruction of `block`, a block of function
+    /// `func`.
+    #[inline]
+    pub(crate) fn block_start(&self, func: u32, block: &WalkBlock) -> Addr {
+        Addr(self.func_start[func as usize] as u64 + block.offset() as u64 * INSTR_BYTES)
+    }
+
     /// Entry address of function `id`.
     #[inline]
     pub(crate) fn entry_addr(&self, id: FuncId) -> Addr {
-        self.walk[self.func_base[id.0 as usize] as usize].start()
+        Addr(self.func_start[id.0 as usize] as u64)
     }
 
     /// The candidate callees of an indirect-call block.
     #[inline]
     pub(crate) fn callees(&self, block: &WalkBlock) -> &[(FuncId, f32)] {
-        let at = block.target as usize;
-        &self.indirect[at..at + block.n_callees as usize]
+        let (at, n) = block.candidates();
+        &self.indirect[at as usize..(at + n) as usize]
     }
 
     /// Function `f`'s blocks, or `None` if its run of the block table is
@@ -240,8 +344,8 @@ impl Program {
     /// builder.
     ///
     /// Verified invariants: every function is a non-empty run of the block
-    /// table, and blocks are laid out contiguously and in order from
-    /// `code_start` across `code_bytes`; every branch target is a valid
+    /// table with an entry address, and blocks are laid out contiguously
+    /// and in order from `code_start` across `code_bytes`; every branch target is a valid
     /// block index in its function; every call target is a valid regular
     /// function with a positive weight; the last block of every function
     /// returns; the trap handlers at the tail are straight-line code.
@@ -252,31 +356,39 @@ impl Program {
         if self.n_regular > self.n_functions() {
             return Err("more regular functions than functions".to_string());
         }
+        if self.func_start.len() != self.func_base.len() {
+            return Err("entry table does not cover the functions".to_string());
+        }
         let mut cursor = self.code_start;
         for fi in 0..self.func_base.len() {
             let Some(blocks) = self.blocks_of(fi) else {
                 return Err(format!("function {fi} has no blocks"));
             };
+            let entry = self.entry_addr(FuncId(fi as u32));
+            if entry != cursor {
+                return Err(format!("function {fi}: entry {entry} != cursor {cursor}"));
+            }
             let nb = blocks.len() as u32;
             let handler = fi as u32 >= self.n_regular;
             for (bi, b) in blocks.iter().enumerate() {
                 let err = |what: &str| Err(format!("function {fi} block {bi}: {what}"));
-                if b.start() != cursor {
-                    return err(&format!("start {} != cursor {cursor}", b.start()));
+                let start = self.block_start(fi as u32, b);
+                if start != cursor {
+                    return err(&format!("start {start} != cursor {cursor}"));
                 }
-                if b.n_instrs == 0 {
+                if b.n_instrs() == 0 {
                     return err("empty");
                 }
-                cursor = cursor.offset(b.n_instrs as u64 * INSTR_BYTES);
-                let bad = match b.kind {
-                    WalkKind::CondBranch if !(0.0..=1.0).contains(&b.prob) => Some("bad prob"),
+                cursor = cursor.offset(b.n_instrs() as u64 * INSTR_BYTES);
+                let bad = match b.kind() {
+                    WalkKind::CondBranch if !(0.0..=1.0).contains(&b.prob()) => Some("bad prob"),
                     WalkKind::CondBranch | WalkKind::UncondBranch => {
-                        (b.target >= nb).then_some("bad target")
+                        (b.target() >= nb).then_some("bad target")
                     }
-                    WalkKind::Call => (b.target >= self.n_regular).then_some("bad callee"),
+                    WalkKind::Call => (b.callee().0 >= self.n_regular).then_some("bad callee"),
                     WalkKind::IndirectCall => {
-                        let at = b.target as usize;
-                        match self.indirect.get(at..at + b.n_callees as usize) {
+                        let (at, n) = b.candidates();
+                        match self.indirect.get(at as usize..(at + n) as usize) {
                             None | Some([]) => Some("no callees"),
                             Some(callees) => callees
                                 .iter()
@@ -289,10 +401,10 @@ impl Program {
                 if let Some(what) = bad {
                     return err(what);
                 }
-                if handler && !matches!(b.kind, WalkKind::FallThrough | WalkKind::Return) {
+                if handler && !matches!(b.kind(), WalkKind::FallThrough | WalkKind::Return) {
                     return err("trap handler is not straight-line");
                 }
-                if bi as u32 == nb - 1 && b.kind != WalkKind::Return {
+                if bi as u32 == nb - 1 && b.kind() != WalkKind::Return {
                     return err("last block does not return");
                 }
             }

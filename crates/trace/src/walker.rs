@@ -141,8 +141,8 @@ impl<'p> TraceWalker<'p> {
     #[inline]
     fn goto_pos(&mut self, pos: Pos) {
         let block = self.prog.walk_block(pos.func, pos.block);
-        self.cur_start = block.start();
-        self.cur_n = block.n_instrs as u32;
+        self.cur_start = self.prog.block_start(pos.func, block);
+        self.cur_n = block.n_instrs();
         self.pos = pos;
     }
 
@@ -202,7 +202,7 @@ impl<'p> TraceWalker<'p> {
         // Terminator slot: one flat walk-table record holds everything the
         // dispatch needs.
         let block = *prog.walk_block(self.pos.func, self.pos.block);
-        match block.kind {
+        match block.kind() {
             WalkKind::FallThrough => {
                 let kind = self.body_kind();
                 self.goto_pos(Pos {
@@ -213,8 +213,8 @@ impl<'p> TraceWalker<'p> {
                 TraceOp { pc, kind }
             }
             WalkKind::CondBranch => {
-                let target = block.target;
-                let mut taken = self.rng.chance(block.prob as f64);
+                let target = block.target();
+                let mut taken = self.rng.chance(block.prob() as f64);
                 if target <= self.pos.block {
                     // Backward branch: enforce the trip-count cap.
                     let here = self.pos;
@@ -233,7 +233,8 @@ impl<'p> TraceWalker<'p> {
                         self.loop_takes = taken as u32;
                     }
                 }
-                let target_addr = prog.walk_block(self.pos.func, target).start();
+                let target_addr =
+                    prog.block_start(self.pos.func, prog.walk_block(self.pos.func, target));
                 let next_block = if taken { target } else { self.pos.block + 1 };
                 self.goto_pos(Pos {
                     func: self.pos.func,
@@ -250,8 +251,9 @@ impl<'p> TraceWalker<'p> {
                 }
             }
             WalkKind::UncondBranch => {
-                let target = block.target;
-                let target_addr = prog.walk_block(self.pos.func, target).start();
+                let target = block.target();
+                let target_addr =
+                    prog.block_start(self.pos.func, prog.walk_block(self.pos.func, target));
                 self.goto_pos(Pos {
                     func: self.pos.func,
                     block: target,
@@ -266,7 +268,7 @@ impl<'p> TraceWalker<'p> {
                     },
                 }
             }
-            WalkKind::Call => self.enter(pc, FuncId(block.target), CtiClass::Call),
+            WalkKind::Call => self.enter(pc, block.callee(), CtiClass::Call),
             WalkKind::IndirectCall => {
                 let callee = self.pick_weighted(prog.callees(&block));
                 self.enter(pc, callee, CtiClass::Jump)

@@ -30,18 +30,29 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// The most ways a set may have: a cache model finds a line with one
+    /// bit per way in a machine word.
+    pub const MAX_ASSOC: u32 = 64;
+
     /// Creates a cache geometry of `size_bytes` capacity, `assoc` ways and
     /// `line_bytes`-byte lines.
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] if any quantity is zero, the line size is
-    /// not a power of two, or the geometry does not divide into a
-    /// power-of-two number of sets.
+    /// not a power of two, `assoc` exceeds [`CacheConfig::MAX_ASSOC`], or
+    /// the geometry does not divide into a power-of-two number of sets.
     pub fn new(size_bytes: u64, assoc: u32, line_bytes: u64) -> Result<CacheConfig, ConfigError> {
         if assoc == 0 {
             return Err(ConfigError::Zero {
                 what: "associativity",
+            });
+        }
+        if assoc > CacheConfig::MAX_ASSOC {
+            return Err(ConfigError::OutOfRange {
+                what: "associativity",
+                value: assoc as u64,
+                max: CacheConfig::MAX_ASSOC as u64,
             });
         }
         if size_bytes == 0 {
@@ -389,6 +400,10 @@ mod tests {
         assert!(CacheConfig::new(32 * 1024, 3, 64).is_err());
         // 12 ways -> 42.67 sets: invalid even though divisible checks differ.
         assert!(CacheConfig::new(32 * 1024, 12, 64).is_err());
+        // Fully associative past `MAX_ASSOC` ways.
+        assert!(CacheConfig::new(32 * 1024, 512, 64).is_err());
+        assert!(CacheConfig::new(128 * 64, 128, 64).is_err());
+        assert!(CacheConfig::new(64 * 64, 64, 64).is_ok());
     }
 
     #[test]
