@@ -13,7 +13,7 @@
 //! `report sweep` view, and the real `all_figures` binary writes the
 //! golden fig02 bytes with `--jobs 1` and `--jobs 2` alike.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -67,17 +67,17 @@ fn cold_sweep(
 /// each stream with more than one unique run, since its first run
 /// captures it and the rest replay.
 fn replayed_streams(figures: &[Figure]) -> Vec<Vec<RunSpec>> {
-    let mut streams: BTreeMap<String, BTreeMap<String, RunSpec>> = BTreeMap::new();
-    for figure in figures {
-        for spec in figure.jobs(LENGTHS).expect("jobs enumerate") {
-            let runs = streams.entry(spec.trace_key()).or_default();
-            runs.insert(spec.cache_key(), spec);
-        }
-    }
-    streams
-        .into_values()
+    // Unique runs in first-seen order, as the sweep dedups them, so each
+    // stream's first run is the sweep's captain.
+    let mut seen = BTreeSet::new();
+    let unique: Vec<RunSpec> = figures
+        .iter()
+        .flat_map(|figure| figure.jobs(LENGTHS).expect("jobs enumerate"))
+        .filter(|spec| seen.insert(spec.cache_key()))
+        .collect();
+    pool::streams(&unique)
+        .into_iter()
         .filter(|runs| runs.len() > 1)
-        .map(|runs| runs.into_values().collect())
         .collect()
 }
 
@@ -177,23 +177,25 @@ fn figure_output_is_byte_identical_across_worker_counts() {
     }
 
     // Cohort replay: each replay cohort decodes its stream once. One
-    // worker runs each replayed stream as one cohort; four split a stream
-    // only where its replays are more than a quarter of the work. A
-    // cohort's window holds a sliding stretch of its stream — never more
-    // than the cap, and less than the largest stream.
+    // worker splits a replayed stream only to hold at most
+    // `COHORT_MEMBERS` runs per cohort; four also split a stream where its
+    // replays are more than a quarter of the work. A cohort's window holds
+    // a sliding stretch of its stream — never more than the cap, and less
+    // than the largest stream.
     let replayed = replayed_streams(&figures);
     assert!(!replayed.is_empty());
     let stream_ops =
         |runs: &[RunSpec]| u64::from(runs[0].config.n_cores) * (LENGTHS.warm + LENGTHS.measure);
     let largest = replayed.iter().map(|runs| stream_ops(runs)).max().unwrap();
-    let replays: Vec<RunSpec> = replayed
-        .iter()
-        .flat_map(|runs| runs[1..].to_vec())
-        .collect();
+    let replays: Vec<&[RunSpec]> = replayed.iter().map(|runs| &runs[1..]).collect();
     for (report, workers) in [(&serial, 1), (&parallel, 4)] {
         let cohorts = pool::cohort_groups(&replays, workers, None, |_| false).len();
         if workers == 1 {
-            assert_eq!(cohorts, replayed.len());
+            let capped: usize = replays
+                .iter()
+                .map(|runs| runs.len().div_ceil(pool::COHORT_MEMBERS))
+                .sum();
+            assert_eq!(cohorts, capped);
         }
         assert_eq!(
             report.streams_decoded, cohorts as u64,

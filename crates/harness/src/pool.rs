@@ -2,7 +2,8 @@
 //! `std::thread` workers (no runtime dependencies). A job is a group of
 //! runs over one instruction stream, which the trace store executes as one
 //! cohort ([`TraceStore::execute_cohort`]); [`execute`] makes every run
-//! its own job.
+//! its own job. [`cohort_groups`] cuts a batch's [`streams`] into such
+//! jobs: at most [`COHORT_MEMBERS`] uncached runs each, longest first.
 //!
 //! Determinism argument: each simulation is single-threaded and fully
 //! seeded, every [`RunSpec`] in a batch is unique (the scheduler dedups by
@@ -19,6 +20,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use ipsim_prefetch::Scheme;
 use ipsim_telemetry::TelemetryConfig;
 
 use crate::cache::RunCache;
@@ -71,60 +73,90 @@ pub fn execute(
 /// one run's buffers.
 pub const COHORT_TELEMETRY_EVENTS: u64 = 1 << 21;
 
-/// Groups `specs` into cohort jobs for [`execute_groups`]: one group per
-/// stream ([`RunSpec::trace_key`], in first-seen order), split into
-/// consecutive near-equal parts when the stream's uncached work is more
-/// than a `1/workers` share of the batch's, or when `telemetry` is on and
-/// its runs' event buffers would pass [`COHORT_TELEMETRY_EVENTS`]. A
-/// run's work is its op count over all cores; a run `cached` serves
-/// costs nothing and joins its stream's first part. So a pool with more
-/// workers than streams still has a job for every worker, and no job
-/// carries more than its share unless it is a single run; each part
-/// decodes the stream once, so without telemetry a batch decodes at most
-/// `streams + workers` times. One worker never splits a stream for work.
+/// Most uncached runs one cohort holds. Every member's `System` is alive
+/// until the cohort ends, so a cohort's resident bytes grow with its
+/// member count, while each further cohort decodes its stream once more.
+/// 8 splits the full sweep's 26-run single-core and 31–59-run CMP-4
+/// streams and `figsweep_replay`'s 12-run ones; 4 cost more host CPU and
+/// 16 held more memory (EXPERIMENTS.md, "Bounded cohorts").
+pub const COHORT_MEMBERS: usize = 8;
+
+/// A prefetching run's host time per op, in percent of a baseline run's:
+/// in a full sweep at 200000/400000 replayed at `--jobs 2`, prefetching
+/// CMP-4 runs took 101 ns of `sim_s` per measured instruction and
+/// no-prefetch ones 62 ns (runlog; EXPERIMENTS.md, "Bounded cohorts").
+const PREFETCH_COST_PERCENT: u64 = 160;
+
+/// A run's estimated host cost, in hundredths of a baseline op: its ops
+/// over all cores, weighted by [`PREFETCH_COST_PERCENT`] when it
+/// prefetches.
+pub(crate) fn run_cost(spec: &RunSpec) -> u64 {
+    let ops = u64::from(spec.config.n_cores) * (spec.lengths.warm + spec.lengths.measure);
+    let percent = if spec.scheme == Scheme::default() {
+        100
+    } else {
+        PREFETCH_COST_PERCENT
+    };
+    ops * percent
+}
+
+/// Groups `specs` by instruction stream ([`RunSpec::trace_key`]): one
+/// group per stream in first-seen order, each in input order.
+pub fn streams(specs: &[RunSpec]) -> Vec<Vec<RunSpec>> {
+    let mut streams: Vec<Vec<RunSpec>> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    for spec in specs {
+        let at = *index.entry(spec.trace_key()).or_insert_with(|| {
+            streams.push(Vec::new());
+            streams.len() - 1
+        });
+        streams[at].push(spec.clone());
+    }
+    streams
+}
+
+/// Splits `streams` (each one stream's specs, as [`streams`] groups them)
+/// into cohort jobs for [`execute_groups`]. A stream splits into
+/// consecutive near-equal parts so that no part holds more than
+/// [`COHORT_MEMBERS`] uncached runs — fewer when `telemetry` is on and
+/// their event buffers would pass [`COHORT_TELEMETRY_EVENTS`] — and into
+/// at least as many parts as its uncached cost is `1/workers` shares of
+/// the batch's, so a pool with more workers than streams still has a job
+/// for every worker. Runs `cached` serves cost nothing, do not count
+/// toward the bound and join their stream's first part. Each part
+/// decodes its stream once. Jobs come out longest first by the summed
+/// cost of their uncached runs — ops over all cores, weighted by how much
+/// slower a prefetching run steps — with ties in stream order, so the
+/// pool's tail is short jobs; within a job, runs keep input order.
 pub fn cohort_groups(
-    specs: &[RunSpec],
+    streams: &[&[RunSpec]],
     workers: usize,
     telemetry: Option<&TelemetryConfig>,
     cached: impl Fn(&RunSpec) -> bool,
 ) -> Vec<Vec<RunSpec>> {
-    // Each stream's (cached, uncached) specs, in first-seen stream order.
-    let mut streams: Vec<(Vec<RunSpec>, Vec<RunSpec>)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for spec in specs {
-        let at = *index.entry(spec.trace_key()).or_insert_with(|| {
-            streams.push((Vec::new(), Vec::new()));
-            streams.len() - 1
-        });
-        let (hits, misses) = &mut streams[at];
-        if cached(spec) {
-            hits.push(spec.clone());
-        } else {
-            misses.push(spec.clone());
-        }
-    }
-    // A stream's specs share core count and run lengths, so its uncached
-    // runs cost the same.
-    let run_ops = |spec: &RunSpec| {
-        u64::from(spec.config.n_cores) * (spec.lengths.warm + spec.lengths.measure)
-    };
-    let work = |misses: &[RunSpec]| misses.first().map_or(0, run_ops) * misses.len() as u64;
-    let total: u64 = streams.iter().map(|(_, misses)| work(misses)).sum();
+    // Each stream's (cached, uncached) specs.
+    let split: Vec<(Vec<RunSpec>, Vec<RunSpec>)> = streams
+        .iter()
+        .map(|specs| specs.iter().cloned().partition(|spec| cached(spec)))
+        .collect();
+    let cost = |misses: &[RunSpec]| misses.iter().map(run_cost).sum::<u64>();
+    let total: u64 = split.iter().map(|(_, misses)| cost(misses)).sum();
     let workers = workers.max(1) as u64;
-    let mut groups = Vec::with_capacity(streams.len());
-    for (mut hits, misses) in streams {
-        // ceil(work / (total / workers)), at least 1.
+    let mut groups: Vec<(u64, Vec<RunSpec>)> = Vec::with_capacity(split.len());
+    for (mut hits, misses) in split {
+        // ceil(cost / (total / workers)), at least 1.
         let share = if total == 0 {
             1
         } else {
-            (work(&misses) * workers).div_ceil(total).max(1)
+            (cost(&misses) * workers).div_ceil(total).max(1)
         };
-        let members = telemetry
-            .zip(misses.first())
-            .map_or(u64::MAX, |(config, spec)| {
+        let members = match (telemetry, misses.first()) {
+            (Some(config), Some(spec)) => {
                 let events = u64::from(spec.config.n_cores) * config.max_events_per_core as u64;
-                (COHORT_TELEMETRY_EVENTS / events.max(1)).max(1)
-            });
+                (COHORT_TELEMETRY_EVENTS / events.max(1)).clamp(1, COHORT_MEMBERS as u64)
+            }
+            _ => COHORT_MEMBERS as u64,
+        };
         let runs = misses.len().max(1) as u64;
         let parts = share.max(runs.div_ceil(members)).min(runs) as usize;
         let (size, extra) = (misses.len() / parts, misses.len() % parts);
@@ -134,10 +166,12 @@ pub fn cohort_groups(
             rest = tail;
             let mut group = std::mem::take(&mut hits);
             group.extend_from_slice(head);
-            groups.push(group);
+            groups.push((cost(head), group));
         }
     }
-    groups
+    // Stable, so equal costs keep stream order.
+    groups.sort_by_key(|(cost, _)| std::cmp::Reverse(*cost));
+    groups.into_iter().map(|(_, group)| group).collect()
 }
 
 /// Runs every group (specs assumed unique; a group's specs share one
@@ -506,16 +540,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// A stream is one job unless its uncached runs are more than a
-    /// `1/workers` share of the batch: then it splits into near-equal
-    /// parts, cached runs joining the first.
+    /// A stream splits into consecutive near-equal parts of at most
+    /// `COHORT_MEMBERS` uncached runs (fewer under the telemetry bound),
+    /// and further past a `1/workers` share of the batch's cost. Cached
+    /// runs count for nothing and join the first part, and jobs come out
+    /// longest first.
     #[test]
     fn cohort_groups_split_a_stream_only_past_its_share() {
-        let variants = |w: Workload, n: u64| -> Vec<RunSpec> {
+        let variants = |config: SystemConfig, w: Workload, n: u64| -> Vec<RunSpec> {
             (1..=n)
                 .map(|q| {
                     let mut spec = RunSpec::new(
-                        SystemConfig::single_core(),
+                        config.clone(),
                         WorkloadSet::homogeneous(w),
                         RunLengths {
                             warm: 2_000,
@@ -527,36 +563,103 @@ mod tests {
                 })
                 .collect()
         };
-        let (a, b) = (variants(Workload::Db, 12), variants(Workload::Web, 2));
-        let specs: Vec<RunSpec> = a.iter().chain(&b).cloned().collect();
+        let single = |w, n| variants(SystemConfig::single_core(), w, n);
+        let groups = |specs: &[RunSpec],
+                      workers,
+                      telemetry: Option<&TelemetryConfig>,
+                      cached: &dyn Fn(&RunSpec) -> bool| {
+            let by_stream = streams(specs);
+            let by_stream: Vec<&[RunSpec]> = by_stream.iter().map(Vec::as_slice).collect();
+            let groups = cohort_groups(&by_stream, workers, telemetry, cached);
+            // Every run lands in exactly one group of its own stream, and
+            // a group keeps input order.
+            let keys: Vec<String> = specs.iter().map(RunSpec::cache_key).collect();
+            let position =
+                |spec: &RunSpec| keys.iter().position(|k| *k == spec.cache_key()).unwrap();
+            let mut seen: Vec<usize> = Vec::new();
+            for group in &groups {
+                assert!(group.iter().all(|s| s.trace_key() == group[0].trace_key()));
+                let at: Vec<usize> = group.iter().map(position).collect();
+                assert!(
+                    at.windows(2).all(|w| w[0] < w[1]),
+                    "a group reordered its runs"
+                );
+                seen.extend(at);
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..specs.len()).collect::<Vec<_>>());
+            groups
+        };
         let shape =
             |groups: &[Vec<RunSpec>]| -> Vec<usize> { groups.iter().map(Vec::len).collect() };
         let none = |_: &RunSpec| false;
-        for workers in [1, 2, 4, 16] {
-            let groups = cohort_groups(&specs, workers, None, none);
-            for group in &groups {
-                assert!(group.iter().all(|s| s.trace_key() == group[0].trace_key()));
-            }
-            let flat: Vec<String> = groups.iter().flatten().map(RunSpec::cache_key).collect();
-            let want: Vec<String> = specs.iter().map(RunSpec::cache_key).collect();
-            assert_eq!(flat, want, "{workers} workers reordered the runs");
-        }
-        assert_eq!(shape(&cohort_groups(&specs, 1, None, none)), [12, 2]);
-        assert_eq!(shape(&cohort_groups(&specs, 2, None, none)), [6, 6, 2]);
-        assert_eq!(
-            shape(&cohort_groups(&specs, 4, None, none)),
-            [3, 3, 3, 3, 2]
-        );
-        assert_eq!(shape(&cohort_groups(&specs, 16, None, none)), [1; 14]);
-        // Half of the big stream is cached: its work halves.
+
+        let (a, b) = (single(Workload::Db, 12), single(Workload::Web, 2));
+        let specs: Vec<RunSpec> = a.iter().chain(&b).cloned().collect();
+        // One worker splits only past the member bound: 12 runs are 6 + 6.
+        assert_eq!(shape(&groups(&specs, 1, None, &none)), [6, 6, 2]);
+        assert_eq!(shape(&groups(&specs, 2, None, &none)), [6, 6, 2]);
+        assert_eq!(shape(&groups(&specs, 4, None, &none)), [3, 3, 3, 3, 2]);
+        assert_eq!(shape(&groups(&specs, 16, None, &none)), [1; 14]);
+        // Twenty runs are three parts of at most `COHORT_MEMBERS`.
+        let twenty = single(Workload::JApp, 20);
+        let parts = shape(&groups(&twenty, 1, None, &none));
+        assert_eq!(parts, [7, 7, 6]);
+        assert!(parts.iter().all(|&n| n <= COHORT_MEMBERS));
+
+        // Half of the big stream is cached: its cost halves, its cached
+        // runs join the first part and do not count toward the bound.
         let cached = |s: &RunSpec| s.trace_key() == a[0].trace_key() && s.config.sched_quantum <= 6;
-        let groups = cohort_groups(&specs, 4, None, cached);
-        assert_eq!(shape(&groups), [8, 2, 2, 2]);
-        assert!(groups[0][..6].iter().all(cached));
-        // Telemetry caps a single-core cohort at eight members' buffers.
+        let got = groups(&specs, 4, None, &cached);
+        assert_eq!(shape(&got), [8, 2, 2, 2]);
+        assert!(got[0][..6].iter().all(cached));
+        let got = groups(&specs, 1, None, &cached);
+        assert_eq!(shape(&got), [12, 2]);
+        assert!(got[0][..6].iter().all(cached) && !got[0][6..].iter().any(cached));
+
+        // Telemetry caps a single-core cohort at eight members' buffers,
+        // no tighter than the member bound, and a CMP-4 cohort at two.
         let telemetry = TelemetryConfig::default();
-        let groups = cohort_groups(&specs, 1, Some(&telemetry), none);
-        assert_eq!(shape(&groups), [6, 6, 2]);
+        assert_eq!(
+            shape(&groups(&specs, 1, Some(&telemetry), &none)),
+            [6, 6, 2]
+        );
+        let cmp4 = variants(SystemConfig::cmp4(), Workload::Db, 5);
+        assert_eq!(shape(&groups(&cmp4, 1, None, &none)), [5]);
+        assert_eq!(shape(&groups(&cmp4, 1, Some(&telemetry), &none)), [2, 2, 1]);
+
+        // Longest first: a 3-run CMP-4 stream (12 single-core runs' ops)
+        // leads, and two prefetching runs outrank two baseline ones;
+        // equal costs keep stream order.
+        let prefetching: Vec<RunSpec> = single(Workload::TpcW, 2)
+            .into_iter()
+            .map(|s| s.prefetcher(ipsim_core::PrefetcherKind::NextLineTagged))
+            .collect();
+        let specs: Vec<RunSpec> = b
+            .iter()
+            .chain(&a)
+            .chain(&prefetching)
+            .chain(&cmp4[..3])
+            .cloned()
+            .collect();
+        let got = groups(&specs, 1, None, &none);
+        let streams_of: Vec<String> = got.iter().map(|g| g[0].trace_key()).collect();
+        assert_eq!(
+            streams_of,
+            [
+                cmp4[0].trace_key(),
+                a[0].trace_key(),
+                a[0].trace_key(),
+                prefetching[0].trace_key(),
+                b[0].trace_key(),
+            ]
+        );
+        assert_eq!(shape(&got), [3, 6, 6, 2, 2]);
+        assert_eq!(
+            got[1][0].cache_key(),
+            a[0].cache_key(),
+            "equal costs keep stream order"
+        );
     }
 
     /// A group runs as one cohort: a member that panics is recorded

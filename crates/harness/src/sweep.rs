@@ -7,19 +7,18 @@
 //! quarantined) — unless every run over it will be served from the run
 //! cache, in which case it is not read at all. Only for a stream that
 //! cannot be replayed does the first spec needing it — its *captain* —
-//! run in phase one and capture the stream to disk. Phase two submits
-//! one pool job per stream, in first-seen stream order, holding every
-//! other spec over it; the job runs the specs the run cache cannot serve
-//! as one cohort ([`TraceStore::execute_cohort`]), which steps them
-//! together over one sliding decoded window. Walker generation therefore
-//! happens once per workload stream per sweep, and trace decode once per
-//! cohort, no matter how many configurations share the stream. A stream
-//! is split into more than one cohort only when its uncached runs are
-//! more than a `1/workers` share of the phase's work
-//! ([`pool::cohort_groups`]), so a pool with more workers than streams
-//! keeps every worker busy; one worker never splits a stream. A member
-//! also decodes on its own when it detaches from a window that would
-//! pass its cap.
+//! run in phase one and capture the stream to disk, longest first. Phase
+//! two submits cohort jobs holding every other spec over a stream; a job
+//! runs the specs the run cache cannot serve as one cohort
+//! ([`TraceStore::execute_cohort`]), which steps them together over one
+//! sliding decoded window. Walker generation therefore happens once per
+//! workload stream per sweep, and trace decode once per cohort. A stream
+//! is split into near-equal cohorts of at most [`pool::COHORT_MEMBERS`]
+//! uncached runs, and further when its uncached runs are more than a
+//! `1/workers` share of the phase's cost, so a pool with more workers
+//! than streams keeps every worker busy; jobs are submitted longest first
+//! ([`pool::cohort_groups`]). A member also decodes on its own when it
+//! detaches from a window that would pass its cap.
 //!
 //! A window holds only the stretch between its slowest and fastest
 //! member, never more than [`crate::traces::WINDOW_CAP_OPS`] ops, and
@@ -182,7 +181,9 @@ pub struct SweepReport {
     /// figures whose runs are incomplete report errors rather than
     /// rendering from partial data. Callers should exit with code 130.
     pub interrupted: bool,
-    /// Streams decoded through a cohort window: one per replayed stream.
+    /// Streams decoded through a cohort window: one per replay cohort, so
+    /// a stream with more than [`pool::COHORT_MEMBERS`] uncached runs
+    /// counts once per cohort it splits into.
     pub streams_decoded: u64,
     /// Most decoded ops one cohort window held at once; never above
     /// [`crate::traces::WINDOW_CAP_OPS`].
@@ -386,11 +387,10 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
 
 /// Executes `unique` in two phases when the trace store is live: phase
 /// one runs the captain of every stream that cannot be replayed (it
-/// captures), phase two runs every other spec as cohort jobs, in
-/// first-seen stream order: one per stream, split further only to give
-/// every worker a job ([`pool::cohort_groups`]).
-/// Records are re-ordered to match the input, so phasing is invisible
-/// everywhere downstream.
+/// captures), phase two runs every other spec as bounded cohort jobs
+/// ([`pool::cohort_groups`]); both submit their longest jobs first.
+/// Records are re-ordered to match the input, so phasing and submission
+/// order are invisible everywhere downstream.
 fn execute_phased(
     unique: &[RunSpec],
     workers: usize,
@@ -403,21 +403,12 @@ fn execute_phased(
     if !traces.enabled() {
         return pool::execute(unique, workers, cache, traces, telemetry, progress);
     }
-    // Each stream's specs, in first-seen stream order.
-    let mut streams: Vec<Vec<RunSpec>> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    for spec in unique {
-        let at = *index.entry(spec.trace_key()).or_insert_with(|| {
-            streams.push(Vec::new());
-            streams.len() - 1
-        });
-        streams[at].push(spec.clone());
-    }
+    let streams = pool::streams(unique);
     let cached = |spec: &RunSpec| {
         cache.contains(spec) && telemetry.is_none_or(|sink| sink.has(&spec.cache_key()))
     };
     let mut captains: Vec<&[RunSpec]> = Vec::new();
-    let mut replays: Vec<RunSpec> = Vec::new();
+    let mut replays: Vec<&[RunSpec]> = Vec::new();
     {
         let _check = ipsim_obs::spans().span("trace.verify");
         for specs in &streams {
@@ -429,9 +420,12 @@ fn execute_phased(
                 captains.push(&specs[..1]);
                 &specs[1..]
             };
-            replays.extend_from_slice(rest);
+            if !rest.is_empty() {
+                replays.push(rest);
+            }
         }
     }
+    captains.sort_by_key(|captain| std::cmp::Reverse(pool::run_cost(&captain[0])));
     let cohorts = pool::cohort_groups(
         &replays,
         workers,

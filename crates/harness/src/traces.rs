@@ -51,7 +51,9 @@
 //! telemetry and panics are per member, so a failing member is reported
 //! and the rest finish. Every member's system (and telemetry buffers) is
 //! alive until it ends, so a cohort's memory beyond the window grows with
-//! its size; the pool sizes cohorts ([`crate::pool::cohort_groups`]).
+//! its size; the pool bounds it at [`crate::pool::COHORT_MEMBERS`]
+//! members and splits a larger stream into several cohorts
+//! ([`crate::pool::cohort_groups`]).
 //!
 //! *Shutdown.* On a shutdown signal a cohort drops the members still
 //! warming up, unreported, and steps those already measuring to their

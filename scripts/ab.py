@@ -17,6 +17,9 @@ Commands:
                        before every run; traces captured afresh once
                        per side by an untimed cold sweep)
   sweep cold           the same with the trace store deleted too
+  bench LINES          one `bench_snapshot --quick` run; the `ns_per_op` of
+                       each named line (comma-separated, or `all`) is
+                       reported beside the child's
 
 For every metric it prints the median and quartiles of each side, the
 change's median shift, how many pairs the change won (k/n) and a
@@ -24,12 +27,13 @@ two-sided sign-test p-value. A shift no larger than the distance between
 the parent's quartiles, or one the change did not win (or lose) in at
 least 9 of 10 untied pairs, is marked "unresolved". Sweep pairs also
 check that both sides wrote byte-identical figure texts and run-cache
-entries.
+entries, and report the streams each sweep decoded.
 
 Examples:
 
   python3 scripts/ab.py perfbench disc_cmp4_live --pairs 10 --seed 1
   python3 scripts/ab.py sweep replay --jobs 2 --lengths 200000/400000
+  python3 scripts/ab.py bench system/cohort_replay_cmp4_x3,cache/hit_path_1m
 
 Standard library only.
 """
@@ -38,6 +42,7 @@ import argparse
 import json
 import math
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -105,6 +110,10 @@ def build(root, command):
         sh(["cargo", "build", "--release", "--offline", "--quiet",
             "--manifest-path", "perfbench/Cargo.toml"], root)
         return root / "perfbench/target/release/perfbench"
+    if command == "bench":
+        sh(["cargo", "build", "--release", "--offline", "--quiet",
+            "-p", "ipsim-bench", "--bin", "bench_snapshot"], root)
+        return root / "target/release/bench_snapshot"
     sh(["cargo", "build", "--release", "--offline", "--quiet",
         "-p", "ipsim-experiments", "--bin", "all_figures"], root)
     return root / "target/release/all_figures"
@@ -148,6 +157,23 @@ def run_perfbench(side, args):
         sys.exit(f"{side.name}: perfbench reported incorrect or failed ops: {lines[-1]}")
     for name, metric in result["metrics"].items():
         side.record(name, metric["value"])
+    side.record("child_wall_s", wall)
+    side.record("child_cpu_s", cpu)
+    side.record("child_maxrss_mb", rss)
+
+
+def run_bench(side, args):
+    snap = side.work / "snapshot.json"
+    argv = [str(side.binary), "--quick", "--out", str(snap)]
+    code, wall, cpu, rss = timed(argv, side.root)
+    if code != 0:
+        sys.exit(f"{side.name}: bench_snapshot exited {code}; see {side.root / '.ab_stderr'}")
+    benches = {b["name"]: b["ns_per_op"] for b in json.loads(snap.read_text())["benches"]}
+    lines = list(benches) if args.target == "all" else args.target.split(",")
+    for line in lines:
+        if line not in benches:
+            sys.exit(f"{side.name}: bench_snapshot has no line `{line}`")
+        side.record(f"{line} ns/op", benches[line])
     side.record("child_wall_s", wall)
     side.record("child_cpu_s", cpu)
     side.record("child_maxrss_mb", rss)
@@ -198,6 +224,10 @@ def run_sweep(side, args):
     side.record("wall_s", wall)
     side.record("cpu_s", cpu)
     side.record("maxrss_mb", rss)
+    # all_figures' summary: "traces: … · N streams decoded, window peak …".
+    decoded = re.search(r"(\d+) streams? decoded", (side.work / ".ab_stdout").read_text())
+    if decoded:
+        side.record("streams_decoded", int(decoded.group(1)))
 
 
 def snapshot(side):
@@ -260,8 +290,9 @@ def report(parent, change, pairs):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("command", choices=["perfbench", "sweep"])
-    ap.add_argument("target", help="perfbench workload, or `replay` / `cold` for sweep")
+    ap.add_argument("command", choices=["perfbench", "sweep", "bench"])
+    ap.add_argument("target", help="perfbench workload, `replay` / `cold` for sweep, or "
+                    "comma-separated bench_snapshot lines (or `all`) for bench")
     ap.add_argument("--parent", default="HEAD",
                     help="commit the working tree is measured against (default HEAD)")
     ap.add_argument("--pairs", type=int, default=10)
@@ -293,7 +324,7 @@ def main():
     if args.command == "sweep" and args.target == "replay":
         for side in sides:
             capture_traces(side, args)
-    run = run_perfbench if args.command == "perfbench" else run_sweep
+    run = {"perfbench": run_perfbench, "sweep": run_sweep, "bench": run_bench}[args.command]
     mismatched = 0
     for i in range(args.pairs):
         order = sides if i % 2 == 0 else sides[::-1]
@@ -304,7 +335,9 @@ def main():
         print(f"pair {i + 1}/{args.pairs} done ({order[0].name} first)", file=sys.stderr)
 
     what = f"{args.command} {args.target}"
-    if args.command == "perfbench":
+    if args.command == "bench":
+        what += " --quick"
+    elif args.command == "perfbench":
         what += f" --seed {args.seed} --seconds {args.seconds}"
     else:
         what += f" IPSIM_RUN_LENGTHS={args.lengths} --jobs {args.jobs}"
