@@ -1,5 +1,5 @@
 //! `report`: every read-back view of a sweep's artifacts, one binary with
-//! four subcommands.
+//! five subcommands.
 //!
 //! * `report sim` runs the paper's flagship configuration (CMP-4,
 //!   discontinuity+sequential prefetcher, bypass-L2-until-useful) against
@@ -12,6 +12,9 @@
 //! * `report ops` folds a Chrome-trace span file into a per-span table.
 //! * `report check` re-validates telemetry artifact directories and loose
 //!   Chrome traces with the exporters' own parsers.
+//! * `report trace` prints a workload's dynamic-stream statistics, walked
+//!   live, or decodes one captured trace file (`--trace FILE`) and prints
+//!   its header, kind mix and footprints.
 //!
 //! Diagnosis columns (`report sim`), per workload and prefetch component
 //! (`seq` = next-N-line, `disc` = discontinuity table):
@@ -28,7 +31,9 @@
 //!
 //! Exit status for every subcommand: 0 ok, 1 the report failed, 2 usage.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -44,11 +49,14 @@ use ipsim_harness::{
 };
 use ipsim_obs::chrome;
 use ipsim_obs::json::Json;
+use ipsim_stream::TraceReader;
 use ipsim_telemetry::sink::{parse_events_jsonl, parse_series_tsv};
 use ipsim_telemetry::{
     validate_lifecycle, ComponentCounters, PfComponent, PfEventKind, TelemetryConfig,
 };
-use ipsim_types::SystemConfig;
+use ipsim_trace::{TraceWalker, Workload};
+use ipsim_types::instr::{CtiClass, OpKind, TraceOp};
+use ipsim_types::{Addr, LineSize, SystemConfig};
 
 const USAGE: &str = "\
 usage: report <command> [options]
@@ -59,6 +67,7 @@ usage: report <command> [options]
           timeliness from a finished sweep's runlog and stores
   ops     per-span totals from a span trace
   check   validate telemetry artifact directories and Chrome traces
+  trace   dynamic-stream statistics of a workload or a captured trace file
 
 `report <command> --help` lists a command's options. Exit status: 0 ok,
 1 the report failed, 2 usage error.
@@ -113,6 +122,16 @@ are validated as loose Chrome-trace exports instead (e.g. perfbench's
 if any artifact fails its format or lifecycle validation.
 ";
 
+const TRACE_USAGE: &str = "\
+usage: report trace [db|tpcw|japp|web]
+       report trace --trace FILE
+
+  db|tpcw|japp|web   walk a synthetic workload live (default: japp)
+  --trace FILE       decode a captured trace file (e.g. one under
+                     results/traces/) and report its statistics
+  --help             this text
+";
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let command = args.next().unwrap_or_default();
@@ -123,6 +142,7 @@ fn main() {
         "sweep" => sweep(Args::new(SWEEP_USAGE, rest)),
         "ops" => ops(Args::new(OPS_USAGE, rest)),
         "check" => check(Args::new(CHECK_USAGE, rest)),
+        "trace" => trace(Args::new(TRACE_USAGE, rest)),
         "" => Args::new(USAGE, Vec::new()).fail("missing command"),
         other => Args::new(USAGE, Vec::new()).fail(&format!("unknown command `{other}`")),
     }
@@ -565,4 +585,188 @@ fn check_dir(dir: &Path) -> Result<String, String> {
             .map(|l| format!(" · {l}"))
             .unwrap_or_default(),
     ))
+}
+
+// -------------------------------------------------------------- trace
+
+fn trace(mut args: Args) {
+    let mut file: Option<String> = None;
+    let mut workload: Option<Workload> = None;
+    while let Some(arg) = args.next() {
+        let w = match arg.as_str() {
+            "--trace" => {
+                if file.replace(args.value("--trace")).is_some() {
+                    args.fail("more than one --trace FILE given");
+                }
+                continue;
+            }
+            "db" => Workload::Db,
+            "tpcw" => Workload::TpcW,
+            "japp" => Workload::JApp,
+            "web" => Workload::Web,
+            other => args.fail(&format!("unknown argument `{other}`")),
+        };
+        if workload.replace(w).is_some() {
+            args.fail("more than one workload given");
+        }
+    }
+    match (file, workload) {
+        (Some(_), Some(_)) => args.fail("--trace takes no workload"),
+        (Some(path), None) => {
+            if let Err(e) = trace_file_stats(&path) {
+                die("trace", format!("{path}: {e}"));
+            }
+        }
+        (None, w) => live_walker_stats(w.unwrap_or(Workload::JApp)),
+    }
+}
+
+/// Decodes one captured trace file and prints its statistics.
+fn trace_file_stats(path: &str) -> Result<(), String> {
+    let file = File::open(path).map_err(|e| e.to_string())?;
+    let file_bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
+    let mut reader = TraceReader::open(BufReader::new(file)).map_err(|e| e.to_string())?;
+
+    println!("trace {path}");
+    println!("  meta        {}", reader.meta());
+    println!("  core        {}", reader.core_id());
+    println!(
+        "  blocks      {} ({} ops indexed)",
+        reader.block_count(),
+        reader.total_ops()
+    );
+
+    let ls = LineSize::default();
+    let mut ops = 0u64;
+    let mut counts: HashMap<String, u64> = HashMap::new();
+    let mut code_lines = HashSet::new();
+    let mut data_lines = HashSet::new();
+    while let Some(op) = reader.next_op().map_err(|e| e.to_string())? {
+        ops += 1;
+        code_lines.insert(op.pc.line(ls));
+        let kind = match op.kind {
+            OpKind::Other => "Other".to_string(),
+            OpKind::Load { addr } => {
+                data_lines.insert(addr.line(ls));
+                "Load".to_string()
+            }
+            OpKind::Store { addr } => {
+                data_lines.insert(addr.line(ls));
+                "Store".to_string()
+            }
+            OpKind::Cti { class, taken, .. } => format!("Cti {class:?} taken={taken}"),
+        };
+        *counts.entry(kind).or_insert(0) += 1;
+    }
+    println!("  decoded     {ops} ops");
+    if ops > 0 && file_bytes > 0 {
+        println!(
+            "  size        {} bytes ({:.2} bytes/op)",
+            file_bytes,
+            file_bytes as f64 / ops as f64
+        );
+    }
+    // Decode throughput, both ways through the same file: per op, as a
+    // cohort window or a detached replay reads it, and in one pass into a
+    // whole-trace arena (`decode_all_into`). The two rates are close by
+    // construction (same codec underneath).
+    if ops > 0 {
+        reader.rewind().map_err(|e| e.to_string())?;
+        let t0 = std::time::Instant::now();
+        let mut buffered = 0u64;
+        while reader.next_op().map_err(|e| e.to_string())?.is_some() {
+            buffered += 1;
+        }
+        let buffered_s = t0.elapsed().as_secs_f64();
+
+        // Pre-fault the arena allocation (resize touches every page) so the
+        // timing compares decode paths, not first-touch page faults.
+        let filler = TraceOp {
+            pc: Addr(0),
+            kind: OpKind::Other,
+        };
+        let mut arena = vec![filler; ops as usize];
+        arena.clear();
+        let t0 = std::time::Instant::now();
+        reader
+            .decode_all_into(&mut arena)
+            .map_err(|e| e.to_string())?;
+        let arena_s = t0.elapsed().as_secs_f64();
+
+        let mips = |n: u64, s: f64| if s > 0.0 { n as f64 / 1e6 / s } else { 0.0 };
+        println!(
+            "  dec_mips    {:.1} buffered (per-op), {:.1} zero-copy (arena)",
+            mips(buffered, buffered_s),
+            mips(arena.len() as u64, arena_s),
+        );
+    }
+    println!("  kind mix:");
+    let mut keys: Vec<_> = counts.iter().collect();
+    keys.sort();
+    for (k, v) in keys {
+        println!(
+            "    {:<28} {:>10}  ({:>6.2}%)",
+            k,
+            v,
+            *v as f64 / ops as f64 * 100.0
+        );
+    }
+    for (name, lines) in [("code", code_lines.len()), ("data", data_lines.len())] {
+        println!(
+            "  {name} footprint  {lines} lines ({} KB)",
+            lines * 64 / 1024
+        );
+    }
+    Ok(())
+}
+
+/// Walks a synthetic workload live for 2M instructions and prints its
+/// control-transfer rates, transaction length, stack depth and footprint.
+fn live_walker_stats(w: Workload) {
+    let prog = w.build_program(0x5EED_0001);
+    let mut walker = TraceWalker::new(&prog, w.profile(), 0, 0x5EED_1001);
+    let n = 2_000_000u64;
+    let ls = LineSize::default();
+
+    let mut counts: HashMap<String, u64> = HashMap::new();
+    let mut lines = HashSet::new();
+    let mut dispatches = 0u64; // jump while stack empty
+    let mut depth_sum = 0u64;
+    let mut max_depth = 0usize;
+    for _ in 0..n {
+        let was_empty = walker.stack_depth() == 0;
+        let op = walker.next_op();
+        lines.insert(op.pc.line(ls));
+        depth_sum += walker.stack_depth() as u64;
+        max_depth = max_depth.max(walker.stack_depth());
+        if let OpKind::Cti { class, taken, .. } = op.kind {
+            *counts
+                .entry(format!("{class:?} taken={taken}"))
+                .or_insert(0) += 1;
+            if class == CtiClass::Jump && was_empty {
+                dispatches += 1;
+            }
+        }
+    }
+    println!("workload {} over {}k instrs:", w.name(), n / 1000);
+    let mut keys: Vec<_> = counts.iter().collect();
+    keys.sort();
+    for (k, v) in keys {
+        println!("  {:<28} {:>8.2}/1k", k, *v as f64 / n as f64 * 1000.0);
+    }
+    println!(
+        "  dispatch jumps               {:>8.2}/1k (mean txn {} instrs)",
+        dispatches as f64 / n as f64 * 1000.0,
+        n.checked_div(dispatches).unwrap_or(0)
+    );
+    println!(
+        "  mean stack depth {:.1}, max {}",
+        depth_sum as f64 / n as f64,
+        max_depth
+    );
+    println!(
+        "  touched {} lines ({} KB)",
+        lines.len(),
+        lines.len() * 64 / 1024
+    );
 }

@@ -13,10 +13,10 @@
 //! `--quick` shrinks the warm-up/measurement windows ~5× for smoke runs;
 //! default windows are 10 M warm + 20 M measured instructions per core
 //! (the paper used 50 M + 100 M on real traces). `report` reads a
-//! sweep's artifacts back (`report sim|sweep|ops|check`); `pf_check`,
-//! `pf_detail` and `trace_stats` are development tools sharing the
-//! [`tool_args`] preamble; `tests/cli.rs` pins every binary's exit-code
-//! contract.
+//! sweep's artifacts back (`report sim|sweep|ops|check|trace`);
+//! `tests/cli.rs` pins both binaries' exit-code contract. Live
+//! one-configuration runs and scheme comparisons are the root `ipsim`
+//! command's (`ipsim run|compare|breakdown`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,19 +27,8 @@ pub mod report;
 
 pub use ipsim_harness::{Executor, RunLengths, RunSpec, Summary};
 
-use ipsim_cpu::{SystemBuilder, SystemMetrics, WorkloadSet};
+use ipsim_cpu::WorkloadSet;
 use ipsim_trace::Workload;
-
-/// Runs one configuration to completion and returns its metrics.
-///
-/// # Panics
-///
-/// Panics if the builder's configuration is invalid — experiment configs
-/// are static and a bad one is a programming error.
-pub fn run(builder: SystemBuilder, workloads: &WorkloadSet, lengths: RunLengths) -> SystemMetrics {
-    let mut system = builder.build().expect("experiment configuration is valid");
-    system.run_workload(workloads, lengths.warm, lengths.measure)
-}
 
 /// Formats a fraction as a percentage with two decimals.
 pub fn pct(x: f64) -> String {
@@ -139,26 +128,6 @@ pub fn table_string(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Prints a simple aligned table: a header row then data rows.
-pub fn print_table(header: &[&str], rows: &[Vec<String>]) {
-    print!("{}", table_string(header, rows));
-}
-
-/// Shared argument preamble for the development-tool binaries
-/// (`pf_check`, `pf_detail`, `trace_stats`): returns the raw argument
-/// list after handling `--help`/`-h` (usage to stdout, exit 0). Tools
-/// validate the remaining arguments themselves and exit 2 with the same
-/// usage text on anything unknown — the contract `tests/cli.rs` pins for
-/// every binary in this crate.
-pub fn tool_args(usage: &str) -> Vec<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{usage}");
-        std::process::exit(0);
-    }
-    args
 }
 
 #[cfg(test)]

@@ -8,10 +8,7 @@ use std::process::Command;
 /// Every binary this crate builds, by `CARGO_BIN_EXE_*` path.
 const BINS: &[(&str, &str)] = &[
     ("all_figures", env!("CARGO_BIN_EXE_all_figures")),
-    ("pf_check", env!("CARGO_BIN_EXE_pf_check")),
-    ("pf_detail", env!("CARGO_BIN_EXE_pf_detail")),
     ("report", env!("CARGO_BIN_EXE_report")),
-    ("trace_stats", env!("CARGO_BIN_EXE_trace_stats")),
 ];
 
 /// A new tool cannot escape the contract: every source file in
@@ -50,30 +47,6 @@ fn every_binary_prints_usage_on_help_and_exits_zero() {
             stdout.contains("usage"),
             "{name} --help printed no usage text:\n{stdout}"
         );
-    }
-}
-
-#[test]
-fn prefetcher_selectors_reject_unknown_schemes_with_exit_two() {
-    for name in ["pf_check", "pf_detail"] {
-        let path = BINS.iter().find(|(n, _)| *n == name).unwrap().1;
-        for bad in ["warp", "nl:mode=9", ""] {
-            let out = Command::new(path)
-                .args(["--prefetcher", bad])
-                .output()
-                .unwrap_or_else(|e| panic!("{name}: could not run: {e}"));
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "{name} --prefetcher {bad:?} should exit 2, got {:?}",
-                out.status.code()
-            );
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains("usage"),
-                "{name} rejected the spec without printing usage:\n{stderr}"
-            );
-        }
     }
 }
 
@@ -128,7 +101,8 @@ fn all_figures_rejects_empty_figure_lists_and_shard_flags_with_exit_two() {
 
 /// `report` and each of its subcommands answer `--help` on stdout with
 /// exit 0, and every misuse — no command, an unknown command, an unknown
-/// subcommand flag, `ops` with nothing to read — on stderr with exit 2.
+/// subcommand flag, `ops` with nothing to read, `trace` with two inputs
+/// or no file after `--trace` — on stderr with exit 2.
 #[test]
 fn report_subcommands_keep_the_exit_code_contract() {
     let report = BINS.iter().find(|(n, _)| *n == "report").unwrap().1;
@@ -144,6 +118,7 @@ fn report_subcommands_keep_the_exit_code_contract() {
         &["sweep", "--help"],
         &["ops", "--help"],
         &["check", "--help"],
+        &["trace", "--help"],
     ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(0), "report {args:?}: {out:?}");
@@ -153,7 +128,18 @@ fn report_subcommands_keep_the_exit_code_contract() {
             "report {args:?}:\n{stdout}"
         );
     }
-    for args in [&[][..], &["wat"], &["sweep", "--wat"], &["ops"]] {
+    for args in [
+        &[][..],
+        &["wat"],
+        &["sweep", "--wat"],
+        &["ops"],
+        &["trace", "--wat"],
+        &["trace", "mixed"],
+        &["trace", "db", "web"],
+        &["trace", "--trace"],
+        &["trace", "--trace", "a.itrace", "db"],
+        &["trace", "--trace", "a.itrace", "--trace", "b.itrace"],
+    ] {
         let out = run(args);
         assert_eq!(out.status.code(), Some(2), "report {args:?}: {out:?}");
         assert!(out.stdout.is_empty(), "report {args:?} wrote to stdout");

@@ -19,13 +19,17 @@
 #      replay all 63 runs (every run-log row reads source `replay`), match
 #      the goldens, and give the cold pass's `report sweep --stable` view —
 #      two workers each stepping a stream's runs as one cohort over a
-#      sliding decoded window must not change a byte.
+#      sliding decoded window must not change a byte;
+#   6. both front ends meet real inputs: `report trace --trace` decodes a
+#      core-0 trace file the sweep captured, and `ipsim compare` runs every
+#      scheme on one short single-core configuration. Both must exit 0.
 #
-# Needs: target/release/{all_figures,report} (make build), sha256sum.
+# Needs: target/release/{all_figures,report,ipsim}, sha256sum.
 set -euo pipefail
 
 ALL_FIGURES=${ALL_FIGURES:-$(pwd)/target/release/all_figures}
 REPORT=${REPORT:-$(pwd)/target/release/report}
+IPSIM=${IPSIM:-$(pwd)/target/release/ipsim}
 GOLDEN_FIG02="071f7ee4f5ed0287e8f9e46f459a8c44f807bf1dfb3d59850112ee56fe02263a"
 GOLDEN_FIG05="3273ed53fcce5d75222e51f610f8b4e71b5c1b0cf51186f1a0e24b029c00194c"
 ROOT=$(mktemp -d /tmp/ipsim-sweep-smoke.XXXXXX)
@@ -62,6 +66,7 @@ report_stable() { # $1 = tag
 
 [ -x "${ALL_FIGURES}" ] || fail "missing ${ALL_FIGURES} (run: cargo build --release)"
 [ -x "${REPORT}" ] || fail "missing ${REPORT} (run: cargo build --release)"
+[ -x "${IPSIM}" ] || fail "missing ${IPSIM} (run: cargo build --release)"
 
 echo "sweep_smoke: mini-sweep, 1 worker..."
 run_sweep serial 1 > "${ROOT}/serial.out"
@@ -112,4 +117,14 @@ report_stable parallel > "${ROOT}/report_replay.txt"
 cmp -s "${ROOT}/report_serial.txt" "${ROOT}/report_replay.txt" \
     || fail "report sweep --stable of the replay-only sweep differs from the cold pass"
 echo "sweep_smoke: replay-only sweep replayed every run, goldens and stable report OK"
+
+trace=$(find "${ROOT}/parallel/traces" -name '*.c0.itrace' | sort | head -n 1)
+[ -n "${trace}" ] || fail "the sweep captured no core-0 trace file"
+"${REPORT}" trace --trace "${trace}" > "${ROOT}/trace.txt" \
+    || fail "report trace --trace ${trace} exited $?"
+grep -q "^  decoded     [1-9][0-9]* ops" "${ROOT}/trace.txt" \
+    || fail "report trace decoded no ops: $(cat "${ROOT}/trace.txt")"
+"${IPSIM}" compare --cores 1 --warm 20000 --measure 40000 --policy install \
+    > "${ROOT}/compare.txt" || fail "ipsim compare exited $?"
+echo "sweep_smoke: report trace and ipsim compare ran on real inputs"
 echo "sweep_smoke: PASS"
