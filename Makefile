@@ -5,8 +5,11 @@
         bench-check sim-report sweep-report telemetry-check bakeoff \
         bakeoff-smoke sweep-smoke ops-report ab
 
+# The smoke targets run all_figures, report and ipsim from target/release,
+# so build each by name: a plain `cargo build --release` builds only the
+# root package and would leave the other two stale.
 build:
-	cargo build --release
+	cargo build --release -p ipsim-experiments -p ipsim --bin all_figures --bin report --bin ipsim
 
 test:
 	cargo test -q --workspace

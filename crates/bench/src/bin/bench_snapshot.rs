@@ -6,7 +6,8 @@
 //! and CI-checkable. The entries split a run's cost by layer:
 //!
 //! - `system/*`: whole-system runs (walker, core, caches, prefetcher),
-//!   and the trace store's cohort replay of three runs over one stream;
+//!   and the trace store's cohort replay of three CMP-4 runs, and of
+//!   eight single-core runs, over one stream;
 //! - `trace/*`: synthesis of the DB program, the largest of the four, in
 //!   ns per basic block, and the live walker over the four Mixed
 //!   programs, in ns per op;
@@ -369,35 +370,63 @@ fn system_benches(reps: u32) -> Vec<BenchResult> {
                 system.run(&mut sources, INSTRS / 4);
             },
         ),
-        cohort_bench(reps),
+        cohort_cmp4_bench(reps),
+        cohort_single_bench(reps),
     ]
 }
 
 /// Three CMP-4 runs at 1, 2 and 4 MB of L2 over one captured Web stream
 /// ([`INSTRS`] ops, a quarter per core), replayed as one trace-store
 /// cohort: the window decodes the stream once and the three systems take
-/// turns over it. One sample is the whole cohort — system builds, decode
-/// and all three simulations — so ns/op is per simulated instruction of
-/// the three runs.
-fn cohort_bench(reps: u32) -> BenchResult {
-    let dir = std::env::temp_dir().join(format!("ipsim-bench-cohort-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = TraceStore::at(&dir);
+/// turns over it.
+fn cohort_cmp4_bench(reps: u32) -> BenchResult {
     let lengths = RunLengths {
         warm: 0,
         measure: INSTRS / 4,
     };
-    let specs: Vec<RunSpec> = [1u64, 2, 4]
+    let specs = [1u64, 2, 4].map(|mb| {
+        let mut config = ipsim_types::SystemConfig::cmp4();
+        config.mem.l2 = CacheConfig::new(mb << 20, 4, 64).expect("valid geometry");
+        RunSpec::new(config, WorkloadSet::homogeneous(Workload::Web), lengths)
+    });
+    cohort_bench("system/cohort_replay_cmp4_x3", &specs, reps)
+}
+
+/// Eight single-core runs over one captured Web stream ([`INSTRS`] ops),
+/// the most a bounded cohort holds: L2 at 1, 2, 4 and 8 MB, each with no
+/// prefetcher and with the discontinuity prefetcher under bypass, as the
+/// sweep's single-core streams mix inert and prefetching members.
+fn cohort_single_bench(reps: u32) -> BenchResult {
+    let lengths = RunLengths {
+        warm: 0,
+        measure: INSTRS,
+    };
+    let specs: Vec<RunSpec> = [1u64, 2, 4, 8]
         .iter()
-        .map(|mb| {
-            let mut config = ipsim_types::SystemConfig::cmp4();
+        .flat_map(|mb| {
+            let mut config = ipsim_types::SystemConfig::single_core();
             config.mem.l2 = CacheConfig::new(mb << 20, 4, 64).expect("valid geometry");
-            RunSpec::new(config, WorkloadSet::homogeneous(Workload::Web), lengths)
+            let spec = RunSpec::new(config, WorkloadSet::homogeneous(Workload::Web), lengths);
+            let prefetching = spec
+                .clone()
+                .prefetcher(PrefetcherKind::discontinuity_default())
+                .policy(InstallPolicy::BypassL2UntilUseful);
+            [spec, prefetching]
         })
         .collect();
+    cohort_bench("system/cohort_replay_single_x8", &specs, reps)
+}
+
+/// Replays `specs`, which share one stream, as one trace-store cohort.
+/// One sample is the whole cohort — system builds, decode and every
+/// simulation — so ns/op is per simulated instruction of all its runs.
+fn cohort_bench(name: &'static str, specs: &[RunSpec], reps: u32) -> BenchResult {
+    let dir = std::env::temp_dir().join(format!("ipsim-bench-cohort-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = TraceStore::at(&dir);
     store.execute(&specs[0]);
     let members: Vec<&RunSpec> = specs.iter().collect();
-    let result = bench("system/cohort_replay_cmp4_x3", 3 * INSTRS, reps, || {
+    let result = bench(name, members.len() as u64 * INSTRS, reps, || {
         let mut finished = 0;
         store.execute_cohort(&members, None, &mut SystemSlot::new(), &mut |_, run| {
             let run = run.expect("cohort member runs");

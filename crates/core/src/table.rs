@@ -5,19 +5,10 @@ use ipsim_types::LineAddr;
 /// Initial / maximum value of the 2-bit saturating eviction counter.
 const COUNTER_MAX: u8 = 3;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    /// The triggering cache line (the line the discontinuity departs from).
-    trigger: LineAddr,
-    /// The observed target line.
-    target: LineAddr,
-    /// 2-bit saturating *eviction* counter: set to max on allocation,
-    /// incremented when the entry's prefetch proves useful, decremented by
-    /// conflicting allocation attempts; the entry may only be replaced when
-    /// it reaches zero. This protects useful entries from being thrashed by
-    /// stray events.
-    counter: u8,
-}
+/// Trigger lane value of an empty slot. Line addresses come from
+/// PC/target ranges and never reach `u64::MAX` (the cache and the
+/// recent-fetch filter use the same sentinel).
+const EMPTY: u64 = u64::MAX;
 
 /// Direct-mapped table of fetch-stream discontinuities, one target per
 /// entry.
@@ -26,6 +17,15 @@ struct Entry {
 /// discontinuity trigger lines have a *single* target, so a direct-mapped,
 /// one-target-per-entry organisation suffices — substantially smaller than
 /// multi-target predictors.
+///
+/// Each entry is a triggering line (the line the discontinuity departs
+/// from), the observed target line and a 2-bit saturating *eviction*
+/// counter: set to max on allocation, incremented when the entry's
+/// prefetch proves useful, decremented by conflicting allocation attempts;
+/// the entry may only be replaced when it reaches zero. This protects
+/// useful entries from being thrashed by stray events. The three fields
+/// are kept in separate lanes (17 bytes per entry), and an empty slot is
+/// a trigger of `u64::MAX`.
 ///
 /// # Examples
 ///
@@ -40,7 +40,9 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DiscontinuityTable {
-    entries: Vec<Option<Entry>>,
+    triggers: Box<[u64]>,
+    targets: Box<[u64]>,
+    counters: Box<[u8]>,
     mask: u64,
     allocations: u64,
     rejections: u64,
@@ -58,7 +60,9 @@ impl DiscontinuityTable {
             "table entries must be a non-zero power of two"
         );
         DiscontinuityTable {
-            entries: vec![None; entries],
+            triggers: vec![EMPTY; entries].into_boxed_slice(),
+            targets: vec![0; entries].into_boxed_slice(),
+            counters: vec![0; entries].into_boxed_slice(),
             mask: entries as u64 - 1,
             allocations: 0,
             rejections: 0,
@@ -67,12 +71,12 @@ impl DiscontinuityTable {
 
     /// Number of slots.
     pub fn capacity(&self) -> usize {
-        self.entries.len()
+        self.triggers.len()
     }
 
     /// Number of valid entries.
     pub fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.triggers.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// Successful allocations so far.
@@ -91,14 +95,22 @@ impl DiscontinuityTable {
         (trigger.0 & self.mask) as usize
     }
 
+    /// The slot at `table_index` if it holds an entry.
+    #[inline]
+    fn occupied(&self, table_index: u32) -> Option<usize> {
+        let idx = table_index as usize;
+        self.triggers
+            .get(idx)
+            .is_some_and(|&t| t != EMPTY)
+            .then_some(idx)
+    }
+
     /// Looks up the predicted target for a discontinuity departing
     /// `trigger`, returning `(target, table_index)` on a hit.
     pub fn lookup(&self, trigger: LineAddr) -> Option<(LineAddr, u32)> {
+        debug_assert_ne!(trigger.0, EMPTY, "looking up the empty-slot sentinel");
         let idx = self.index(trigger);
-        match &self.entries[idx] {
-            Some(e) if e.trigger == trigger => Some((e.target, idx as u32)),
-            _ => None,
-        }
+        (self.triggers[idx] == trigger.0).then(|| (LineAddr(self.targets[idx]), idx as u32))
     }
 
     /// Records that a discontinuity `trigger → target` caused an
@@ -111,41 +123,29 @@ impl DiscontinuityTable {
     ///
     /// Returns `true` if the transition is present afterwards.
     pub fn allocate(&mut self, trigger: LineAddr, target: LineAddr) -> bool {
+        debug_assert_ne!(trigger.0, EMPTY, "allocating the empty-slot sentinel");
         let idx = self.index(trigger);
-        match &mut self.entries[idx] {
-            slot @ None => {
-                *slot = Some(Entry {
-                    trigger,
-                    target,
-                    counter: COUNTER_MAX,
-                });
-                self.allocations += 1;
-                true
-            }
-            Some(e) if e.trigger == trigger && e.target == target => true,
-            Some(e) => {
-                if e.counter == 0 {
-                    *e = Entry {
-                        trigger,
-                        target,
-                        counter: COUNTER_MAX,
-                    };
-                    self.allocations += 1;
-                    true
-                } else {
-                    e.counter -= 1;
-                    self.rejections += 1;
-                    false
-                }
-            }
+        let held = self.triggers[idx];
+        if held == trigger.0 && self.targets[idx] == target.0 {
+            return true;
         }
+        if held != EMPTY && self.counters[idx] != 0 {
+            self.counters[idx] -= 1;
+            self.rejections += 1;
+            return false;
+        }
+        self.triggers[idx] = trigger.0;
+        self.targets[idx] = target.0;
+        self.counters[idx] = COUNTER_MAX;
+        self.allocations += 1;
+        true
     }
 
     /// Reinforces the entry at `table_index`: its prediction produced a
     /// useful prefetch. Saturating increment.
     pub fn reinforce(&mut self, table_index: u32) {
-        if let Some(Some(e)) = self.entries.get_mut(table_index as usize) {
-            e.counter = (e.counter + 1).min(COUNTER_MAX);
+        if let Some(idx) = self.occupied(table_index) {
+            self.counters[idx] = (self.counters[idx] + 1).min(COUNTER_MAX);
         }
     }
 
@@ -155,17 +155,14 @@ impl DiscontinuityTable {
     /// al.'s confidence filtering; the paper's base design only decrements
     /// on allocation conflicts).
     pub fn weaken(&mut self, table_index: u32) {
-        if let Some(Some(e)) = self.entries.get_mut(table_index as usize) {
-            e.counter = e.counter.saturating_sub(1);
+        if let Some(idx) = self.occupied(table_index) {
+            self.counters[idx] = self.counters[idx].saturating_sub(1);
         }
     }
 
     /// The confidence counter of the entry at `table_index`, if valid.
     pub fn confidence(&self, table_index: u32) -> Option<u8> {
-        self.entries
-            .get(table_index as usize)
-            .and_then(|e| e.as_ref())
-            .map(|e| e.counter)
+        self.occupied(table_index).map(|idx| self.counters[idx])
     }
 }
 

@@ -1,8 +1,7 @@
 //! Property-based tests for the prefetch infrastructure: the queue's
 //! no-duplicate and capacity invariants must hold under arbitrary operation
-//! sequences, the queue and filter must agree with their list-based
-//! reference models, and the discontinuity table must never exceed its
-//! geometry.
+//! sequences, the queue, filter and discontinuity table must agree with
+//! their reference models, and the table must never exceed its geometry.
 
 mod reference;
 
@@ -231,6 +230,49 @@ proptest! {
                 // allocated at some point for this trigger.
                 prop_assert!(target.0 >= 100 && target.0 < 200);
             }
+        }
+    }
+
+    /// The lane table agrees with the `Option<Entry>` reference after
+    /// every operation, at every size from 1 to 32 entries: same lookups,
+    /// allocation results, counters, occupancy, allocations and
+    /// rejections. A step is `(op, trigger, target, table index)`:
+    /// triggers span three laps of the table so slots conflict, targets
+    /// repeat so transitions recur, and indices run past the table.
+    #[test]
+    fn discontinuity_table_matches_the_option_reference(
+        size_log2 in 0u32..6,
+        steps in prop::collection::vec((0u8..5, 0u64..100, 0u64..4, 0u32..40), 1..400),
+    ) {
+        let entries = 1usize << size_log2;
+        let mut t = DiscontinuityTable::new(entries);
+        let mut r = reference::DiscontinuityTable::new(entries);
+        for (op, trigger, target, index) in steps {
+            let trigger = LineAddr(trigger % (3 * entries as u64 + 1));
+            let target = LineAddr(1_000 + target);
+            let index = index % (entries as u32 + 2);
+            match op {
+                0 => prop_assert_eq!(t.allocate(trigger, target), r.allocate(trigger, target)),
+                1 => prop_assert_eq!(t.lookup(trigger), r.lookup(trigger)),
+                2 => {
+                    t.reinforce(index);
+                    r.reinforce(index);
+                }
+                3 => {
+                    t.weaken(index);
+                    r.weaken(index);
+                }
+                _ => prop_assert_eq!(t.confidence(index), r.confidence(index)),
+            }
+            prop_assert_eq!(t.occupancy(), r.occupancy());
+            prop_assert_eq!(t.allocations(), r.allocations());
+            prop_assert_eq!(t.rejections(), r.rejections());
+        }
+        for i in 0..entries as u32 + 2 {
+            prop_assert_eq!(t.confidence(i), r.confidence(i), "slot {}", i);
+        }
+        for l in 0..3 * entries as u64 + 1 {
+            prop_assert_eq!(t.lookup(LineAddr(l)), r.lookup(LineAddr(l)), "line {}", l);
         }
     }
 

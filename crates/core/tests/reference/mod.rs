@@ -1,9 +1,10 @@
 //! Reference models for the differential tests in `properties.rs`: the
-//! prefetch queue as a `VecDeque` of slots searched linearly, and the
-//! recent-fetch filter as a `%`-wrapped ring. They are the linear
-//! implementations `ipsim-core` used before its dense-lane layout, kept
-//! unchanged apart from their type-level documentation. `SlotState` and
-//! `QueueStats` come from the crate so results compare directly.
+//! prefetch queue as a `VecDeque` of slots searched linearly, the
+//! recent-fetch filter as a `%`-wrapped ring, and the discontinuity table
+//! as a vector of `Option<Entry>`. They are the implementations
+//! `ipsim-core` used before its dense-lane layouts, kept unchanged apart
+//! from their type-level documentation. `SlotState` and `QueueStats` come
+//! from the crate so results compare directly.
 
 use std::collections::VecDeque;
 
@@ -188,5 +189,123 @@ impl RecentFetchFilter {
         // The ring is pre-filled with an unreachable sentinel line address,
         // so scanning every slot is safe before the ring fills.
         line.0 != u64::MAX && self.ring.contains(&line)
+    }
+}
+
+/// Initial / maximum value of the 2-bit saturating eviction counter.
+const COUNTER_MAX: u8 = 3;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Entry {
+    trigger: LineAddr,
+    target: LineAddr,
+    counter: u8,
+}
+
+/// The reference discontinuity table: direct-mapped, one optional entry
+/// per slot.
+#[derive(Debug, Clone)]
+pub struct DiscontinuityTable {
+    entries: Vec<Option<Entry>>,
+    mask: u64,
+    allocations: u64,
+    rejections: u64,
+}
+
+impl DiscontinuityTable {
+    /// Creates an empty table with `entries` slots (a power of two).
+    pub fn new(entries: usize) -> DiscontinuityTable {
+        assert!(
+            entries > 0 && entries.is_power_of_two(),
+            "table entries must be a non-zero power of two"
+        );
+        DiscontinuityTable {
+            entries: vec![None; entries],
+            mask: entries as u64 - 1,
+            allocations: 0,
+            rejections: 0,
+        }
+    }
+
+    /// Number of valid entries.
+    pub fn occupancy(&self) -> usize {
+        self.entries.iter().filter(|e| e.is_some()).count()
+    }
+
+    /// Successful allocations so far.
+    pub fn allocations(&self) -> u64 {
+        self.allocations
+    }
+
+    /// Rejected allocation attempts so far.
+    pub fn rejections(&self) -> u64 {
+        self.rejections
+    }
+
+    fn index(&self, trigger: LineAddr) -> usize {
+        (trigger.0 & self.mask) as usize
+    }
+
+    /// `(target, table_index)` for a hit on `trigger`.
+    pub fn lookup(&self, trigger: LineAddr) -> Option<(LineAddr, u32)> {
+        let idx = self.index(trigger);
+        match &self.entries[idx] {
+            Some(e) if e.trigger == trigger => Some((e.target, idx as u32)),
+            _ => None,
+        }
+    }
+
+    /// Inserts `trigger → target`, fighting an incumbent's counter.
+    pub fn allocate(&mut self, trigger: LineAddr, target: LineAddr) -> bool {
+        let idx = self.index(trigger);
+        match &mut self.entries[idx] {
+            slot @ None => {
+                *slot = Some(Entry {
+                    trigger,
+                    target,
+                    counter: COUNTER_MAX,
+                });
+                self.allocations += 1;
+                true
+            }
+            Some(e) if e.trigger == trigger && e.target == target => true,
+            Some(e) => {
+                if e.counter == 0 {
+                    *e = Entry {
+                        trigger,
+                        target,
+                        counter: COUNTER_MAX,
+                    };
+                    self.allocations += 1;
+                    true
+                } else {
+                    e.counter -= 1;
+                    self.rejections += 1;
+                    false
+                }
+            }
+        }
+    }
+
+    /// Saturating increment of the entry at `table_index`.
+    pub fn reinforce(&mut self, table_index: u32) {
+        if let Some(Some(e)) = self.entries.get_mut(table_index as usize) {
+            e.counter = (e.counter + 1).min(COUNTER_MAX);
+        }
+    }
+
+    /// Saturating decrement of the entry at `table_index`.
+    pub fn weaken(&mut self, table_index: u32) {
+        if let Some(Some(e)) = self.entries.get_mut(table_index as usize) {
+            e.counter = e.counter.saturating_sub(1);
+        }
+    }
+
+    /// The counter of the entry at `table_index`, if valid.
+    pub fn confidence(&self, table_index: u32) -> Option<u8> {
+        self.entries
+            .get(table_index as usize)
+            .and_then(|e| e.as_ref())
+            .map(|e| e.counter)
     }
 }

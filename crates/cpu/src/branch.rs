@@ -9,6 +9,10 @@ use ipsim_types::Addr;
 /// mispredicts (direct branches/calls whose target is computed at decode).
 const DECODE_REDIRECT_PENALTY: u32 = 3;
 
+/// A gshare byte holding four 2-bit counters, each at 1, "weakly
+/// not-taken" — the state every counter starts in.
+const GSHARE_WEAKLY_NOT_TAKEN: u8 = 0x55;
+
 /// Branch-prediction statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BranchStats {
@@ -61,6 +65,8 @@ impl BranchStats {
 /// penalty in cycles.
 #[derive(Debug, Clone)]
 pub struct BranchUnit {
+    /// The gshare's 2-bit counters, four per byte: counter `i` is bits
+    /// `2 * (i % 4)..2 * (i % 4) + 2` of byte `i / 4`.
     gshare: Vec<u8>,
     gshare_mask: u64,
     history: u64,
@@ -78,7 +84,7 @@ impl BranchUnit {
     /// on an execute-level misprediction.
     pub fn new(config: &BranchConfig, full_penalty: u32) -> BranchUnit {
         BranchUnit {
-            gshare: vec![1; config.gshare_entries as usize], // weakly not-taken
+            gshare: vec![GSHARE_WEAKLY_NOT_TAKEN; (config.gshare_entries as usize).div_ceil(4)],
             gshare_mask: config.gshare_entries as u64 - 1,
             history: 0,
             btb: vec![0; config.btb_entries as usize],
@@ -95,7 +101,7 @@ impl BranchUnit {
     /// statistics — restoring the state of a freshly built unit with the
     /// same geometry (run-reuse reset; table allocations kept).
     pub fn reset_cold(&mut self) {
-        self.gshare.fill(1); // weakly not-taken, as in `new`
+        self.gshare.fill(GSHARE_WEAKLY_NOT_TAKEN);
         self.history = 0;
         self.btb.fill(0);
         self.ras.fill(Addr(0));
@@ -167,13 +173,17 @@ impl BranchUnit {
             CtiClass::CondBranch => {
                 self.stats.cond_branches += 1;
                 let idx = self.gshare_index(op.pc);
-                let predicted_taken = self.gshare[idx] >= 2;
+                let shift = (idx % 4) * 2;
+                let byte = &mut self.gshare[idx / 4];
+                let counter = (*byte >> shift) & 3;
+                let predicted_taken = counter >= 2;
                 // Update the 2-bit counter and the global history.
-                if taken {
-                    self.gshare[idx] = (self.gshare[idx] + 1).min(3);
+                let updated = if taken {
+                    (counter + 1).min(3)
                 } else {
-                    self.gshare[idx] = self.gshare[idx].saturating_sub(1);
-                }
+                    counter.saturating_sub(1)
+                };
+                *byte = (*byte & !(3 << shift)) | (updated << shift);
                 self.history = ((self.history << 1) | taken as u64) & self.gshare_mask;
                 if predicted_taken != taken {
                     self.stats.cond_mispredicts += 1;
@@ -243,6 +253,213 @@ impl BranchUnit {
 mod tests {
     use super::*;
     use ipsim_types::config::BranchConfig;
+    use proptest::prelude::*;
+
+    /// The branch unit as it was before its gshare counters were packed
+    /// four to a byte: one byte per 2-bit counter, otherwise unchanged.
+    /// The packed unit must agree with it on every prediction.
+    mod reference {
+        use super::super::{BranchStats, DECODE_REDIRECT_PENALTY};
+        use ipsim_types::config::BranchConfig;
+        use ipsim_types::instr::{CtiClass, OpKind, TraceOp, INSTR_BYTES};
+        use ipsim_types::Addr;
+
+        pub struct BranchUnit {
+            pub gshare: Vec<u8>,
+            gshare_mask: u64,
+            pub history: u64,
+            btb: Vec<u64>,
+            btb_mask: u64,
+            ras: Vec<Addr>,
+            ras_top: usize,
+            ras_depth: usize,
+            full_penalty: u32,
+            pub stats: BranchStats,
+        }
+
+        impl BranchUnit {
+            pub fn new(config: &BranchConfig, full_penalty: u32) -> BranchUnit {
+                BranchUnit {
+                    gshare: vec![1; config.gshare_entries as usize],
+                    gshare_mask: config.gshare_entries as u64 - 1,
+                    history: 0,
+                    btb: vec![0; config.btb_entries as usize],
+                    btb_mask: config.btb_entries as u64 - 1,
+                    ras: vec![Addr(0); config.ras_entries as usize],
+                    ras_top: 0,
+                    ras_depth: 0,
+                    full_penalty,
+                    stats: BranchStats::default(),
+                }
+            }
+
+            pub fn reset_cold(&mut self) {
+                self.gshare.fill(1);
+                self.history = 0;
+                self.btb.fill(0);
+                self.ras.fill(Addr(0));
+                self.ras_top = 0;
+                self.ras_depth = 0;
+                self.stats = BranchStats::default();
+            }
+
+            fn btb_index(&self, pc: Addr) -> usize {
+                ((pc.0 >> 2) & self.btb_mask) as usize
+            }
+
+            fn ras_push(&mut self, addr: Addr) {
+                self.ras_top = (self.ras_top + 1) % self.ras.len();
+                self.ras[self.ras_top] = addr;
+                self.ras_depth = (self.ras_depth + 1).min(self.ras.len());
+            }
+
+            fn ras_pop(&mut self) -> Option<Addr> {
+                if self.ras_depth == 0 {
+                    return None;
+                }
+                let v = self.ras[self.ras_top];
+                self.ras_top = (self.ras_top + self.ras.len() - 1) % self.ras.len();
+                self.ras_depth -= 1;
+                Some(v)
+            }
+
+            /// The BTB check every taken CTI but a return makes:
+            /// `miss_penalty` on a stale target.
+            fn btb(&mut self, pc: Addr, target: Addr, miss_penalty: u32) -> Option<u32> {
+                let b = self.btb_index(pc);
+                let hit = self.btb[b] == target.0;
+                self.btb[b] = target.0;
+                (!hit).then_some(miss_penalty)
+            }
+
+            pub fn process(&mut self, op: &TraceOp) -> u32 {
+                let OpKind::Cti {
+                    class,
+                    taken,
+                    target,
+                } = op.kind
+                else {
+                    return 0;
+                };
+                let next = op.pc.offset(INSTR_BYTES);
+                match class {
+                    CtiClass::CondBranch => {
+                        self.stats.cond_branches += 1;
+                        let idx = (((op.pc.0 >> 2) ^ self.history) & self.gshare_mask) as usize;
+                        let predicted_taken = self.gshare[idx] >= 2;
+                        if taken {
+                            self.gshare[idx] = (self.gshare[idx] + 1).min(3);
+                        } else {
+                            self.gshare[idx] = self.gshare[idx].saturating_sub(1);
+                        }
+                        self.history = ((self.history << 1) | taken as u64) & self.gshare_mask;
+                        if predicted_taken != taken {
+                            self.stats.cond_mispredicts += 1;
+                            return self.full_penalty;
+                        }
+                        if !taken {
+                            return 0;
+                        }
+                        let miss = self.btb(op.pc, target, DECODE_REDIRECT_PENALTY);
+                        self.stats.btb_misses += miss.is_some() as u64;
+                        miss.unwrap_or(0)
+                    }
+                    CtiClass::UncondBranch | CtiClass::Call => {
+                        if class == CtiClass::Call {
+                            self.ras_push(next);
+                        }
+                        let miss = self.btb(op.pc, target, DECODE_REDIRECT_PENALTY);
+                        self.stats.btb_misses += miss.is_some() as u64;
+                        miss.unwrap_or(0)
+                    }
+                    CtiClass::Jump => {
+                        self.ras_push(next);
+                        let miss = self.btb(op.pc, target, self.full_penalty);
+                        self.stats.jump_mispredicts += miss.is_some() as u64;
+                        miss.unwrap_or(0)
+                    }
+                    CtiClass::Return => {
+                        if self.ras_pop() == Some(target) {
+                            0
+                        } else {
+                            self.stats.ras_mispredicts += 1;
+                            self.full_penalty
+                        }
+                    }
+                    CtiClass::Trap => {
+                        self.stats.traps += 1;
+                        self.ras_push(next);
+                        self.full_penalty
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counter `i` of the packed gshare.
+    fn counter(u: &BranchUnit, i: usize) -> u8 {
+        (u.gshare[i / 4] >> (i % 4 * 2)) & 3
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Over random CTI streams and every gshare size from 1 to 64 Ki
+        /// entries, the packed unit returns the reference's penalties and
+        /// keeps its history, statistics and every counter. A step is
+        /// `(pc word, kind, taken, target word)`: kinds 0–5 are the CTI
+        /// classes, 6 a non-CTI op, 7 `reset_stats` and 8 `reset_cold`.
+        #[test]
+        fn packed_gshare_matches_a_byte_per_counter_reference(
+            gshare_log2 in 0u32..17,
+            btb_log2 in 0u32..5,
+            ras_entries in 1u32..20,
+            steps in prop::collection::vec(
+                (0u64..96, 0u8..9, any::<bool>(), 0u64..24),
+                1..600,
+            ),
+        ) {
+            let config = BranchConfig {
+                gshare_entries: 1 << gshare_log2,
+                btb_entries: 1 << btb_log2,
+                ras_entries,
+            };
+            let mut packed = BranchUnit::new(&config, 16);
+            let mut reference = reference::BranchUnit::new(&config, 16);
+            for (pc, kind, taken, target) in steps {
+                let class = match kind {
+                    0 => CtiClass::CondBranch,
+                    1 => CtiClass::UncondBranch,
+                    2 => CtiClass::Call,
+                    3 => CtiClass::Jump,
+                    4 => CtiClass::Return,
+                    5 => CtiClass::Trap,
+                    6 => {
+                        let op = TraceOp { pc: Addr(pc * 4), kind: OpKind::Other };
+                        prop_assert_eq!(packed.process(&op), reference.process(&op));
+                        continue;
+                    }
+                    7 => {
+                        packed.reset_stats();
+                        reference.stats = BranchStats::default();
+                        continue;
+                    }
+                    _ => {
+                        packed.reset_cold();
+                        reference.reset_cold();
+                        continue;
+                    }
+                };
+                let op = cti(pc * 4, class, taken, target * 4);
+                prop_assert_eq!(packed.process(&op), reference.process(&op));
+                prop_assert_eq!(packed.history, reference.history);
+                prop_assert_eq!(packed.stats(), &reference.stats);
+            }
+            for (i, &want) in reference.gshare.iter().enumerate() {
+                prop_assert_eq!(counter(&packed, i), want, "counter {}", i);
+            }
+        }
+    }
 
     fn unit() -> BranchUnit {
         BranchUnit::new(&BranchConfig::default(), 16)

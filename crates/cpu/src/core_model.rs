@@ -18,7 +18,7 @@ use crate::limit::LimitSpec;
 use crate::memsys::MemSystem;
 use crate::metrics::CoreMetrics;
 use crate::mlp::MlpWindow;
-use crate::pf_table::PfSourceTable;
+use crate::pf_table::{pf_source_table, PfSourceTable};
 use crate::tlb::Tlb;
 
 /// Prefetch-queue slots per core (paper Section 5).
@@ -67,7 +67,14 @@ pub struct Core {
     engine_inert: bool,
     queue: PrefetchQueue,
     filter: RecentFetchFilter,
+    /// Source and scheme of each prefetched line in flight or resident;
+    /// it has no slots while the zoo is inert, which never prefetches.
     pf_sources: PfSourceTable,
+    /// Attributions a prefetching zoo can hold at once: one is live only
+    /// while its line sits in the instruction MSHR or the L1I, so
+    /// `l1i_lines + mshr_entries` bounds them (the table panics if that
+    /// invariant ever breaks).
+    pf_max_live: usize,
     pf_stats: PrefetchStats,
     /// Lifecycle event collector; `None` (the default) keeps every
     /// telemetry hook down to one never-taken branch.
@@ -128,6 +135,7 @@ impl Core {
         limit: Option<LimitSpec>,
     ) -> Core {
         let engine_inert = !zoo.generates_requests();
+        let pf_max_live = config.l1i.lines() as usize + config.mshrs as usize;
         Core {
             id,
             issue_width: config.issue_width,
@@ -148,12 +156,8 @@ impl Core {
             engine_inert,
             queue: PrefetchQueue::new(PREFETCH_QUEUE_ENTRIES),
             filter: RecentFetchFilter::new(RECENT_FILTER_ENTRIES),
-            // An attribution is live only while its line sits in the
-            // instruction MSHR or the L1I, so this bound cannot be
-            // exceeded (the table panics if that invariant ever breaks).
-            pf_sources: crate::pf_table::pf_source_table(
-                config.l1i.lines() as usize + config.mshrs as usize,
-            ),
+            pf_sources: pf_source_table(pf_max_live, !engine_inert),
+            pf_max_live,
             pf_stats: PrefetchStats::default(),
             tracer: None,
             req_buf: Vec::with_capacity(16),
@@ -201,7 +205,7 @@ impl Core {
     /// Live prefetch attributions and the table's fixed slot count —
     /// diagnostics for the boundedness regression test. Live entries can
     /// never exceed `l1i_lines + mshr_entries` (the table panics if they
-    /// would).
+    /// would); an inert core has no slots.
     #[doc(hidden)]
     pub fn pf_attribution_usage(&self) -> (usize, usize) {
         (self.pf_sources.len(), self.pf_sources.capacity())
@@ -789,7 +793,13 @@ impl Core {
         self.zoo = zoo;
         self.queue.clear();
         self.filter.clear();
-        self.pf_sources.clear();
+        if self.engine_inert == (self.pf_sources.capacity() == 0) {
+            self.pf_sources.clear();
+        } else {
+            // The new zoo prefetches where the old one did not, or the
+            // reverse: size the table for it.
+            self.pf_sources = pf_source_table(self.pf_max_live, !self.engine_inert);
+        }
         self.pf_stats = PrefetchStats::default();
         self.tracer = None;
         self.req_buf.clear();

@@ -38,15 +38,21 @@ pub(crate) struct ShadowTable<V: Copy> {
 impl<V: Copy> ShadowTable<V> {
     /// A table guaranteed to hold `max_live` simultaneous attributions.
     /// Capacity is the next power of two of `2 * max_live`, keeping the
-    /// load factor at or below 50%. `fill` initialises the value lanes
-    /// (never observable — empty slots are tracked via the epoch lane).
+    /// load factor at or below 50%; a bound of zero allocates no slots
+    /// (every lookup misses and any insert panics). `fill` initialises
+    /// the value lanes (never observable — empty slots are tracked via
+    /// the epoch lane).
     pub fn with_bound(max_live: usize, fill: V) -> ShadowTable<V> {
-        let capacity = (2 * max_live.max(1)).next_power_of_two();
+        let capacity = if max_live == 0 {
+            0
+        } else {
+            (2 * max_live).next_power_of_two()
+        };
         ShadowTable {
             lines: vec![EMPTY; capacity].into_boxed_slice(),
             values: vec![fill; capacity].into_boxed_slice(),
             epochs: vec![0u32; capacity].into_boxed_slice(),
-            mask: capacity - 1,
+            mask: capacity.wrapping_sub(1),
             epoch: 0,
             len: 0,
         }
@@ -88,6 +94,10 @@ impl<V: Copy> ShadowTable<V> {
 
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
+        if self.len == 0 {
+            // Nothing to find, and a slotless table has no slot to probe.
+            return None;
+        }
         let mut slot = self.ideal(line);
         loop {
             if self.is_empty_slot(slot) {
@@ -166,9 +176,12 @@ impl<V: Copy> ShadowTable<V> {
 /// fetched it and the zoo slot of the scheme that issued the request.
 pub(crate) type PfSourceTable = ShadowTable<(PrefetchSource, u8)>;
 
-/// A table guaranteed to hold `max_live` simultaneous attributions.
-pub(crate) fn pf_source_table(max_live: usize) -> PfSourceTable {
-    ShadowTable::with_bound(max_live, (PrefetchSource::Sequential, 0))
+/// The attribution table of a core whose zoo can (`prefetches`) or never
+/// can issue a request: room for `max_live` simultaneous attributions, or
+/// no slots for a zoo that never prefetches, so never attributes a line.
+pub(crate) fn pf_source_table(max_live: usize, prefetches: bool) -> PfSourceTable {
+    let bound = if prefetches { max_live } else { 0 };
+    ShadowTable::with_bound(bound, (PrefetchSource::Sequential, 0))
 }
 
 #[cfg(test)]
@@ -221,6 +234,22 @@ mod tests {
         // Slots from the old epoch are reusable.
         t.insert(LineAddr(3), 7);
         assert_eq!(t.remove(LineAddr(3)), Some(7));
+    }
+
+    #[test]
+    fn a_zero_bound_allocates_no_slots_and_finds_nothing() {
+        let mut t = pf_source_table(8, false);
+        assert_eq!((t.len(), t.capacity()), (0, 0));
+        assert_eq!(t.get(LineAddr(7)), None);
+        assert_eq!(t.remove(LineAddr(7)), None);
+        t.clear();
+        assert_eq!(pf_source_table(8, true).capacity(), 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow-attribution table overflow")]
+    fn inserting_into_a_slotless_table_panics() {
+        ShadowTable::with_bound(0, 0u32).insert(LineAddr(1), 0);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{Core, MemSystem};
+use ipsim_prefetch::Zoo;
 use ipsim_types::instr::{CtiClass, OpKind, TraceOp};
 use ipsim_types::{Addr, CoreConfig, MemConfig, SystemConfig};
 
@@ -317,4 +318,87 @@ fn prefetch_attribution_stays_bounded_over_long_runs() {
         live > 0,
         "walk never left an in-flight/resident attribution"
     );
+}
+
+/// A jumpy walk over a 4 MiB footprint whose every twelfth instruction is
+/// a conditional branch to a pseudo-random target, taken or not: enough
+/// misses, discontinuities and branch history for a prefetching core to
+/// prefetch, attribute and evict.
+fn branchy_walk(n: u64) -> Vec<TraceOp> {
+    let mut x = 0x5EED_0001u64;
+    let mut pc = 0x10_0000u64;
+    (0..n)
+        .map(|i| {
+            if i % 12 != 11 {
+                pc += 4;
+                return plain(pc - 4);
+            }
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let taken = x >> 63 == 1;
+            let target = 0x10_0000 + (x % 0x40_0000) / 4 * 4;
+            let op = TraceOp {
+                pc: Addr(pc),
+                kind: OpKind::Cti {
+                    class: CtiClass::CondBranch,
+                    taken,
+                    target: Addr(target),
+                },
+            };
+            pc = if taken { target } else { pc + 4 };
+            op
+        })
+        .collect()
+}
+
+#[test]
+fn reset_cold_sizes_the_attribution_table_for_the_new_zoo() {
+    let config = SystemConfig::single_core();
+    let disc = || PrefetcherKind::Discontinuity {
+        table_entries: 128,
+        ahead: 4,
+    };
+    let ops = branchy_walk(60_000);
+    // Everything a run leaves observable: metrics, clock, and the
+    // attribution table's live entries and slots.
+    let run = |mut core: Core| {
+        let mut mem = MemSystem::new(&config.mem, InstallPolicy::BypassL2UntilUseful);
+        for &op in &ops {
+            core.step(op, &mut mem);
+        }
+        (
+            format!("{:?}", core.metrics()),
+            core.clock(),
+            core.pf_attribution_usage(),
+        )
+    };
+    // A core that has already run, so `reset_cold` has state to undo.
+    let used = |prefetcher| {
+        let (mut core, mut mem) = parts(prefetcher, InstallPolicy::InstallBoth);
+        for &op in &ops[..20_000] {
+            core.step(op, &mut mem);
+        }
+        core
+    };
+
+    let inert = Core::new(0, &config.core, PrefetcherKind::None, None);
+    assert_eq!(inert.pf_attribution_usage(), (0, 0), "inert core has slots");
+    let fresh_inert = run(inert);
+    assert_eq!(fresh_inert.2, (0, 0));
+    let fresh_live = run(Core::new(0, &config.core, disc(), None));
+    assert!(fresh_live.2 .0 > 0 && fresh_live.2 .1 > 0);
+
+    let mut core = used(PrefetcherKind::None);
+    core.reset_cold(Zoo::single(disc().build()));
+    assert_eq!(run(core), fresh_live, "inert core reset to a live zoo");
+
+    let mut core = used(disc());
+    core.reset_cold(Zoo::single(PrefetcherKind::None.build()));
+    assert_eq!(core.pf_attribution_usage(), (0, 0));
+    assert_eq!(run(core), fresh_inert, "live core reset to an inert zoo");
+
+    let mut core = used(disc());
+    core.reset_cold(Zoo::single(disc().build()));
+    assert_eq!(run(core), fresh_live, "live core reset to a live zoo");
 }

@@ -39,7 +39,7 @@ run_sweep() { # $1 = tag, $2 = jobs
         "${REPORT}" sim --bakeoff --smoke --jobs "$2" 2>/dev/null
 }
 
-[ -x "${REPORT}" ] || fail "missing ${REPORT} (run: cargo build --release)"
+[ -x "${REPORT}" ] || fail "missing ${REPORT} (run: cargo build --release -p ipsim-experiments --bin report)"
 
 echo "bakeoff_smoke: sweep 1 (4 workers)..."
 run_sweep a 4 > "${ROOT}/table_a.txt"

@@ -64,9 +64,9 @@ report_stable() { # $1 = tag
         --cache "${dir}/cache" --telemetry "${dir}/telemetry"
 }
 
-[ -x "${ALL_FIGURES}" ] || fail "missing ${ALL_FIGURES} (run: cargo build --release)"
-[ -x "${REPORT}" ] || fail "missing ${REPORT} (run: cargo build --release)"
-[ -x "${IPSIM}" ] || fail "missing ${IPSIM} (run: cargo build --release)"
+[ -x "${ALL_FIGURES}" ] || fail "missing ${ALL_FIGURES} (run: cargo build --release -p ipsim-experiments -p ipsim --bin all_figures --bin report --bin ipsim)"
+[ -x "${REPORT}" ] || fail "missing ${REPORT} (run: cargo build --release -p ipsim-experiments -p ipsim --bin all_figures --bin report --bin ipsim)"
+[ -x "${IPSIM}" ] || fail "missing ${IPSIM} (run: cargo build --release -p ipsim-experiments -p ipsim --bin all_figures --bin report --bin ipsim)"
 
 echo "sweep_smoke: mini-sweep, 1 worker..."
 run_sweep serial 1 > "${ROOT}/serial.out"
