@@ -51,7 +51,7 @@ use ipsim_core::{
     PrefetchQueue, PrefetchRequest, PrefetcherKind, RecentFetchFilter,
 };
 use ipsim_cpu::{BranchUnit, Bus, OpSource, System, SystemBuilder, Tlb, WorkloadSet};
-use ipsim_harness::{RunLengths, RunSpec, SystemSlot, TraceStore};
+use ipsim_harness::{RunLengths, RunSpec, TraceStore};
 use ipsim_obs::json::{self, Json};
 use ipsim_stream::{ArenaSource, TraceSource};
 use ipsim_telemetry::sink::{write_chrome_trace, write_events_jsonl};
@@ -428,7 +428,7 @@ fn cohort_bench(name: &'static str, specs: &[RunSpec], reps: u32) -> BenchResult
     let members: Vec<&RunSpec> = specs.iter().collect();
     let result = bench(name, members.len() as u64 * INSTRS, reps, || {
         let mut finished = 0;
-        store.execute_cohort(&members, None, &mut SystemSlot::new(), &mut |_, run| {
+        store.execute_cohort(&members, None, &mut |_, run| {
             let run = run.expect("cohort member runs");
             assert!(run.summary.instructions == INSTRS);
             finished += 1;

@@ -106,14 +106,6 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
-    /// Empties the cache and zeroes its statistics, keeping the lane
-    /// allocations — the state of a freshly built cache of the same
-    /// geometry (the run-reuse seam relies on this equivalence).
-    pub fn clear(&mut self) {
-        self.sets.clear();
-        self.stats = CacheStats::default();
-    }
-
     #[inline]
     fn set_index(&self, line: LineAddr) -> usize {
         (line.0 & self.set_mask) as usize
@@ -497,29 +489,5 @@ mod tests {
         c.reset_stats();
         assert_eq!(c.stats().accesses, 0);
         assert!(c.probe(LineAddr(0)));
-    }
-
-    #[test]
-    fn clear_restores_fresh_state() {
-        let mut c = tiny();
-        for l in 0..100u64 {
-            c.fill(LineAddr(l), FillKind::Demand);
-            c.access(LineAddr(l));
-        }
-        c.clear();
-        assert_eq!(c.resident_lines(), 0);
-        assert_eq!(c.stats().accesses, 0);
-        // LRU behaviour restarts identically to a fresh cache: fill a set
-        // past capacity and check the first insert is the victim.
-        let mut fresh = tiny();
-        for cache in [&mut c, &mut fresh] {
-            for l in [0u64, 4, 8] {
-                cache.fill(LineAddr(l), FillKind::Demand);
-            }
-        }
-        assert_eq!(c.iter_lines().collect::<Vec<_>>().len(), 2);
-        assert_eq!(c.probe(LineAddr(0)), fresh.probe(LineAddr(0)));
-        assert_eq!(c.probe(LineAddr(4)), fresh.probe(LineAddr(4)));
-        assert_eq!(c.probe(LineAddr(8)), fresh.probe(LineAddr(8)));
     }
 }

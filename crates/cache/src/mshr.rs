@@ -69,13 +69,6 @@ impl Mshr {
         }
     }
 
-    /// Discards every in-flight fill, restoring the state of a freshly
-    /// built file (the run-reuse reset; allocation kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.next_ready = Cycle::MAX;
-    }
-
     /// The entry for `line`, if a fill is in flight.
     pub fn lookup(&self, line: LineAddr) -> Option<&MshrEntry> {
         self.entries.iter().find(|e| e.line == line)

@@ -126,16 +126,6 @@ impl FlatSets {
         (mask != 0).then(|| base + mask.trailing_zeros() as usize)
     }
 
-    /// Empties every set and restarts every set's clock — exactly the
-    /// state of a freshly built [`FlatSets`], with the lane allocations
-    /// kept.
-    pub(crate) fn clear(&mut self) {
-        self.lines.fill(INVALID_LINE);
-        self.flags.fill(0);
-        self.stamps.fill(0);
-        self.clocks.fill(0);
-    }
-
     /// Finds `line` in `set` and promotes it to MRU, returning its slot.
     #[inline]
     pub(crate) fn touch(&mut self, set: usize, line: LineAddr) -> Option<usize> {

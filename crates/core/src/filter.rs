@@ -68,14 +68,6 @@ impl RecentFetchFilter {
         }
     }
 
-    /// Forgets every recorded fetch, restoring the state of a freshly
-    /// built filter (run-reuse reset).
-    pub fn clear(&mut self) {
-        self.ring.fill(u64::MAX);
-        self.head = 0;
-        self.last = None;
-    }
-
     /// `true` when `line` was among the recorded recent fetches.
     pub fn contains(&self, line: LineAddr) -> bool {
         // The ring is pre-filled with an unreachable sentinel line address,
@@ -126,23 +118,6 @@ mod tests {
         assert!(f.contains(LineAddr(2)));
         f.record(LineAddr(2));
         assert!(f.contains(LineAddr(2)));
-    }
-
-    #[test]
-    fn reuse_after_clear() {
-        let mut f = RecentFetchFilter::new(3);
-        f.record(LineAddr(5));
-        f.record(LineAddr(6));
-        f.clear();
-        assert!(!f.contains(LineAddr(5)));
-        assert!(!f.contains(LineAddr(6)));
-        // The last line before the clear is recorded afresh, not collapsed.
-        f.record(LineAddr(6));
-        assert!(f.contains(LineAddr(6)));
-        for l in 7..=9 {
-            f.record(LineAddr(l));
-        }
-        assert!(!f.contains(LineAddr(6)));
     }
 
     #[test]

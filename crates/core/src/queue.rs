@@ -77,11 +77,6 @@ impl SlotList {
         }
     }
 
-    fn clear(&mut self) {
-        self.head = NIL;
-        self.tail = NIL;
-    }
-
     /// Links `slot`, which is not on the list, in at the head.
     fn push_front(&mut self, slot: usize) {
         self.links[slot] = (NIL, self.head);
@@ -183,16 +178,6 @@ impl PrefetchQueue {
     /// Queue statistics.
     pub fn stats(&self) -> &QueueStats {
         &self.stats
-    }
-
-    /// Empties the queue — entries, dedup records and statistics — back to
-    /// the state of a freshly built queue (run-reuse reset).
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.recency.clear();
-        self.waiting.clear();
-        self.n_waiting = 0;
-        self.stats = QueueStats::default();
     }
 
     /// Number of waiting (issuable) entries.
@@ -424,30 +409,6 @@ mod tests {
         assert_eq!(q.slot_state(LineAddr(3)), Some(SlotState::Invalid));
         assert_eq!(q.waiting(), 0);
         assert!(q.pop_issue().is_none());
-    }
-
-    #[test]
-    fn reuse_after_clear_matches_a_fresh_queue() {
-        let ops = |q: &mut PrefetchQueue| {
-            q.push_batch(&[req(1), req(2), req(3)]);
-            q.on_demand_fetch(LineAddr(2));
-            let first = q.pop_issue();
-            q.push(req(4));
-            q.push(req(1));
-            (first, q.pop_issue(), q.pop_issue(), q.waiting())
-        };
-        let mut q = PrefetchQueue::new(3);
-        ops(&mut q);
-        q.clear();
-        assert_eq!(*q.stats(), QueueStats::default());
-        assert_eq!(q.waiting(), 0);
-        assert!(q.pop_issue().is_none());
-        for l in 1..=4 {
-            assert!(q.slot_state(LineAddr(l)).is_none());
-        }
-        let mut fresh = PrefetchQueue::new(3);
-        assert_eq!(ops(&mut q), ops(&mut fresh));
-        assert_eq!(q.stats(), fresh.stats());
     }
 
     #[test]

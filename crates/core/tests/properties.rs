@@ -36,7 +36,6 @@ enum DiffOp {
     Pop,
     Demand(usize),
     Record(usize),
-    Clear,
 }
 
 /// A request as drawn: `(line pick, source kind, table index, scheme)`.
@@ -48,13 +47,12 @@ fn req_pick() -> impl Strategy<Value = ReqPick> {
 
 fn diff_op() -> impl Strategy<Value = DiffOp> {
     (
-        0u32..64,
+        1u32..64,
         req_pick(),
         prop::collection::vec(req_pick(), 0..6),
         any::<usize>(),
     )
         .prop_map(|(pick, req, batch, line)| match pick {
-            0 => DiffOp::Clear,
             1..=20 => DiffOp::Push(req),
             21..=28 => DiffOp::PushBatch(batch),
             29..=42 => DiffOp::Pop,
@@ -124,12 +122,6 @@ proptest! {
                     let line = LineAddr(lines[pick % lines.len()]);
                     f.record(line);
                     rf.record(line);
-                }
-                DiffOp::Clear => {
-                    q.clear();
-                    rq.clear();
-                    f.clear();
-                    rf.clear();
                 }
             }
             prop_assert_eq!(q.waiting(), rq.waiting());

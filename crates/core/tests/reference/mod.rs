@@ -46,13 +46,6 @@ impl PrefetchQueue {
         &self.stats
     }
 
-    /// Empties the queue — entries, dedup records and statistics — back to
-    /// the state of a freshly built queue (run-reuse reset).
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.stats = QueueStats::default();
-    }
-
     /// Number of waiting (issuable) entries.
     pub fn waiting(&self) -> usize {
         self.slots
@@ -174,14 +167,6 @@ impl RecentFetchFilter {
         self.ring[self.head] = line;
         self.head = (self.head + 1) % self.ring.len();
         self.filled = (self.filled + 1).min(self.ring.len());
-    }
-
-    /// Forgets every recorded fetch, restoring the state of a freshly
-    /// built filter (run-reuse reset).
-    pub fn clear(&mut self) {
-        self.ring.fill(LineAddr(u64::MAX));
-        self.head = 0;
-        self.filled = 0;
     }
 
     /// `true` when `line` was among the recorded recent fetches.

@@ -97,19 +97,6 @@ impl BranchUnit {
         }
     }
 
-    /// Forgets everything learned — counters, history, BTB, RAS and
-    /// statistics — restoring the state of a freshly built unit with the
-    /// same geometry (run-reuse reset; table allocations kept).
-    pub fn reset_cold(&mut self) {
-        self.gshare.fill(GSHARE_WEAKLY_NOT_TAKEN);
-        self.history = 0;
-        self.btb.fill(0);
-        self.ras.fill(Addr(0));
-        self.ras_top = 0;
-        self.ras_depth = 0;
-        self.stats = BranchStats::default();
-    }
-
     /// Accumulated statistics.
     pub fn stats(&self) -> &BranchStats {
         &self.stats
@@ -293,16 +280,6 @@ mod tests {
                 }
             }
 
-            pub fn reset_cold(&mut self) {
-                self.gshare.fill(1);
-                self.history = 0;
-                self.btb.fill(0);
-                self.ras.fill(Addr(0));
-                self.ras_top = 0;
-                self.ras_depth = 0;
-                self.stats = BranchStats::default();
-            }
-
             fn btb_index(&self, pc: Addr) -> usize {
                 ((pc.0 >> 2) & self.btb_mask) as usize
             }
@@ -408,14 +385,14 @@ mod tests {
         /// entries, the packed unit returns the reference's penalties and
         /// keeps its history, statistics and every counter. A step is
         /// `(pc word, kind, taken, target word)`: kinds 0–5 are the CTI
-        /// classes, 6 a non-CTI op, 7 `reset_stats` and 8 `reset_cold`.
+        /// classes, 6 a non-CTI op and 7 `reset_stats`.
         #[test]
         fn packed_gshare_matches_a_byte_per_counter_reference(
             gshare_log2 in 0u32..17,
             btb_log2 in 0u32..5,
             ras_entries in 1u32..20,
             steps in prop::collection::vec(
-                (0u64..96, 0u8..9, any::<bool>(), 0u64..24),
+                (0u64..96, 0u8..8, any::<bool>(), 0u64..24),
                 1..600,
             ),
         ) {
@@ -439,14 +416,9 @@ mod tests {
                         prop_assert_eq!(packed.process(&op), reference.process(&op));
                         continue;
                     }
-                    7 => {
+                    _ => {
                         packed.reset_stats();
                         reference.stats = BranchStats::default();
-                        continue;
-                    }
-                    _ => {
-                        packed.reset_cold();
-                        reference.reset_cold();
                         continue;
                     }
                 };

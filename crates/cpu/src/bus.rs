@@ -79,14 +79,6 @@ impl Bus {
         self.transfers = 0;
         self.queue_cycles = 0.0;
     }
-
-    /// Resets the channel itself as well as the counters — the state of a
-    /// freshly built bus (run-reuse reset).
-    pub fn reset_cold(&mut self) {
-        self.next_free = 0.0;
-        self.transfers = 0;
-        self.queue_cycles = 0.0;
-    }
 }
 
 #[cfg(test)]

@@ -70,11 +70,6 @@ pub struct Core {
     /// Source and scheme of each prefetched line in flight or resident;
     /// it has no slots while the zoo is inert, which never prefetches.
     pf_sources: PfSourceTable,
-    /// Attributions a prefetching zoo can hold at once: one is live only
-    /// while its line sits in the instruction MSHR or the L1I, so
-    /// `l1i_lines + mshr_entries` bounds them (the table panics if that
-    /// invariant ever breaks).
-    pf_max_live: usize,
     pf_stats: PrefetchStats,
     /// Lifecycle event collector; `None` (the default) keeps every
     /// telemetry hook down to one never-taken branch.
@@ -135,6 +130,9 @@ impl Core {
         limit: Option<LimitSpec>,
     ) -> Core {
         let engine_inert = !zoo.generates_requests();
+        // An attribution is live only while its line sits in the
+        // instruction MSHR or the L1I, so `l1i_lines + mshr_entries`
+        // bounds them (the table panics if that invariant ever breaks).
         let pf_max_live = config.l1i.lines() as usize + config.mshrs as usize;
         Core {
             id,
@@ -157,7 +155,6 @@ impl Core {
             queue: PrefetchQueue::new(PREFETCH_QUEUE_ENTRIES),
             filter: RecentFetchFilter::new(RECENT_FILTER_ENTRIES),
             pf_sources: pf_source_table(pf_max_live, !engine_inert),
-            pf_max_live,
             pf_stats: PrefetchStats::default(),
             tracer: None,
             req_buf: Vec::with_capacity(16),
@@ -762,58 +759,6 @@ impl Core {
         }
         self.l1i.reset_stats();
         self.l1d.reset_stats();
-    }
-
-    /// Restores the state of a freshly built core, reusing every
-    /// allocation: caches, MSHRs, predictors, prefetch machinery, clocks
-    /// and counters all return to their post-construction values. The
-    /// prefetch schemes are stateful and trait-boxed, so the caller
-    /// supplies a freshly built zoo (the system layer keeps the recipe).
-    ///
-    /// Equivalence with a fresh core is load-bearing — the harness reuses
-    /// one system across sweep runs — and is enforced by a reuse-vs-fresh
-    /// test at the system level.
-    pub fn reset_cold(&mut self, zoo: Zoo) {
-        self.clock = 0;
-        self.frac = 0;
-        self.idx = 0;
-        self.l1i.clear();
-        self.l1d.clear();
-        self.i_mshr.clear();
-        self.d_mshr.clear();
-        self.mlp.clear();
-        self.branch.reset_cold();
-        if let Some(t) = &mut self.itlb {
-            t.reset_cold();
-        }
-        if let Some(t) = &mut self.dtlb {
-            t.reset_cold();
-        }
-        self.engine_inert = !zoo.generates_requests();
-        self.zoo = zoo;
-        self.queue.clear();
-        self.filter.clear();
-        if self.engine_inert == (self.pf_sources.capacity() == 0) {
-            self.pf_sources.clear();
-        } else {
-            // The new zoo prefetches where the old one did not, or the
-            // reverse: size the table for it.
-            self.pf_sources = pf_source_table(self.pf_max_live, !self.engine_inert);
-        }
-        self.pf_stats = PrefetchStats::default();
-        self.tracer = None;
-        self.req_buf.clear();
-        self.retire_buf.clear();
-        self.cur_line = None;
-        self.prev_line = None;
-        self.prev_cat = MissCategory::Sequential;
-        self.start_clock = 0;
-        self.start_idx = 0;
-        self.line_fetches = 0;
-        self.l1i_miss_cats = CategoryCounts::new();
-        self.eliminated_misses = 0;
-        self.l1d_accesses = 0;
-        self.l1d_misses = 0;
     }
 
     /// Metrics over the current measurement window.

@@ -83,15 +83,6 @@ impl MemSystem {
         self.l2.reset_stats();
     }
 
-    /// Restores the state of a freshly built memory system of the same
-    /// configuration: L2 emptied, bus idle, statistics zeroed (run-reuse
-    /// reset; allocations kept).
-    pub fn reset_cold(&mut self) {
-        self.stats = MemStats::default();
-        self.bus.reset_cold();
-        self.l2.clear();
-    }
-
     /// Total bus transfers (demand + prefetch + writeback).
     pub fn bus_transfers(&self) -> u64 {
         self.bus.transfers()

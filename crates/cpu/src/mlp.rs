@@ -77,11 +77,6 @@ impl MlpWindow {
     pub fn outstanding(&self) -> usize {
         self.pending.len()
     }
-
-    /// Drops every outstanding miss (run-reuse reset).
-    pub fn clear(&mut self) {
-        self.pending.clear();
-    }
 }
 
 #[cfg(test)]

@@ -10,8 +10,7 @@
 //!
 //! This table exploits that bound: a fixed power-of-two slot array sized
 //! at 2× the worst case (≤50% load factor), multiplicative hashing, linear
-//! probing with backward-shift deletion (no tombstones), and an epoch
-//! counter so `clear` is O(1) without touching the lanes. After
+//! probing with backward-shift deletion (no tombstones). After
 //! construction it never allocates. The bound doubles as a leak detector:
 //! if an attribution were ever *not* reclaimed when its line left the
 //! L1I/MSHR, the table would eventually overflow and panic instead of
@@ -20,7 +19,7 @@
 use ipsim_core::PrefetchSource;
 use ipsim_types::LineAddr;
 
-/// Sentinel marking an empty slot within the current epoch.
+/// Sentinel marking an empty slot.
 const EMPTY: LineAddr = LineAddr(u64::MAX);
 
 /// Fixed-capacity open-addressed map from line address to a small `Copy`
@@ -29,9 +28,7 @@ const EMPTY: LineAddr = LineAddr(u64::MAX);
 pub(crate) struct ShadowTable<V: Copy> {
     lines: Box<[LineAddr]>,
     values: Box<[V]>,
-    epochs: Box<[u32]>,
     mask: usize,
-    epoch: u32,
     len: usize,
 }
 
@@ -40,8 +37,8 @@ impl<V: Copy> ShadowTable<V> {
     /// Capacity is the next power of two of `2 * max_live`, keeping the
     /// load factor at or below 50%; a bound of zero allocates no slots
     /// (every lookup misses and any insert panics). `fill` initialises
-    /// the value lanes (never observable — empty slots are tracked via
-    /// the epoch lane).
+    /// the value lanes (never observable — an empty slot holds the
+    /// sentinel line).
     pub fn with_bound(max_live: usize, fill: V) -> ShadowTable<V> {
         let capacity = if max_live == 0 {
             0
@@ -51,9 +48,7 @@ impl<V: Copy> ShadowTable<V> {
         ShadowTable {
             lines: vec![EMPTY; capacity].into_boxed_slice(),
             values: vec![fill; capacity].into_boxed_slice(),
-            epochs: vec![0u32; capacity].into_boxed_slice(),
             mask: capacity.wrapping_sub(1),
-            epoch: 0,
             len: 0,
         }
     }
@@ -68,18 +63,6 @@ impl<V: Copy> ShadowTable<V> {
         self.lines.len()
     }
 
-    /// Drops every attribution in O(1) by advancing the epoch; slots from
-    /// older epochs read as empty and are reused by later inserts.
-    pub fn clear(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        self.len = 0;
-        if self.epoch == 0 {
-            // One lap of the u32 epoch space: scrub so stale slots from
-            // exactly 2^32 epochs ago cannot read as current.
-            self.lines.fill(EMPTY);
-        }
-    }
-
     #[inline]
     fn ideal(&self, line: LineAddr) -> usize {
         // Fibonacci multiplicative hash: line addresses are low-entropy in
@@ -89,7 +72,7 @@ impl<V: Copy> ShadowTable<V> {
 
     #[inline]
     fn is_empty_slot(&self, slot: usize) -> bool {
-        self.epochs[slot] != self.epoch || self.lines[slot] == EMPTY
+        self.lines[slot] == EMPTY
     }
 
     #[inline]
@@ -123,7 +106,6 @@ impl<V: Copy> ShadowTable<V> {
             if self.is_empty_slot(slot) {
                 self.lines[slot] = line;
                 self.values[slot] = value;
-                self.epochs[slot] = self.epoch;
                 self.len += 1;
                 return;
             }
@@ -163,7 +145,6 @@ impl<V: Copy> ShadowTable<V> {
             if (probe.wrapping_sub(ideal) & self.mask) >= (probe.wrapping_sub(hole) & self.mask) {
                 self.lines[hole] = self.lines[probe];
                 self.values[hole] = self.values[probe];
-                self.epochs[hole] = self.epoch;
                 hole = probe;
             }
         }
@@ -221,28 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn clear_is_epoch_based() {
-        let mut t = ShadowTable::with_bound(8, 0u32);
-        for l in 0..8u64 {
-            t.insert(LineAddr(l), l as u32);
-        }
-        t.clear();
-        assert_eq!(t.len(), 0);
-        for l in 0..8u64 {
-            assert_eq!(t.remove(LineAddr(l)), None, "line {l} survived clear");
-        }
-        // Slots from the old epoch are reusable.
-        t.insert(LineAddr(3), 7);
-        assert_eq!(t.remove(LineAddr(3)), Some(7));
-    }
-
-    #[test]
     fn a_zero_bound_allocates_no_slots_and_finds_nothing() {
         let mut t = pf_source_table(8, false);
         assert_eq!((t.len(), t.capacity()), (0, 0));
         assert_eq!(t.get(LineAddr(7)), None);
         assert_eq!(t.remove(LineAddr(7)), None);
-        t.clear();
         assert_eq!(pf_source_table(8, true).capacity(), 16);
     }
 

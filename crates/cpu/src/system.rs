@@ -223,8 +223,6 @@ impl SystemBuilder {
         Ok(System {
             cores,
             mem: MemSystem::new(&self.config.mem, self.policy),
-            // The engine build recipe is kept so `reset_cold` can hand
-            // every core a freshly built engine without the caller.
             scheme: self.scheme,
             config: self.config,
             telemetry: None,
@@ -245,8 +243,8 @@ pub struct System {
     cores: Vec<Core>,
     mem: MemSystem,
     config: SystemConfig,
-    /// Engine build recipe (see [`SystemBuilder::build`]): what
-    /// [`System::reset_cold`] rebuilds per-core engines from.
+    /// The scheme every core runs; its zoo plan, if any, names the rows
+    /// of [`System::zoo_scheme_stats`].
     scheme: Scheme,
     telemetry: Option<TelemetryState>,
 }
@@ -537,20 +535,6 @@ impl System {
             let executed: Vec<u64> = self.cores.iter().map(Core::executed).collect();
             state.sampler.reset(&executed);
         }
-    }
-
-    /// Restores the state of a freshly built system while reusing every
-    /// allocation: cores are reset in place (with freshly built prefetch
-    /// engines from the stored recipe), the memory system is emptied, and
-    /// telemetry is disarmed. A run on a reset system is bit-identical to
-    /// a run on a newly built one — the harness's run-reuse seam depends
-    /// on it, and a reuse-vs-fresh test enforces it.
-    pub fn reset_cold(&mut self) {
-        for core in &mut self.cores {
-            core.reset_cold(self.scheme.build());
-        }
-        self.mem.reset_cold();
-        self.telemetry = None;
     }
 
     /// Test hook: forces every core's `step_block` down the exact

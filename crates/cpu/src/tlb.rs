@@ -98,14 +98,6 @@ impl Tlb {
     pub fn reset_stats(&mut self) {
         self.stats = TlbStats::default();
     }
-
-    /// Flushes both levels and zeroes statistics — the state of a freshly
-    /// built TLB of the same geometry (run-reuse reset).
-    pub fn reset_cold(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-        self.stats = TlbStats::default();
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,6 @@
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
 use ipsim_cpu::{Core, MemSystem};
-use ipsim_prefetch::Zoo;
 use ipsim_types::instr::{CtiClass, OpKind, TraceOp};
 use ipsim_types::{Addr, CoreConfig, MemConfig, SystemConfig};
 
@@ -353,52 +352,27 @@ fn branchy_walk(n: u64) -> Vec<TraceOp> {
 }
 
 #[test]
-fn reset_cold_sizes_the_attribution_table_for_the_new_zoo() {
+fn the_attribution_table_is_sized_for_the_zoo_at_construction() {
     let config = SystemConfig::single_core();
-    let disc = || PrefetcherKind::Discontinuity {
+    let disc = PrefetcherKind::Discontinuity {
         table_entries: 128,
         ahead: 4,
     };
     let ops = branchy_walk(60_000);
-    // Everything a run leaves observable: metrics, clock, and the
-    // attribution table's live entries and slots.
     let run = |mut core: Core| {
         let mut mem = MemSystem::new(&config.mem, InstallPolicy::BypassL2UntilUseful);
         for &op in &ops {
             core.step(op, &mut mem);
         }
-        (
-            format!("{:?}", core.metrics()),
-            core.clock(),
-            core.pf_attribution_usage(),
-        )
-    };
-    // A core that has already run, so `reset_cold` has state to undo.
-    let used = |prefetcher| {
-        let (mut core, mut mem) = parts(prefetcher, InstallPolicy::InstallBoth);
-        for &op in &ops[..20_000] {
-            core.step(op, &mut mem);
-        }
-        core
+        core.pf_attribution_usage()
     };
 
     let inert = Core::new(0, &config.core, PrefetcherKind::None, None);
     assert_eq!(inert.pf_attribution_usage(), (0, 0), "inert core has slots");
-    let fresh_inert = run(inert);
-    assert_eq!(fresh_inert.2, (0, 0));
-    let fresh_live = run(Core::new(0, &config.core, disc(), None));
-    assert!(fresh_live.2 .0 > 0 && fresh_live.2 .1 > 0);
-
-    let mut core = used(PrefetcherKind::None);
-    core.reset_cold(Zoo::single(disc().build()));
-    assert_eq!(run(core), fresh_live, "inert core reset to a live zoo");
-
-    let mut core = used(disc());
-    core.reset_cold(Zoo::single(PrefetcherKind::None.build()));
-    assert_eq!(core.pf_attribution_usage(), (0, 0));
-    assert_eq!(run(core), fresh_inert, "live core reset to an inert zoo");
-
-    let mut core = used(disc());
-    core.reset_cold(Zoo::single(disc().build()));
-    assert_eq!(run(core), fresh_live, "live core reset to a live zoo");
+    assert_eq!(run(inert), (0, 0));
+    let live = Core::new(0, &config.core, disc, None);
+    let (len, capacity) = live.pf_attribution_usage();
+    assert!(len == 0 && capacity > 0, "{len} of {capacity}");
+    let (len, capacity) = run(live);
+    assert!(len > 0 && capacity > 0, "{len} of {capacity}");
 }

@@ -14,7 +14,7 @@
 //!   `std::thread` workers (zero runtime dependencies), and renders each
 //!   figure sequentially — output is byte-identical for any worker count.
 //!   The pool is a sweep's only parallelism: its threads share one
-//!   trace store and run cache.
+//!   trace store and run cache, and every run builds its own simulator.
 //! * [`cache::RunCache`] persists summaries with schema-versioned headers,
 //!   atomic writes, and quarantine-and-rerun for corrupt entries.
 //! * [`traces::TraceStore`] captures each workload's instruction stream to
@@ -64,7 +64,7 @@ pub use spec::RunSpec;
 pub use summary::Summary;
 pub use sweep::{run_sweep, FigureReport, SweepOptions, SweepReport};
 pub use telemetry::TelemetrySink;
-pub use traces::{RunSource, SystemSlot, TraceStore};
+pub use traces::{RunSource, TraceStore};
 
 /// Run-length configuration shared by every experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

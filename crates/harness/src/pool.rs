@@ -4,6 +4,7 @@
 //! cohort ([`TraceStore::execute_cohort`]); [`execute`] makes every run
 //! its own job. [`cohort_groups`] cuts a batch's [`streams`] into such
 //! jobs: at most [`COHORT_MEMBERS`] uncached runs each, longest first.
+//! A worker keeps nothing between jobs: every run builds its own system.
 //!
 //! Determinism argument: each simulation is single-threaded and fully
 //! seeded, every [`RunSpec`] in a batch is unique (the scheduler dedups by
@@ -29,7 +30,7 @@ use crate::runlog::RunRecord;
 use crate::spec::RunSpec;
 use crate::summary::Summary;
 use crate::telemetry::TelemetrySink;
-use crate::traces::{RunSource, SystemSlot, TraceStore, TracedRun};
+use crate::traces::{RunSource, TraceStore, TracedRun};
 
 /// Outcome of executing one batch of unique specs.
 pub struct ExecReport {
@@ -211,32 +212,18 @@ pub fn execute_groups(
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                // One reusable simulator per worker: a run over the same
-                // system configuration as the last one handed back resets
-                // it in place instead of re-allocating. A panicking run
-                // abandons its system, so a later run builds fresh.
-                let mut slot = SystemSlot::new();
-                loop {
-                    if ipsim_signal::triggered() {
-                        break;
-                    }
-                    let g = next.fetch_add(1, Ordering::Relaxed);
-                    if g >= groups.len() {
-                        break;
-                    }
-                    run_group(
-                        groups[g],
-                        cache,
-                        traces,
-                        telemetry,
-                        &mut slot,
-                        &mut |i, outcome| {
-                            progress.on_run(&outcome.1);
-                            *slots[offsets[g] + i].lock().unwrap() = Some(outcome);
-                        },
-                    );
+            scope.spawn(|| loop {
+                if ipsim_signal::triggered() {
+                    break;
                 }
+                let g = next.fetch_add(1, Ordering::Relaxed);
+                if g >= groups.len() {
+                    break;
+                }
+                run_group(groups[g], cache, traces, telemetry, &mut |i, outcome| {
+                    progress.on_run(&outcome.1);
+                    *slots[offsets[g] + i].lock().unwrap() = Some(outcome);
+                });
             });
         }
     });
@@ -279,7 +266,6 @@ fn run_group(
     cache: &RunCache,
     traces: &TraceStore,
     telemetry: Option<&TelemetrySink>,
-    slot: &mut SystemSlot,
     emit: &mut dyn FnMut(usize, (Result<Summary, String>, RunRecord)),
 ) {
     let _run_span = ipsim_obs::spans().span("harness.run");
@@ -317,7 +303,7 @@ fn run_group(
     }
     let members: Vec<&RunSpec> = cohort.iter().map(|&i| &specs[i]).collect();
     let config = telemetry.map(|sink| sink.config().clone());
-    traces.execute_cohort(&members, config.as_ref(), slot, &mut |m, run| {
+    traces.execute_cohort(&members, config.as_ref(), &mut |m, run| {
         let i = cohort[m];
         emit(i, finish_run(&specs[i], run, cache, telemetry));
     });

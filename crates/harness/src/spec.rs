@@ -2,12 +2,11 @@
 
 use ipsim_cache::InstallPolicy;
 use ipsim_core::PrefetcherKind;
-use ipsim_cpu::{LimitSpec, System, SystemBuilder, SystemMetrics, WorkloadSet};
+use ipsim_cpu::{LimitSpec, System, SystemBuilder, WorkloadSet};
 use ipsim_prefetch::{Scheme, ZooPlan};
 use ipsim_types::config::DEFAULT_SCHED_QUANTUM;
 use ipsim_types::SystemConfig;
 
-use crate::cache::RunCache;
 use crate::hash::fnv1a64;
 use crate::summary::Summary;
 use crate::RunLengths;
@@ -69,60 +68,21 @@ impl RunSpec {
 
     /// The canonical plain-text descriptor covering every parameter that
     /// affects results; the cache key is a hash of this string.
-    fn descriptor(&self) -> String {
-        let mut descr = format!(
-            "v4|{}|{}|ws={:?}/{}/{}|warm={}|meas={}",
-            self.config_fields(),
-            self.scheme_fields(),
-            self.workloads.per_core,
-            self.workloads.program_seed,
-            self.workloads.walker_seed,
-            self.lengths.warm,
-            self.lengths.measure,
-        );
-        self.push_optional_fields(&mut descr);
-        // Appended only when non-default so the pre-knob key corpus
-        // survives: sq=16 specs hash exactly as before the knob existed.
-        let sq = self.config.sched_quantum;
-        if sq != DEFAULT_SCHED_QUANTUM {
-            descr.push_str(&format!("|sq={sq}"));
-        }
-        descr
-    }
-
-    /// A stable cache key covering every parameter that affects results.
     ///
-    /// Hashed with hand-rolled FNV-1a (see [`crate::hash`]) rather than
-    /// std's `DefaultHasher`, whose algorithm is unspecified and may change
-    /// between toolchains — which would silently invalidate the whole
-    /// on-disk cache.
-    pub fn cache_key(&self) -> String {
-        format!("{:016x}", fnv1a64(self.descriptor().as_bytes()))
-    }
-
-    /// The system half of the descriptor: exactly the fields that
-    /// determine what [`RunSpec::build_system`] constructs (configuration,
-    /// scheme, policy, limit). Workloads and run lengths are
-    /// deliberately absent — they describe what flows *through* a system,
-    /// not the system itself.
-    fn system_descriptor(&self) -> String {
-        let mut descr = format!(
-            "system-v1|{}|sq={}|{}",
-            self.config_fields(),
-            self.config.sched_quantum,
-            self.scheme_fields()
-        );
-        self.push_optional_fields(&mut descr);
-        descr
-    }
-
-    /// The configuration fields both descriptors start with, `cores=`
-    /// through `ras=`.
-    fn config_fields(&self) -> String {
+    /// A zoo prints as `pf=None` with its plan appended as `|zoo=`. The
+    /// TLB config, the zoo plan and a non-default scheduling quantum are
+    /// appended only when present, so specs from before each existed
+    /// keep their keys: `sq=16` specs hash exactly as before the knob.
+    fn descriptor(&self) -> String {
         let c = &self.config;
-        format!(
-            "cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
-             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}",
+        let kind = match self.scheme {
+            Scheme::Single(kind) => kind,
+            Scheme::Zoo(_) => PrefetcherKind::None,
+        };
+        let mut descr = format!(
+            "v4|cores={}|l1i={}x{}x{}|l1d={}x{}x{}|l2={}x{}x{}|lat={},{},{}|bw={:.4}|\
+             fw={},iw={},rob={},pd={},mshr={}|gsh={},btb={},ras={}|\
+             pf={kind:?}|pol={:?}|lim={:?}|ws={:?}/{}/{}|warm={}|meas={}",
             c.n_cores,
             c.core.l1i.size_bytes(),
             c.core.l1i.assoc(),
@@ -145,39 +105,34 @@ impl RunSpec {
             c.core.branch.gshare_entries,
             c.core.branch.btb_entries,
             c.core.branch.ras_entries,
-        )
-    }
-
-    /// The scheme, policy and limit fields of both descriptors. A zoo
-    /// prints as `pf=None`; its plan is appended as `|zoo=` (see
-    /// [`RunSpec::push_optional_fields`]).
-    fn scheme_fields(&self) -> String {
-        let kind = match self.scheme {
-            Scheme::Single(kind) => kind,
-            Scheme::Zoo(_) => PrefetcherKind::None,
-        };
-        format!("pf={kind:?}|pol={:?}|lim={:?}", self.policy, self.limit)
-    }
-
-    /// Appends the fields both descriptors carry only when present, so
-    /// specs from before each existed keep their keys: the TLB config
-    /// and the zoo plan.
-    fn push_optional_fields(&self, descr: &mut String) {
-        if self.config.core.tlb.enabled {
-            descr.push_str(&format!("|tlb={:?}", self.config.core.tlb));
+            self.policy,
+            self.limit,
+            self.workloads.per_core,
+            self.workloads.program_seed,
+            self.workloads.walker_seed,
+            self.lengths.warm,
+            self.lengths.measure,
+        );
+        if c.core.tlb.enabled {
+            descr.push_str(&format!("|tlb={:?}", c.core.tlb));
         }
         if let Some(plan) = self.scheme.plan() {
             descr.push_str(&format!("|zoo={}", plan.canonical()));
         }
+        if c.sched_quantum != DEFAULT_SCHED_QUANTUM {
+            descr.push_str(&format!("|sq={}", c.sched_quantum));
+        }
+        descr
     }
 
-    /// A stable key for the *system* this spec builds: equal iff two specs
-    /// construct interchangeable [`System`]s, so a reset-in-place slot
-    /// (see `crate::traces::SystemSlot`) can safely reuse one spec's
-    /// system for another. Workload and length changes preserve the key;
-    /// any config/prefetcher/policy/limit change breaks it.
-    pub fn system_key(&self) -> String {
-        format!("{:016x}", fnv1a64(self.system_descriptor().as_bytes()))
+    /// A stable cache key covering every parameter that affects results.
+    ///
+    /// Hashed with hand-rolled FNV-1a (see [`crate::hash`]) rather than
+    /// std's `DefaultHasher`, whose algorithm is unspecified and may change
+    /// between toolchains — which would silently invalidate the whole
+    /// on-disk cache.
+    pub fn cache_key(&self) -> String {
+        format!("{:016x}", fnv1a64(self.descriptor().as_bytes()))
     }
 
     /// The workload half of the descriptor: exactly the fields that
@@ -254,35 +209,9 @@ impl RunSpec {
     /// Panics if the configuration is invalid — experiment configs are
     /// static and a bad one is a programming error.
     pub fn execute(&self) -> Summary {
-        Summary::from_metrics(&self.execute_metrics())
-    }
-
-    /// Like [`RunSpec::execute`], but returns the full [`SystemMetrics`] —
-    /// including the timed measure window, so callers can report
-    /// `sim_mips` alongside the cacheable summary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid — experiment configs are
-    /// static and a bad one is a programming error.
-    pub fn execute_metrics(&self) -> SystemMetrics {
         let mut system = self.build_system();
-        system.run_workload(&self.workloads, self.lengths.warm, self.lengths.measure)
-    }
-
-    /// Executes the run, consulting and updating the default on-disk cache
-    /// (`results/cache/`, overridable via `IPSIM_CACHE_DIR`). Delete that
-    /// directory to force re-simulation.
-    pub fn run(&self) -> Summary {
-        let cache = RunCache::from_env();
-        match cache.lookup(self) {
-            Some(summary) => summary,
-            None => {
-                let summary = self.execute();
-                cache.store(self, &summary);
-                summary
-            }
-        }
+        let metrics = system.run_workload(&self.workloads, self.lengths.warm, self.lengths.measure);
+        Summary::from_metrics(&metrics)
     }
 }
 
@@ -398,35 +327,6 @@ mod tests {
             shorter.trace_key(),
             "quantum changes interleaving, not the instruction streams"
         );
-    }
-
-    #[test]
-    fn system_key_ignores_workloads_and_lengths() {
-        let a = RunSpec::new(
-            SystemConfig::single_core(),
-            WorkloadSet::homogeneous(Workload::Db),
-            RunLengths {
-                warm: 1,
-                measure: 2,
-            },
-        );
-        let mut b = RunSpec::new(
-            SystemConfig::single_core(),
-            WorkloadSet::homogeneous(Workload::Web),
-            RunLengths {
-                warm: 500,
-                measure: 700,
-            },
-        );
-        assert_eq!(a.system_key(), b.system_key());
-        assert_ne!(a.cache_key(), b.cache_key());
-
-        b.config.sched_quantum = 8;
-        assert_ne!(a.system_key(), b.system_key());
-        let c = a.clone().prefetcher(PrefetcherKind::NextLineTagged);
-        assert_ne!(a.system_key(), c.system_key());
-        let d = a.clone().zoo(ZooPlan::parse("nl+disc").unwrap());
-        assert_ne!(a.system_key(), d.system_key());
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!
 //! There is one replay path: [`TraceStore::execute_cohort`] runs every
 //! run over one stream together, as a *cohort* (a single run is a cohort
-//! of one). Each member owns its [`System`] and a resumable
+//! of one). Each member owns its [`System`], built for it by
+//! [`RunSpec::build_system`] and dropped when it ends, and a resumable
 //! [`WorkloadRun`]; members take turns of [`TURN_QUANTA`] scheduling
 //! quanta in round-robin order, so their per-core positions in the
 //! stream stay close. They all read one *window* per core: a queue of
@@ -102,49 +103,6 @@ pub const CHUNK_OPS: u64 = 4_096;
 /// 1 Mi ops, 24 MiB at `TraceOp` width. A member whose turn could push
 /// the window past it detaches onto its own readers.
 pub const WINDOW_CAP_OPS: u64 = 1 << 20;
-
-/// A reusable simulator slot: keeps the last [`System`] handed back for a
-/// [`RunSpec::system_key`] and serves it back reset-in-place
-/// ([`System::reset_cold`]) instead of re-allocating caches, predictors
-/// and queues for every run.
-///
-/// The slot is ownership-transfer, not borrowing: [`SystemSlot::take`]
-/// moves the system out and [`SystemSlot::put`] returns one. If a run
-/// panics between the two, its system is simply never returned and a
-/// later `take` builds fresh — a poisoned simulator can never leak into a
-/// later run. One slot per pool worker; slots are not `Sync`.
-#[derive(Default)]
-pub struct SystemSlot {
-    key: Option<String>,
-    system: Option<System>,
-}
-
-impl SystemSlot {
-    /// An empty slot; the first [`SystemSlot::take`] builds fresh.
-    pub fn new() -> SystemSlot {
-        SystemSlot::default()
-    }
-
-    /// A system for `spec`: the stored one reset in place when its
-    /// [`RunSpec::system_key`] matches, a fresh build otherwise.
-    pub fn take(&mut self, spec: &RunSpec) -> System {
-        let want = spec.system_key();
-        match (self.key.take(), self.system.take()) {
-            (Some(have), Some(mut system)) if have == want => {
-                system.reset_cold();
-                system
-            }
-            _ => spec.build_system(),
-        }
-    }
-
-    /// Keeps `system`, which ran `spec`, for a later
-    /// [`SystemSlot::take`]; it replaces whatever the slot held.
-    pub fn put(&mut self, spec: &RunSpec, system: System) {
-        self.key = Some(spec.system_key());
-        self.system = Some(system);
-    }
-}
 
 /// Where a run's result (and instruction stream) came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -377,26 +335,13 @@ impl TraceStore {
     /// measurement window when a config is given. The stream path chosen
     /// (replay / capture / live) is unaffected by telemetry, and — because
     /// telemetry never perturbs simulation — neither is the summary.
+    ///
+    /// This is a cohort of one ([`TraceStore::execute_cohort`]); a panic
+    /// in the run propagates.
     pub fn execute_with(&self, spec: &RunSpec, telemetry: Option<&TelemetryConfig>) -> TracedRun {
-        self.execute_in(spec, telemetry, &mut SystemSlot::new())
-    }
-
-    /// Like [`TraceStore::execute_with`], but drawing the simulator from
-    /// `slot` ([`SystemSlot::take`]) and returning it afterwards, so
-    /// back-to-back runs over the same system configuration reset in
-    /// place instead of rebuilding. Results are identical to a fresh
-    /// build ([`System::reset_cold`] restores post-construction state
-    /// exactly); only construction cost changes. This is a cohort of one
-    /// ([`TraceStore::execute_cohort`]); a panic in the run propagates.
-    pub fn execute_in(
-        &self,
-        spec: &RunSpec,
-        telemetry: Option<&TelemetryConfig>,
-        slot: &mut SystemSlot,
-    ) -> TracedRun {
         let mut outcome = None;
         // A lone run is not interruptible: it is the whole unit of work.
-        self.cohort_until(&[spec], telemetry, slot, &|| false, &mut |_, run| {
+        self.cohort_until(&[spec], telemetry, &|| false, &mut |_, run| {
             outcome = Some(run)
         });
         match outcome.expect("a cohort reports every member") {
@@ -409,8 +354,8 @@ impl TraceStore {
     /// [`RunSpec::trace_key`] — as one cohort (see the module docs) and
     /// reports each as it ends through `done(index into specs, outcome)`,
     /// in completion order. A run that panics is reported as `Err` with
-    /// the panic message, and the others go on. Systems are drawn from
-    /// `slot`, and each run that succeeds hands its system back.
+    /// the panic message, and the others go on. Each run builds its own
+    /// system ([`RunSpec::build_system`]) and drops it when it ends.
     ///
     /// When the stream cannot be replayed, the first run captures it (or
     /// runs live when the store is disabled or another worker holds the
@@ -431,10 +376,9 @@ impl TraceStore {
         &self,
         specs: &[&RunSpec],
         telemetry: Option<&TelemetryConfig>,
-        slot: &mut SystemSlot,
         done: &mut dyn FnMut(usize, Result<TracedRun, String>),
     ) {
-        self.cohort_until(specs, telemetry, slot, &ipsim_signal::triggered, done);
+        self.cohort_until(specs, telemetry, &ipsim_signal::triggered, done);
     }
 
     /// [`TraceStore::execute_cohort`], stopping as on a shutdown signal
@@ -443,7 +387,6 @@ impl TraceStore {
         &self,
         specs: &[&RunSpec],
         telemetry: Option<&TelemetryConfig>,
-        slot: &mut SystemSlot,
         stop: &dyn Fn() -> bool,
         done: &mut dyn FnMut(usize, Result<TracedRun, String>),
     ) {
@@ -460,7 +403,7 @@ impl TraceStore {
                 if stop() {
                     return;
                 }
-                done(i, contained(|| live_run(spec, telemetry, slot)));
+                done(i, contained(|| live_run(spec, telemetry)));
             }
             return;
         };
@@ -469,7 +412,7 @@ impl TraceStore {
         if files.is_none() {
             done(
                 0,
-                contained(|| self.capture_or_live(&dir, first, &key, telemetry, slot)),
+                contained(|| self.capture_or_live(&dir, first, &key, telemetry)),
             );
             start = 1;
             if specs.len() > 1 {
@@ -480,14 +423,14 @@ impl TraceStore {
             Some(files) => {
                 let members = &specs[start..];
                 let done = &mut |i, run| done(start + i, run);
-                self.replay_cohort(files, members, telemetry, slot, stop, done);
+                self.replay_cohort(files, members, telemetry, stop, done);
             }
             None => {
                 for (i, spec) in specs.iter().enumerate().skip(start) {
                     if stop() {
                         return;
                     }
-                    done(i, contained(|| live_run(spec, telemetry, slot)));
+                    done(i, contained(|| live_run(spec, telemetry)));
                 }
             }
         }
@@ -501,7 +444,6 @@ impl TraceStore {
         files: Vec<CoreFile>,
         specs: &[&RunSpec],
         telemetry: Option<&TelemetryConfig>,
-        slot: &mut SystemSlot,
         stop: &dyn Fn() -> bool,
         done: &mut dyn FnMut(usize, Result<TracedRun, String>),
     ) {
@@ -512,10 +454,9 @@ impl TraceStore {
         let mut members = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             let t0 = Instant::now();
-            match catch_unwind(AssertUnwindSafe(|| instrumented(spec, telemetry, slot))) {
+            match catch_unwind(AssertUnwindSafe(|| instrumented(spec, telemetry))) {
                 Ok(system) => members.push(Member {
                     index: i,
-                    spec,
                     run: WorkloadRun::new(&system, spec.lengths.warm, spec.lengths.measure),
                     pos: vec![0; window.cores.len()],
                     system,
@@ -570,9 +511,7 @@ impl TraceStore {
                     self.replayed.fetch_add(1, Ordering::Relaxed);
                     let decode_mips = window.decode_mips();
                     let run = finish(
-                        member.spec,
                         member.system,
-                        slot,
                         &metrics,
                         RunSource::Replay,
                         decode_mips,
@@ -602,7 +541,7 @@ impl TraceStore {
 
     /// Moves `member` off the window onto its own readers, positioned
     /// where it stands in each core's stream.
-    fn detach(&self, window: &Window, member: &mut Member<'_>) -> Result<(), String> {
+    fn detach(&self, window: &Window, member: &mut Member) -> Result<(), String> {
         let open = |path: &Path, pos: u64| -> Result<_, CodecError> {
             let file = File::open(path)?;
             let mut replay = ReplaySource::new(TraceReader::open(BufReader::new(file))?)?;
@@ -633,14 +572,13 @@ impl TraceStore {
         spec: &RunSpec,
         key: &str,
         telemetry: Option<&TelemetryConfig>,
-        slot: &mut SystemSlot,
     ) -> TracedRun {
         let _capture = ipsim_obs::spans().span("trace.capture");
         let claimed = self.claims.lock().unwrap().insert(key.to_string());
         if !claimed || fs::create_dir_all(dir).is_err() {
             // Someone else is already writing this stream (or the store
             // directory is unusable): plain live run.
-            return live_run(spec, telemetry, slot);
+            return live_run(spec, telemetry);
         }
 
         let t0 = Instant::now();
@@ -660,7 +598,7 @@ impl TraceStore {
                 }
                 None => {
                     discard(&tmp_paths);
-                    return live_run(spec, telemetry, slot);
+                    return live_run(spec, telemetry);
                 }
             }
         }
@@ -674,28 +612,19 @@ impl TraceStore {
             .map(|(c, w)| Tee::new(spec.workloads.walker(&programs, c as u32), w))
             .collect();
         // A system that fails to build must leave no temp files behind.
-        let mut system =
-            match catch_unwind(AssertUnwindSafe(|| instrumented(spec, telemetry, slot))) {
-                Ok(system) => system,
-                Err(panic) => {
-                    drop(tees);
-                    discard(&tmp_paths);
-                    std::panic::resume_unwind(panic);
-                }
-            };
+        let mut system = match catch_unwind(AssertUnwindSafe(|| instrumented(spec, telemetry))) {
+            Ok(system) => system,
+            Err(panic) => {
+                drop(tees);
+                discard(&tmp_paths);
+                std::panic::resume_unwind(panic);
+            }
+        };
         let mut dyns: Vec<&mut dyn OpSource> =
             tees.iter_mut().map(|t| t as &mut dyn OpSource).collect();
         let metrics = system.run_workload_from(&mut dyns, spec.lengths.warm, spec.lengths.measure);
         let seconds = t0.elapsed().as_secs_f64();
-        let mut run = finish(
-            spec,
-            system,
-            slot,
-            &metrics,
-            RunSource::Capture,
-            0.0,
-            seconds,
-        );
+        let mut run = finish(system, &metrics, RunSource::Capture, 0.0, seconds);
 
         // Seal and publish. Any sink error (latched mid-run or at finish)
         // voids the whole capture but never the simulation result.
@@ -796,7 +725,7 @@ impl Window {
     /// turn of `n` ops decodes nothing when the member has `n` ops
     /// decoded ahead on every core, and otherwise at most `n` beyond its
     /// nearest decoded end plus one partly used chunk per core.
-    fn turn_could_exceed(&self, member: &Member<'_>, shape: WindowShape) -> bool {
+    fn turn_could_exceed(&self, member: &Member, shape: WindowShape) -> bool {
         let turn_ops = shape.turn_quanta * member.system.config().sched_quantum;
         let slack = self
             .cores
@@ -935,10 +864,9 @@ impl TraceSource for Cursor<'_> {
 
 /// One run of a cohort: its system, its resumable run and where it stands
 /// in each core's stream.
-struct Member<'s> {
+struct Member {
     /// Index in the cohort's spec list.
     index: usize,
-    spec: &'s RunSpec,
     system: System,
     run: WorkloadRun,
     /// Ops consumed per core while attached to the window.
@@ -952,7 +880,7 @@ struct Member<'s> {
     measured_decode_s: f64,
 }
 
-impl Member<'_> {
+impl Member {
     fn attached(&self) -> bool {
         self.detached.is_none()
     }
@@ -995,15 +923,9 @@ fn contained(f: impl FnOnce() -> TracedRun) -> Result<TracedRun, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|panic| panic_message(&*panic))
 }
 
-/// Draws `spec`'s system from `slot` with telemetry armed when a config
-/// is given. ([`System::reset_cold`] disarms telemetry, so a reused
-/// system never inherits instrumentation from its previous run.)
-fn instrumented(
-    spec: &RunSpec,
-    telemetry: Option<&TelemetryConfig>,
-    slot: &mut SystemSlot,
-) -> System {
-    let mut system = slot.take(spec);
+/// Builds `spec`'s system, with telemetry armed when a config is given.
+fn instrumented(spec: &RunSpec, telemetry: Option<&TelemetryConfig>) -> System {
+    let mut system = spec.build_system();
     if let Some(config) = telemetry {
         system.enable_telemetry(config.clone());
     }
@@ -1011,30 +933,24 @@ fn instrumented(
 }
 
 /// Executes `spec` with plain live generation (no store involvement).
-fn live_run(
-    spec: &RunSpec,
-    telemetry: Option<&TelemetryConfig>,
-    slot: &mut SystemSlot,
-) -> TracedRun {
+fn live_run(spec: &RunSpec, telemetry: Option<&TelemetryConfig>) -> TracedRun {
     let t0 = Instant::now();
-    let mut system = instrumented(spec, telemetry, slot);
+    let mut system = instrumented(spec, telemetry);
     let metrics = system.run_workload(&spec.workloads, spec.lengths.warm, spec.lengths.measure);
     let seconds = t0.elapsed().as_secs_f64();
-    finish(spec, system, slot, &metrics, RunSource::Live, 0.0, seconds)
+    finish(system, &metrics, RunSource::Live, 0.0, seconds)
 }
 
 /// Packages a finished simulation that took `run_seconds` of host time
-/// as a [`TracedRun`] and returns its system to `slot` for the next run.
+/// as a [`TracedRun`], dropping its system.
 fn finish(
-    spec: &RunSpec,
     mut system: System,
-    slot: &mut SystemSlot,
     metrics: &SystemMetrics,
     source: RunSource,
     decode_mips: f64,
     run_seconds: f64,
 ) -> TracedRun {
-    let run = TracedRun {
+    TracedRun {
         summary: Summary::from_metrics(metrics),
         source,
         decode_mips,
@@ -1042,9 +958,7 @@ fn finish(
         sim_seconds: metrics.sim_wall_seconds,
         run_seconds,
         telemetry: system.take_telemetry(),
-    };
-    slot.put(spec, system);
-    run
+    }
 }
 
 /// Million ops per second, or 0 when no time was measured.
@@ -1214,55 +1128,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Reset-in-place must be invisible in results: cycling one slot
-    /// through different systems and workloads — forcing both key hits
-    /// (reset_cold reuse) and key misses (fresh build) — produces exactly
-    /// the summaries fresh systems do, on live and replay paths alike.
-    #[test]
-    fn slot_reuse_matches_fresh_builds() {
-        let dir = tmp_dir("slot");
-        let store = TraceStore::at(&dir);
-        let base = spec();
-        let nl = base
-            .clone()
-            .prefetcher(ipsim_core::PrefetcherKind::NextLineTagged);
-        let mut web = base.clone();
-        web.workloads = ipsim_cpu::WorkloadSet::homogeneous(ipsim_trace::Workload::Web);
-
-        // base → base: same system key, second run reuses via reset_cold.
-        // base → nl: key miss, fresh build. nl → web(nl-less): miss again.
-        // Interleave captures and replays so both paths go through slots.
-        let sequence = [&base, &base, &nl, &web, &base, &nl];
-        let mut slot = SystemSlot::new();
-        for spec in sequence {
-            let run = store.execute_in(spec, None, &mut slot);
-            assert_eq!(
-                run.summary,
-                spec.execute(),
-                "slot-reused run diverged from a fresh system for {}",
-                spec.label()
-            );
-            assert!(run.sim_seconds > 0.0, "executed runs report kernel time");
-        }
-        assert!(store.replayed() > 0, "later runs replayed captured streams");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// Telemetry must not leak across slot reuses: a telemetry run
-    /// followed by a plain run on the same slot collects nothing the
-    /// second time.
-    #[test]
-    fn slot_reuse_does_not_leak_telemetry() {
-        let store = TraceStore::disabled();
-        let spec = spec();
-        let mut slot = SystemSlot::new();
-        let with = store.execute_in(&spec, Some(&TelemetryConfig::default()), &mut slot);
-        assert!(with.telemetry.is_some());
-        let without = store.execute_in(&spec, None, &mut slot);
-        assert!(without.telemetry.is_none(), "telemetry survived reset_cold");
-        assert_eq!(with.summary, without.summary);
-    }
-
     /// Every byte a telemetry run serialises to, through each writer.
     fn telemetry_bytes(run: &TelemetryRun) -> Vec<u8> {
         use ipsim_telemetry::sink;
@@ -1284,15 +1149,10 @@ mod tests {
     ) -> Vec<TracedRun> {
         let members: Vec<&RunSpec> = specs.iter().collect();
         let mut runs: Vec<Option<TracedRun>> = specs.iter().map(|_| None).collect();
-        store.execute_cohort(
-            &members,
-            telemetry,
-            &mut SystemSlot::new(),
-            &mut |i, run| {
-                assert!(runs[i].is_none(), "member {i} reported twice");
-                runs[i] = Some(run.expect("no member fails"));
-            },
-        );
+        store.execute_cohort(&members, telemetry, &mut |i, run| {
+            assert!(runs[i].is_none(), "member {i} reported twice");
+            runs[i] = Some(run.expect("no member fails"));
+        });
         runs.into_iter()
             .map(|r| r.expect("every member reports"))
             .collect()
@@ -1438,30 +1298,18 @@ mod tests {
                 polls.get() > polls_before_stop
             };
             let mut reported = Vec::new();
-            store.cohort_until(
-                &members,
-                None,
-                &mut SystemSlot::new(),
-                &stop,
-                &mut |i, run| {
-                    let run = run.expect("no member fails");
-                    assert_eq!(run.summary, specs[i].execute(), "{}", specs[i].label());
-                    reported.push(i);
-                },
-            );
+            store.cohort_until(&members, None, &stop, &mut |i, run| {
+                let run = run.expect("no member fails");
+                assert_eq!(run.summary, specs[i].execute(), "{}", specs[i].label());
+                reported.push(i);
+            });
             reported.sort_unstable();
             assert_eq!(reported, want, "stopped after {polls_before_stop} polls");
         }
-        let mut slot = SystemSlot::new();
         let mut lone = None;
-        store.cohort_until(&[&base], None, &mut slot, &|| true, &mut |_, run| {
-            lone = Some(run)
-        });
+        store.cohort_until(&[&base], None, &|| true, &mut |_, run| lone = Some(run));
         assert!(lone.is_none(), "a stopped cohort of one reports nothing");
-        assert_eq!(
-            store.execute_in(&base, None, &mut slot).summary,
-            base.execute()
-        );
+        assert_eq!(store.execute(&base).summary, base.execute());
         let _ = fs::remove_dir_all(&dir);
     }
 
