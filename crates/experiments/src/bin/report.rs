@@ -237,15 +237,7 @@ fn sim(mut args: Args) {
     let traces = TraceStore::from_env();
     let sink = TelemetrySink::from_env(TelemetryConfig::default());
     let progress = Progress::new(ProgressMode::Auto, specs.len());
-    // Each stream's runs share as few cohorts as the bounds allow, so a
-    // warm stream decodes once per cohort.
-    let streams = pool::streams(&specs);
-    let streams: Vec<&[RunSpec]> = streams.iter().map(Vec::as_slice).collect();
-    let groups = pool::cohort_groups(&streams, workers, Some(sink.config()), |spec| {
-        cache.contains(spec) && sink.has(&spec.cache_key())
-    });
-    let groups: Vec<&[RunSpec]> = groups.iter().map(Vec::as_slice).collect();
-    let report = pool::execute_groups(&groups, workers, &cache, &traces, Some(&sink), &progress);
+    let report = pool::execute(&specs, workers, &cache, &traces, Some(&sink), &progress);
     progress.finish();
 
     let resolve = |spec: &RunSpec| -> Summary {

@@ -27,22 +27,45 @@ pub mod report;
 
 pub use ipsim_harness::{Executor, RunLengths, RunSpec, Summary};
 
+use ipsim_cache::InstallPolicy;
+use ipsim_core::PrefetcherKind;
 use ipsim_cpu::WorkloadSet;
 use ipsim_trace::Workload;
+use ipsim_types::SystemConfig;
 
 /// Formats a fraction as a percentage with two decimals.
 pub fn pct(x: f64) -> String {
     format!("{:.2}%", x * 100.0)
 }
 
-/// Runs the paper's four prefetch schemes over a set of workloads under a
-/// given system configuration and install policy, returning per-scheme
-/// summaries plus the no-prefetch baselines. Shared by Figures 5-9.
+/// One part of a two-system figure: its title, its configuration, and
+/// whether its columns include Mixed.
+pub(crate) type SystemPart = (&'static str, fn() -> SystemConfig, bool);
+
+/// The two systems of the paper's two-part figures (4, 6, 7 and 8).
+pub(crate) const SYSTEMS: [SystemPart; 2] = [
+    ("(i) single core", SystemConfig::single_core, false),
+    ("(ii) 4-way CMP", SystemConfig::cmp4, true),
+];
+
+/// `v` as a fraction of `base`, or 0 when the baseline is 0.
+pub(crate) fn ratio(v: f64, base: f64) -> f64 {
+    if base == 0.0 {
+        0.0
+    } else {
+        v / base
+    }
+}
+
+/// Runs each labelled scheme over a set of workloads under a given system
+/// configuration and install policy, returning the no-prefetch baselines
+/// and one row of summaries per scheme. Baselines run first, then each
+/// scheme across the workloads in order. Shared by Figures 5-11.
 pub fn scheme_matrix(
-    config: &ipsim_types::SystemConfig,
+    config: &SystemConfig,
     sets: &[WorkloadSet],
-    schemes: &[ipsim_core::PrefetcherKind],
-    policy: ipsim_cache::InstallPolicy,
+    schemes: &[(String, PrefetcherKind)],
+    policy: InstallPolicy,
     lengths: RunLengths,
     x: &mut Executor,
 ) -> (Vec<Summary>, Vec<(String, Vec<Summary>)>) {
@@ -50,9 +73,9 @@ pub fn scheme_matrix(
         .iter()
         .map(|ws| x(&RunSpec::new(config.clone(), ws.clone(), lengths)))
         .collect();
-    let per_scheme = schemes
+    let rows = schemes
         .iter()
-        .map(|kind| {
+        .map(|(label, kind)| {
             let summaries = sets
                 .iter()
                 .map(|ws| {
@@ -61,10 +84,33 @@ pub fn scheme_matrix(
                         .policy(policy))
                 })
                 .collect();
-            (kind.label(), summaries)
+            (label.clone(), summaries)
         })
         .collect();
-    (baselines, per_scheme)
+    (baselines, rows)
+}
+
+/// Formats a [`scheme_matrix`] as a table: a `label` column of row names,
+/// then one column per workload set whose cells are `cell(run, baseline)`.
+pub(crate) fn matrix_table(
+    label: &str,
+    sets: &[WorkloadSet],
+    baselines: &[Summary],
+    rows: &[(String, Vec<Summary>)],
+    cell: impl Fn(&Summary, &Summary) -> String,
+) -> String {
+    let header: Vec<String> = std::iter::once(label.to_string())
+        .chain(sets.iter().map(WorkloadSet::name))
+        .collect();
+    let rows: Vec<Vec<String>> = rows
+        .iter()
+        .map(|(name, summaries)| {
+            std::iter::once(name.clone())
+                .chain(summaries.iter().zip(baselines).map(|(s, b)| cell(s, b)))
+                .collect()
+        })
+        .collect();
+    table_string(&header, &rows)
 }
 
 /// The workload columns of a figure: the four applications (the
@@ -81,25 +127,10 @@ pub fn workload_columns(include_mix: bool) -> Vec<WorkloadSet> {
     sets
 }
 
-/// Header row: a label column followed by workload names.
-pub fn workload_header(label: &'static str, sets: &[WorkloadSet]) -> Vec<String> {
-    let mut h = vec![label.to_string()];
-    for ws in sets {
-        h.push(ws.name());
-    }
-    h
-}
-
-/// Formats a table whose header cells are owned strings.
-pub fn table_string_owned(header: &[String], rows: &[Vec<String>]) -> String {
-    let refs: Vec<&str> = header.iter().map(String::as_str).collect();
-    table_string(&refs, rows)
-}
-
 /// Formats a simple aligned table: a header row, a rule, then data rows.
 /// Every line ends with `\n`.
-pub fn table_string(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+pub fn table_string<S: AsRef<str>>(header: &[S], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
@@ -119,7 +150,9 @@ pub fn table_string(header: &[&str], rows: &[Vec<String>]) -> String {
         out
     };
     let mut out = String::new();
-    out.push_str(&line(header.iter().map(|s| s.to_string()).collect()));
+    out.push_str(&line(
+        header.iter().map(|s| s.as_ref().to_string()).collect(),
+    ));
     out.push('\n');
     out.push_str(&"-".repeat(widths.iter().map(|w| w + 2).sum()));
     out.push('\n');

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use ipsim_harness::runlog::RUNLOG_SCHEMA;
+use ipsim_harness::runlog::{self, LogRow};
 use ipsim_harness::telemetry::{read_pf_summary, TelemetryConfig};
 use ipsim_harness::{RunCache, TelemetrySink};
 use ipsim_telemetry::PfEventKind;
@@ -54,7 +54,7 @@ impl ReportOptions {
     /// its default under `results/` when unset or empty.
     pub fn from_env() -> ReportOptions {
         ReportOptions {
-            runlog: ipsim_harness::runlog::runlog_path_from_env(),
+            runlog: runlog::runlog_path_from_env(),
             cache_dir: RunCache::from_env().dir().to_path_buf(),
             telemetry_dir: TelemetrySink::from_env(TelemetryConfig::default())
                 .root()
@@ -62,57 +62,6 @@ impl ReportOptions {
             stable: false,
         }
     }
-}
-
-/// One parsed v5 runlog row (the fields the report uses).
-#[derive(Debug, Clone)]
-struct LogRow {
-    source: String,
-    ok: bool,
-    wall_s: f64,
-    sim_minstr: f64,
-    sim_mips: f64,
-    sim_s: f64,
-    key: String,
-    label: String,
-}
-
-/// Parses a v5 runlog. Comment lines are skipped, including the
-/// `# batch …` markers older logs carry. Malformed rows are counted, not
-/// fatal: a report over a damaged log should describe what is readable
-/// and say what was not.
-fn parse_runlog(text: &str) -> Result<(Vec<LogRow>, usize), String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(first) if first == RUNLOG_SCHEMA => {}
-        Some(first) => return Err(format!("unsupported runlog header `{first}`")),
-        None => return Err("empty runlog".to_string()),
-    }
-    let mut rows = Vec::new();
-    let mut malformed = 0usize;
-    for line in lines {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split('\t').collect();
-        let parsed = (|| -> Option<LogRow> {
-            Some(LogRow {
-                source: f.get(2)?.to_string(),
-                ok: *f.get(3)? == "1",
-                wall_s: f.get(4)?.parse().ok()?,
-                sim_minstr: f.get(5)?.parse().ok()?,
-                sim_mips: f.get(7)?.parse().ok()?,
-                sim_s: f.get(8)?.parse().ok()?,
-                key: f.get(13)?.to_string(),
-                label: f.get(14)?.to_string(),
-            })
-        })();
-        match parsed {
-            Some(row) if f.len() == 15 => rows.push(row),
-            _ => malformed += 1,
-        }
-    }
-    Ok((rows, malformed))
 }
 
 /// Splits a run label `{n}c·{workload}·{scheme}[·bypass][·lim:…]` into
@@ -176,7 +125,7 @@ fn pct_or_dash(num: f64, den: f64) -> String {
 pub fn render_report(opts: &ReportOptions) -> Result<String, String> {
     let text = std::fs::read_to_string(&opts.runlog)
         .map_err(|e| format!("cannot read runlog {}: {e}", opts.runlog.display()))?;
-    let (rows, malformed) = parse_runlog(&text)?;
+    let (rows, malformed) = runlog::parse(&text)?;
     let cache = RunCache::at(&opts.cache_dir);
 
     // One representative row per key (the last one logged) drives the
@@ -360,7 +309,7 @@ pub fn render_report(opts: &ReportOptions) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ipsim_harness::runlog::{append, RunRecord};
+    use ipsim_harness::runlog::{append, RunRecord, RUNLOG_SCHEMA};
     use ipsim_harness::traces::RunSource;
 
     fn record(key: &str, label: &str, source: RunSource, wall: f64) -> RunRecord {

@@ -2,11 +2,11 @@
 //! rendered bytes. Both sweeps here start from cold caches, so the 1-worker
 //! and 4-worker runs each simulate everything themselves.
 //!
-//! On top of the worker-count comparison, the rendered bytes are pinned to
-//! golden FNV-1a hashes captured before the data-oriented kernel rewrite
-//! (flat cache sets, batched dispatch, bounded prefetch-source table). Any
-//! change to simulated behaviour — however subtle — flips a hash; perf work
-//! on the hot path must keep these green.
+//! On top of the worker-count comparison, every figure's rendered bytes
+//! are pinned to a golden FNV-1a hash: one cold sweep renders all 13. Any
+//! change to simulated behaviour or to a renderer — however subtle — flips
+//! a hash; perf work on the hot path and renderer refactors must keep
+//! these green.
 //!
 //! The same property is pinned end to end, too: the runlogs of both
 //! worker counts record the same run set and render the same stable
@@ -21,17 +21,39 @@ use ipsim_experiments::report::{render_report, ReportOptions};
 use ipsim_harness::hash::fnv1a64;
 use ipsim_harness::traces::WINDOW_CAP_OPS;
 use ipsim_harness::{
-    pool, run_sweep, Figure, ProgressMode, RunLengths, RunSpec, SweepOptions, SweepReport,
+    pool, run_sweep, runlog, Figure, ProgressMode, RunLengths, RunSpec, SweepOptions, SweepReport,
 };
 use ipsim_telemetry::TelemetryConfig;
 
-/// Golden output hashes at warm=10_000 / measure=20_000, captured from the
-/// pre-rewrite `Vec<Entry>`/`HashMap` simulation kernel. The kernel rewrite
+/// Golden output hashes of every figure at warm=10_000 / measure=20_000.
+/// fig02 and fig05 were captured from the pre-rewrite `Vec<Entry>`/`HashMap`
+/// simulation kernel, the rest from the renderers before figures 5–11
+/// moved onto the shared scheme matrix. Kernel and renderer changes alike
 /// must reproduce these bytes exactly.
-const GOLDEN: [(&str, u64); 2] = [
+const GOLDEN: [(&str, u64); 13] = [
+    ("fig01", 0x4C5D_9CAF_47E6_D461),
     ("fig02", 0xE0C2_1790_1C1A_F0A1),
+    ("fig03", 0x3D2F_6F18_93BB_BC9B),
+    ("fig04", 0x71D4_07A7_F1D1_2E3E),
     ("fig05", 0x8B34_D941_5818_8E70),
+    ("fig06", 0x6E6E_2707_FA75_A1FB),
+    ("fig07", 0xAC7A_D14B_090A_C757),
+    ("fig08", 0xE5DD_94BC_1A17_A2D1),
+    ("fig09", 0xC9F6_4225_C27C_AAD5),
+    ("fig10", 0xA14A_129D_A8F5_5692),
+    ("fig11", 0xC371_5866_892B_1AEB),
+    ("fig12", 0x09D2_49A5_2132_1AAC),
+    ("fig13", 0xBA21_8FCB_C54F_A7FE),
 ];
+
+/// The golden hash of figure `name`.
+fn golden(name: &str) -> u64 {
+    GOLDEN
+        .iter()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("{name} missing from GOLDEN table"))
+        .1
+}
 
 const LENGTHS: RunLengths = RunLengths {
     warm: 10_000,
@@ -81,18 +103,13 @@ fn replayed_streams(figures: &[Figure]) -> Vec<Vec<RunSpec>> {
         .collect()
 }
 
-/// The set of run keys a runlog records (ignoring comments and order).
+/// The set of run keys a runlog records (ignoring order).
 fn runlog_keys(path: &Path) -> BTreeSet<String> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("runlog {} unreadable: {e}", path.display()));
-    text.lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .map(|l| {
-            let fields: Vec<&str> = l.split('\t').collect();
-            assert_eq!(fields.len(), 15, "not a v5 runlog row: {l}");
-            fields[13].to_string()
-        })
-        .collect()
+    let (rows, malformed) = runlog::parse(&text).unwrap();
+    assert_eq!(malformed, 0, "malformed rows in {}", path.display());
+    rows.into_iter().map(|row| row.key).collect()
 }
 
 /// `report sweep --stable` over the stores a sweep wrote under `base`.
@@ -163,15 +180,11 @@ fn figure_output_is_byte_identical_across_worker_counts() {
             a.name
         );
 
-        let (_, golden) = GOLDEN
-            .iter()
-            .find(|(name, _)| *name == a.name)
-            .expect("figure missing from GOLDEN table");
         let actual = fnv1a64(text1.as_bytes());
         assert_eq!(
-            actual, *golden,
-            "{}: rendered bytes diverged from the pre-rewrite kernel \
-             (got hash {actual:#018x})",
+            actual,
+            golden(a.name),
+            "{}: rendered bytes diverged from the golden hash (got {actual:#018x})",
             a.name
         );
     }
@@ -226,6 +239,31 @@ fn figure_output_is_byte_identical_across_worker_counts() {
     let _ = std::fs::remove_dir_all(dir_t);
 }
 
+#[test]
+fn every_figure_renders_its_golden_bytes() {
+    let figures = ipsim_experiments::figures::all();
+    assert_eq!(figures.len(), GOLDEN.len());
+    let (report, dir) = cold_sweep(&figures, "all", 2, None);
+    assert!(report.all_ok(), "sweep failed");
+    assert_eq!(report.cache_hits, 0, "sweep was not cold");
+    let got: Vec<(&str, u64)> = report
+        .figures
+        .iter()
+        .map(|f| (f.name, fnv1a64(f.outcome.as_ref().unwrap().as_bytes())))
+        .collect();
+    let diverged: Vec<String> = got
+        .iter()
+        .filter(|(name, hash)| *hash != golden(name))
+        .map(|(name, hash)| format!("{name} {hash:#018x}"))
+        .collect();
+    assert!(
+        diverged.is_empty(),
+        "rendered bytes diverged from the golden hashes: {}",
+        diverged.join(", ")
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Runs the real binary in `dir` with extra args, isolated via env vars.
 fn all_figures_in(dir: &Path, args: &[&str]) -> std::process::Output {
     std::fs::create_dir_all(dir).unwrap();
@@ -257,7 +295,7 @@ fn the_binary_writes_golden_bytes_at_any_worker_count_and_skips_on_the_warm_reru
         let fig = std::fs::read(dir.join("results/fig02.txt")).unwrap();
         assert_eq!(
             fnv1a64(&fig),
-            GOLDEN[0].1,
+            golden("fig02"),
             "fig02 diverged at --jobs {jobs}"
         );
         figures.push(fig);

@@ -1,9 +1,10 @@
 //! The deterministic worker pool: jobs fan out across hand-rolled
 //! `std::thread` workers (no runtime dependencies). A job is a group of
 //! runs over one instruction stream, which the trace store executes as one
-//! cohort ([`TraceStore::execute_cohort`]); [`execute`] makes every run
-//! its own job. [`cohort_groups`] cuts a batch's [`streams`] into such
-//! jobs: at most [`COHORT_MEMBERS`] uncached runs each, longest first.
+//! cohort ([`TraceStore::execute_cohort`]). [`execute`] runs a batch:
+//! first the captain of each stream that must be captured, then
+//! [`cohort_groups`] cuts the batch's [`streams`] into cohort jobs of at
+//! most [`COHORT_MEMBERS`] uncached runs each, longest first.
 //! A worker keeps nothing between jobs: every run builds its own system.
 //!
 //! Determinism argument: each simulation is single-threaded and fully
@@ -51,20 +52,6 @@ pub struct ExecReport {
 /// A run's result slot: filled exactly once by the worker that runs it.
 type RunSlot = Mutex<Option<(Result<Summary, String>, RunRecord)>>;
 
-/// Runs every spec (assumed unique) across `workers` threads, each as its
-/// own job: [`execute_groups`] over groups of one.
-pub fn execute(
-    specs: &[RunSpec],
-    workers: usize,
-    cache: &RunCache,
-    traces: &TraceStore,
-    telemetry: Option<&TelemetrySink>,
-    progress: &Progress,
-) -> ExecReport {
-    let groups: Vec<&[RunSpec]> = specs.chunks(1).collect();
-    execute_groups(&groups, workers, cache, traces, telemetry, progress)
-}
-
 /// Most telemetry events the members of one cohort may buffer together,
 /// summed over their cores' [`TelemetryConfig::max_events_per_core`]:
 /// 2 Mi events, 48 MiB of `PfEvent`s. Every member of a cohort is alive
@@ -91,7 +78,7 @@ const PREFETCH_COST_PERCENT: u64 = 160;
 /// A run's estimated host cost, in hundredths of a baseline op: its ops
 /// over all cores, weighted by [`PREFETCH_COST_PERCENT`] when it
 /// prefetches.
-pub(crate) fn run_cost(spec: &RunSpec) -> u64 {
+fn run_cost(spec: &RunSpec) -> u64 {
     let ops = u64::from(spec.config.n_cores) * (spec.lengths.warm + spec.lengths.measure);
     let percent = if spec.scheme == Scheme::default() {
         100
@@ -117,7 +104,7 @@ pub fn streams(specs: &[RunSpec]) -> Vec<Vec<RunSpec>> {
 }
 
 /// Splits `streams` (each one stream's specs, as [`streams`] groups them)
-/// into cohort jobs for [`execute_groups`]. A stream splits into
+/// into cohort jobs for [`execute`]'s replay phase. A stream splits into
 /// consecutive near-equal parts so that no part holds more than
 /// [`COHORT_MEMBERS`] uncached runs — fewer when `telemetry` is on and
 /// their event buffers would pass [`COHORT_TELEMETRY_EVENTS`] — and into
@@ -175,6 +162,93 @@ pub fn cohort_groups(
     groups.into_iter().map(|(_, group)| group).collect()
 }
 
+/// Runs every spec (assumed unique) across `workers` threads. With the
+/// trace store live, in two phases: phase one runs the *captain* (first
+/// spec) of every stream ([`RunSpec::trace_key`]) that cannot be replayed,
+/// which captures it; phase two runs every other spec as bounded cohort
+/// jobs ([`cohort_groups`]). A stream whose runs `cache` (and the
+/// `telemetry` sink's artifacts) will all serve is never read, so it is
+/// not checked either. Both phases submit their longest jobs first, and no
+/// phase starts after an interrupt. With the store off, every spec is its
+/// own job. Records come back in input order, so phasing and submission
+/// order are invisible everywhere downstream.
+pub fn execute(
+    unique: &[RunSpec],
+    workers: usize,
+    cache: &RunCache,
+    traces: &TraceStore,
+    telemetry: Option<&TelemetrySink>,
+    progress: &Progress,
+) -> ExecReport {
+    if !traces.enabled() {
+        let groups: Vec<&[RunSpec]> = unique.chunks(1).collect();
+        return execute_groups(&groups, workers, cache, traces, telemetry, progress);
+    }
+    let streams = streams(unique);
+    let cached = |spec: &RunSpec| {
+        cache.contains(spec) && telemetry.is_none_or(|sink| sink.has(&spec.cache_key()))
+    };
+    let mut captains: Vec<&[RunSpec]> = Vec::new();
+    let mut replays: Vec<&[RunSpec]> = Vec::new();
+    {
+        let _check = ipsim_obs::spans().span("trace.verify");
+        for specs in &streams {
+            let rest = if specs.iter().all(cached) || traces.replayable(&specs[0]) {
+                &specs[..]
+            } else {
+                captains.push(&specs[..1]);
+                &specs[1..]
+            };
+            if !rest.is_empty() {
+                replays.push(rest);
+            }
+        }
+    }
+    captains.sort_by_key(|captain| std::cmp::Reverse(run_cost(&captain[0])));
+    let cohorts = cohort_groups(
+        &replays,
+        workers,
+        telemetry.map(TelemetrySink::config),
+        cached,
+    );
+    let cohorts: Vec<&[RunSpec]> = cohorts.iter().map(Vec::as_slice).collect();
+
+    let mut phases: Vec<ExecReport> = Vec::new();
+    for batch in [captains, cohorts] {
+        if batch.is_empty() {
+            continue;
+        }
+        if phases.last().is_some_and(|p| p.interrupted) {
+            break;
+        }
+        phases.push(execute_groups(
+            &batch, workers, cache, traces, telemetry, progress,
+        ));
+    }
+
+    let interrupted = phases.iter().any(|p| p.interrupted);
+    let wall = phases.iter().map(|p| p.wall).sum();
+    let mut results = HashMap::with_capacity(unique.len());
+    let mut by_key: HashMap<String, RunRecord> = HashMap::with_capacity(unique.len());
+    for phase in phases {
+        results.extend(phase.results);
+        by_key.extend(phase.records.into_iter().map(|r| (r.key.clone(), r)));
+    }
+    // An interrupted batch is missing the unclaimed specs' records;
+    // everything completed is kept.
+    let records: Vec<RunRecord> = unique
+        .iter()
+        .filter_map(|spec| by_key.remove(&spec.cache_key()))
+        .collect();
+    debug_assert!(interrupted || records.len() == unique.len());
+    ExecReport {
+        results,
+        records,
+        wall,
+        interrupted,
+    }
+}
+
 /// Runs every group (specs assumed unique; a group's specs share one
 /// [`RunSpec::trace_key`]) across `workers` threads, one job per group,
 /// consulting and updating `cache`, and capturing/replaying instruction
@@ -191,7 +265,7 @@ pub fn cohort_groups(
 /// finished are cached and recorded as usual, the report
 /// carries a record for every completed run and `interrupted = true`, so
 /// the caller can flush the runlog tail before exiting.
-pub fn execute_groups(
+fn execute_groups(
     groups: &[&[RunSpec]],
     workers: usize,
     cache: &RunCache,

@@ -151,6 +151,70 @@ pub fn append(path: &Path, workers: usize, records: &[RunRecord]) -> io::Result<
     file.write_all(out.as_bytes())
 }
 
+/// One parsed runlog row: the columns a report reads back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogRow {
+    /// Where the result came from ([`RunSource::as_str`]).
+    pub source: String,
+    /// Whether the run produced a summary.
+    pub ok: bool,
+    /// Wall-clock seconds spent on the run.
+    pub wall_s: f64,
+    /// Millions of instructions simulated; 0 if cached.
+    pub sim_minstr: f64,
+    /// Kernel-only throughput; 0 if cached.
+    pub sim_mips: f64,
+    /// Wall seconds inside the timed measure window; 0 if cached.
+    pub sim_s: f64,
+    /// Stable cache key of the spec.
+    pub key: String,
+    /// Human-readable spec tag.
+    pub label: String,
+}
+
+/// Parses a run log written by [`append`]. Comment lines are skipped,
+/// including the `# batch …` markers older logs carry. Malformed rows are
+/// counted, not fatal: a report over a damaged log should describe what
+/// is readable and say what was not.
+///
+/// # Errors
+///
+/// An empty log, or one whose header is not [`RUNLOG_SCHEMA`].
+pub fn parse(text: &str) -> Result<(Vec<LogRow>, usize), String> {
+    let mut lines = text.lines();
+    match lines.next() {
+        Some(first) if first == RUNLOG_SCHEMA => {}
+        Some(first) => return Err(format!("unsupported runlog header `{first}`")),
+        None => return Err("empty runlog".to_string()),
+    }
+    let mut rows = Vec::new();
+    let mut malformed = 0usize;
+    for line in lines {
+        if line.starts_with('#') || line.is_empty() {
+            continue;
+        }
+        // The columns of `append`'s header, by position.
+        let f: Vec<&str> = line.split('\t').collect();
+        let parsed = (|| -> Option<LogRow> {
+            Some(LogRow {
+                source: f.get(2)?.to_string(),
+                ok: *f.get(3)? == "1",
+                wall_s: f.get(4)?.parse().ok()?,
+                sim_minstr: f.get(5)?.parse().ok()?,
+                sim_mips: f.get(7)?.parse().ok()?,
+                sim_s: f.get(8)?.parse().ok()?,
+                key: f.get(13)?.to_string(),
+                label: f.get(14)?.to_string(),
+            })
+        })();
+        match parsed {
+            Some(row) if f.len() == 15 => rows.push(row),
+            _ => malformed += 1,
+        }
+    }
+    Ok((rows, malformed))
+}
+
 /// Moves a log whose header is not the current schema to `<path>.v<N>.bak`
 /// — the suffix names the *old* log's version, parsed from its header, so
 /// successive schema bumps never clobber each other's backups. A header
@@ -217,6 +281,51 @@ mod tests {
         assert!(lines[2].contains("\t0.02210\t"), "l1i_mpi column present");
         assert!(lines[2].contains("\t18.50\t"), "iv_mpki column present");
         assert!(lines[2].contains("\t1234\t"), "telem column present");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn parse_reads_back_every_appended_field() {
+        let path =
+            std::env::temp_dir().join(format!("ipsim-runlog-parse-{}.tsv", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut failed = record(RunSource::Replay);
+        failed.ok = false;
+        failed.key = "0123456789abcdef".into();
+        failed.label = "4c·Mixed·discont·bypass".into();
+        append(&path, 2, &[record(RunSource::Live), failed]).unwrap();
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("# batch marker\nnot\ta\trow\n\n");
+        let (rows, malformed) = parse(&text).unwrap();
+        assert_eq!(malformed, 1, "the short row is counted, comments are not");
+        let want = |source: &str, ok, key: &str, label: &str| LogRow {
+            source: source.into(),
+            ok,
+            wall_s: 1.25,
+            sim_minstr: 30.0,
+            sim_mips: 31.5,
+            sim_s: 0.635,
+            key: key.into(),
+            label: label.into(),
+        };
+        assert_eq!(
+            rows,
+            [
+                want("live", true, "deadbeefdeadbeef", "1c·DB·none"),
+                want(
+                    "replay",
+                    false,
+                    "0123456789abcdef",
+                    "4c·Mixed·discont·bypass"
+                ),
+            ]
+        );
+
+        // A log of another schema, or no log at all, is refused.
+        let foreign = text.replacen(RUNLOG_SCHEMA, "# ipsim-runlog v4", 1);
+        let err = parse(&foreign).unwrap_err();
+        assert!(err.contains("unsupported runlog header"), "{err}");
+        assert!(parse("").is_err());
         let _ = std::fs::remove_file(&path);
     }
 

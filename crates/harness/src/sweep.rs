@@ -1,22 +1,22 @@
 //! The sweep orchestrator: collect every figure's jobs, dedup globally,
 //! execute once across the pool, then render and report per figure.
 //!
-//! With the trace store enabled, execution is two-phased. Each distinct
-//! instruction stream ([`RunSpec::trace_key`]) is first checked for
-//! replay (present, CRC-valid, the right length; a corrupt file is
-//! quarantined) — unless every run over it will be served from the run
-//! cache, in which case it is not read at all. Only for a stream that
-//! cannot be replayed does the first spec needing it — its *captain* —
-//! run in phase one and capture the stream to disk, longest first. Phase
-//! two submits cohort jobs holding every other spec over a stream; a job
-//! runs the specs the run cache cannot serve as one cohort
+//! With the trace store enabled, execution ([`pool::execute`]) is
+//! two-phased. Each distinct instruction stream ([`RunSpec::trace_key`]) is
+//! first checked for replay (present, CRC-valid, the right length; a
+//! corrupt file is quarantined) — unless every run over it will be served
+//! from the run cache, in which case it is not read at all. Only for a
+//! stream that cannot be replayed does the first spec needing it — its
+//! *captain* — run in phase one and capture the stream to disk, longest
+//! first. Phase two submits cohort jobs holding every other spec over a
+//! stream; a job runs the specs the run cache cannot serve as one cohort
 //! ([`TraceStore::execute_cohort`]), which steps them together over one
 //! sliding decoded window. Walker generation therefore happens once per
-//! workload stream per sweep, and trace decode once per cohort. A stream
-//! is split into near-equal cohorts of at most [`pool::COHORT_MEMBERS`]
+//! workload stream per sweep, and trace decode once per cohort. A stream is
+//! split into near-equal cohorts of at most [`pool::COHORT_MEMBERS`]
 //! uncached runs, and further when its uncached runs are more than a
-//! `1/workers` share of the phase's cost, so a pool with more workers
-//! than streams keeps every worker busy; jobs are submitted longest first
+//! `1/workers` share of the phase's cost, so a pool with more workers than
+//! streams keeps every worker busy; jobs are submitted longest first
 //! ([`pool::cohort_groups`]). A member also decodes on its own when it
 //! detaches from a window that would pass its cap.
 //!
@@ -25,7 +25,7 @@
 //! lives only while its job runs: a sweep holds at most one window per
 //! worker, however many streams it replays.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -34,9 +34,9 @@ use ipsim_telemetry::TelemetryConfig;
 use crate::cache::RunCache;
 use crate::figure::Figure;
 use crate::manifest::{self, FigureManifest, ManifestEntry};
-use crate::pool::{self, ExecReport};
+use crate::pool;
 use crate::progress::{Progress, ProgressMode};
-use crate::runlog::{self, RunRecord};
+use crate::runlog;
 use crate::spec::RunSpec;
 use crate::summary::Summary;
 use crate::telemetry::TelemetrySink;
@@ -265,14 +265,17 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
     let traces = opts.trace_store();
     let telemetry = opts.telemetry_sink();
     let progress = Progress::new(opts.progress, unique.len());
-    let exec = execute_phased(
-        &unique,
-        opts.workers,
-        &cache,
-        &traces,
-        telemetry.as_ref(),
-        &progress,
-    );
+    let exec = {
+        let _execute = ipsim_obs::spans().span("sweep.execute");
+        pool::execute(
+            &unique,
+            opts.workers,
+            &cache,
+            &traces,
+            telemetry.as_ref(),
+            &progress,
+        )
+    };
     progress.finish();
 
     // Phase 4: observability — append to the run log. Failure to log is
@@ -382,93 +385,6 @@ pub fn run_sweep(figures: &[Figure], opts: &SweepOptions) -> SweepReport {
         interrupted,
         streams_decoded: traces.streams_decoded(),
         window_peak_ops: traces.window_peak_ops(),
-    }
-}
-
-/// Executes `unique` in two phases when the trace store is live: phase
-/// one runs the captain of every stream that cannot be replayed (it
-/// captures), phase two runs every other spec as bounded cohort jobs
-/// ([`pool::cohort_groups`]); both submit their longest jobs first.
-/// Records are re-ordered to match the input, so phasing and submission
-/// order are invisible everywhere downstream.
-fn execute_phased(
-    unique: &[RunSpec],
-    workers: usize,
-    cache: &RunCache,
-    traces: &TraceStore,
-    telemetry: Option<&TelemetrySink>,
-    progress: &Progress,
-) -> ExecReport {
-    let _execute = ipsim_obs::spans().span("sweep.execute");
-    if !traces.enabled() {
-        return pool::execute(unique, workers, cache, traces, telemetry, progress);
-    }
-    let streams = pool::streams(unique);
-    let cached = |spec: &RunSpec| {
-        cache.contains(spec) && telemetry.is_none_or(|sink| sink.has(&spec.cache_key()))
-    };
-    let mut captains: Vec<&[RunSpec]> = Vec::new();
-    let mut replays: Vec<&[RunSpec]> = Vec::new();
-    {
-        let _check = ipsim_obs::spans().span("trace.verify");
-        for specs in &streams {
-            // A stream whose runs will all be served from the run cache is
-            // never read, so it is not checked either.
-            let rest = if specs.iter().all(cached) || traces.replayable(&specs[0]) {
-                &specs[..]
-            } else {
-                captains.push(&specs[..1]);
-                &specs[1..]
-            };
-            if !rest.is_empty() {
-                replays.push(rest);
-            }
-        }
-    }
-    captains.sort_by_key(|captain| std::cmp::Reverse(pool::run_cost(&captain[0])));
-    let cohorts = pool::cohort_groups(
-        &replays,
-        workers,
-        telemetry.map(TelemetrySink::config),
-        cached,
-    );
-    let cohorts: Vec<&[RunSpec]> = cohorts.iter().map(Vec::as_slice).collect();
-
-    let mut phases: Vec<ExecReport> = Vec::new();
-    for batch in [captains, cohorts] {
-        if batch.is_empty() {
-            continue;
-        }
-        if phases.last().is_some_and(|p| p.interrupted) {
-            // Don't start the replay phase after an interrupt; its specs
-            // are simply never claimed.
-            break;
-        }
-        phases.push(pool::execute_groups(
-            &batch, workers, cache, traces, telemetry, progress,
-        ));
-    }
-
-    let interrupted = phases.iter().any(|p| p.interrupted);
-    let wall = phases.iter().map(|p| p.wall).sum();
-    let mut results = HashMap::with_capacity(unique.len());
-    let mut by_key: HashMap<String, RunRecord> = HashMap::with_capacity(unique.len());
-    for phase in phases {
-        results.extend(phase.results);
-        by_key.extend(phase.records.into_iter().map(|r| (r.key.clone(), r)));
-    }
-    // Restore input order. An interrupted sweep is missing the unclaimed
-    // specs' records; everything completed is preserved.
-    let records: Vec<RunRecord> = unique
-        .iter()
-        .filter_map(|spec| by_key.remove(&spec.cache_key()))
-        .collect();
-    debug_assert!(interrupted || records.len() == unique.len());
-    ExecReport {
-        results,
-        records,
-        wall,
-        interrupted,
     }
 }
 

@@ -11,10 +11,10 @@
 //!   elided via stream self-consistency),
 //! * [`writer`] / [`reader`] — CRC-framed blocks with a seekable index;
 //!   any bit flip or truncation is detected, never mis-decoded,
-//! * [`TraceSource`] / [`TraceSink`] — the capture/replay seam: the CPU
-//!   model consumes a `TraceSource`, which can be a live walker, a
-//!   [`Tee`] (walker + capture to disk), or a [`ReplaySource`] decoding a
-//!   stored trace.
+//! * [`TraceSource`] — the capture/replay seam: the CPU model consumes a
+//!   `TraceSource`, which can be a live walker, a [`Tee`] (walker +
+//!   capture to disk through a [`TraceWriter`]), or a [`ReplaySource`]
+//!   decoding a stored trace.
 //!
 //! Capture once, replay everywhere: the harness stores one trace per
 //! workload stream and feeds every other config in the sweep from it,
@@ -114,59 +114,42 @@ impl<S: TraceSource + ?Sized> TraceSource for &mut S {
     }
 }
 
-/// A destination for captured instructions.
-pub trait TraceSink {
-    /// Records one instruction.
-    fn record(&mut self, op: &TraceOp) -> Result<(), CodecError>;
-}
-
-impl<W: Write> TraceSink for TraceWriter<W> {
-    fn record(&mut self, op: &TraceOp) -> Result<(), CodecError> {
-        self.append(op)
-    }
-}
-
-/// Streams from `source` while recording every op into `sink`.
+/// Streams from `source` while recording every op into a [`TraceWriter`].
 ///
-/// Sink failures do not interrupt the stream: the first error is latched
+/// Writer failures do not interrupt the stream: the first error is latched
 /// and recording stops, but `next_op` keeps serving the live source, so a
 /// full disk degrades a capture run into a plain live run instead of
 /// killing the simulation. Check [`Tee::into_parts`] afterwards to learn
 /// whether the capture is complete.
-pub struct Tee<S, K> {
+pub struct Tee<S, W: Write> {
     source: S,
-    sink: K,
+    writer: TraceWriter<W>,
     error: Option<CodecError>,
 }
 
-impl<S: TraceSource, K: TraceSink> Tee<S, K> {
-    /// Wraps `source`, mirroring its ops into `sink`.
-    pub fn new(source: S, sink: K) -> Tee<S, K> {
+impl<S: TraceSource, W: Write> Tee<S, W> {
+    /// Wraps `source`, mirroring its ops into `writer`.
+    pub fn new(source: S, writer: TraceWriter<W>) -> Tee<S, W> {
         Tee {
             source,
-            sink,
+            writer,
             error: None,
         }
     }
 
-    /// The first sink error, if recording has failed.
-    pub fn error(&self) -> Option<&CodecError> {
-        self.error.as_ref()
-    }
-
-    /// Dismantles the tee, returning the sink and the first sink error
+    /// Dismantles the tee, returning the writer and the first write error
     /// (if any). A `None` error means every op served was also recorded.
-    pub fn into_parts(self) -> (K, Option<CodecError>) {
-        (self.sink, self.error)
+    pub fn into_parts(self) -> (TraceWriter<W>, Option<CodecError>) {
+        (self.writer, self.error)
     }
 }
 
-impl<S: TraceSource, K: TraceSink> TraceSource for Tee<S, K> {
+impl<S: TraceSource, W: Write> TraceSource for Tee<S, W> {
     #[inline]
     fn next_op(&mut self) -> TraceOp {
         let op = self.source.next_op();
         if self.error.is_none() {
-            if let Err(e) = self.sink.record(&op) {
+            if let Err(e) = self.writer.append(&op) {
                 self.error = Some(e);
             }
         }
@@ -177,7 +160,7 @@ impl<S: TraceSource, K: TraceSink> TraceSource for Tee<S, K> {
         self.source.next_block(out);
         if self.error.is_none() {
             for op in out.iter() {
-                if let Err(e) = self.sink.record(op) {
+                if let Err(e) = self.writer.append(op) {
                     self.error = Some(e);
                     break;
                 }
@@ -310,5 +293,78 @@ impl<R: Read + Seek> TraceSource for ReplaySource<R> {
                 .expect("validated trace failed mid-replay")
                 .expect("replay ran past end of trace");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipsim_types::instr::OpKind;
+    use ipsim_types::Addr;
+
+    /// A destination that accepts `budget` bytes, then fails every write,
+    /// counting the writes attempted after the first failure.
+    struct FailAfter {
+        budget: usize,
+        failed: bool,
+        late_writes: usize,
+    }
+
+    impl Write for FailAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.failed {
+                self.late_writes += 1;
+            }
+            if self.failed || buf.len() > self.budget {
+                self.failed = true;
+                return Err(std::io::Error::other("disk full"));
+            }
+            self.budget -= buf.len();
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Loads over a scattered data footprint: several varint bytes an op,
+    /// so a few thousand ops fill a block.
+    fn ops(n: u64) -> Vec<TraceOp> {
+        (0..n)
+            .map(|i| TraceOp {
+                pc: Addr(0x1000 + 4 * i),
+                kind: OpKind::Load {
+                    addr: Addr(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16),
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_failing_writer_stops_recording_but_not_the_stream() {
+        let want = ops(200_000);
+        let mut disk = FailAfter {
+            budget: 1_000,
+            failed: false,
+            late_writes: 0,
+        };
+        let writer = TraceWriter::new(&mut disk, 0, "full disk").unwrap();
+        let mut tee = Tee::new(ArenaSource::new(want.clone()), writer);
+        let mut got = Vec::with_capacity(want.len());
+        let mut block = vec![want[0]; 1_000];
+        while got.len() < want.len() / 2 {
+            got.push(tee.next_op());
+        }
+        while got.len() < want.len() {
+            tee.next_block(&mut block);
+            got.extend_from_slice(&block);
+        }
+        assert!(got == want, "the tee changed the stream it served");
+        let (writer, error) = tee.into_parts();
+        assert!(error.is_some(), "the write error was not reported");
+        drop(writer);
+        assert!(disk.failed);
+        assert_eq!(disk.late_writes, 0, "the tee kept recording after an error");
     }
 }

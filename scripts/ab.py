@@ -23,9 +23,11 @@ Commands:
 
 For every metric it prints the median and quartiles of each side, the
 change's median shift, how many pairs the change won (k/n) and a
-two-sided sign-test p-value. A shift no larger than the distance between
-the parent's quartiles, or one the change did not win (or lose) in at
-least 9 of 10 untied pairs, is marked "unresolved". Sweep pairs also
+two-sided sign-test p-value. A shift is "better" or "worse" only when it
+is larger than the distance between the parent's quartiles, the change
+won (or lost) at least 9 of 10 untied pairs, and the sign-test p is at
+most 0.05 (so at least 6 untied pairs, all one way); anything else is
+"unresolved". Sweep pairs also
 check that both sides wrote byte-identical figure texts and run-cache
 entries, and report the streams each sweep decoded.
 
@@ -272,10 +274,12 @@ def report(parent, change, pairs):
         ma, mb = statistics.median(a), statistics.median(b)
         (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
         shift = (mb - ma) / ma * 100 if ma else float("nan")
-        # A shift counts only past the parent's own quartile spread, and
-        # when the change won (or lost) at least 9 of every 10 pairs.
+        # A shift counts only past the parent's own quartile spread, when
+        # the change won (or lost) at least 9 of every 10 pairs, and when
+        # that many pairs could not plausibly be chance (sign p <= 0.05).
         decided = pairs - ties
-        if abs(mb - ma) <= a3 - a1:
+        p = sign_p(wins, decided)
+        if abs(mb - ma) <= a3 - a1 or p > 0.05:
             verdict = "unresolved"
         elif wins >= 0.9 * decided:
             verdict = "better"
@@ -284,8 +288,7 @@ def report(parent, change, pairs):
         else:
             verdict = "unresolved"
         print(f"| {metric} | {ma:.4g} ({a1:.4g}–{a3:.4g}) | {mb:.4g} ({b1:.4g}–{b3:.4g}) | "
-              f"{shift:+.1f} % | {wins}/{pairs - ties} | {sign_p(wins, pairs - ties):.3g} | "
-              f"{verdict} |")
+              f"{shift:+.1f} % | {wins}/{decided} | {p:.3g} | {verdict} |")
 
 
 def main():

@@ -1,5 +1,6 @@
-//! Facade-level tests: the public API paths shown in the README and the
-//! examples must keep working.
+//! Facade-level tests: the public API paths shown in the crate docs'
+//! quickstart (which the README points to) and the examples must keep
+//! working.
 
 use ipsim::cache::InstallPolicy;
 use ipsim::cpu::{Core, MemSystem, SystemBuilder, WorkloadSet};
